@@ -34,12 +34,11 @@ from .experiments import (
     METHODS,
     ExperimentConfig,
     circuit_cost,
-    profiling_setup,
     run_error_curve,
-    slope_fit,
+    stable_slope_fit,
 )
 from .mpf import mpf_weights
-from .profiling import default_a_grid, fit_profile, profile_sweep, resolve_basis
+from .profiling import default_a_grid, mitigated_estimate, resolve_basis
 from .report import ResultRow, ResultTable, atomic_write_text, write_csv
 from .simulator import exact_evolve, expectation
 
@@ -147,7 +146,7 @@ def _out_path(args: argparse.Namespace, doc: ConfigDocument) -> str | None:
 def _steps_label(cfg: ExperimentConfig, method: str) -> int:
     if method == "mpf":
         return max(cfg.mpf.step_counts)
-    return cfg.profiling.trotter_steps
+    return cfg.trotter_steps
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -181,23 +180,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     t = args.time if args.time is not None else cfg.times[-1]
     if t <= 0:
         raise ConfigError("--time must be positive", "time")
-    profile_cfg = profiling_setup(cfg)
-    basis = resolve_basis(profile_cfg)
-    grid = (
-        profile_cfg.a_grid
-        if profile_cfg.a_grid is not None
-        else default_a_grid(len(basis.orders))
-    )
-    samples = profile_sweep(
-        grid,
-        t,
-        cfg.formula,
-        cfg.partition,
-        cfg.observable,
-        cfg.initial_state,
-        cfg.profiling.trotter_steps,
-    )
-    fit = fit_profile(samples, basis, cfg.formula.alpha)
+    basis = resolve_basis(cfg)
+    _, fit = mitigated_estimate(t, replace(cfg, basis=basis))
     exact = expectation(exact_evolve(cfg.partition.hamiltonian, t, cfg.initial_state), cfg.observable)
 
     print(f"time {t}")
@@ -214,10 +198,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if path:
         rows = [
             ResultRow("profile-sample", t, s.a, s.value, exact, abs(s.value - exact))
-            for s in samples
+            for s in fit.samples
         ]
         rows.append(
-            ResultRow("ep", t, cfg.profiling.trotter_steps, fit.y_star, exact, abs(fit.y_star - exact))
+            ResultRow("ep", t, cfg.trotter_steps, fit.y_star, exact, abs(fit.y_star - exact))
         )
         write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
         print(f"wrote {len(rows)} rows to {path}")
@@ -252,10 +236,10 @@ def _cmd_mpf(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    basis = resolve_basis(profiling_setup(cfg))
+    basis = resolve_basis(cfg)
     print(f"surviving orders {list(basis.orders)}")
     print(f"antisymmetric columns {basis.include_antisymmetric}")
-    print(f"suggested grid size {2 * len(basis.orders) + 1}")
+    print(f"suggested grid size {len(default_a_grid(len(basis.orders)))}")
     path = _out_path(args, doc)
     if path:
         rows = [
@@ -273,7 +257,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     rows = []
     for method in _methods(args):
         curve = run_error_curve(cfg, method)
-        gradient = slope_fit(curve, window)
+        gradient = stable_slope_fit(curve, window)
         print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         label = _steps_label(cfg, method)
         rows.extend(
@@ -294,9 +278,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     if steps < 1:
         raise ConfigError("--steps must be at least 1", "steps")
     grid = args.grid
-    if grid is None:
-        basis = cfg.profiling.basis
-        grid = 2 * len(basis.orders) + 1 if basis is not None else 5
+    if grid is None and cfg.a_grid is not None:
+        grid = len(cfg.a_grid)
+    elif grid is None:
+        grid = len(default_a_grid(len(resolve_basis(cfg).orders)))
     ep = circuit_cost(
         "ep",
         formula=cfg.formula,

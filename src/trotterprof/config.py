@@ -22,7 +22,6 @@ from .errors import ConfigError, FormulaError, HermiticityError, TrotterProfErro
 from .experiments import (
     ExperimentConfig,
     MPFOptions,
-    ProfilingOptions,
     default_times,
     tfim_config,
     xxz_config,
@@ -272,9 +271,10 @@ def _parse_times(raw: Any) -> tuple[float, ...]:
     return times
 
 
-def _parse_profiling(raw: Any, alpha: int) -> ProfilingOptions:
+def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
+    """The profiling fields of an experiment: trotter_steps, a_grid, basis."""
     if raw is None:
-        return ProfilingOptions()
+        return {"trotter_steps": 1, "a_grid": None, "basis": None}
     entry = _expect(raw, dict, "profiling")
     steps = entry.get("trotter_steps", 1)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
@@ -305,7 +305,7 @@ def _parse_profiling(raw: Any, alpha: int) -> ProfilingOptions:
                 "profiling.include_antisymmetric",
             )
         basis = BasisSpec(tuple(range(alpha, top + 1)), anti)
-    return ProfilingOptions(trotter_steps=steps, a_grid=grid, basis=basis)
+    return {"trotter_steps": steps, "a_grid": grid, "basis": basis}
 
 
 def _parse_mpf(raw: Any, default_symmetric: bool) -> MPFOptions:
@@ -381,7 +381,7 @@ def parse_document(text: str) -> ConfigDocument:
         if "times" in doc:
             cfg = replace(cfg, times=_parse_times(doc["times"]))
         if "profiling" in doc:
-            cfg = replace(cfg, profiling=_parse_profiling(doc["profiling"], cfg.formula.alpha))
+            cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg.formula.alpha))
         if "mpf" in doc:
             cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg.formula.symmetric))
         if "noise" in doc:
@@ -415,8 +415,8 @@ def parse_document(text: str) -> ConfigDocument:
         formula=formula,
         observable=observable,
         initial_state=state,
+        **profiling,
         times=times,
-        profiling=profiling,
         mpf=mpf,
         noise_sigma=sigma,
         seed=seed,
@@ -469,12 +469,8 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
         ],
         "times": {"values": [float(t) for t in cfg.times]},
         "profiling": {
-            "trotter_steps": cfg.profiling.trotter_steps,
-            "a_grid": (
-                None
-                if cfg.profiling.a_grid is None
-                else [float(a) for a in cfg.profiling.a_grid]
-            ),
+            "trotter_steps": cfg.trotter_steps,
+            "a_grid": None if cfg.a_grid is None else [float(a) for a in cfg.a_grid],
         },
         "mpf": {
             "step_counts": list(cfg.mpf.step_counts),
@@ -482,10 +478,10 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
         },
         "noise": {"sigma": cfg.noise_sigma, "seed": cfg.seed},
     }
-    if cfg.profiling.basis is not None:
-        top = max(cfg.profiling.basis.orders) if cfg.profiling.basis.orders else cfg.formula.alpha
+    if cfg.basis is not None:
+        top = max(cfg.basis.orders) if cfg.basis.orders else cfg.formula.alpha
         doc["profiling"]["n_extra_orders"] = max(0, top - cfg.formula.alpha)
-        doc["profiling"]["include_antisymmetric"] = cfg.profiling.basis.include_antisymmetric
+        doc["profiling"]["include_antisymmetric"] = cfg.basis.include_antisymmetric
     if output_path is not None:
         doc["output"] = {"path": output_path, "format": "csv"}
     return doc

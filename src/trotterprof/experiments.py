@@ -9,10 +9,8 @@ circuits.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +25,6 @@ from .formulas import (
 from .mpf import mpf_estimate, mpf_weights
 from .pauli import OperatorSum, PauliTerm
 from .profiling import (
-    BasisSpec,
-    CalibrationOptions,
     CompositeSpec,
     ProfilingConfig,
     composite_circuit,
@@ -37,15 +33,12 @@ from .profiling import (
 )
 from .simulator import (
     GaussianJitter,
-    StateVector,
     apply_circuit,
     exact_evolve,
     expectation,
     init_product_state,
     measure,
 )
-
-THREADS_ENV = "TROTTERPROF_THREADS"
 
 METHODS = ("trotter", "ep", "mpf")
 
@@ -61,26 +54,14 @@ class MPFOptions:
     symmetric: bool = False
 
 
-@dataclass(frozen=True)
-class ProfilingOptions:
-    """Sweep layout for the profiling method; unset fields auto-resolve."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(ProfilingConfig):
+    """A full benchmark setup: the profiling inputs plus times and options.
 
-    trotter_steps: int = 1
-    a_grid: tuple[float, ...] | None = None
-    basis: BasisSpec | None = None
-    calibration: CalibrationOptions = field(default_factory=CalibrationOptions)
+    ``trotter_steps`` is the base depth of the plain and profiling circuits.
+    """
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A full benchmark setup: model, formula, observable, times, options."""
-
-    partition: PartitionedHamiltonian
-    formula: ProductFormula
-    observable: OperatorSum
-    initial_state: StateVector
     times: tuple[float, ...]
-    profiling: ProfilingOptions = field(default_factory=ProfilingOptions)
     mpf: MPFOptions = field(default_factory=MPFOptions)
     noise_sigma: float = 0.0
     seed: int = 1234
@@ -227,26 +208,11 @@ def xxz_config(formula_name: str) -> ExperimentConfig:
 
 
 def worker_count() -> int:
-    """Worker cap from the environment, defaulting to machine parallelism."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise DegenerateInputError(
-                f"{THREADS_ENV} must be an integer, got {raw!r}"
-            ) from exc
-        return max(1, value)
-    return os.cpu_count() or 1
+    """Always 1: curves run serially, one time point after another.
 
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving input order; threads only when the cap allows them."""
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    Kept because benchmark harnesses record it next to their timings.
+    """
+    return 1
 
 
 def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
@@ -260,20 +226,6 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
-def profiling_setup(cfg: ExperimentConfig) -> ProfilingConfig:
-    """Profiling inputs of an experiment, ready for sweep or calibration."""
-    return ProfilingConfig(
-        formula=cfg.formula,
-        partition=cfg.partition,
-        observable=cfg.observable,
-        initial_state=cfg.initial_state,
-        trotter_steps=cfg.profiling.trotter_steps,
-        a_grid=cfg.profiling.a_grid,
-        basis=cfg.profiling.basis,
-        calibration=cfg.profiling.calibration,
-    )
-
-
 def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
     """Estimate-vs-exact curve for one method over the configured times."""
     if method not in METHODS:
@@ -282,14 +234,10 @@ def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
     jitters = _per_time_jitters(cfg)
 
     if method == "ep":
-        profile_cfg = profiling_setup(cfg)
-        basis = resolve_basis(profile_cfg)
-        profile_cfg = replace(profile_cfg, basis=basis)
+        profile_cfg = replace(cfg, basis=resolve_basis(cfg))
 
         def estimate(t: float, jitter: GaussianJitter | None) -> float:
-            value, _ = mitigated_estimate(
-                t, replace(profile_cfg, jitter=jitter)
-            )
+            value, _ = mitigated_estimate(t, profile_cfg, jitter=jitter)
             return value
 
     elif method == "mpf":
@@ -311,21 +259,17 @@ def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
     else:
 
         def estimate(t: float, jitter: GaussianJitter | None) -> float:
-            circuit = compile_circuit(
-                cfg.formula, cfg.partition, t, cfg.profiling.trotter_steps
-            )
+            circuit = compile_circuit(cfg.formula, cfg.partition, t, cfg.trotter_steps)
             return measure(
                 apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter
             )
 
-    def point(task: tuple[float, GaussianJitter | None]) -> CurvePoint:
-        t, jitter = task
+    points = []
+    for t, jitter in zip(cfg.times, jitters):
         exact = expectation(exact_evolve(h, t, cfg.initial_state), cfg.observable)
         value = estimate(t, jitter)
         error = abs(value - exact)
-        return CurvePoint(t, value, exact, error, floored=error < ERROR_FLOOR)
-
-    points = _parallel_map(point, list(zip(cfg.times, jitters)))
+        points.append(CurvePoint(t, value, exact, error, floored=error < ERROR_FLOOR))
     return ErrorCurve(method, tuple(points))
 
 

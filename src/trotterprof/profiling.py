@@ -42,8 +42,19 @@ from .simulator import (
 #: Least-squares designs above this condition number are rejected.
 CONDITION_GATE = 1e8
 
-#: Default relative threshold deciding which error orders survive calibration.
+#: Relative threshold deciding which error orders survive calibration.
 SURVIVAL_THRESHOLD = 1e-8
+
+#: Calibration probe window in the scale-free variable ``u = t * ||H||_1``,
+#: so the default transfers between Hamiltonians, and its point count.
+CALIBRATION_U_WINDOW = (0.08, 0.4)
+CALIBRATION_POINTS = 20
+
+#: Split parameters probed during calibration.
+CALIBRATION_A_PROBE = (0.15, 0.35, 0.45, 0.55, 0.65, 0.85)
+
+#: Powers beyond the candidate window that absorb series truncation.
+CALIBRATION_GUARD_ORDERS = 4
 
 
 @dataclass(frozen=True)
@@ -100,13 +111,14 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a profile fit: intercept, per-order slopes, and diagnostics."""
+    """Outcome of a profile fit: intercept, per-order slopes, diagnostics, data."""
 
     y_star: float
     coefficients: Mapping[int, float]
     residual_norm: float
     condition_number: float
     antisymmetric_coefficients: Mapping[int, float] = field(default_factory=dict)
+    samples: tuple[ProfileSample, ...] = ()
 
     def __post_init__(self) -> None:
         if self.residual_norm < 0:
@@ -322,6 +334,7 @@ def fit_profile(
         residual_norm=residual,
         condition_number=cond,
         antisymmetric_coefficients=anti,
+        samples=tuple(samples),
     )
 
 
@@ -386,8 +399,6 @@ def calibrate_basis(
     a_probe: Sequence[float],
     *,
     trotter_steps: int = 1,
-    rel_threshold: float = SURVIVAL_THRESHOLD,
-    guard_orders: int = 4,
 ) -> BasisSpec:
     """Empirically decide which error orders the profile fit needs.
 
@@ -395,7 +406,7 @@ def calibrate_basis(
     whose lowest power is the formula's first error order; guard powers
     beyond the candidate window absorb series truncation.  An order survives
     when its fitted contribution at the window edge exceeds
-    ``rel_threshold`` of the largest one.  The leading order additionally
+    ``SURVIVAL_THRESHOLD`` of the largest one.  The leading order additionally
     carries an operator certificate: when the extracted
     ``E_a + (-1)**a E_a^dagger`` vanishes, the variant average annihilates
     that order exactly and no fit artifact can resurrect it (truncation
@@ -406,7 +417,7 @@ def calibrate_basis(
     """
     alpha = f.alpha
     window = list(range(alpha, 2 * alpha - 1))
-    powers = list(range(alpha, 2 * alpha - 2 + guard_orders + 1))
+    powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
     t_arr = np.asarray(sorted(t_probe), dtype=float)
     if len(t_arr) < len(powers) + 2:
         raise CalibrationError(
@@ -455,42 +466,31 @@ def calibrate_basis(
         row = powers.index(s)
         even_mag = float(np.max(np.abs(contributions[row, :n_pairs])))
         odd_mag = float(np.max(np.abs(contributions[row, n_pairs:])))
-        if even_mag > rel_threshold * reference:
+        if even_mag > SURVIVAL_THRESHOLD * reference:
             surviving.add(s)
-        if odd_mag > rel_threshold * reference:
+        if odd_mag > SURVIVAL_THRESHOLD * reference:
             surviving.add(s)
             antisymmetric = True
     return BasisSpec(tuple(sorted(surviving)), antisymmetric)
 
 
-@dataclass(frozen=True)
-class CalibrationOptions:
-    """Probe layout for automatic basis calibration.
+def probe_times(hamiltonian_scale: float, n_powers: int) -> tuple[float, ...]:
+    """Geometric calibration times spanning ``CALIBRATION_U_WINDOW``.
 
-    The time window is expressed in the scale-free variable
-    ``u = t * ||H||_1`` so defaults transfer between Hamiltonians.
+    At least ``n_powers + 2`` points, so every fitted power is determined.
     """
-
-    u_window: tuple[float, float] = (0.08, 0.4)
-    points: int = 20
-    a_probe: tuple[float, ...] = (0.15, 0.35, 0.45, 0.55, 0.65, 0.85)
-    rel_threshold: float = SURVIVAL_THRESHOLD
-    guard_orders: int = 4
-
-    def t_probe(self, hamiltonian_scale: float, n_powers: int) -> tuple[float, ...]:
-        lo, hi = self.u_window
-        count = max(self.points, n_powers + 2)
-        scale = max(hamiltonian_scale, 1e-12)
-        return tuple(np.geomspace(lo / scale, hi / scale, count))
+    lo, hi = CALIBRATION_U_WINDOW
+    count = max(CALIBRATION_POINTS, n_powers + 2)
+    scale = max(hamiltonian_scale, 1e-12)
+    return tuple(np.geomspace(lo / scale, hi / scale, count))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfilingConfig:
     """Everything a mitigated estimate needs besides the evaluation time.
 
-    ``exact_substitute`` swaps every compiled circuit for the exact
-    evolution; the sweep then carries no algorithmic error and the fit must
-    return the ideal value, which makes it a useful self-check.
+    An unset ``a_grid`` defaults to the Chebyshev grid sized for the basis;
+    an unset ``basis`` is calibrated.
     """
 
     formula: ProductFormula
@@ -500,9 +500,6 @@ class ProfilingConfig:
     trotter_steps: int = 1
     a_grid: tuple[float, ...] | None = None
     basis: BasisSpec | None = None
-    calibration: CalibrationOptions = field(default_factory=CalibrationOptions)
-    jitter: GaussianJitter | None = None
-    exact_substitute: bool = False
 
 
 def resolve_basis(config: ProfilingConfig) -> BasisSpec:
@@ -510,29 +507,33 @@ def resolve_basis(config: ProfilingConfig) -> BasisSpec:
     if config.basis is not None:
         return config.basis
     alpha = config.formula.alpha
-    n_powers = (2 * alpha - 2) - alpha + config.calibration.guard_orders + 1
-    t_probe = config.calibration.t_probe(config.partition.scale(), n_powers)
+    n_powers = (2 * alpha - 2) - alpha + CALIBRATION_GUARD_ORDERS + 1
     return calibrate_basis(
         config.formula,
         config.partition,
         config.observable,
         config.initial_state,
-        t_probe,
-        config.calibration.a_probe,
+        probe_times(config.partition.scale(), n_powers),
+        CALIBRATION_A_PROBE,
         trotter_steps=config.trotter_steps,
-        rel_threshold=config.calibration.rel_threshold,
-        guard_orders=config.calibration.guard_orders,
     )
 
 
 def mitigated_estimate(
-    t: float, config: ProfilingConfig
+    t: float,
+    config: ProfilingConfig,
+    *,
+    jitter: GaussianJitter | None = None,
+    exact_substitute: bool = False,
 ) -> tuple[float, FitResult]:
     """Sweep the split-parameter grid at time ``t`` and return the intercept.
 
     The intercept of the fitted profile estimates the ideal expectation
-    value with the modeled error orders removed; the full fit is returned
-    alongside so callers can weigh the residual and conditioning.
+    value with the modeled error orders removed; the full fit, with the
+    samples it was fitted to, is returned alongside so callers can weigh the
+    residual and conditioning.  ``exact_substitute`` swaps every compiled
+    circuit for the exact evolution; the sweep then carries no algorithmic
+    error and the fit must return the ideal value, a useful self-check.
     """
     basis = resolve_basis(config)
     grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
@@ -544,8 +545,8 @@ def mitigated_estimate(
         config.observable,
         config.initial_state,
         config.trotter_steps,
-        exact_substitute=config.exact_substitute,
-        jitter=config.jitter,
+        exact_substitute=exact_substitute,
+        jitter=jitter,
     )
     fit = fit_profile(samples, basis, config.formula.alpha)
     return fit.y_star, fit

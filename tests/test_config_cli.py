@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     ConfigError,
@@ -14,7 +16,10 @@ from trotterprof import (
     parse_config,
     preset_config,
     read_csv,
+    run_error_curve,
     serialize_config,
+    slope_fit,
+    stable_slope_fit,
     tfim_config,
     write_csv,
 )
@@ -58,9 +63,30 @@ def test_parse_full_document():
     assert cfg.seed == 11
 
 
-def test_round_trip_is_semantically_stable():
-    text = json.dumps(sample_document())
-    once = serialize_config(parse_config(text))
+@settings(deadline=None)
+@given(
+    trotter_steps=st.integers(1, 4),
+    a_grid=st.none()
+    | st.lists(
+        st.floats(-1.0, 2.0, allow_nan=False), min_size=1, max_size=9, unique=True
+    ),
+    n_extra_orders=st.none() | st.integers(0, 3),
+    include_antisymmetric=st.booleans(),
+)
+def test_round_trip_is_semantically_stable(
+    trotter_steps, a_grid, n_extra_orders, include_antisymmetric
+):
+    doc = sample_document()
+    profiling = {"trotter_steps": trotter_steps, "a_grid": a_grid}
+    if n_extra_orders is not None:
+        profiling["n_extra_orders"] = n_extra_orders
+        profiling["include_antisymmetric"] = include_antisymmetric
+    doc["profiling"] = profiling
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.trotter_steps == trotter_steps
+    assert cfg.a_grid == (None if a_grid is None else tuple(a_grid))
+    assert (cfg.basis is None) == (n_extra_orders is None)
+    once = serialize_config(cfg)
     twice = serialize_config(parse_config(once))
     assert once == twice
 
@@ -176,9 +202,9 @@ def test_n_extra_orders_builds_basis():
     doc = sample_document()
     doc["profiling"] = {"n_extra_orders": 1}
     cfg = parse_config(json.dumps(doc))
-    assert cfg.profiling.basis is not None
-    assert cfg.profiling.basis.orders == (3, 4)
-    assert cfg.profiling.basis.include_antisymmetric
+    assert cfg.basis is not None
+    assert cfg.basis.orders == (3, 4)
+    assert cfg.basis.include_antisymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +374,26 @@ def test_profile_reports_fit(tmp_path, capsys):
     assert "condition number" in captured.out
 
 
+def test_profile_and_run_agree_on_the_ep_row(tmp_path):
+    doc = {"preset": "tfim-ruth3", "times": {"values": [0.3]}}
+    cfg_path = write_config(tmp_path, doc)
+    profiled, ran = tmp_path / "profile.csv", tmp_path / "run.csv"
+    assert run_command(
+        ["profile", "--config", cfg_path, "--time", "0.3", "--out", str(profiled)]
+    ) == 0
+    assert run_command(
+        ["run", "--config", cfg_path, "--method", "ep", "--out", str(ran)]
+    ) == 0
+
+    def ep_lines(path):
+        return [line for line in path.read_text().splitlines() if line.startswith("ep,")]
+
+    assert len(ep_lines(ran)) == 1
+    assert ep_lines(profiled) == ep_lines(ran)
+    samples = [r for r in read_csv(profiled).rows if r.method == "profile-sample"]
+    assert len(samples) == 5  # the Chebyshev grid of the calibrated (5, 6) basis
+
+
 def test_mpf_command_prints_weights(capsys):
     doc = {"preset": "tfim-ruth3", "times": {"values": [0.1, 0.2]}}
     code = run_command(["mpf", "--preset", "tfim-ruth3"]) if False else None
@@ -390,6 +436,24 @@ def test_slope_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "trotter" in captured.out and "slope" in captured.out
+
+
+def test_slope_reads_sign_stable_points(capsys):
+    code = run_command(["slope", "--preset", "tfim-ruth3", "--method", "mpf"])
+    captured = capsys.readouterr()
+    assert code == 0
+    curve = run_error_curve(tfim_config("ruth3"), "mpf")
+    stable = stable_slope_fit(curve, (0.1, 0.5))
+    assert f"mpf      slope {stable:+.3f} over" in captured.out
+    # this curve changes sign inside the window, so the raw fit reads differently
+    assert f"{slope_fit(curve, (0.1, 0.5)):+.3f}" != f"{stable:+.3f}"
+
+
+def test_cost_counts_the_grid_that_run_sweeps(capsys):
+    code = run_command(["cost", "--preset", "xxz-suzuki4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "(grid 9)" in captured.out
 
 
 def test_cost_command(tmp_path, capsys):

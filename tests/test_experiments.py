@@ -26,7 +26,7 @@ from trotterprof import (
     tfim_config,
     to_dense,
 )
-from trotterprof.experiments import CurvePoint, worker_count
+from trotterprof.experiments import CurvePoint
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +283,3 @@ def test_cost_validates_inputs(tfim_ruth3):
         circuit_cost(
             "shadow", formula=tfim_ruth3.formula, partition=tfim_ruth3.partition
         )
-
-
-# ---------------------------------------------------------------------------
-# workers
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("TROTTERPROF_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TROTTERPROF_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("TROTTERPROF_THREADS", "many")
-    with pytest.raises(DegenerateInputError):
-        worker_count()
-    monkeypatch.delenv("TROTTERPROF_THREADS")
-    assert worker_count() >= 1
-
-
-def test_serial_and_threaded_curves_agree(tfim_ruth3, monkeypatch):
-    cfg = replace(tfim_ruth3, times=tuple(np.geomspace(0.1, 0.4, 6)))
-    monkeypatch.setenv("TROTTERPROF_THREADS", "1")
-    serial = run_error_curve(cfg, "trotter")
-    monkeypatch.setenv("TROTTERPROF_THREADS", "4")
-    threaded = run_error_curve(cfg, "trotter")
-    assert serial == threaded

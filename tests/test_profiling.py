@@ -7,7 +7,6 @@ import pytest
 
 from trotterprof import (
     BasisSpec,
-    CalibrationOptions,
     CompositeSpec,
     DegenerateInputError,
     ExtractionError,
@@ -34,7 +33,13 @@ from trotterprof import (
     profile_sweep,
     to_dense,
 )
-from trotterprof.profiling import composite_circuit, resolve_basis
+from trotterprof.profiling import (
+    CALIBRATION_A_PROBE,
+    CALIBRATION_GUARD_ORDERS,
+    composite_circuit,
+    probe_times,
+    resolve_basis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +345,8 @@ def test_mitigated_estimate_exact_substitution(tfim_ruth3, paper_state):
         tfim_ruth3.observable,
         paper_state,
         basis=BasisSpec((5, 6), include_antisymmetric=True),
-        exact_substitute=True,
     )
-    estimate, fit = mitigated_estimate(t, config)
+    estimate, fit = mitigated_estimate(t, config, exact_substitute=True)
     h = tfim_ruth3.partition.hamiltonian
     exact = expectation(exact_evolve(h, t, paper_state), tfim_ruth3.observable)
     assert estimate == pytest.approx(exact, abs=1e-10)
@@ -357,9 +361,8 @@ def test_calibration_collapses_for_first_order_splitting(zx_partition):
     f = builtin_formula("lie1", zx_partition)
     obs = OperatorSum.from_terms([PauliTerm("Z")])
     psi = init_product_state([(1.0, 0.3 + 0.4j)])
-    opts = CalibrationOptions()
-    t_probe = opts.t_probe(zx_partition.scale(), opts.guard_orders + 1)
-    basis = calibrate_basis(f, zx_partition, obs, psi, t_probe, opts.a_probe)
+    t_probe = probe_times(zx_partition.scale(), CALIBRATION_GUARD_ORDERS + 1)
+    basis = calibrate_basis(f, zx_partition, obs, psi, t_probe, CALIBRATION_A_PROBE)
     # the variant average annihilates the even leading order and the window
     # [alpha, 2 alpha - 2] holds nothing else
     assert set(basis.orders) <= {2}
