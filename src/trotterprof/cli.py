@@ -99,7 +99,13 @@ def _build_parser() -> _CliParser:
 
     cost_p = sub.add_parser("cost", help="circuit and gate accounting")
     common(cost_p)
-    cost_p.add_argument("--steps", type=int, default=1, help="base Trotter depth N")
+    cost_p.add_argument(
+        "--steps",
+        type=int,
+        default=None,
+        help="base Trotter depth N, with multi-product counts 1..N"
+        " (default: the configured depth and step counts, as run uses)",
+    )
     cost_p.add_argument("--grid", type=int, default=None, help="profiling grid size")
 
     return parser
@@ -274,9 +280,12 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    steps = args.steps
-    if steps < 1:
+    if args.steps is None:
+        steps, mpf_counts = cfg.trotter_steps, cfg.mpf.step_counts
+    elif args.steps < 1:
         raise ConfigError("--steps must be at least 1", "steps")
+    else:
+        steps, mpf_counts = args.steps, tuple(range(1, args.steps + 1))
     grid = args.grid
     if grid is None and cfg.a_grid is not None:
         grid = len(cfg.a_grid)
@@ -289,14 +298,13 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         trotter_steps=steps,
         grid_points=grid,
     )
-    mpf_counts = tuple(range(1, steps + 1))
     mpf = circuit_cost(
         "mpf", formula=cfg.formula, partition=cfg.partition, step_counts=mpf_counts
     )
     lines = [
         f"profiling: {ep.circuits} circuits x depth {ep.depth_steps} steps"
         f" = {ep.total_steps} steps, {ep.elementary_gates} gates (grid {grid})",
-        f"multi-product (counts 1..{steps}): {mpf.circuits} circuits,"
+        f"multi-product (counts {', '.join(map(str, mpf_counts))}): {mpf.circuits} circuits,"
         f" {mpf.total_steps} steps, {mpf.elementary_gates} gates",
     ]
     text = "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from .formulas import (
     ProductFormula,
     builtin_formula,
     compile_circuit,
+    sample_template,
 )
 from .mpf import mpf_estimate, mpf_weights
 from .pauli import OperatorSum, PauliTerm
@@ -33,17 +34,17 @@ from .profiling import (
 )
 from .simulator import (
     GaussianJitter,
-    apply_circuit,
     exact_evolve,
     expectation,
     init_product_state,
-    measure,
+    sample_expectations,
 )
 
 METHODS = ("trotter", "ep", "mpf")
 
-#: Errors below this are at the double-precision floor and get flagged.
-ERROR_FLOOR = 1e-15
+#: Errors at or below this are at the double-precision floor: they are
+#: flagged, and slope fits leave them out.
+ERROR_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,17 @@ class ExperimentConfig(ProfilingConfig):
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One time of a curve; ``floored`` defaults to ``abs_error <= ERROR_FLOOR``."""
+
     t: float
     estimate: float
     exact: float
     abs_error: float
-    floored: bool = False
+    floored: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.floored is None:
+            object.__setattr__(self, "floored", bool(self.abs_error <= ERROR_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -235,18 +242,16 @@ def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
 
     if method == "ep":
         profile_cfg = replace(cfg, basis=resolve_basis(cfg))
-
-        def estimate(t: float, jitter: GaussianJitter | None) -> float:
-            value, _ = mitigated_estimate(t, profile_cfg, jitter=jitter)
-            return value
-
+        estimates = [
+            mitigated_estimate(t, profile_cfg, jitter=jitter)[0]
+            for t, jitter in zip(cfg.times, jitters)
+        ]
     elif method == "mpf":
         weights = mpf_weights(
             cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
         )
-
-        def estimate(t: float, jitter: GaussianJitter | None) -> float:
-            return mpf_estimate(
+        estimates = [
+            mpf_estimate(
                 t,
                 weights,
                 cfg.formula,
@@ -255,32 +260,33 @@ def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
                 cfg.initial_state,
                 jitter=jitter,
             )
-
+            for t, jitter in zip(cfg.times, jitters)
+        ]
     else:
-
-        def estimate(t: float, jitter: GaussianJitter | None) -> float:
-            circuit = compile_circuit(cfg.formula, cfg.partition, t, cfg.trotter_steps)
-            return measure(
-                apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter
-            )
+        # The plain circuits of all times share one word sequence: one batch.
+        tables, angles = sample_template(
+            cfg.formula, cfg.partition, cfg.trotter_steps
+        ).forward(cfg.times)
+        values = sample_expectations(cfg.initial_state, tables, angles, cfg.observable)
+        estimates = [
+            float(v) if jitter is None else jitter.perturb(float(v))
+            for v, jitter in zip(values, jitters)
+        ]
 
     points = []
-    for t, jitter in zip(cfg.times, jitters):
+    for t, value in zip(cfg.times, estimates):
         exact = expectation(exact_evolve(h, t, cfg.initial_state), cfg.observable)
-        value = estimate(t, jitter)
-        error = abs(value - exact)
-        points.append(CurvePoint(t, value, exact, error, floored=error < ERROR_FLOOR))
+        points.append(CurvePoint(t, value, exact, abs(value - exact)))
     return ErrorCurve(method, tuple(points))
 
 
 def slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:
-    """Least-squares slope of log(error) against log(t) inside the window."""
+    """Least-squares slope of log(error) against log(t) inside the window.
+
+    Floored points carry no scale and are left out.
+    """
     t_min, t_max = window
-    kept = [
-        p
-        for p in curve.points
-        if t_min <= p.t <= t_max and p.abs_error > 1e-14
-    ]
+    kept = [p for p in curve.points if t_min <= p.t <= t_max and not p.floored]
     if len(kept) < 4:
         raise DegenerateInputError(
             f"only {len(kept)} usable points in window [{t_min}, {t_max}]"

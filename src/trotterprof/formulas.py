@@ -4,19 +4,34 @@ A formula is an ordered table of ``(fragment_index, coefficient)`` steps.
 Compilation expands each step into Pauli rotations for every term of the
 addressed fragment, in the fragment's stored term order, and the resulting
 gate list is applied left to right.  The single-step circuit at ``t/N`` is
-repeated ``N`` times to form the usual iterated circuit.
+repeated ``N`` times to form the usual iterated circuit.  A
+``SampleTemplate`` holds the same gate sequence with the time left open, for
+the batched sample engine; ``compile_circuit`` stays the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, FormulaError
-from .pauli import HERMITIAN_TOL, OperatorSum, mutually_commuting, words_commute
-from .simulator import Circuit, PauliRotation, circuit_unitary, exact_unitary
+from .pauli import (
+    HERMITIAN_TOL,
+    OperatorSum,
+    _word_tables,
+    mutually_commuting,
+    words_commute,
+)
+from .simulator import (
+    Circuit,
+    PauliRotation,
+    WordTables,
+    circuit_unitary,
+    exact_unitary,
+)
 
 FORMULA_NAMES = ("lie1", "strang2", "ruth3", "suzuki4")
 
@@ -163,6 +178,69 @@ def compile_circuit(
                 raise FormulaError("fragment coefficients must be real")
             single.append(PauliRotation(term.word, coeff * dt * term.coeff.real))
     return Circuit(tuple(single) * trotter_steps, partition.n)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTemplate:
+    """The gate sequence of ``compile_circuit`` for one step count, time left open.
+
+    Gate k of the single step ``V(x/N)`` rotates the word of ``tables[k]`` by
+    ``(coeffs[k] * (x / N)) * weights[k]``, the product order
+    ``compile_circuit`` uses, so templated and compiled angles agree bit for
+    bit.
+    """
+
+    tables: tuple[WordTables, ...]
+    coeffs: np.ndarray
+    weights: np.ndarray
+    trotter_steps: int
+
+    def forward(self, x: Sequence[float]) -> tuple[list[WordTables], np.ndarray]:
+        """Word tables and per-row angles of ``compile_circuit(..., x[b], N)``."""
+        dt = np.asarray(x, dtype=float)[:, None] / self.trotter_steps
+        single = (self.coeffs * dt) * self.weights
+        return list(self.tables) * self.trotter_steps, np.tile(single, self.trotter_steps)
+
+    def inverted(self, x: Sequence[float]) -> tuple[list[WordTables], np.ndarray]:
+        """Tables and angles of ``invert_circuit(compile_circuit(..., -x[b], N))``.
+
+        Negating the time negates every angle and the inversion negates it
+        back, exactly, so this is the forward circuit in reverse gate order.
+        """
+        tables, angles = self.forward(x)
+        return tables[::-1], angles[:, ::-1]
+
+
+@lru_cache(maxsize=64)
+def sample_template(
+    f: ProductFormula,
+    partition: PartitionedHamiltonian,
+    trotter_steps: int = 1,
+) -> SampleTemplate:
+    """Compile the template once; validates what ``compile_circuit`` validates."""
+    if trotter_steps < 1:
+        raise FormulaError("trotter_steps must be at least 1")
+    if f.fragment_count > len(partition.fragments):
+        raise FormulaError(
+            f"formula addresses fragment {f.fragment_count - 1}, "
+            f"partition has {len(partition.fragments)}"
+        )
+    tables, coeffs, weights = [], [], []
+    for index, coeff in f.steps:
+        for term in partition.fragments[index].terms:
+            if abs(term.coeff.imag) > HERMITIAN_TOL:
+                raise FormulaError("fragment coefficients must be real")
+            if set(term.word) <= {"I"}:
+                raise DegenerateInputError("rotation word must touch at least one qubit")
+            tables.append(_word_tables(term.word))
+            coeffs.append(coeff)
+            weights.append(term.coeff.real)
+    return SampleTemplate(
+        tables=tuple(tables),
+        coeffs=np.array(coeffs, dtype=float),
+        weights=np.array(weights, dtype=float),
+        trotter_steps=trotter_steps,
+    )
 
 
 def invert_circuit(c: Circuit) -> Circuit:

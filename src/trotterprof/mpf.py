@@ -16,9 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularFitError
-from .formulas import PartitionedHamiltonian, ProductFormula, compile_circuit
+from .formulas import PartitionedHamiltonian, ProductFormula, sample_template
 from .pauli import OperatorSum
-from .simulator import GaussianJitter, StateVector, apply_circuit, exact_evolve, measure
+from .simulator import (
+    GaussianJitter,
+    StateVector,
+    exact_evolve,
+    expectation,
+    sample_expectations,
+)
 
 CONDITION_WARNING = 1e10
 
@@ -130,16 +136,21 @@ def mpf_estimate(
 ) -> float:
     """Weighted combination of expectations from the iterated circuits.
 
-    With ``exact_substitute`` every constituent runs the exact evolution, so
-    any weight set summing to one must reproduce the ideal value.
+    Each step count runs its circuit through the batched sample engine; noise
+    is drawn per step count, in order.  With ``exact_substitute`` every
+    constituent runs the exact evolution, so any weight set summing to one
+    must reproduce the ideal value.
     """
     total = 0.0
     for weight, count in zip(weights.weights, weights.step_counts):
         if exact_substitute:
-            state = exact_evolve(partition.hamiltonian, t, psi)
+            value = expectation(exact_evolve(partition.hamiltonian, t, psi), obs)
         else:
-            state = apply_circuit(psi, compile_circuit(f, partition, t, count))
-        total += weight * measure(state, obs, jitter)
+            tables, angles = sample_template(f, partition, count).forward([t])
+            value = float(sample_expectations(psi, tables, angles, obs)[0])
+        if jitter is not None:
+            value = jitter.perturb(value)
+        total += weight * value
     return total
 
 

@@ -263,7 +263,11 @@ class DenseOperator:
 
 @lru_cache(maxsize=4096)
 def dense_word(word: str) -> np.ndarray:
-    """Dense matrix of a bare Pauli word (read-only, cached)."""
+    """Dense matrix of a bare Pauli word (read-only, cached).
+
+    Used by the dense circuit oracle; ``to_dense`` scatters the word tables
+    instead, so sums never fill this cache.
+    """
     mat = reduce(np.kron, (_SINGLE[letter] for letter in word))
     mat.setflags(write=False)
     return mat
@@ -277,8 +281,11 @@ def to_dense(op: OperatorSum, cap: int = DENSE_CAP) -> DenseOperator:
         )
     dim = 1 << op.n
     acc = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim)
     for t in op.terms:
-        acc += t.coeff * dense_word(t.word)
+        # Column x of a word holds phase[x] in row perm[x] and zeros elsewhere.
+        perm, phase = _word_tables(t.word)
+        acc[perm, columns] += t.coeff * phase
     return DenseOperator(acc, op.n)
 
 

@@ -25,18 +25,24 @@ from .errors import (
     ExtractionError,
     SingularFitError,
 )
-from .formulas import PartitionedHamiltonian, ProductFormula, compile_circuit, invert_circuit
+from .formulas import (
+    PartitionedHamiltonian,
+    ProductFormula,
+    compile_circuit,
+    invert_circuit,
+    sample_template,
+)
 from .pauli import DenseOperator, OperatorSum, to_dense
 from .simulator import (
     Circuit,
     GaussianJitter,
     StateVector,
-    apply_circuit,
     circuit_unitary,
     exact_evolve,
     exact_unitary,
     expectation,
     measure,
+    sample_expectations,
 )
 
 #: Least-squares designs above this condition number are rejected.
@@ -177,6 +183,79 @@ def composite_circuit(
     return Circuit(first.gates + second.gates, partition.n)
 
 
+def composite_expectations(
+    a_values: Sequence[float],
+    t_values: Sequence[float],
+    variants: Sequence[int],
+    f: ProductFormula,
+    partition: PartitionedHamiltonian,
+    obs: OperatorSum,
+    psi: StateVector,
+    trotter_steps: int = 1,
+) -> np.ndarray:
+    """Expectations of the probe circuits at every ``(a_values[b], t_values[b])``.
+
+    Column j holds variant ``variants[j]``; each entry equals
+    ``expectation(apply_circuit(psi, composite_circuit(spec, f, partition)), obs)``
+    bit for bit.  All rows of one variant share a word sequence and run as
+    one batched evolution.
+    """
+    a = np.asarray(a_values, dtype=float)
+    t = np.asarray(t_values, dtype=float)
+    at, abar_t = a * t, (1.0 - a) * t
+    template = sample_template(f, partition, trotter_steps)
+
+    def segment(x: np.ndarray, inverted: bool):
+        return template.inverted(x) if inverted else template.forward(x)
+
+    columns = []
+    for variant in variants:
+        if variant not in (1, 2, 3, 4):
+            raise DegenerateInputError(f"variant must be 1..4, got {variant}")
+        first_tables, first_angles = segment(abar_t, variant in (3, 4))
+        second_tables, second_angles = segment(at, variant in (2, 4))
+        columns.append(
+            sample_expectations(
+                psi,
+                first_tables + second_tables,
+                np.hstack([first_angles, second_angles]),
+                obs,
+            )
+        )
+    return np.column_stack(columns)
+
+
+def _averaged_expectations(
+    a_values: Sequence[float],
+    t_values: Sequence[float],
+    f: ProductFormula,
+    partition: PartitionedHamiltonian,
+    obs: OperatorSum,
+    psi: StateVector,
+    trotter_steps: int,
+    *,
+    verify_symmetric: bool = False,
+    jitter: GaussianJitter | None = None,
+) -> np.ndarray:
+    """Variant-averaged expectation per row; noise is drawn row by row, then per variant."""
+    if f.symmetric and not verify_symmetric:
+        variants: tuple[int, ...] = (1,)
+    else:
+        variants = (1, 2, 3, 4)
+    values = composite_expectations(
+        a_values, t_values, variants, f, partition, obs, psi, trotter_steps
+    )
+    if jitter is not None:
+        values = np.array([[jitter.perturb(float(v)) for v in row] for row in values])
+    if f.symmetric and verify_symmetric:
+        spread = float(np.max(np.ptp(values, axis=1), initial=0.0))
+        if spread > 1e-10:
+            raise DegenerateInputError(
+                f"symmetric formula variants disagree by {spread!r}"
+            )
+    return np.mean(values, axis=1)
+
+
 def averaged_expectation(
     a: float,
     t: float,
@@ -203,22 +282,18 @@ def averaged_expectation(
         state = exact_evolve(h, (1.0 - a) * t, psi)
         state = exact_evolve(h, a * t, state)
         return measure(state, obs, jitter)
-    if f.symmetric and not verify_symmetric:
-        variants: tuple[int, ...] = (1,)
-    else:
-        variants = (1, 2, 3, 4)
-    values = []
-    for variant in variants:
-        spec = CompositeSpec(variant, a, t, trotter_steps)
-        state = apply_circuit(psi, composite_circuit(spec, f, partition))
-        values.append(measure(state, obs, jitter))
-    if f.symmetric and verify_symmetric:
-        spread = max(values) - min(values)
-        if spread > 1e-10:
-            raise DegenerateInputError(
-                f"symmetric formula variants disagree by {spread!r}"
-            )
-    return float(np.mean(values))
+    values = _averaged_expectations(
+        [a],
+        [t],
+        f,
+        partition,
+        obs,
+        psi,
+        trotter_steps,
+        verify_symmetric=verify_symmetric,
+        jitter=jitter,
+    )
+    return float(values[0])
 
 
 def profile_sweep(
@@ -233,26 +308,28 @@ def profile_sweep(
     exact_substitute: bool = False,
     jitter: GaussianJitter | None = None,
 ) -> list[ProfileSample]:
-    """One averaged sample per grid value, in grid order."""
+    """One averaged sample per grid value, in grid order, from one batch."""
     if len(set(a_grid)) != len(a_grid):
         raise DegenerateInputError("duplicate a values in sweep grid")
-    return [
-        ProfileSample(
-            a,
+    if exact_substitute:
+        values = [
             averaged_expectation(
-                a,
-                t,
-                f,
-                partition,
-                obs,
-                psi,
-                trotter_steps,
-                exact_substitute=exact_substitute,
-                jitter=jitter,
-            ),
+                a, t, f, partition, obs, psi, exact_substitute=True, jitter=jitter
+            )
+            for a in a_grid
+        ]
+    else:
+        values = _averaged_expectations(
+            a_grid,
+            [t] * len(a_grid),
+            f,
+            partition,
+            obs,
+            psi,
+            trotter_steps,
+            jitter=jitter,
         )
-        for a in a_grid
-    ]
+    return [ProfileSample(a, float(v)) for a, v in zip(a_grid, values)]
 
 
 def default_a_grid(n_orders: int) -> tuple[float, ...]:
@@ -431,19 +508,22 @@ def calibrate_basis(
     exact_vals = np.array(
         [expectation(exact_evolve(h, t, psi), obs) for t in t_arr]
     )
-
-    def error_series(a: float) -> np.ndarray:
-        return np.array(
-            [
-                averaged_expectation(a, t, f, partition, obs, psi, trotter_steps)
-                for t in t_arr
-            ]
-        ) - exact_vals
+    # Every probe (a, t) of the error series runs in one batch.
+    a_values = sorted({a for pair in pairs for a in pair})
+    averaged = _averaged_expectations(
+        np.repeat(a_values, len(t_arr)),
+        np.tile(t_arr, len(a_values)),
+        f,
+        partition,
+        obs,
+        psi,
+        trotter_steps,
+    ).reshape(len(a_values), len(t_arr))
+    error_series = dict(zip(a_values, averaged - exact_vals))
 
     even_parts, odd_parts = [], []
     for lo, hi in pairs:
-        e_lo = error_series(lo)
-        e_hi = e_lo if hi == lo else error_series(hi)
+        e_lo, e_hi = error_series[lo], error_series[hi]
         even_parts.append(0.5 * (e_lo + e_hi))
         odd_parts.append(0.5 * (e_lo - e_hi))
 

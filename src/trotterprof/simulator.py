@@ -2,9 +2,12 @@
 
 States are plain complex amplitude vectors; gates are Pauli-word rotations
 ``exp(-i * angle * P)`` applied via ``cos(a)|psi> - i sin(a) P|psi>``.
-The exact evolution ``exp(-iHt)`` comes from a cached Hermitian
-eigendecomposition and serves as the ground-truth oracle, so measured
-deviations contain only algorithmic error.
+``apply_circuit`` runs one circuit gate by gate and is the reference;
+``sample_expectations`` runs many circuits that share one word sequence as
+a ``(B, 2^n)`` state stack, one vectorised update per gate.  The exact
+evolution ``exp(-iHt)`` comes from a cached Hermitian eigendecomposition
+and serves as the ground-truth oracle, so measured deviations contain only
+algorithmic error.
 """
 
 from __future__ import annotations
@@ -21,9 +24,23 @@ from .errors import (
     DimensionMismatchError,
     HermiticityError,
 )
-from .pauli import DENSE_CAP, OperatorSum, apply_pauli_word, dense_word, to_dense
+from .pauli import (
+    DENSE_CAP,
+    OperatorSum,
+    _word_tables,
+    apply_pauli_word,
+    dense_word,
+    to_dense,
+)
 
 NORM_TOL = 1e-10
+
+#: A batched evolution advances at most this many amplitudes at once, which
+#: bounds the memory of one gate update whatever the batch and register size.
+BATCH_AMPLITUDES = 1 << 18
+
+#: ``(perm, phase)`` of a Pauli word, as built by ``pauli._word_tables``.
+WordTables = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +151,77 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(amps, state.n)
 
 
+def evolve_batch(
+    state: StateVector,
+    tables: Sequence[WordTables],
+    angles: np.ndarray,
+) -> np.ndarray:
+    """Evolve one copy of ``state`` per row of ``angles``; returns the ``(B, 2^n)`` stack.
+
+    Row b runs the gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ...,
+    where ``tables[k]`` holds the word tables of ``P_k``.  Each update is the
+    one ``apply_circuit`` makes, so a row equals the looped circuit bit for bit.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != len(tables):
+        raise DimensionMismatchError(
+            f"angle array of shape {angles.shape} does not match {len(tables)} gates"
+        )
+    if any(perm.shape[0] != (1 << state.n) for perm, _ in tables):
+        raise DimensionMismatchError("gate and state qubit counts differ")
+    cos = np.cos(angles).T[:, :, None]
+    sin = 1.0j * np.sin(angles).T[:, :, None]
+    amps = np.tile(state.amplitudes, (angles.shape[0], 1))
+    for k, (perm, phase) in enumerate(tables):
+        amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+    norms = np.linalg.norm(amps, axis=1)
+    if np.any(np.abs(norms - 1.0) > NORM_TOL):
+        raise DegenerateInputError("batched evolution lost normalization")
+    return amps
+
+
+def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
+    """Exact ``<psi_b|O|psi_b>`` for every row of a ``(B, 2^n)`` state stack.
+
+    Each row takes one ``np.vdot`` per term, summed in term order, so a row
+    gives the same bits whichever stack it sits in.
+    """
+    if not obs.hermitian:
+        raise HermiticityError("expectation requires a Hermitian observable")
+    if amps.shape[1] != (1 << obs.n):
+        raise DimensionMismatchError("observable and state qubit counts differ")
+    values = np.zeros(amps.shape[0], dtype=complex)
+    for term in obs.terms:
+        perm, phase = _word_tables(term.word)
+        moved = np.take(amps * phase, perm, axis=1)
+        values += term.coeff * np.array([np.vdot(a, m) for a, m in zip(amps, moved)])
+    worst = float(np.max(np.abs(values.imag), initial=0.0))
+    if worst >= 1e-10:
+        raise HermiticityError(f"expectation has imaginary residue {worst!r}")
+    return values.real
+
+
+def sample_expectations(
+    state: StateVector,
+    tables: Sequence[WordTables],
+    angles: np.ndarray,
+    obs: OperatorSum,
+) -> np.ndarray:
+    """``expectation(apply_circuit(state, circuit_b), obs)`` for every row b of ``angles``.
+
+    The batched sample engine: all circuits share the word sequence
+    ``tables`` and differ only in their angles.  Rows are evolved in chunks of
+    at most ``BATCH_AMPLITUDES`` amplitudes.
+    """
+    angles = np.asarray(angles, dtype=float)
+    rows = max(1, BATCH_AMPLITUDES >> state.n)
+    values = np.empty(angles.shape[0])
+    for start in range(0, angles.shape[0], rows):
+        chunk = angles[start : start + rows]
+        values[start : start + rows] = expectation_rows(evolve_batch(state, tables, chunk), obs)
+    return values
+
+
 @lru_cache(maxsize=64)
 def _eigh(h: OperatorSum) -> tuple[np.ndarray, np.ndarray]:
     dense = to_dense(h).matrix
@@ -177,19 +265,7 @@ def circuit_unitary(c: Circuit, cap: int = DENSE_CAP) -> np.ndarray:
 
 def expectation(state: StateVector, obs: OperatorSum) -> float:
     """Exact ``<psi|O|psi>`` for a Hermitian observable."""
-    if not obs.hermitian:
-        raise HermiticityError("expectation requires a Hermitian observable")
-    if obs.n != state.n:
-        raise DimensionMismatchError("observable and state qubit counts differ")
-    amps = state.amplitudes
-    value = 0.0 + 0.0j
-    for term in obs.terms:
-        value += term.coeff * np.vdot(amps, apply_pauli_word(term.word, amps))
-    if abs(value.imag) >= 1e-10:
-        raise HermiticityError(
-            f"expectation has imaginary residue {value.imag!r}"
-        )
-    return float(value.real)
+    return float(expectation_rows(state.amplitudes[None, :], obs)[0])
 
 
 @dataclass

@@ -394,17 +394,9 @@ def test_profile_and_run_agree_on_the_ep_row(tmp_path):
     assert len(samples) == 5  # the Chebyshev grid of the calibrated (5, 6) basis
 
 
-def test_mpf_command_prints_weights(capsys):
+def test_mpf_command_prints_weights(tmp_path, capsys):
     doc = {"preset": "tfim-ruth3", "times": {"values": [0.1, 0.2]}}
-    code = run_command(["mpf", "--preset", "tfim-ruth3"]) if False else None
-    # use a config file to shrink the time grid and keep the test fast
-    import tempfile, os, json as _json
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
-            _json.dump(doc, fh)
-        code = run_command(["mpf", "--config", path])
+    code = run_command(["mpf", "--config", write_config(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == 0
     assert "weights" in captured.out
@@ -454,6 +446,14 @@ def test_cost_counts_the_grid_that_run_sweeps(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "(grid 9)" in captured.out
+
+
+def test_cost_defaults_to_the_depth_and_counts_that_run_uses(tmp_path, capsys):
+    doc = {"preset": "tfim-ruth3", "profiling": {"trotter_steps": 3, "n_extra_orders": 1}}
+    assert run_command(["cost", "--config", write_config(tmp_path, doc)]) == 0
+    assert "depth 6 steps" in capsys.readouterr().out
+    assert run_command(["cost", "--preset", "tfim-ruth3"]) == 0
+    assert "multi-product (counts 1, 2): 2 circuits" in capsys.readouterr().out
 
 
 def test_cost_command(tmp_path, capsys):

@@ -1,0 +1,158 @@
+"""The batched sample engine against the looped reference circuits.
+
+Every sample kind (composite probes, plain Trotter circuits, multi-product
+constituents) runs through ``sample_expectations``; the reference is
+``measure(apply_circuit(psi, circuit), obs, jitter)`` on the circuit
+compiled gate by gate.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trotterprof import (
+    Circuit,
+    CompositeSpec,
+    GaussianJitter,
+    PauliRotation,
+    apply_circuit,
+    compile_circuit,
+    composite_circuit,
+    composite_expectations,
+    evolve_batch,
+    mpf_estimate,
+    mpf_weights,
+    preset_config,
+    profile_sweep,
+    run_error_curve,
+)
+from trotterprof.config import PRESETS
+from trotterprof.experiments import _per_time_jitters
+from trotterprof.pauli import _word_tables
+from trotterprof.simulator import measure
+
+from conftest import random_state
+
+TOL = 1e-12
+
+CONFIGS = {name: preset_config(name) for name in PRESETS}
+
+presets = st.sampled_from(sorted(CONFIGS))
+split = st.floats(-0.5, 1.5, allow_nan=False)
+times = st.floats(0.0, 1.0, exclude_min=True, allow_nan=False)
+steps = st.integers(1, 3)
+
+
+def looped_composite(cfg, variant, a, t, n, jitter=None):
+    circuit = composite_circuit(CompositeSpec(variant, a, t, n), cfg.formula, cfg.partition)
+    return measure(apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter)
+
+
+def looped_trotter(cfg, t, n, jitter=None):
+    circuit = compile_circuit(cfg.formula, cfg.partition, t, n)
+    return measure(apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter)
+
+
+def test_evolve_batch_rows_equal_apply_circuit(rng):
+    words = ["XZY", "ZZI", "IYX", "XXX", "ZIZ"]
+    angles = rng.uniform(-2.0, 2.0, size=(6, len(words)))
+    psi = random_state(rng, 3)
+    stack = evolve_batch(psi, [_word_tables(w) for w in words], angles)
+    for row, gate_angles in zip(stack, angles):
+        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), 3)
+        np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    presets,
+    st.integers(1, 4),
+    st.lists(st.tuples(split, times), min_size=1, max_size=5),
+    steps,
+)
+def test_composite_values_match_the_looped_circuits(name, variant, points, n):
+    cfg = CONFIGS[name]
+    a_values, t_values = zip(*points)
+    batched = composite_expectations(
+        a_values, t_values, (variant,), cfg.formula, cfg.partition,
+        cfg.observable, cfg.initial_state, n,
+    )
+    assert batched.shape == (len(points), 1)
+    for (a, t), value in zip(points, batched[:, 0]):
+        assert abs(value - looped_composite(cfg, variant, a, t, n)) <= TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(presets, st.lists(times, min_size=1, max_size=6, unique=True), steps)
+def test_trotter_curve_matches_the_looped_circuits(name, ts, n):
+    cfg = replace(CONFIGS[name], times=tuple(sorted(ts)), trotter_steps=n)
+    curve = run_error_curve(cfg, "trotter")
+    for point in curve.points:
+        assert abs(point.estimate - looped_trotter(cfg, point.t, n)) <= TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(presets, times, st.sets(st.integers(1, 4), min_size=1, max_size=3))
+def test_mpf_estimate_matches_the_looped_circuits(name, t, counts):
+    cfg = CONFIGS[name]
+    weights = mpf_weights(sorted(counts), cfg.formula.alpha, cfg.formula.symmetric)
+    batched = mpf_estimate(
+        t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state
+    )
+    looped = sum(
+        w * looped_trotter(cfg, t, s) for w, s in zip(weights.weights, weights.step_counts)
+    )
+    assert abs(batched - looped) <= TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    presets,
+    st.lists(split, min_size=1, max_size=5, unique=True),
+    times,
+    steps,
+    st.integers(0, 2**32 - 1),
+)
+def test_noisy_sweep_draws_match_the_looped_path(name, grid, t, n, seed):
+    cfg = CONFIGS[name]
+    sigma = 1e-3
+    samples = profile_sweep(
+        grid, t, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state, n,
+        jitter=GaussianJitter.from_seed(sigma, seed),
+    )
+    jitter = GaussianJitter.from_seed(sigma, seed)
+    variants = (1,) if cfg.formula.symmetric else (1, 2, 3, 4)
+    for a, sample in zip(grid, samples):
+        looped = np.mean([looped_composite(cfg, v, a, t, n, jitter) for v in variants])
+        assert sample.a == a
+        assert abs(sample.value - looped) <= TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(presets, st.integers(0, 2**32 - 1))
+def test_noisy_trotter_and_mpf_draws_match_the_looped_path(name, seed):
+    cfg = replace(
+        CONFIGS[name], times=(0.2, 0.5, 0.9), noise_sigma=1e-3, seed=seed, trotter_steps=2
+    )
+    trotter = run_error_curve(cfg, "trotter")
+    for point, jitter in zip(trotter.points, _per_time_jitters(cfg)):
+        assert abs(point.estimate - looped_trotter(cfg, point.t, 2, jitter)) <= TOL
+
+    weights = mpf_weights((1, 2, 3), cfg.formula.alpha, cfg.formula.symmetric)
+    for t, s in ((0.2, seed), (0.7, seed + 1)):
+        batched = mpf_estimate(
+            t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state,
+            jitter=GaussianJitter.from_seed(1e-3, s),
+        )
+        jitter = GaussianJitter.from_seed(1e-3, s)
+        looped = sum(
+            w * looped_trotter(cfg, t, c, jitter)
+            for w, c in zip(weights.weights, weights.step_counts)
+        )
+        assert abs(batched - looped) <= TOL
+

@@ -160,6 +160,16 @@ def test_floor_flagging():
     assert curve.points[0].floored and not curve.points[1].floored
 
 
+def test_floored_points_are_flagged_and_left_out_of_slope_fits():
+    ts = np.geomspace(0.1, 0.5, 5)
+    points = [CurvePoint(t, 0.3 * t**4, 0.0, 0.3 * t**4) for t in ts]
+    floored = CurvePoint(0.3, 5e-15, 0.0, 5e-15)
+    assert floored.floored and not any(p.floored for p in points)
+    clean = slope_fit(ErrorCurve("synthetic", tuple(points)), (0.1, 0.5))
+    mixed = slope_fit(ErrorCurve("synthetic", tuple(points) + (floored,)), (0.1, 0.5))
+    assert mixed == clean == pytest.approx(4.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # slope fitting
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     DimensionMismatchError,
@@ -208,3 +211,30 @@ def test_term_word_validation():
         PauliTerm("")
     with pytest.raises(ValueError):
         PauliTerm("ZA")
+
+
+_LETTER_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+@st.composite
+def real_sums(draw):
+    n = draw(st.integers(1, 5))
+    words = st.text(alphabet=LETTERS, min_size=n, max_size=n)
+    coeffs = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.tuples(words, coeffs), min_size=1, max_size=8))
+    return OperatorSum.from_terms([PauliTerm(w, c) for w, c in terms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_sums())
+def test_to_dense_equals_the_kron_sum(op):
+    dim = 1 << op.n
+    expected = np.zeros((dim, dim), dtype=complex)
+    for term in op.terms:
+        expected += term.coeff * reduce(np.kron, [_LETTER_MATRICES[c] for c in term.word])
+    assert np.array_equal(to_dense(op).matrix, expected)
