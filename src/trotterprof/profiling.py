@@ -56,8 +56,8 @@ SURVIVAL_THRESHOLD = 1e-8
 CALIBRATION_U_WINDOW = (0.08, 0.4)
 CALIBRATION_POINTS = 20
 
-#: Split parameters probed during calibration.
-CALIBRATION_A_PROBE = (0.15, 0.35, 0.45, 0.55, 0.65, 0.85)
+#: Split parameters probed during calibration, each paired with ``1 - a``.
+CALIBRATION_A_PROBE = (0.15, 0.35, 0.45)
 
 #: Powers beyond the candidate window that absorb series truncation.
 CALIBRATION_GUARD_ORDERS = 4
@@ -450,59 +450,41 @@ def _window_coefficients(
     return coef
 
 
-def _averaging_kills_leading_order(
-    f: ProductFormula, partition: PartitionedHamiltonian
-) -> bool:
-    """Whether the variant average annihilates the first error order.
-
-    The averaged leading coefficient is proportional to
-    ``K_a = E_a + (-1)**a E_a^dagger``; for even first error order the
-    anti-Hermiticity relation forces this to zero identically.  The test is
-    run on the extracted operator rather than on the parity of ``alpha`` so
-    custom step tables are judged by their actual error series.
-    """
-    series = extract_error_operators(f, partition, f.alpha)
-    e = series.operator_for(f.alpha).matrix
-    k = e + (-1) ** f.alpha * e.conj().T
-    return float(np.linalg.norm(k)) <= 1e-6 * max(1.0, float(np.linalg.norm(e)))
-
-
 def calibrate_basis(
     f: ProductFormula,
     partition: PartitionedHamiltonian,
     obs: OperatorSum,
     psi: StateVector,
-    t_probe: Sequence[float],
-    a_probe: Sequence[float],
     *,
     trotter_steps: int = 1,
 ) -> BasisSpec:
     """Empirically decide which error orders the profile fit needs.
 
-    For each probe ``a`` the averaged error is fitted as a polynomial in t
-    whose lowest power is the formula's first error order; guard powers
-    beyond the candidate window absorb series truncation.  An order survives
-    when its fitted contribution at the window edge exceeds
-    ``SURVIVAL_THRESHOLD`` of the largest one.  The leading order additionally
-    carries an operator certificate: when the extracted
-    ``E_a + (-1)**a E_a^dagger`` vanishes, the variant average annihilates
-    that order exactly and no fit artifact can resurrect it (truncation
-    leakage sits orders of magnitude above any useful threshold in double
-    precision, so a purely numerical exclusion test is not reliable).  The
-    a-odd part of the profile decides whether antisymmetric columns join.
-    Calibration runs on noiseless values by design.
+    Each probe pair ``(a, 1 - a)`` runs at geometric times spanning
+    ``CALIBRATION_U_WINDOW``; the pair's a-even and a-odd averaged errors
+    are fitted as polynomials in t whose lowest power is the formula's first
+    error order, with guard powers beyond the candidate window absorbing
+    series truncation.  An order survives when its fitted contribution at
+    the window edge exceeds ``SURVIVAL_THRESHOLD`` of the largest one, and
+    the a-odd part decides whether antisymmetric columns join.
+
+    The leading order is decided by parity instead: the variant average
+    carries it with the factor ``E_a + (-1)**a E_a^dagger``, and the leading
+    operator of a unitary product formula is anti-Hermitian, so the factor
+    vanishes exactly when ``alpha`` is even (truncation leakage sits orders
+    of magnitude above any useful threshold in double precision, so a purely
+    numerical exclusion test is not reliable there).  An odd ``alpha`` is
+    judged numerically like the other orders.  Calibration runs on
+    noiseless values by design and builds no dense matrix.
     """
     alpha = f.alpha
     window = list(range(alpha, 2 * alpha - 1))
     powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
-    t_arr = np.asarray(sorted(t_probe), dtype=float)
-    if len(t_arr) < len(powers) + 2:
-        raise CalibrationError(
-            f"need at least {len(powers) + 2} probe times for {len(powers)} powers"
-        )
-    pairs = sorted({(min(a, 1.0 - a), max(a, 1.0 - a)) for a in a_probe})
-    if not pairs:
-        raise CalibrationError("empty a probe")
+    lo, hi = CALIBRATION_U_WINDOW
+    scale = max(partition.scale(), 1e-12)
+    count = max(CALIBRATION_POINTS, len(powers) + 2)
+    t_arr = np.geomspace(lo / scale, hi / scale, count)
+    pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
     h = partition.hamiltonian
     exact_vals = np.array(
@@ -522,13 +504,12 @@ def calibrate_basis(
     error_series = dict(zip(a_values, averaged - exact_vals))
 
     even_parts, odd_parts = [], []
-    for lo, hi in pairs:
-        e_lo, e_hi = error_series[lo], error_series[hi]
-        even_parts.append(0.5 * (e_lo + e_hi))
-        odd_parts.append(0.5 * (e_lo - e_hi))
+    for a, a_bar in pairs:
+        e_a, e_abar = error_series[a], error_series[a_bar]
+        even_parts.append(0.5 * (e_a + e_abar))
+        odd_parts.append(0.5 * (e_a - e_abar))
 
-    scale = max(float(np.linalg.norm(v)) for v in even_parts)
-    if scale < 1e-13:
+    if max(float(np.linalg.norm(v)) for v in even_parts) < 1e-13:
         return BasisSpec((), False)
 
     contributions = _window_coefficients(t_arr, even_parts + odd_parts, powers)
@@ -536,12 +517,10 @@ def calibrate_basis(
     rows = [powers.index(s) for s in window]
     reference = float(np.max(np.abs(contributions[rows, :])))
 
-    dead_leading = _averaging_kills_leading_order(f, partition)
-
     surviving: set[int] = set()
     antisymmetric = False
     for s in window:
-        if s == alpha and dead_leading:
+        if s == alpha and alpha % 2 == 0:
             continue
         row = powers.index(s)
         even_mag = float(np.max(np.abs(contributions[row, :n_pairs])))
@@ -552,17 +531,6 @@ def calibrate_basis(
             surviving.add(s)
             antisymmetric = True
     return BasisSpec(tuple(sorted(surviving)), antisymmetric)
-
-
-def probe_times(hamiltonian_scale: float, n_powers: int) -> tuple[float, ...]:
-    """Geometric calibration times spanning ``CALIBRATION_U_WINDOW``.
-
-    At least ``n_powers + 2`` points, so every fitted power is determined.
-    """
-    lo, hi = CALIBRATION_U_WINDOW
-    count = max(CALIBRATION_POINTS, n_powers + 2)
-    scale = max(hamiltonian_scale, 1e-12)
-    return tuple(np.geomspace(lo / scale, hi / scale, count))
 
 
 @dataclass(frozen=True)
@@ -586,15 +554,11 @@ def resolve_basis(config: ProfilingConfig) -> BasisSpec:
     """The configured basis, or the calibrated one when left unset."""
     if config.basis is not None:
         return config.basis
-    alpha = config.formula.alpha
-    n_powers = (2 * alpha - 2) - alpha + CALIBRATION_GUARD_ORDERS + 1
     return calibrate_basis(
         config.formula,
         config.partition,
         config.observable,
         config.initial_state,
-        probe_times(config.partition.scale(), n_powers),
-        CALIBRATION_A_PROBE,
         trotter_steps=config.trotter_steps,
     )
 

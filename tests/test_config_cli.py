@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trotterprof import (
@@ -242,16 +244,41 @@ def test_single_row_has_six_fields():
     assert data_line.startswith("ep,0.5,2,")
 
 
-def test_csv_round_trip_is_bit_exact(tmp_path):
-    table = make_table()
-    path = tmp_path / "table.csv"
+def _row_bits(row: ResultRow) -> tuple:
+    """Each field as its type and exact bit pattern, so -0.0 differs from 0.0."""
+    return tuple(
+        (type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+        for v in astuple(row)
+    )
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+result_rows = st.builds(
+    ResultRow,
+    st.sampled_from(["trotter", "ep", "mpf"]),
+    finite_floats,
+    st.one_of(st.integers(-(2**63), 2**63), finite_floats),
+    finite_floats,
+    finite_floats,
+    finite_floats,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(result_rows, max_size=6))
+@example(rows=[ResultRow("ep", -0.0, -0.0, 5e-324, 1e308, -2.2250738585072014e-308)])
+@example(rows=[ResultRow("mpf", 0.0, 4, -1e308, 1.5e-323, 0.0)])
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, rows):
+    directory = tmp_path_factory.mktemp("csv")
+    table = ResultTable.from_rows(rows, {"seed": "7", "tool": "trotterprof test"})
+    path = directory / "table.csv"
     write_csv(table, path, timestamp=False)
     recovered = read_csv(path)
-    assert recovered.rows == table.rows
+    assert [_row_bits(r) for r in recovered.rows] == [_row_bits(r) for r in table.rows]
     assert recovered.metadata == dict(table.metadata)
     # writing the recovered table reproduces the same bytes
-    write_csv(recovered, tmp_path / "again.csv", timestamp=False)
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    write_csv(recovered, directory / "again.csv", timestamp=False)
+    assert (directory / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_csv_uses_lf_newlines(tmp_path):

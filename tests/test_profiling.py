@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     BasisSpec,
     CompositeSpec,
     DegenerateInputError,
     ExtractionError,
+    Fragment,
     OperatorSum,
+    PartitionedHamiltonian,
     PauliTerm,
     ProfileSample,
     ProfilingConfig,
@@ -18,7 +24,6 @@ from trotterprof import (
     apply_circuit,
     averaged_expectation,
     builtin_formula,
-    calibrate_basis,
     commutator,
     compile_circuit,
     default_a_grid,
@@ -33,13 +38,12 @@ from trotterprof import (
     profile_sweep,
     to_dense,
 )
-from trotterprof.profiling import (
-    CALIBRATION_A_PROBE,
-    CALIBRATION_GUARD_ORDERS,
-    composite_circuit,
-    probe_times,
-    resolve_basis,
-)
+from trotterprof import profiling, simulator
+from trotterprof.config import PRESETS, preset_config
+from trotterprof.formulas import FORMULA_NAMES
+from trotterprof.profiling import composite_circuit, resolve_basis
+
+from conftest import random_state
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +357,128 @@ def test_mitigated_estimate_exact_substitution(tfim_ruth3, paper_state):
     assert fit.residual_norm < 1e-10
 
 
+@st.composite
+def commuting_systems(draw):
+    """Z-only or X-only words on 1-3 qubits in two fragments, real coefficients."""
+    n = draw(st.integers(1, 3))
+    letter = draw(st.sampled_from("ZX"))
+    words = st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=3, unique=True)
+    coeffs = st.floats(0.1, 1.5).flatmap(lambda c: st.sampled_from((c, -c)))
+
+    def fragment() -> Fragment:
+        terms = []
+        for mask in draw(words):
+            word = "".join(letter if (mask >> q) & 1 else "I" for q in range(n))
+            terms.append(PauliTerm(word, draw(coeffs)))
+        return Fragment(OperatorSum.from_terms(terms))
+
+    partition = PartitionedHamiltonian((fragment(), fragment()), n)
+    obs = OperatorSum.from_terms(
+        [
+            PauliTerm(draw(st.text("IXYZ", min_size=n, max_size=n)), draw(coeffs))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    )
+    psi = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return partition, obs, psi
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=commuting_systems(), t=st.floats(0.05, 1.0))
+def test_commuting_partition_estimates_are_exact(system, t):
+    # every term commutes, so each product formula is the exact evolution and
+    # the intercept must equal the exact value with a pinned or calibrated basis
+    partition, obs, psi = system
+    exact = expectation(exact_evolve(partition.hamiltonian, t, psi), obs)
+    for name in FORMULA_NAMES:
+        f = builtin_formula(name, partition)
+        pinned = BasisSpec(tuple(range(f.alpha, 2 * f.alpha - 1)), True)
+        for basis in (pinned, None):
+            config = ProfilingConfig(f, partition, obs, psi, basis=basis)
+            estimate, _ = mitigated_estimate(t, config)
+            assert estimate == pytest.approx(exact, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 
 
-def test_calibration_collapses_for_first_order_splitting(zx_partition):
-    f = builtin_formula("lie1", zx_partition)
-    obs = OperatorSum.from_terms([PauliTerm("Z")])
-    psi = init_product_state([(1.0, 0.3 + 0.4j)])
-    t_probe = probe_times(zx_partition.scale(), CALIBRATION_GUARD_ORDERS + 1)
-    basis = calibrate_basis(f, zx_partition, obs, psi, t_probe, CALIBRATION_A_PROBE)
-    # the variant average annihilates the even leading order and the window
-    # [alpha, 2 alpha - 2] holds nothing else
-    assert set(basis.orders) <= {2}
-    assert basis.orders == ()
+RUTH3_BASIS = BasisSpec((5, 6), include_antisymmetric=True)
+SUZUKI4_BASIS = BasisSpec((5, 6, 7, 8), include_antisymmetric=True)
+
+
+@pytest.fixture()
+def no_dense_oracle(monkeypatch):
+    """Make every binding of the dense oracles in the package raise."""
+    oracles = (
+        profiling.extract_error_operators,
+        simulator.circuit_unitary,
+        simulator.exact_unitary,
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("calibration reached a dense oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name != "trotterprof" and not name.startswith("trotterprof."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is oracle for oracle in oracles):
+                monkeypatch.setattr(module, attr, forbidden)
+
+
+@pytest.mark.parametrize(
+    "system, formula_name, expected",
+    [
+        pytest.param(p, None, RUTH3_BASIS if p.endswith("ruth3") else SUZUKI4_BASIS, id=p)
+        for p in PRESETS
+    ]
+    + [
+        # the variant average annihilates lie1's even leading order and the
+        # window [alpha, 2 alpha - 2] holds nothing else
+        pytest.param("zx", "lie1", BasisSpec(()), id="zx-lie1"),
+        pytest.param("zx", "strang2", BasisSpec((3, 4), True), id="zx-strang2"),
+        pytest.param("zx", "ruth3", RUTH3_BASIS, id="zx-ruth3"),
+        pytest.param("zx", "suzuki4", SUZUKI4_BASIS, id="zx-suzuki4"),
+    ],
+)
+def test_calibration_builds_no_dense_matrix(
+    system, formula_name, expected, zx_partition, no_dense_oracle
+):
+    if system == "zx":
+        config = ProfilingConfig(
+            builtin_formula(formula_name, zx_partition),
+            zx_partition,
+            OperatorSum.from_terms([PauliTerm("Z")]),
+            init_product_state([(1.0, 0.3 + 0.4j)]),
+        )
+    else:
+        config = preset_config(system)
+    assert resolve_basis(config) == expected
+
+
+def test_calibration_probes_exact_complementary_pairs(
+    monkeypatch, tfim_ruth3, paper_state
+):
+    probed: list[float] = []
+    averaged = profiling._averaged_expectations
+
+    def recording(a_values, *args, **kwargs):
+        probed.extend(float(a) for a in a_values)
+        return averaged(a_values, *args, **kwargs)
+
+    monkeypatch.setattr(profiling, "_averaged_expectations", recording)
+    resolve_basis(
+        ProfilingConfig(
+            tfim_ruth3.formula,
+            tfim_ruth3.partition,
+            tfim_ruth3.observable,
+            paper_state,
+        )
+    )
+    distinct = sorted(set(probed))
+    assert len(distinct) == 2 * len(profiling.CALIBRATION_A_PROBE) == 6
+    assert all(lo + hi == 1.0 for lo, hi in zip(distinct, reversed(distinct)))
 
 
 def test_calibration_excludes_annihilated_leading_order(tfim_ruth3, paper_state):
@@ -393,20 +505,6 @@ def test_calibration_keeps_all_orders_for_symmetric_fourth_order(
     basis = resolve_basis(config)
     assert set(basis.orders) <= {5, 6, 7, 8}
     assert basis.orders == (5, 6, 7, 8)
-
-
-def test_calibration_needs_enough_probe_times(tfim_ruth3, paper_state):
-    from trotterprof.errors import CalibrationError
-
-    with pytest.raises(CalibrationError):
-        calibrate_basis(
-            tfim_ruth3.formula,
-            tfim_ruth3.partition,
-            tfim_ruth3.observable,
-            paper_state,
-            t_probe=[0.01, 0.02, 0.03],
-            a_probe=[0.3, 0.7],
-        )
 
 
 # ---------------------------------------------------------------------------
