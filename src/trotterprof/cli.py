@@ -32,6 +32,7 @@ from .errors import (
 )
 from .experiments import (
     METHODS,
+    ErrorCurve,
     ExperimentConfig,
     circuit_cost,
     run_error_curve,
@@ -128,7 +129,7 @@ def _load_document(args: argparse.Namespace) -> ConfigDocument:
     cfg = doc.experiment
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return ConfigDocument(cfg, doc.output_path, doc.output_format)
+    return ConfigDocument(cfg, doc.output_path)
 
 
 def _methods(args: argparse.Namespace) -> tuple[str, ...]:
@@ -149,10 +150,16 @@ def _out_path(args: argparse.Namespace, doc: ConfigDocument) -> str | None:
     return args.out or doc.output_path
 
 
-def _steps_label(cfg: ExperimentConfig, method: str) -> int:
-    if method == "mpf":
-        return max(cfg.mpf.step_counts)
-    return cfg.trotter_steps
+def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
+    """One CSV row per curve point; ``a_or_steps`` is the depth the method ran."""
+    if curve.method == "mpf":
+        label = max(cfg.mpf.step_counts)
+    else:
+        label = cfg.trotter_steps
+    return [
+        ResultRow(curve.method, p.t, label, p.estimate, p.exact, p.abs_error)
+        for p in curve.points
+    ]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -160,12 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = doc.experiment
     rows = []
     for method in _methods(args):
-        curve = run_error_curve(cfg, method)
-        label = _steps_label(cfg, method)
-        rows.extend(
-            ResultRow(method, p.t, label, p.estimate, p.exact, p.abs_error)
-            for p in curve.points
-        )
+        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method)))
     table = ResultTable.from_rows(rows, base_metadata(cfg))
     path = _out_path(args, doc)
     if path:
@@ -223,12 +225,7 @@ def _cmd_mpf(args: argparse.Namespace) -> int:
     print(f"cancelled orders {list(weights.cancelled_orders)}")
     print(f"condition number {weights.condition_number:.3e}"
           + ("  (ill-conditioned)" if weights.ill_conditioned else ""))
-    curve = run_error_curve(cfg, "mpf")
-    label = max(cfg.mpf.step_counts)
-    rows = [
-        ResultRow("mpf", p.t, label, p.estimate, p.exact, p.abs_error)
-        for p in curve.points
-    ]
+    rows = _curve_rows(cfg, run_error_curve(cfg, "mpf"))
     path = _out_path(args, doc)
     if path:
         write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
@@ -265,11 +262,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
         curve = run_error_curve(cfg, method)
         gradient = stable_slope_fit(curve, window)
         print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
-        label = _steps_label(cfg, method)
-        rows.extend(
-            ResultRow(method, p.t, label, p.estimate, p.exact, p.abs_error)
-            for p in curve.points
-        )
+        rows.extend(_curve_rows(cfg, curve))
     path = _out_path(args, doc)
     if path:
         write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)

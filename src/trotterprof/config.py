@@ -20,9 +20,9 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, FormulaError, HermiticityError, TrotterProfError
 from .experiments import (
+    DEFAULT_TIMES,
     ExperimentConfig,
     MPFOptions,
-    default_times,
     tfim_config,
     xxz_config,
 )
@@ -41,6 +41,7 @@ PRESETS = ("tfim-ruth3", "tfim-suzuki4", "xxz-ruth3", "xxz-suzuki4")
 
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
 _SYSTEM_SECTIONS = ("system", "partition", "formula", "initial_state", "observable")
+_TERM_KEYS = ("pauli", "coeff")
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -67,7 +68,6 @@ class ConfigDocument:
 
     experiment: ExperimentConfig
     output_path: str | None = None
-    output_format: str = "csv"
 
 
 def _expect(section: Any, kind: type, name: str) -> Any:
@@ -76,6 +76,18 @@ def _expect(section: Any, kind: type, name: str) -> Any:
             f"{name} must be {kind.__name__}, got {type(section).__name__}", name
         )
     return section
+
+
+def _section(raw: Any, name: str, keys: tuple[str, ...]) -> dict:
+    """A dict section whose keys are all among those its parser reads."""
+    entry = _expect(raw, dict, name)
+    for key in entry:
+        if key not in keys:
+            raise ConfigError(
+                f"unknown key {key!r} in {name}; expected one of {', '.join(keys)}",
+                f"{name}.{key}",
+            )
+    return entry
 
 
 def _real_number(value: Any, name: str) -> float:
@@ -92,7 +104,7 @@ def _parse_terms(raw: Any, n: int, name: str) -> list[PauliTerm]:
         raise ConfigError(f"{name} must contain at least one term", name)
     terms = []
     for i, item in enumerate(items):
-        entry = _expect(item, dict, f"{name}[{i}]")
+        entry = _section(item, f"{name}[{i}]", _TERM_KEYS)
         word = entry.get("pauli")
         if not isinstance(word, str) or len(word) != n:
             raise ConfigError(
@@ -167,7 +179,7 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
             return builtin_formula(raw, partition), raw
         except FormulaError as exc:
             raise ConfigError(str(exc), "formula") from exc
-    entry = _expect(raw, dict, "formula")
+    entry = _section(raw, "formula", ("steps", "alpha", "symmetric"))
     steps_raw = _expect(entry.get("steps"), list, "formula.steps")
     steps = []
     for i, pair in enumerate(steps_raw):
@@ -196,7 +208,7 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
 
 
 def _parse_state(raw: Any, n: int) -> StateVector:
-    entry = _expect(raw, dict, "initial_state")
+    entry = _section(raw, "initial_state", ("factors", "amplitudes"))
     if "factors" in entry:
         factors_raw = _expect(entry["factors"], list, "initial_state.factors")
         if len(factors_raw) != n:
@@ -244,8 +256,8 @@ def _parse_state(raw: Any, n: int) -> StateVector:
 
 def _parse_times(raw: Any) -> tuple[float, ...]:
     if raw is None:
-        return default_times()
-    entry = _expect(raw, dict, "times")
+        return DEFAULT_TIMES
+    entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
     if "values" in entry:
         values = _expect(entry["values"], list, "times.values")
         times = tuple(_real_number(v, "times.values") for v in values)
@@ -275,7 +287,11 @@ def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
     """The profiling fields of an experiment: trotter_steps, a_grid, basis."""
     if raw is None:
         return {"trotter_steps": 1, "a_grid": None, "basis": None}
-    entry = _expect(raw, dict, "profiling")
+    entry = _section(
+        raw,
+        "profiling",
+        ("trotter_steps", "a_grid", "n_extra_orders", "include_antisymmetric"),
+    )
     steps = entry.get("trotter_steps", 1)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ConfigError(
@@ -291,6 +307,11 @@ def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
             raise ConfigError("duplicate a values in profiling.a_grid", "profiling.a_grid")
     basis: BasisSpec | None = None
     extra = entry.get("n_extra_orders")
+    if extra is None and "include_antisymmetric" in entry:
+        raise ConfigError(
+            "profiling.include_antisymmetric needs profiling.n_extra_orders",
+            "profiling.include_antisymmetric",
+        )
     if extra is not None:
         if not isinstance(extra, int) or isinstance(extra, bool) or extra < 0:
             raise ConfigError(
@@ -311,7 +332,7 @@ def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
 def _parse_mpf(raw: Any, default_symmetric: bool) -> MPFOptions:
     if raw is None:
         return MPFOptions(step_counts=(1, 2), symmetric=default_symmetric)
-    entry = _expect(raw, dict, "mpf")
+    entry = _section(raw, "mpf", ("step_counts", "symmetric"))
     counts_raw = entry.get("step_counts", [1, 2])
     counts_list = _expect(counts_raw, list, "mpf.step_counts")
     counts = []
@@ -334,7 +355,7 @@ def _parse_mpf(raw: Any, default_symmetric: bool) -> MPFOptions:
 def _parse_noise(raw: Any) -> tuple[float, int]:
     if raw is None:
         return 0.0, 1234
-    entry = _expect(raw, dict, "noise")
+    entry = _section(raw, "noise", ("sigma", "seed"))
     sigma = _real_number(entry.get("sigma", 0.0), "noise.sigma")
     if sigma < 0:
         raise ConfigError("noise.sigma must be non-negative", "noise.sigma")
@@ -344,17 +365,17 @@ def _parse_noise(raw: Any) -> tuple[float, int]:
     return sigma, seed
 
 
-def _parse_output(raw: Any) -> tuple[str | None, str]:
+def _parse_output(raw: Any) -> str | None:
+    """The output path; ``csv`` is the only format."""
     if raw is None:
-        return None, "csv"
-    entry = _expect(raw, dict, "output")
+        return None
+    entry = _section(raw, "output", ("path", "format"))
     path = entry.get("path")
     if path is not None and not isinstance(path, str):
         raise ConfigError("output.path must be a string", "output.path")
-    fmt = entry.get("format", "csv")
-    if fmt != "csv":
+    if entry.get("format", "csv") != "csv":
         raise ConfigError("output.format must be 'csv'", "output.format")
-    return path, fmt
+    return path
 
 
 def parse_document(text: str) -> ConfigDocument:
@@ -366,7 +387,7 @@ def parse_document(text: str) -> ConfigDocument:
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             "syntax",
         ) from exc
-    doc = _expect(raw, dict, "document")
+    doc = _section(raw, "document", ("preset",) + _SYSTEM_SECTIONS + _OPTION_SECTIONS)
 
     preset = doc.get("preset")
     if preset is not None:
@@ -387,10 +408,9 @@ def parse_document(text: str) -> ConfigDocument:
         if "noise" in doc:
             sigma, seed = _parse_noise(doc["noise"])
             cfg = replace(cfg, noise_sigma=sigma, seed=seed)
-        path, fmt = _parse_output(doc.get("output"))
-        return ConfigDocument(cfg, path, fmt)
+        return ConfigDocument(cfg, _parse_output(doc.get("output")))
 
-    system = _expect(doc.get("system"), dict, "system")
+    system = _section(doc.get("system"), "system", ("num_qubits", "hamiltonian"))
     n = system.get("num_qubits")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("system.num_qubits must be a positive integer", "system.num_qubits")
@@ -408,7 +428,7 @@ def parse_document(text: str) -> ConfigDocument:
     profiling = _parse_profiling(doc.get("profiling"), formula.alpha)
     mpf = _parse_mpf(doc.get("mpf"), formula.symmetric)
     sigma, seed = _parse_noise(doc.get("noise"))
-    path, fmt = _parse_output(doc.get("output"))
+    path = _parse_output(doc.get("output"))
 
     cfg = ExperimentConfig(
         partition=partition,
@@ -422,7 +442,7 @@ def parse_document(text: str) -> ConfigDocument:
         seed=seed,
         formula_name=formula_name,
     )
-    return ConfigDocument(cfg, path, fmt)
+    return ConfigDocument(cfg, path)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -46,6 +46,10 @@ METHODS = ("trotter", "ep", "mpf")
 #: flagged, and slope fits leave them out.
 ERROR_FLOOR = 1e-14
 
+#: Evaluation times of the presets and of documents without a ``times``
+#: section: 20 log-spaced points on [0.1, 1].
+DEFAULT_TIMES = tuple(np.geomspace(0.1, 1.0, 20))
+
 
 @dataclass(frozen=True)
 class MPFOptions:
@@ -80,17 +84,17 @@ class ExperimentConfig(ProfilingConfig):
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One time of a curve; ``floored`` defaults to ``abs_error <= ERROR_FLOOR``."""
+    """One time of a curve: the estimate, the exact value and their distance."""
 
     t: float
     estimate: float
     exact: float
     abs_error: float
-    floored: bool | None = None
 
-    def __post_init__(self) -> None:
-        if self.floored is None:
-            object.__setattr__(self, "floored", bool(self.abs_error <= ERROR_FLOOR))
+    @property
+    def floored(self) -> bool:
+        """Whether the error sits at the double-precision floor."""
+        return bool(self.abs_error <= ERROR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,6 @@ class ErrorCurve:
 
     def times(self) -> np.ndarray:
         return np.array([p.t for p in self.points])
-
-
-def default_times(start: float = 0.1, stop: float = 1.0, count: int = 20) -> tuple[float, ...]:
-    return tuple(np.geomspace(start, stop, count))
 
 
 _PAPER_STATE_FACTORS = ((1, 0), (1, 1j), (1, 1), (0, 1))
@@ -153,7 +153,7 @@ def tfim_config(formula_name: str) -> ExperimentConfig:
         formula=formula,
         observable=observable,
         initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        times=default_times(),
+        times=DEFAULT_TIMES,
         mpf=MPFOptions(step_counts=(1, 2), symmetric=formula.symmetric),
         formula_name=formula_name,
         preset=f"tfim-{formula_name}",
@@ -207,7 +207,7 @@ def xxz_config(formula_name: str) -> ExperimentConfig:
         formula=formula,
         observable=observable,
         initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        times=default_times(),
+        times=DEFAULT_TIMES,
         mpf=MPFOptions(step_counts=(1, 2), symmetric=formula.symmetric),
         formula_name=formula_name,
         preset=f"xxz-{formula_name}",

@@ -18,13 +18,7 @@ import numpy as np
 from .errors import DegenerateInputError, SingularFitError
 from .formulas import PartitionedHamiltonian, ProductFormula, sample_template
 from .pauli import OperatorSum
-from .simulator import (
-    GaussianJitter,
-    StateVector,
-    exact_evolve,
-    expectation,
-    sample_expectations,
-)
+from .simulator import GaussianJitter, StateVector, sample_expectations
 
 CONDITION_WARNING = 1e10
 
@@ -131,23 +125,17 @@ def mpf_estimate(
     obs: OperatorSum,
     psi: StateVector,
     *,
-    exact_substitute: bool = False,
     jitter: GaussianJitter | None = None,
 ) -> float:
     """Weighted combination of expectations from the iterated circuits.
 
     Each step count runs its circuit through the batched sample engine; noise
-    is drawn per step count, in order.  With ``exact_substitute`` every
-    constituent runs the exact evolution, so any weight set summing to one
-    must reproduce the ideal value.
+    is drawn per step count, in order.
     """
     total = 0.0
     for weight, count in zip(weights.weights, weights.step_counts):
-        if exact_substitute:
-            value = expectation(exact_evolve(partition.hamiltonian, t, psi), obs)
-        else:
-            tables, angles = sample_template(f, partition, count).forward([t])
-            value = float(sample_expectations(psi, tables, angles, obs)[0])
+        tables, angles = sample_template(f, partition, count).forward([t])
+        value = float(sample_expectations(psi, tables, angles, obs)[0])
         if jitter is not None:
             value = jitter.perturb(value)
         total += weight * value

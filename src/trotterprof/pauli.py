@@ -163,10 +163,6 @@ class OperatorSum:
             raise ValueError("qubit count must be positive")
         return cls((), n, True)
 
-    @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> OperatorSum:
-        return cls.from_terms([PauliTerm("I" * n, coeff)])
-
     def __iter__(self) -> Iterator[PauliTerm]:
         return iter(self.terms)
 
@@ -178,13 +174,6 @@ class OperatorSum:
 
     def coefficient(self, word: str) -> complex:
         return self.as_dict().get(word, 0.0 + 0.0j)
-
-    def adjoint(self) -> OperatorSum:
-        return OperatorSum(
-            tuple(PauliTerm(t.word, t.coeff.conjugate()) for t in self.terms),
-            self.n,
-            self.hermitian,
-        )
 
     def one_norm(self) -> float:
         """Sum of coefficient magnitudes; an upper bound on the spectral norm."""
@@ -273,11 +262,11 @@ def dense_word(word: str) -> np.ndarray:
     return mat
 
 
-def to_dense(op: OperatorSum, cap: int = DENSE_CAP) -> DenseOperator:
+def to_dense(op: OperatorSum) -> DenseOperator:
     """Kronecker-product realization of a sum; qubit 1 is the leftmost factor."""
-    if op.n > cap:
+    if op.n > DENSE_CAP:
         raise ResourceLimitError(
-            f"dense realization of {op.n} qubits exceeds cap {cap}"
+            f"dense realization of {op.n} qubits exceeds cap {DENSE_CAP}"
         )
     dim = 1 << op.n
     acc = np.zeros((dim, dim), dtype=complex)

@@ -62,6 +62,13 @@ CALIBRATION_A_PROBE = (0.15, 0.35, 0.45)
 #: Powers beyond the candidate window that absorb series truncation.
 CALIBRATION_GUARD_ORDERS = 4
 
+#: Extraction oracle: sample window in ``u = t * ||H||_1`` (negative times
+#: improve the conditioning), guard powers beyond the requested orders, and
+#: the relative anti-Hermiticity tolerance of the leading operator.
+EXTRACTION_U_WINDOW = (-0.6, 0.6)
+EXTRACTION_GUARD_ORDERS = 8
+EXTRACTION_UNITARITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CompositeSpec:
@@ -145,10 +152,6 @@ class ErrorSeries:
         if index < 0 or index >= len(self.operators):
             raise KeyError(f"order {order} not extracted")
         return self.operators[index]
-
-    @property
-    def max_order(self) -> int:
-        return self.start_order + len(self.operators) - 1
 
 
 def composite_circuit(
@@ -234,25 +237,19 @@ def _averaged_expectations(
     psi: StateVector,
     trotter_steps: int,
     *,
-    verify_symmetric: bool = False,
     jitter: GaussianJitter | None = None,
 ) -> np.ndarray:
-    """Variant-averaged expectation per row; noise is drawn row by row, then per variant."""
-    if f.symmetric and not verify_symmetric:
-        variants: tuple[int, ...] = (1,)
-    else:
-        variants = (1, 2, 3, 4)
+    """Variant-averaged expectation per row; noise is drawn row by row, then per variant.
+
+    Symmetric formulas satisfy ``V(-t)^dagger = V(t)``, collapsing all four
+    variants onto variant 1, so only that one is simulated.
+    """
+    variants = (1,) if f.symmetric else (1, 2, 3, 4)
     values = composite_expectations(
         a_values, t_values, variants, f, partition, obs, psi, trotter_steps
     )
     if jitter is not None:
         values = np.array([[jitter.perturb(float(v)) for v in row] for row in values])
-    if f.symmetric and verify_symmetric:
-        spread = float(np.max(np.ptp(values, axis=1), initial=0.0))
-        if spread > 1e-10:
-            raise DegenerateInputError(
-                f"symmetric formula variants disagree by {spread!r}"
-            )
     return np.mean(values, axis=1)
 
 
@@ -266,16 +263,13 @@ def averaged_expectation(
     trotter_steps: int = 1,
     *,
     exact_substitute: bool = False,
-    verify_symmetric: bool = False,
     jitter: GaussianJitter | None = None,
 ) -> float:
     """Mean expectation over the probe variants at one ``(a, t)`` point.
 
-    Symmetric formulas satisfy ``V(-t)^dagger = V(t)``, collapsing all four
-    variants onto variant 1, so only that one is simulated unless
-    ``verify_symmetric`` requests the full cross-check.  With
-    ``exact_substitute`` the compiled circuits are replaced by the exact
-    evolution, which is invariant in ``a`` by construction.
+    With ``exact_substitute`` the compiled circuits are replaced by the exact
+    evolution, which is invariant in ``a`` by construction: a self-check of
+    the probe family's ideal invariance.
     """
     if exact_substitute:
         h = partition.hamiltonian
@@ -290,7 +284,6 @@ def averaged_expectation(
         obs,
         psi,
         trotter_steps,
-        verify_symmetric=verify_symmetric,
         jitter=jitter,
     )
     return float(values[0])
@@ -305,30 +298,21 @@ def profile_sweep(
     psi: StateVector,
     trotter_steps: int = 1,
     *,
-    exact_substitute: bool = False,
     jitter: GaussianJitter | None = None,
 ) -> list[ProfileSample]:
     """One averaged sample per grid value, in grid order, from one batch."""
     if len(set(a_grid)) != len(a_grid):
         raise DegenerateInputError("duplicate a values in sweep grid")
-    if exact_substitute:
-        values = [
-            averaged_expectation(
-                a, t, f, partition, obs, psi, exact_substitute=True, jitter=jitter
-            )
-            for a in a_grid
-        ]
-    else:
-        values = _averaged_expectations(
-            a_grid,
-            [t] * len(a_grid),
-            f,
-            partition,
-            obs,
-            psi,
-            trotter_steps,
-            jitter=jitter,
-        )
+    values = _averaged_expectations(
+        a_grid,
+        [t] * len(a_grid),
+        f,
+        partition,
+        obs,
+        psi,
+        trotter_steps,
+        jitter=jitter,
+    )
     return [ProfileSample(a, float(v)) for a, v in zip(a_grid, values)]
 
 
@@ -441,9 +425,12 @@ def _window_coefficients(
     design = _power_design(t_arr / t_max, powers)
     cond = float(np.linalg.cond(design / np.linalg.norm(design, axis=0)))
     if cond > CONDITION_GATE:
+        # The lowest power is the formula's declared first error order.
         raise CalibrationError(
-            f"probe design condition number {cond:.3e} exceeds {CONDITION_GATE:.0e};"
-            " narrow the probe window"
+            f"probe design condition number {cond:.3e} exceeds {CONDITION_GATE:.0e}"
+            f" for a formula declared with alpha = {powers[0]}: the fixed probe"
+            " window cannot separate that many error orders; pin the basis with"
+            " profiling.n_extra_orders instead of calibrating"
         )
     rhs = np.column_stack(series)
     coef, _, _ = _scaled_lstsq(design, rhs)
@@ -568,16 +555,13 @@ def mitigated_estimate(
     config: ProfilingConfig,
     *,
     jitter: GaussianJitter | None = None,
-    exact_substitute: bool = False,
 ) -> tuple[float, FitResult]:
     """Sweep the split-parameter grid at time ``t`` and return the intercept.
 
     The intercept of the fitted profile estimates the ideal expectation
     value with the modeled error orders removed; the full fit, with the
     samples it was fitted to, is returned alongside so callers can weigh the
-    residual and conditioning.  ``exact_substitute`` swaps every compiled
-    circuit for the exact evolution; the sweep then carries no algorithmic
-    error and the fit must return the ideal value, a useful self-check.
+    residual and conditioning.
     """
     basis = resolve_basis(config)
     grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
@@ -589,7 +573,6 @@ def mitigated_estimate(
         config.observable,
         config.initial_state,
         config.trotter_steps,
-        exact_substitute=exact_substitute,
         jitter=jitter,
     )
     fit = fit_profile(samples, basis, config.formula.alpha)
@@ -600,21 +583,16 @@ def extract_error_operators(
     f: ProductFormula,
     partition: PartitionedHamiltonian,
     max_order: int,
-    *,
-    u_window: tuple[float, float] = (-0.6, 0.6),
-    guard_orders: int = 8,
-    points: int | None = None,
-    unitarity_tol: float = 1e-6,
 ) -> ErrorSeries:
     """Fit the dense deviation ``V(t) - exp(-iHt)`` to a power series in t.
 
     The deviation is sampled on Chebyshev nodes of the scale-free variable
-    ``u = t * ||H||_1`` (negative times are legitimate and improve the
-    conditioning), fitted entrywise with powers from the formula's first
-    error order up to ``max_order`` plus guard powers, and rescaled back.
-    The leading operator must satisfy the anti-Hermiticity relation
-    ``E_a^dagger + E_a = 0`` within ``unitarity_tol`` relative to
-    ``max(1, ||E_a||)`` or extraction fails.
+    ``u = t * ||H||_1`` across ``EXTRACTION_U_WINDOW``, fitted entrywise with
+    powers from the formula's first error order up to ``max_order`` plus
+    ``EXTRACTION_GUARD_ORDERS`` guard powers, and rescaled back.  The leading
+    operator must satisfy the anti-Hermiticity relation ``E_a^dagger + E_a = 0``
+    within ``EXTRACTION_UNITARITY_TOL`` relative to ``max(1, ||E_a||)`` or
+    extraction fails.
     """
     alpha = f.alpha
     if max_order < alpha:
@@ -624,14 +602,12 @@ def extract_error_operators(
             f"max_order {max_order} beyond 2*alpha={2 * alpha}; higher orders mix"
             " with quadratic error terms"
         )
-    powers = list(range(alpha, max_order + guard_orders + 1))
-    m = points if points is not None else max(3 * len(powers), 32)
-    if m < len(powers) + 2:
-        raise ExtractionError("too few sample points for the requested orders")
+    powers = list(range(alpha, max_order + EXTRACTION_GUARD_ORDERS + 1))
+    m = max(3 * len(powers), 32)
 
     h = partition.hamiltonian
     lam = max(partition.scale(), 1e-12)
-    u_nodes = _chebyshev_nodes(u_window[0], u_window[1], m)
+    u_nodes = _chebyshev_nodes(*EXTRACTION_U_WINDOW, m)
     dim = 1 << partition.n
 
     rows = []
@@ -665,10 +641,10 @@ def extract_error_operators(
     leading = operators[0].matrix
     defect = float(np.linalg.norm(leading.conj().T + leading))
     scale_ref = max(1.0, float(np.linalg.norm(leading)))
-    if defect > unitarity_tol * scale_ref:
+    if defect > EXTRACTION_UNITARITY_TOL * scale_ref:
         raise ExtractionError(
             f"leading-order anti-Hermiticity defect {defect:.3e} exceeds"
-            f" {unitarity_tol:.0e} relative to the operator norm; adjust the"
+            f" {EXTRACTION_UNITARITY_TOL:.0e} relative to the operator norm; adjust the"
             " time window"
         )
     return ErrorSeries(alpha, tuple(operators))

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     HermiticityError,
+    ResourceLimitError,
 )
 from .pauli import (
     DENSE_CAP,
@@ -250,10 +251,12 @@ def exact_unitary(h: OperatorSum, t: float) -> np.ndarray:
     return (v * np.exp(-1.0j * w * t)) @ v.conj().T
 
 
-def circuit_unitary(c: Circuit, cap: int = DENSE_CAP) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense matrix of a circuit (first gate is the rightmost matrix factor)."""
-    if c.n > cap:
-        raise DimensionMismatchError(f"dense circuit of {c.n} qubits exceeds cap {cap}")
+    if c.n > DENSE_CAP:
+        raise ResourceLimitError(
+            f"dense circuit of {c.n} qubits exceeds cap {DENSE_CAP}"
+        )
     dim = 1 << c.n
     mat = np.eye(dim, dtype=complex)
     ident = np.eye(dim, dtype=complex)

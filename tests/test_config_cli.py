@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,11 @@ from trotterprof import (
     write_csv,
 )
 from trotterprof.cli import run_command
-from trotterprof.config import config_digest
+from trotterprof.config import PRESETS, config_digest
 from trotterprof.report import render_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 
 def sample_document() -> dict:
@@ -207,6 +213,66 @@ def test_n_extra_orders_builds_basis():
     assert cfg.basis is not None
     assert cfg.basis.orders == (3, 4)
     assert cfg.basis.include_antisymmetric
+
+
+TYPO_CASES = [
+    # (section named in the error, path to the dict, misspelled key, value)
+    ("document", (), "profilng", {"trotter_steps": 3}),
+    ("system", ("system",), "num_qbits", 3),
+    ("system.hamiltonian[1]", ("system", "hamiltonian", 1), "coef", 2.0),
+    ("observable[0]", ("observable", 0), "weight", 2.0),
+    ("formula", ("formula",), "symetric", False),
+    ("initial_state", ("initial_state",), "amplitude", [[1, 0]] * 4),
+    ("times", ("times",), "point", 7),
+    ("profiling", ("profiling",), "troter_steps", 3),
+    ("mpf", ("mpf",), "step_count", [1, 2, 4]),
+    ("noise", ("noise",), "sed", 5),
+    ("output", ("output",), "fromat", "csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, path, key, value", TYPO_CASES, ids=[case[0] for case in TYPO_CASES]
+)
+def test_unknown_keys_are_rejected(tmp_path, capsys, section, path, key, value):
+    doc = sample_document()
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    parse_config(json.dumps(doc))
+    entry = doc
+    for step in path:
+        entry = entry[step]
+    entry[key] = value
+    message = f"unknown key '{key}' in {section};"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+    assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "profiling, message",
+    [
+        ({"troter_steps": 3}, "unknown key 'troter_steps' in profiling"),
+        ({"include_antisymmetric": False}, "needs profiling.n_extra_orders"),
+    ],
+)
+def test_preset_overrides_are_checked_like_full_documents(profiling, message):
+    # both used to run silently with the preset's own profiling options
+    doc = {"preset": "tfim-ruth3", "profiling": profiling}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+
+
+def test_shipped_documents_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    parse_config(example)
+    for name in PRESETS:
+        parse_config(serialize_config(preset_config(name), output_path="out.csv"))
+    for workload in workloads.WORKLOADS:
+        for _, doc, reference in workloads.jobs(workload, seed=1):
+            parse_config(json.dumps(doc))
+            parse_config(json.dumps(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +556,19 @@ def test_cost_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "profiling" in captured.out and "multi-product" in captured.out
+
+
+def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
+    doc = sample_document()
+    doc.pop("output")
+    # a Strang table declared with alpha 6 needs powers 6..14 in the probe fit
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 6, "symmetric": True}
+    assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "declared with alpha = 6" in err
+    assert "profiling.n_extra_orders" in err
+    doc["profiling"] = {"n_extra_orders": 0}
+    assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 0
 
 
 def test_version_flag(capsys):

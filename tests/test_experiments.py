@@ -153,7 +153,7 @@ def test_unknown_method_rejected(tfim_ruth3):
 
 def test_floor_flagging():
     points = (
-        CurvePoint(0.1, 1.0, 1.0, 0.0, floored=True),
+        CurvePoint(0.1, 1.0, 1.0, 0.0),
         CurvePoint(0.2, 1.0, 0.5, 0.5),
     )
     curve = ErrorCurve("trotter", points)

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     DegenerateInputError,
     MPFOptions,
     SingularFitError,
     critical_n,
-    exact_evolve,
     expectation,
     mpf_estimate,
     mpf_weights,
@@ -94,24 +95,6 @@ def test_estimate_single_count_matches_plain(tfim_ruth3, paper_state):
     assert estimate == pytest.approx(plain, abs=1e-12)
 
 
-def test_estimate_exact_substitution_fixed_point(tfim_ruth3, paper_state):
-    t = 0.8
-    h = tfim_ruth3.partition.hamiltonian
-    exact = expectation(exact_evolve(h, t, paper_state), tfim_ruth3.observable)
-    for counts in ((1, 2), (1, 2, 3), (2, 5)):
-        w = mpf_weights(counts, alpha=4, symmetric=False)
-        estimate = mpf_estimate(
-            t,
-            w,
-            tfim_ruth3.formula,
-            tfim_ruth3.partition,
-            tfim_ruth3.observable,
-            paper_state,
-            exact_substitute=True,
-        )
-        assert estimate == pytest.approx(exact, abs=1e-10)
-
-
 def test_two_count_error_slope_on_benchmark(tfim_ruth3):
     cfg = replace(
         tfim_ruth3,
@@ -134,6 +117,21 @@ def test_slope_improvement_over_unmitigated(tfim_ruth3, n):
     )
     mpf_slope = stable_slope_fit(run_error_curve(cfg, "mpf"), window)
     assert mpf_slope - trotter_slope >= (n - 1) - 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.integers(1, 16), min_size=1, max_size=4),
+    st.integers(2, 6),
+    st.booleans(),
+)
+def test_weights_cancel_every_listed_order(counts, alpha, symmetric):
+    w = mpf_weights(sorted(counts), alpha, symmetric)
+    assert len(w.cancelled_orders) == len(counts) - 1
+    assert abs(sum(w.weights) - 1.0) <= 1e-10
+    for k in w.cancelled_orders:
+        residual = sum(c / s ** (k - 1) for c, s in zip(w.weights, w.step_counts))
+        assert abs(residual) <= 1e-8
 
 
 def test_critical_step_counts():

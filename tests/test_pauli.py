@@ -22,6 +22,7 @@ from trotterprof import (
     to_dense,
 )
 from trotterprof.pauli import dense_word, words_commute
+from trotterprof.simulator import Circuit, PauliRotation, circuit_unitary
 
 from conftest import random_operator_sum
 
@@ -136,9 +137,8 @@ def test_to_dense_respects_cap():
     big = OperatorSum.from_terms([PauliTerm("Z" * 13)])
     with pytest.raises(ResourceLimitError):
         to_dense(big)
-    small = OperatorSum.from_terms([PauliTerm("ZZ")])
     with pytest.raises(ResourceLimitError):
-        to_dense(small, cap=1)
+        circuit_unitary(Circuit((PauliRotation("Z" * 13, 0.1),), 13))
 
 
 def test_mutually_commuting_examples():
