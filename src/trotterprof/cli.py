@@ -150,6 +150,15 @@ def _out_path(args: argparse.Namespace, doc: ConfigDocument) -> str | None:
     return args.out or doc.output_path
 
 
+def _write_rows(args: argparse.Namespace, doc: ConfigDocument, rows: list[ResultRow]) -> bool:
+    """Write ``rows`` as CSV when an output path is set; whether one was."""
+    path = _out_path(args, doc)
+    if path:
+        write_csv(ResultTable.from_rows(rows, base_metadata(doc.experiment)), path)
+        print(f"wrote {len(rows)} rows to {path}")
+    return bool(path)
+
+
 def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
     """One CSV row per curve point; ``a_or_steps`` is the depth the method ran."""
     if curve.method == "mpf":
@@ -168,13 +177,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for method in _methods(args):
         rows.extend(_curve_rows(cfg, run_error_curve(cfg, method)))
-    table = ResultTable.from_rows(rows, base_metadata(cfg))
-    path = _out_path(args, doc)
-    if path:
-        write_csv(table, path)
-        print(f"wrote {len(table.rows)} rows to {path}")
-    else:
-        for row in table.rows:
+    if not _write_rows(args, doc, rows):
+        for row in ResultTable.from_rows(rows).rows:
             print(
                 f"{row.method:8s} t={row.t:<10.6g} estimate={row.estimate:+.12g}"
                 f" exact={row.exact:+.12g} abs_error={row.abs_error:.3e}"
@@ -202,17 +206,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for order, value in fit.antisymmetric_coefficients.items():
         print(f"  m_odd[{order}] = {value:+.6e}")
 
-    path = _out_path(args, doc)
-    if path:
-        rows = [
-            ResultRow("profile-sample", t, s.a, s.value, exact, abs(s.value - exact))
-            for s in fit.samples
-        ]
-        rows.append(
-            ResultRow("ep", t, cfg.trotter_steps, fit.y_star, exact, abs(fit.y_star - exact))
-        )
-        write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
-        print(f"wrote {len(rows)} rows to {path}")
+    rows = [
+        ResultRow("profile-sample", t, s.a, s.value, exact, abs(s.value - exact))
+        for s in fit.samples
+    ]
+    rows.append(
+        ResultRow("ep", t, cfg.trotter_steps, fit.y_star, exact, abs(fit.y_star - exact))
+    )
+    _write_rows(args, doc, rows)
     return EXIT_OK
 
 
@@ -226,11 +227,7 @@ def _cmd_mpf(args: argparse.Namespace) -> int:
     print(f"condition number {weights.condition_number:.3e}"
           + ("  (ill-conditioned)" if weights.ill_conditioned else ""))
     rows = _curve_rows(cfg, run_error_curve(cfg, "mpf"))
-    path = _out_path(args, doc)
-    if path:
-        write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
-        print(f"wrote {len(rows)} rows to {path}")
-    else:
+    if not _write_rows(args, doc, rows):
         for row in rows:
             print(f"t={row.t:<10.6g} estimate={row.estimate:+.12g} abs_error={row.abs_error:.3e}")
     return EXIT_OK
@@ -243,13 +240,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"surviving orders {list(basis.orders)}")
     print(f"antisymmetric columns {basis.include_antisymmetric}")
     print(f"suggested grid size {len(default_a_grid(len(basis.orders)))}")
-    path = _out_path(args, doc)
-    if path:
-        rows = [
-            ResultRow("calibrate", 0.0, order, 1.0, 1.0, 0.0) for order in basis.orders
-        ]
-        write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
-        print(f"wrote {len(rows)} rows to {path}")
+    rows = [ResultRow("calibrate", 0.0, order, 1.0, 1.0, 0.0) for order in basis.orders]
+    _write_rows(args, doc, rows)
     return EXIT_OK
 
 
@@ -263,10 +255,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
         gradient = stable_slope_fit(curve, window)
         print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))
-    path = _out_path(args, doc)
-    if path:
-        write_csv(ResultTable.from_rows(rows, base_metadata(cfg)), path)
-        print(f"wrote {len(rows)} rows to {path}")
+    _write_rows(args, doc, rows)
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, FormulaError, HermiticityError, TrotterProfError
 from .experiments import (
-    DEFAULT_TIMES,
     ExperimentConfig,
     MPFOptions,
     tfim_config,
@@ -209,6 +208,11 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
 
 def _parse_state(raw: Any, n: int) -> StateVector:
     entry = _section(raw, "initial_state", ("factors", "amplitudes"))
+    if "factors" in entry and "amplitudes" in entry:
+        raise ConfigError(
+            "initial_state takes either 'factors' or 'amplitudes', not both",
+            "initial_state",
+        )
     if "factors" in entry:
         factors_raw = _expect(entry["factors"], list, "initial_state.factors")
         if len(factors_raw) != n:
@@ -255,10 +259,14 @@ def _parse_state(raw: Any, n: int) -> StateVector:
 
 
 def _parse_times(raw: Any) -> tuple[float, ...]:
-    if raw is None:
-        return DEFAULT_TIMES
     entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
     if "values" in entry:
+        others = [f"times.{key}" for key in entry if key != "values"]
+        if others:
+            raise ConfigError(
+                f"times.values cannot be combined with {', '.join(others)}",
+                "times.values",
+            )
         values = _expect(entry["values"], list, "times.values")
         times = tuple(_real_number(v, "times.values") for v in values)
     else:
@@ -283,29 +291,27 @@ def _parse_times(raw: Any) -> tuple[float, ...]:
     return times
 
 
-def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
+def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     """The profiling fields of an experiment: trotter_steps, a_grid, basis."""
-    if raw is None:
-        return {"trotter_steps": 1, "a_grid": None, "basis": None}
     entry = _section(
         raw,
         "profiling",
         ("trotter_steps", "a_grid", "n_extra_orders", "include_antisymmetric"),
     )
-    steps = entry.get("trotter_steps", 1)
+    steps = entry.get("trotter_steps", cfg.trotter_steps)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ConfigError(
             "profiling.trotter_steps must be a positive integer",
             "profiling.trotter_steps",
         )
     a_grid = entry.get("a_grid")
-    grid: tuple[float, ...] | None = None
+    grid = cfg.a_grid
     if a_grid is not None:
         values = _expect(a_grid, list, "profiling.a_grid")
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
         if len(set(grid)) != len(grid):
             raise ConfigError("duplicate a values in profiling.a_grid", "profiling.a_grid")
-    basis: BasisSpec | None = None
+    basis = cfg.basis
     extra = entry.get("n_extra_orders")
     if extra is None and "include_antisymmetric" in entry:
         raise ConfigError(
@@ -318,6 +324,7 @@ def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
                 "profiling.n_extra_orders must be a non-negative integer",
                 "profiling.n_extra_orders",
             )
+        alpha = cfg.formula.alpha
         top = min(alpha + extra, 2 * alpha - 2)
         anti = entry.get("include_antisymmetric", True)
         if not isinstance(anti, bool):
@@ -329,40 +336,53 @@ def _parse_profiling(raw: Any, alpha: int) -> dict[str, Any]:
     return {"trotter_steps": steps, "a_grid": grid, "basis": basis}
 
 
-def _parse_mpf(raw: Any, default_symmetric: bool) -> MPFOptions:
-    if raw is None:
-        return MPFOptions(step_counts=(1, 2), symmetric=default_symmetric)
+def _parse_mpf(raw: Any, current: MPFOptions) -> MPFOptions:
     entry = _section(raw, "mpf", ("step_counts", "symmetric"))
-    counts_raw = entry.get("step_counts", [1, 2])
-    counts_list = _expect(counts_raw, list, "mpf.step_counts")
-    counts = []
-    for v in counts_list:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError(
-                "mpf.step_counts must be positive integers", "mpf.step_counts"
-            )
-        counts.append(v)
-    if len(set(counts)) != len(counts):
-        raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")
+    counts = current.step_counts
+    if "step_counts" in entry:
+        counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
+        for v in counts_list:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ConfigError(
+                    "mpf.step_counts must be positive integers", "mpf.step_counts"
+                )
+        if len(set(counts_list)) != len(counts_list):
+            raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")
+        counts = tuple(counts_list)
     symmetric = entry.get("symmetric")
     if symmetric is None:
-        symmetric = default_symmetric
+        symmetric = current.symmetric
     if not isinstance(symmetric, bool):
         raise ConfigError("mpf.symmetric must be a boolean", "mpf.symmetric")
-    return MPFOptions(step_counts=tuple(counts), symmetric=symmetric)
+    return MPFOptions(step_counts=counts, symmetric=symmetric)
 
 
-def _parse_noise(raw: Any) -> tuple[float, int]:
-    if raw is None:
-        return 0.0, 1234
+def _parse_noise(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     entry = _section(raw, "noise", ("sigma", "seed"))
-    sigma = _real_number(entry.get("sigma", 0.0), "noise.sigma")
+    sigma = _real_number(entry.get("sigma", cfg.noise_sigma), "noise.sigma")
     if sigma < 0:
         raise ConfigError("noise.sigma must be non-negative", "noise.sigma")
-    seed = entry.get("seed", 1234)
+    seed = entry.get("seed", cfg.seed)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("noise.seed must be an integer", "noise.seed")
-    return sigma, seed
+    return {"noise_sigma": sigma, "seed": seed}
+
+
+def _apply_options(cfg: ExperimentConfig, doc: dict) -> ExperimentConfig:
+    """Apply a document's option sections to a preset or a freshly built system.
+
+    A missing section or key keeps the value ``cfg`` already holds; a null
+    section counts as missing.
+    """
+    if doc.get("times") is not None:
+        cfg = replace(cfg, times=_parse_times(doc["times"]))
+    if doc.get("profiling") is not None:
+        cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg))
+    if doc.get("mpf") is not None:
+        cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg.mpf))
+    if doc.get("noise") is not None:
+        cfg = replace(cfg, **_parse_noise(doc["noise"], cfg))
+    return cfg
 
 
 def _parse_output(raw: Any) -> str | None:
@@ -399,17 +419,13 @@ def parse_document(text: str) -> ConfigDocument:
                     f"preset documents may not also define {section!r}", section
                 )
         cfg = preset_config(preset)
-        if "times" in doc:
-            cfg = replace(cfg, times=_parse_times(doc["times"]))
-        if "profiling" in doc:
-            cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg.formula.alpha))
-        if "mpf" in doc:
-            cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg.formula.symmetric))
-        if "noise" in doc:
-            sigma, seed = _parse_noise(doc["noise"])
-            cfg = replace(cfg, noise_sigma=sigma, seed=seed)
-        return ConfigDocument(cfg, _parse_output(doc.get("output")))
+    else:
+        cfg = _parse_system(doc)
+    return ConfigDocument(_apply_options(cfg, doc), _parse_output(doc.get("output")))
 
+
+def _parse_system(doc: dict) -> ExperimentConfig:
+    """The system sections of a full document, with every option at its default."""
     system = _section(doc.get("system"), "system", ("num_qubits", "hamiltonian"))
     n = system.get("num_qubits")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -424,25 +440,13 @@ def parse_document(text: str) -> ConfigDocument:
         )
     except HermiticityError as exc:
         raise ConfigError(str(exc), "observable") from exc
-    times = _parse_times(doc.get("times"))
-    profiling = _parse_profiling(doc.get("profiling"), formula.alpha)
-    mpf = _parse_mpf(doc.get("mpf"), formula.symmetric)
-    sigma, seed = _parse_noise(doc.get("noise"))
-    path = _parse_output(doc.get("output"))
-
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         partition=partition,
         formula=formula,
         observable=observable,
         initial_state=state,
-        **profiling,
-        times=times,
-        mpf=mpf,
-        noise_sigma=sigma,
-        seed=seed,
         formula_name=formula_name,
     )
-    return ConfigDocument(cfg, path)
 
 
 def parse_config(text: str) -> ExperimentConfig:

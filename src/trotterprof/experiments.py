@@ -3,13 +3,13 @@
 Builds the transverse-field Ising and XXZ benchmark setups, sweeps the
 evaluation time for the plain iterated circuit, the profiling method, and
 the multi-product baseline, and fits log-log error slopes.  Gate budgets
-for both mitigation strategies are accounted from actually compiled
-circuits.
+for both mitigation strategies are counted from the formula's step table,
+the rotation sequence every compiled circuit follows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,16 +20,15 @@ from .formulas import (
     PartitionedHamiltonian,
     ProductFormula,
     builtin_formula,
-    compile_circuit,
     sample_template,
+    step_terms,
 )
 from .mpf import mpf_estimate, mpf_weights
 from .pauli import OperatorSum, PauliTerm
 from .profiling import (
-    CompositeSpec,
     ProfilingConfig,
-    composite_circuit,
     mitigated_estimate,
+    probe_variants,
     resolve_basis,
 )
 from .simulator import (
@@ -64,16 +63,19 @@ class ExperimentConfig(ProfilingConfig):
     """A full benchmark setup: the profiling inputs plus times and options.
 
     ``trotter_steps`` is the base depth of the plain and profiling circuits.
+    An unset ``mpf`` takes the default step counts with the formula's own
+    symmetry.
     """
 
-    times: tuple[float, ...]
-    mpf: MPFOptions = field(default_factory=MPFOptions)
+    times: tuple[float, ...] = DEFAULT_TIMES
+    mpf: MPFOptions | None = None
     noise_sigma: float = 0.0
     seed: int = 1234
     formula_name: str | None = None
-    preset: str | None = None
 
     def __post_init__(self) -> None:
+        if self.mpf is None:
+            object.__setattr__(self, "mpf", MPFOptions(symmetric=self.formula.symmetric))
         if not self.times:
             raise DegenerateInputError("need at least one evaluation time")
         if any(t <= 0 for t in self.times):
@@ -106,9 +108,6 @@ class ErrorCurve:
 
     def errors(self) -> np.ndarray:
         return np.array([p.abs_error for p in self.points])
-
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
 
 
 _PAPER_STATE_FACTORS = ((1, 0), (1, 1j), (1, 1), (0, 1))
@@ -153,10 +152,7 @@ def tfim_config(formula_name: str) -> ExperimentConfig:
         formula=formula,
         observable=observable,
         initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        times=DEFAULT_TIMES,
-        mpf=MPFOptions(step_counts=(1, 2), symmetric=formula.symmetric),
         formula_name=formula_name,
-        preset=f"tfim-{formula_name}",
     )
 
 
@@ -207,10 +203,7 @@ def xxz_config(formula_name: str) -> ExperimentConfig:
         formula=formula,
         observable=observable,
         initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        times=DEFAULT_TIMES,
-        mpf=MPFOptions(step_counts=(1, 2), symmetric=formula.symmetric),
         formula_name=formula_name,
-        preset=f"xxz-{formula_name}",
     )
 
 
@@ -341,36 +334,34 @@ def circuit_cost(
     grid_points: int | None = None,
     step_counts: Sequence[int] | None = None,
 ) -> CostReport:
-    """Gate budget of one mitigation strategy, counted on compiled circuits.
+    """Gate budget of one mitigation strategy, counted from the step table.
 
-    The profiling method runs one composite circuit (four for asymmetric
-    formulas) of depth ``2 * trotter_steps`` per grid point, so its budget
-    is linear in the base depth; the extrapolation baseline runs one
-    circuit per step count and its total step count is the sum.
+    A step ``V(t/N)`` rotates each term of each addressed fragment once.  The
+    profiling method runs one composite circuit per probe variant of depth
+    ``2 * trotter_steps`` per grid point, so its budget is linear in the base
+    depth; the extrapolation baseline runs one circuit per step count and its
+    total step count is the sum.
     """
+    gates_per_step = len(step_terms(formula, partition))
     if method == "ep":
         if grid_points is None or grid_points < 1:
             raise DegenerateInputError("ep cost needs a positive grid_points")
-        per_a = 1 if formula.symmetric else 4
-        spec = CompositeSpec(1, 0.3, 1.0, trotter_steps)
-        gates_per_circuit = len(composite_circuit(spec, formula, partition).gates)
-        circuits = grid_points * per_a
+        if trotter_steps < 1:
+            raise DegenerateInputError("trotter_steps must be at least 1")
+        circuits = grid_points * len(probe_variants(formula))
+        depth = 2 * trotter_steps
         return CostReport(
             circuits=circuits,
-            elementary_gates=circuits * gates_per_circuit,
-            total_steps=circuits * 2 * trotter_steps,
-            depth_steps=2 * trotter_steps,
+            elementary_gates=circuits * depth * gates_per_step,
+            total_steps=circuits * depth,
+            depth_steps=depth,
         )
     if method == "mpf":
-        if not step_counts:
-            raise DegenerateInputError("mpf cost needs step counts")
-        gates = sum(
-            len(compile_circuit(formula, partition, 1.0, s).gates)
-            for s in step_counts
-        )
+        if not step_counts or min(step_counts) < 1:
+            raise DegenerateInputError("mpf cost needs positive step counts")
         return CostReport(
             circuits=len(step_counts),
-            elementary_gates=gates,
+            elementary_gates=sum(step_counts) * gates_per_step,
             total_steps=sum(step_counts),
             depth_steps=max(step_counts),
         )

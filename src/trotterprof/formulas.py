@@ -21,9 +21,9 @@ from .errors import DegenerateInputError, FormulaError
 from .pauli import (
     HERMITIAN_TOL,
     OperatorSum,
+    PauliTerm,
     _word_tables,
     mutually_commuting,
-    words_commute,
 )
 from .simulator import (
     Circuit,
@@ -156,6 +156,31 @@ def builtin_formula(name: str, partition: PartitionedHamiltonian) -> ProductForm
     raise FormulaError(f"unknown formula {name!r}; choose from {FORMULA_NAMES}")
 
 
+def step_terms(
+    f: ProductFormula, partition: PartitionedHamiltonian
+) -> list[tuple[float, PauliTerm]]:
+    """``(step coefficient, term)`` of every rotation of one step ``V(t/N)``, in order.
+
+    Each step rotates every term of its fragment once, in the fragment's
+    stored term order; ``compile_circuit``, ``sample_template`` and the gate
+    counts of ``experiments.circuit_cost`` all follow this one sequence.
+    """
+    if f.fragment_count > len(partition.fragments):
+        raise FormulaError(
+            f"formula addresses fragment {f.fragment_count - 1}, "
+            f"partition has {len(partition.fragments)}"
+        )
+    gates = []
+    for index, coeff in f.steps:
+        for term in partition.fragments[index].terms:
+            if abs(term.coeff.imag) > HERMITIAN_TOL:
+                raise FormulaError("fragment coefficients must be real")
+            if set(term.word) <= {"I"}:
+                raise DegenerateInputError("rotation word must touch at least one qubit")
+            gates.append((coeff, term))
+    return gates
+
+
 def compile_circuit(
     f: ProductFormula,
     partition: PartitionedHamiltonian,
@@ -165,19 +190,12 @@ def compile_circuit(
     """Compile the iterated circuit ``(V(t/N))^N`` into a flat gate list."""
     if trotter_steps < 1:
         raise FormulaError("trotter_steps must be at least 1")
-    if f.fragment_count > len(partition.fragments):
-        raise FormulaError(
-            f"formula addresses fragment {f.fragment_count - 1}, "
-            f"partition has {len(partition.fragments)}"
-        )
     dt = t / trotter_steps
-    single: list[PauliRotation] = []
-    for index, coeff in f.steps:
-        for term in partition.fragments[index].terms:
-            if abs(term.coeff.imag) > HERMITIAN_TOL:
-                raise FormulaError("fragment coefficients must be real")
-            single.append(PauliRotation(term.word, coeff * dt * term.coeff.real))
-    return Circuit(tuple(single) * trotter_steps, partition.n)
+    single = tuple(
+        PauliRotation(term.word, coeff * dt * term.coeff.real)
+        for coeff, term in step_terms(f, partition)
+    )
+    return Circuit(single * trotter_steps, partition.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,25 +238,11 @@ def sample_template(
     """Compile the template once; validates what ``compile_circuit`` validates."""
     if trotter_steps < 1:
         raise FormulaError("trotter_steps must be at least 1")
-    if f.fragment_count > len(partition.fragments):
-        raise FormulaError(
-            f"formula addresses fragment {f.fragment_count - 1}, "
-            f"partition has {len(partition.fragments)}"
-        )
-    tables, coeffs, weights = [], [], []
-    for index, coeff in f.steps:
-        for term in partition.fragments[index].terms:
-            if abs(term.coeff.imag) > HERMITIAN_TOL:
-                raise FormulaError("fragment coefficients must be real")
-            if set(term.word) <= {"I"}:
-                raise DegenerateInputError("rotation word must touch at least one qubit")
-            tables.append(_word_tables(term.word))
-            coeffs.append(coeff)
-            weights.append(term.coeff.real)
+    gates = step_terms(f, partition)
     return SampleTemplate(
-        tables=tuple(tables),
-        coeffs=np.array(coeffs, dtype=float),
-        weights=np.array(weights, dtype=float),
+        tables=tuple(_word_tables(term.word) for _, term in gates),
+        coeffs=np.array([coeff for coeff, _ in gates], dtype=float),
+        weights=np.array([term.coeff.real for _, term in gates], dtype=float),
         trotter_steps=trotter_steps,
     )
 
@@ -248,29 +252,6 @@ def invert_circuit(c: Circuit) -> Circuit:
     return Circuit(
         tuple(PauliRotation(g.word, -g.angle) for g in reversed(c.gates)), c.n
     )
-
-
-def canonical_gate_sequence(c: Circuit) -> tuple[tuple[str, float], ...]:
-    """Deterministic normal form for syntactic circuit comparison.
-
-    Maximal runs of mutually commuting gates are sorted by (word, angle);
-    reordering inside such a run leaves the unitary unchanged.  Negative
-    zero angles normalize to 0.0.
-    """
-    blocks: list[list[PauliRotation]] = []
-    current: list[PauliRotation] = []
-    for g in c.gates:
-        if all(words_commute(g.word, h.word) for h in current):
-            current.append(g)
-        else:
-            blocks.append(current)
-            current = [g]
-    if current:
-        blocks.append(current)
-    out: list[tuple[str, float]] = []
-    for block in blocks:
-        out.extend(sorted((g.word, g.angle + 0.0) for g in block))
-    return tuple(out)
 
 
 def empirical_order(

@@ -172,9 +172,6 @@ class OperatorSum:
     def as_dict(self) -> Mapping[str, complex]:
         return {t.word: t.coeff for t in self.terms}
 
-    def coefficient(self, word: str) -> complex:
-        return self.as_dict().get(word, 0.0 + 0.0j)
-
     def one_norm(self) -> float:
         """Sum of coefficient magnitudes; an upper bound on the spectral norm."""
         return float(sum(abs(t.coeff) for t in self.terms))

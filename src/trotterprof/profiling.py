@@ -41,7 +41,6 @@ from .simulator import (
     exact_evolve,
     exact_unitary,
     expectation,
-    measure,
     sample_expectations,
 )
 
@@ -186,6 +185,15 @@ def composite_circuit(
     return Circuit(first.gates + second.gates, partition.n)
 
 
+def probe_variants(f: ProductFormula) -> tuple[int, ...]:
+    """The probe variants a sweep simulates and averages at each ``a``.
+
+    Symmetric formulas satisfy ``V(-t)^dagger = V(t)``, collapsing all four
+    variants onto variant 1, so only that one is simulated.
+    """
+    return (1,) if f.symmetric else (1, 2, 3, 4)
+
+
 def composite_expectations(
     a_values: Sequence[float],
     t_values: Sequence[float],
@@ -239,14 +247,9 @@ def _averaged_expectations(
     *,
     jitter: GaussianJitter | None = None,
 ) -> np.ndarray:
-    """Variant-averaged expectation per row; noise is drawn row by row, then per variant.
-
-    Symmetric formulas satisfy ``V(-t)^dagger = V(t)``, collapsing all four
-    variants onto variant 1, so only that one is simulated.
-    """
-    variants = (1,) if f.symmetric else (1, 2, 3, 4)
+    """Variant-averaged expectation per row; noise is drawn row by row, then per variant."""
     values = composite_expectations(
-        a_values, t_values, variants, f, partition, obs, psi, trotter_steps
+        a_values, t_values, probe_variants(f), f, partition, obs, psi, trotter_steps
     )
     if jitter is not None:
         values = np.array([[jitter.perturb(float(v)) for v in row] for row in values])
@@ -274,8 +277,8 @@ def averaged_expectation(
     if exact_substitute:
         h = partition.hamiltonian
         state = exact_evolve(h, (1.0 - a) * t, psi)
-        state = exact_evolve(h, a * t, state)
-        return measure(state, obs, jitter)
+        value = expectation(exact_evolve(h, a * t, state), obs)
+        return value if jitter is None else jitter.perturb(value)
     values = _averaged_expectations(
         [a],
         [t],

@@ -132,16 +132,6 @@ def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVecto
     return StateVector(amps / norm, len(factors))
 
 
-def apply_pauli_rotation(state: StateVector, g: PauliRotation) -> StateVector:
-    """Return ``exp(-i * angle * P)|state>``."""
-    if g.n != state.n:
-        raise DimensionMismatchError("gate and state qubit counts differ")
-    rotated = cos(g.angle) * state.amplitudes - 1.0j * sin(g.angle) * apply_pauli_word(
-        g.word, state.amplitudes
-    )
-    return StateVector(rotated, state.n)
-
-
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     """Apply gates left to right in list order."""
     if c.n != state.n:
@@ -281,19 +271,7 @@ class GaussianJitter:
     sigma: float = 0.0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
-    @classmethod
-    def from_seed(cls, sigma: float, seed: int) -> GaussianJitter:
-        return cls(sigma, np.random.default_rng(seed))
-
     def perturb(self, value: float) -> float:
         if self.sigma == 0.0:
             return value
         return value + self.rng.normal(0.0, self.sigma)
-
-
-def measure(state: StateVector, obs: OperatorSum, jitter: GaussianJitter | None = None) -> float:
-    """Expectation value with the optional synthetic noise injector applied."""
-    value = expectation(state, obs)
-    if jitter is not None:
-        value = jitter.perturb(value)
-    return value

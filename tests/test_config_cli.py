@@ -111,7 +111,8 @@ def test_preset_matches_builder():
 )
 def test_all_presets_materialize(name):
     cfg = preset_config(name)
-    assert cfg.preset == name
+    assert cfg.formula_name == name.split("-")[1]
+    assert cfg.partition.n == 4
 
 
 def test_preset_with_option_overrides():
@@ -261,6 +262,35 @@ def test_preset_overrides_are_checked_like_full_documents(profiling, message):
     doc = {"preset": "tfim-ruth3", "profiling": profiling}
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(json.dumps(doc))
+
+
+CONFLICT_CASES = [
+    # (document, message); both used to parse, silently dropping the second key
+    (
+        {"preset": "tfim-ruth3", "times": {"values": [0.1, 0.2], "points": 50, "stop": 9.0}},
+        "times.values cannot be combined with times.points, times.stop",
+    ),
+    (
+        dict(
+            sample_document(),
+            initial_state={
+                "factors": [[[1, 0], [0, 0]], [[1, 0], [1, 0]]],
+                "amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]],
+            },
+        ),
+        "initial_state takes either 'factors' or 'amplitudes', not both",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", CONFLICT_CASES, ids=["times.values", "initial_state"]
+)
+def test_conflicting_keys_are_rejected(tmp_path, capsys, doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+    assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_shipped_documents_parse():

@@ -2,8 +2,8 @@
 
 Every sample kind (composite probes, plain Trotter circuits, multi-product
 constituents) runs through ``sample_expectations``; the reference is
-``measure(apply_circuit(psi, circuit), obs, jitter)`` on the circuit
-compiled gate by gate.
+``expectation(apply_circuit(psi, circuit), obs)``, perturbed by the jitter
+when there is one, on the circuit compiled gate by gate.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from trotterprof import (
     composite_circuit,
     composite_expectations,
     evolve_batch,
+    expectation,
     mpf_estimate,
     mpf_weights,
     preset_config,
@@ -34,7 +35,6 @@ from trotterprof import (
 from trotterprof.config import PRESETS
 from trotterprof.experiments import _per_time_jitters
 from trotterprof.pauli import _word_tables
-from trotterprof.simulator import measure
 
 from conftest import random_state
 
@@ -48,14 +48,18 @@ times = st.floats(0.0, 1.0, exclude_min=True, allow_nan=False)
 steps = st.integers(1, 3)
 
 
+def measured(cfg, circuit, jitter):
+    value = expectation(apply_circuit(cfg.initial_state, circuit), cfg.observable)
+    return value if jitter is None else jitter.perturb(value)
+
+
 def looped_composite(cfg, variant, a, t, n, jitter=None):
     circuit = composite_circuit(CompositeSpec(variant, a, t, n), cfg.formula, cfg.partition)
-    return measure(apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter)
+    return measured(cfg, circuit, jitter)
 
 
 def looped_trotter(cfg, t, n, jitter=None):
-    circuit = compile_circuit(cfg.formula, cfg.partition, t, n)
-    return measure(apply_circuit(cfg.initial_state, circuit), cfg.observable, jitter)
+    return measured(cfg, compile_circuit(cfg.formula, cfg.partition, t, n), jitter)
 
 
 def test_evolve_batch_rows_equal_apply_circuit(rng):
@@ -123,9 +127,9 @@ def test_noisy_sweep_draws_match_the_looped_path(name, grid, t, n, seed):
     sigma = 1e-3
     samples = profile_sweep(
         grid, t, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state, n,
-        jitter=GaussianJitter.from_seed(sigma, seed),
+        jitter=GaussianJitter(sigma, np.random.default_rng(seed)),
     )
-    jitter = GaussianJitter.from_seed(sigma, seed)
+    jitter = GaussianJitter(sigma, np.random.default_rng(seed))
     variants = (1,) if cfg.formula.symmetric else (1, 2, 3, 4)
     for a, sample in zip(grid, samples):
         looped = np.mean([looped_composite(cfg, v, a, t, n, jitter) for v in variants])
@@ -147,9 +151,9 @@ def test_noisy_trotter_and_mpf_draws_match_the_looped_path(name, seed):
     for t, s in ((0.2, seed), (0.7, seed + 1)):
         batched = mpf_estimate(
             t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state,
-            jitter=GaussianJitter.from_seed(1e-3, s),
+            jitter=GaussianJitter(1e-3, np.random.default_rng(s)),
         )
-        jitter = GaussianJitter.from_seed(1e-3, s)
+        jitter = GaussianJitter(1e-3, np.random.default_rng(s))
         looped = sum(
             w * looped_trotter(cfg, t, c, jitter)
             for w, c in zip(weights.weights, weights.step_counts)

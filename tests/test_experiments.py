@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from trotterprof import (
+    CompositeSpec,
     DegenerateInputError,
     ErrorCurve,
     FormulaError,
     OperatorSum,
     PauliTerm,
+    ProductFormula,
     averaged_expectation,
     circuit_cost,
+    compile_circuit,
+    composite_circuit,
     exact_evolve,
     expectation,
     init_product_state,
     mutually_commuting,
+    preset_config,
     run_error_curve,
     sign_stable_mask,
     slope_fit,
@@ -26,6 +31,7 @@ from trotterprof import (
     tfim_config,
     to_dense,
 )
+from trotterprof.config import PRESETS
 from trotterprof.experiments import CurvePoint
 
 
@@ -223,6 +229,15 @@ def test_sign_stable_mask_drops_crossing_brackets():
 # circuit cost
 
 
+def cost_cases():
+    """``(formula, partition)`` of every preset plus hand-written lie1 and strang2 tables."""
+    cases = [(cfg.formula, cfg.partition) for cfg in map(preset_config, PRESETS)]
+    partition = preset_config("xxz-ruth3").partition
+    cases.append((ProductFormula(((0, 1.0), (1, 1.0)), 2, False), partition))
+    cases.append((ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)), 3, True), partition))
+    return cases
+
+
 def test_mpf_cost_total_steps(tfim_ruth3):
     report = circuit_cost(
         "mpf",
@@ -232,6 +247,13 @@ def test_mpf_cost_total_steps(tfim_ruth3):
     )
     assert report.total_steps == 6
     assert report.circuits == 3
+    # the counted gates are those of the compiled constituent circuits
+    for formula, partition in cost_cases():
+        for n in (1, 3):
+            counts = tuple(range(1, n + 1))
+            report = circuit_cost("mpf", formula=formula, partition=partition, step_counts=counts)
+            compiled = [len(compile_circuit(formula, partition, 1.0, s).gates) for s in counts]
+            assert report.elementary_gates == sum(compiled)
 
 
 def test_ep_cost_symmetric_counting(tfim_suzuki4):
@@ -258,6 +280,17 @@ def test_ep_cost_counts_compiled_gates(tfim_ruth3):
     gates_per_step = 3 * 3 + 3 * 4  # ruth table: 3 ZZ layers + 3 X layers
     assert report.circuits == 20  # four variants per grid point
     assert report.elementary_gates == 20 * 2 * 2 * gates_per_step
+    # every probe variant has the gate count of its compiled composite circuit
+    for formula, partition in cost_cases():
+        variants = (1,) if formula.symmetric else (1, 2, 3, 4)
+        for n in (1, 3):
+            report = circuit_cost(
+                "ep", formula=formula, partition=partition, trotter_steps=n, grid_points=5
+            )
+            assert report.circuits == 5 * len(variants)
+            for v in variants:
+                circuit = composite_circuit(CompositeSpec(v, 0.3, 1.0, n), formula, partition)
+                assert report.elementary_gates == report.circuits * len(circuit.gates)
 
 
 def test_cost_scaling_linear_vs_quadratic(tfim_ruth3):
@@ -293,3 +326,17 @@ def test_cost_validates_inputs(tfim_ruth3):
         circuit_cost(
             "shadow", formula=tfim_ruth3.formula, partition=tfim_ruth3.partition
         )
+    with pytest.raises(DegenerateInputError):
+        circuit_cost(
+            "ep",
+            formula=tfim_ruth3.formula,
+            partition=tfim_ruth3.partition,
+            trotter_steps=0,
+            grid_points=3,
+        )
+    # a table that addresses a fragment the partition lacks
+    three = ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0)), 2, False)
+    with pytest.raises(FormulaError):
+        circuit_cost("ep", formula=three, partition=tfim_ruth3.partition, grid_points=3)
+    with pytest.raises(FormulaError):
+        circuit_cost("mpf", formula=three, partition=tfim_ruth3.partition, step_counts=(1,))

@@ -17,7 +17,6 @@ from trotterprof import (
     PauliTerm,
     StateVector,
     apply_circuit,
-    apply_pauli_rotation,
     exact_evolve,
     expectation,
     init_product_state,
@@ -52,22 +51,27 @@ def test_init_rejects_zero_factor():
         init_product_state([(1, 0), (0, 0)])
 
 
+def rotate(state, word, angle):
+    """``exp(-i * angle * P)|state>`` as a one-gate circuit."""
+    return apply_circuit(state, Circuit((PauliRotation(word, angle),), state.n))
+
+
 def test_rotation_pi_half_x():
     s = init_product_state([(1, 0)])
-    out = apply_pauli_rotation(s, PauliRotation("X", np.pi / 2))
+    out = rotate(s, "X", np.pi / 2)
     np.testing.assert_allclose(out.amplitudes, [0, -1j], atol=1e-15)
 
 
 def test_rotation_zero_angle_is_identity(rng):
     s = random_state(rng, 3)
-    out = apply_pauli_rotation(s, PauliRotation("XYZ", 0.0))
+    out = rotate(s, "XYZ", 0.0)
     np.testing.assert_allclose(out.amplitudes, s.amplitudes)
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.37, 1.2])
 def test_rotation_z_on_plus_matches_dense_exponential(theta):
     s = init_product_state([(1, 1)])
-    out = apply_pauli_rotation(s, PauliRotation("Z", theta))
+    out = rotate(s, "Z", theta)
     x_obs = OperatorSum.from_terms([PauliTerm("X")])
     assert expectation(out, x_obs) == pytest.approx(np.cos(2 * theta), abs=1e-12)
     # independent oracle: dense matrix exponential
@@ -87,11 +91,13 @@ def test_empty_circuit_is_identity(rng):
 
 
 def test_single_gate_circuit_matches_rotation(rng):
+    # independent oracle: the dense matrix exponential of the rotation
     s = random_state(rng, 2)
-    g = PauliRotation("XY", 0.4)
+    word = to_dense(OperatorSum.from_terms([PauliTerm("XY")])).matrix
     np.testing.assert_allclose(
-        apply_circuit(s, Circuit((g,), 2)).amplitudes,
-        apply_pauli_rotation(s, g).amplitudes,
+        apply_circuit(s, Circuit((PauliRotation("XY", 0.4),), 2)).amplitudes,
+        scipy.linalg.expm(-0.4j * word) @ s.amplitudes,
+        atol=1e-12,
     )
 
 
@@ -207,7 +213,7 @@ def test_rotation_agrees_with_exact_evolution(rng):
     h = OperatorSum.from_terms([PauliTerm("XZY", coeff)])
     s = random_state(rng, 3)
     t = 0.43
-    via_gate = apply_pauli_rotation(s, PauliRotation("XZY", coeff * t))
+    via_gate = rotate(s, "XZY", coeff * t)
     via_exact = exact_evolve(h, t, s)
     np.testing.assert_allclose(via_gate.amplitudes, via_exact.amplitudes, atol=1e-10)
 
@@ -230,13 +236,9 @@ def test_exact_unitary_is_unitary(rng):
 
 
 def test_jitter_disabled_by_default(paper_state, tfim_ruth3):
-    from trotterprof.simulator import measure
-
     exact = expectation(paper_state, tfim_ruth3.observable)
-    assert measure(paper_state, tfim_ruth3.observable) == exact
-    noisy = measure(
-        paper_state, tfim_ruth3.observable, GaussianJitter.from_seed(0.1, 7)
-    )
+    assert GaussianJitter().perturb(exact) == exact
+    noisy = GaussianJitter(0.1, np.random.default_rng(7)).perturb(exact)
     assert noisy != exact
 
 
