@@ -35,6 +35,7 @@ from .experiments import (
     ErrorCurve,
     ExperimentConfig,
     circuit_cost,
+    exact_curve,
     run_error_curve,
     stable_slope_fit,
 )
@@ -174,9 +175,10 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
+    exact = exact_curve(cfg)
     rows = []
     for method in _methods(args):
-        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method)))
+        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact)))
     if not _write_rows(args, doc, rows):
         for row in ResultTable.from_rows(rows).rows:
             print(
@@ -249,9 +251,10 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
+    exact = exact_curve(cfg)
     rows = []
     for method in _methods(args):
-        curve = run_error_curve(cfg, method)
+        curve = run_error_curve(cfg, method, exact)
         gradient = stable_slope_fit(curve, window)
         print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))

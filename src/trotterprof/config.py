@@ -97,7 +97,10 @@ def _real_number(value: Any, name: str) -> float:
     return float(value)
 
 
-def _parse_terms(raw: Any, n: int, name: str) -> list[PauliTerm]:
+def _parse_terms(
+    raw: Any, n: int, name: str, *, identity_ok: bool = True
+) -> list[PauliTerm]:
+    """Terms of a Pauli sum; ``identity_ok=False`` rejects the all-``I`` word."""
     items = _expect(raw, list, name)
     if not items:
         raise ConfigError(f"{name} must contain at least one term", name)
@@ -114,6 +117,12 @@ def _parse_terms(raw: Any, n: int, name: str) -> list[PauliTerm]:
             terms.append(PauliTerm(word.upper(), coeff))
         except ValueError as exc:
             raise ConfigError(str(exc), f"{name}[{i}].pauli") from exc
+        if not identity_ok and set(terms[-1].word) == {"I"}:
+            raise ConfigError(
+                f"{name}[{i}].pauli is the identity word, a global phase that no"
+                " rotation can implement; drop the term",
+                f"{name}[{i}].pauli",
+            )
     return terms
 
 
@@ -430,7 +439,9 @@ def _parse_system(doc: dict) -> ExperimentConfig:
     n = system.get("num_qubits")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("system.num_qubits must be a positive integer", "system.num_qubits")
-    ham_terms = _parse_terms(system.get("hamiltonian"), n, "system.hamiltonian")
+    ham_terms = _parse_terms(
+        system.get("hamiltonian"), n, "system.hamiltonian", identity_ok=False
+    )
     partition = _parse_partition(doc.get("partition"), ham_terms, n)
     formula, formula_name = _parse_formula(doc.get("formula"), partition)
     state = _parse_state(doc.get("initial_state"), n)

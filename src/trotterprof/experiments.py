@@ -33,8 +33,8 @@ from .profiling import (
 )
 from .simulator import (
     GaussianJitter,
-    exact_evolve,
-    expectation,
+    exact_states,
+    expectation_rows,
     init_product_state,
     sample_expectations,
 )
@@ -226,11 +226,22 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
-def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
-    """Estimate-vs-exact curve for one method over the configured times."""
+def exact_curve(cfg: ExperimentConfig) -> np.ndarray:
+    """Noiseless exact expectation at every configured time, one propagation."""
+    states = exact_states(cfg.partition.hamiltonian, cfg.times, cfg.initial_state)
+    return expectation_rows(states, cfg.observable)
+
+
+def run_error_curve(
+    cfg: ExperimentConfig, method: str, exact: Sequence[float] | None = None
+) -> ErrorCurve:
+    """Estimate-vs-exact curve for one method over the configured times.
+
+    ``exact`` is ``exact_curve(cfg)``, passed in when several curves of one
+    configuration share it; it is computed when left out.
+    """
     if method not in METHODS:
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
-    h = cfg.partition.hamiltonian
     jitters = _per_time_jitters(cfg)
 
     if method == "ep":
@@ -266,11 +277,13 @@ def run_error_curve(cfg: ExperimentConfig, method: str) -> ErrorCurve:
             for v, jitter in zip(values, jitters)
         ]
 
-    points = []
-    for t, value in zip(cfg.times, estimates):
-        exact = expectation(exact_evolve(h, t, cfg.initial_state), cfg.observable)
-        points.append(CurvePoint(t, value, exact, abs(value - exact)))
-    return ErrorCurve(method, tuple(points))
+    if exact is None:
+        exact = exact_curve(cfg)
+    points = tuple(
+        CurvePoint(t, value, x, abs(value - x))
+        for t, value, x in zip(cfg.times, estimates, map(float, exact))
+    )
+    return ErrorCurve(method, points)
 
 
 def slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:

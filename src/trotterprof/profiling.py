@@ -39,8 +39,10 @@ from .simulator import (
     StateVector,
     circuit_unitary,
     exact_evolve,
+    exact_states,
     exact_unitary,
     expectation,
+    expectation_rows,
     sample_expectations,
 )
 
@@ -476,10 +478,7 @@ def calibrate_basis(
     t_arr = np.geomspace(lo / scale, hi / scale, count)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
-    h = partition.hamiltonian
-    exact_vals = np.array(
-        [expectation(exact_evolve(h, t, psi), obs) for t in t_arr]
-    )
+    exact_vals = expectation_rows(exact_states(partition.hamiltonian, t_arr, psi), obs)
     # Every probe (a, t) of the error series runs in one batch.
     a_values = sorted({a for pair in pairs for a in pair})
     averaged = _averaged_expectations(

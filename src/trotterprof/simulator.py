@@ -4,14 +4,17 @@ States are plain complex amplitude vectors; gates are Pauli-word rotations
 ``exp(-i * angle * P)`` applied via ``cos(a)|psi> - i sin(a) P|psi>``.
 ``apply_circuit`` runs one circuit gate by gate and is the reference;
 ``sample_expectations`` runs many circuits that share one word sequence as
-a ``(B, 2^n)`` state stack, one vectorised update per gate.  The exact
-evolution ``exp(-iHt)`` comes from a cached Hermitian eigendecomposition
-and serves as the ground-truth oracle, so measured deviations contain only
-algorithmic error.
+a ``(B, 2^n)`` state stack, one in-place vectorised update per gate.  The
+exact evolution ``exp(-iHt)|psi>`` is matrix-free: ``exact_states`` applies
+``H`` from its word tables inside a stepped Taylor series, so measured
+deviations contain only algorithmic error.  ``exact_unitary`` and
+``circuit_unitary`` build dense matrices and are oracles for tests and
+error-operator extraction only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
@@ -39,6 +42,12 @@ NORM_TOL = 1e-10
 #: A batched evolution advances at most this many amplitudes at once, which
 #: bounds the memory of one gate update whatever the batch and register size.
 BATCH_AMPLITUDES = 1 << 18
+
+#: The exact propagator's Taylor series stops once the norms of two
+#: consecutive terms sum below this (states have unit norm), or after this
+#: many terms.
+TAYLOR_TOL = 2.0**-53
+TAYLOR_MAX_TERMS = 40
 
 #: ``(perm, phase)`` of a Pauli word, as built by ``pauli._word_tables``.
 WordTables = tuple[np.ndarray, np.ndarray]
@@ -152,6 +161,9 @@ def evolve_batch(
     Row b runs the gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ...,
     where ``tables[k]`` holds the word tables of ``P_k``.  Each update is the
     one ``apply_circuit`` makes, so a row equals the looped circuit bit for bit.
+
+    The stack and two scratch stacks are allocated once and every gate
+    writes into them, in the operand order of ``apply_circuit``.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(tables):
@@ -163,8 +175,14 @@ def evolve_batch(
     cos = np.cos(angles).T[:, :, None]
     sin = 1.0j * np.sin(angles).T[:, :, None]
     amps = np.tile(state.amplitudes, (angles.shape[0], 1))
+    scaled, moved = np.empty_like(amps), np.empty_like(amps)
     for k, (perm, phase) in enumerate(tables):
-        amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+        np.multiply(amps, phase, out=scaled)
+        # mode="clip" lets take write straight into ``moved``; "raise" buffers.
+        scaled.take(perm, axis=1, out=moved, mode="clip")
+        np.multiply(sin[k], moved, out=moved)
+        np.multiply(cos[k], amps, out=amps)
+        np.subtract(amps, moved, out=amps)
     norms = np.linalg.norm(amps, axis=1)
     if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise DegenerateInputError("batched evolution lost normalization")
@@ -175,16 +193,19 @@ def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
     """Exact ``<psi_b|O|psi_b>`` for every row of a ``(B, 2^n)`` state stack.
 
     Each row takes one ``np.vdot`` per term, summed in term order, so a row
-    gives the same bits whichever stack it sits in.
+    gives the same bits whichever stack it sits in.  All terms share two
+    scratch stacks.
     """
     if not obs.hermitian:
         raise HermiticityError("expectation requires a Hermitian observable")
     if amps.shape[1] != (1 << obs.n):
         raise DimensionMismatchError("observable and state qubit counts differ")
     values = np.zeros(amps.shape[0], dtype=complex)
+    scaled, moved = np.empty_like(amps, dtype=complex), np.empty_like(amps, dtype=complex)
     for term in obs.terms:
         perm, phase = _word_tables(term.word)
-        moved = np.take(amps * phase, perm, axis=1)
+        np.multiply(amps, phase, out=scaled)
+        scaled.take(perm, axis=1, out=moved, mode="clip")
         values += term.coeff * np.array([np.vdot(a, m) for a, m in zip(amps, moved)])
     worst = float(np.max(np.abs(values.imag), initial=0.0))
     if worst >= 1e-10:
@@ -214,6 +235,106 @@ def sample_expectations(
 
 
 @lru_cache(maxsize=64)
+def _hamiltonian_tables(h: OperatorSum) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``H`` as ``sum_f (D_f psi)[perm_f]``: one diagonal per distinct flip mask.
+
+    A term ``c P`` acts as ``(c * phase * psi)[perm]``; terms whose words
+    flip the same bits share ``perm`` and add into one diagonal, so a chain
+    of ZZ bonds and X fields needs one diagonal plus one gather per site.
+    Each entry is ``(perm_f, D_f[perm_f])``, the diagonal pre-gathered.
+    """
+    merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for term in h.terms:
+        perm, phase = _word_tables(term.word)
+        flip = int(perm[0])
+        diagonal = term.coeff * phase
+        if flip in merged:
+            diagonal = merged[flip][1] + diagonal
+        merged[flip] = (perm, diagonal)
+    tables = []
+    for perm, diagonal in merged.values():
+        gathered = diagonal[perm]
+        gathered.setflags(write=False)
+        tables.append((perm, gathered))
+    return tuple(tables)
+
+
+def _apply_hamiltonian(
+    tables: Sequence[tuple[np.ndarray, np.ndarray]],
+    v: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write ``H v`` into ``out`` from the flip-mask tables of ``H``."""
+    out.fill(0.0)
+    for perm, diag in tables:
+        v.take(perm, out=scratch, mode="clip")
+        np.multiply(scratch, diag, out=scratch)
+        np.add(out, scratch, out=out)
+
+
+def _taylor_step(
+    tables: Sequence[tuple[np.ndarray, np.ndarray]],
+    v: np.ndarray,
+    dt: float,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """``v <- exp(-iH dt) v`` in place, for ``||H||_1 * |dt| <= 1``.
+
+    Sums Taylor terms until two in a row have norms summing below
+    ``TAYLOR_TOL``, relative to the unit norm of the state.
+    """
+    term, nxt, scratch = buffers
+    term[:] = v
+    previous = math.inf
+    for k in range(1, TAYLOR_MAX_TERMS + 1):
+        _apply_hamiltonian(tables, term, nxt, scratch)
+        np.multiply(nxt, -1.0j * dt / k, out=term)
+        v += term
+        size = math.sqrt(np.vdot(term, term).real)
+        if size + previous <= TAYLOR_TOL:
+            return
+        previous = size
+
+
+def exact_states(
+    h: OperatorSum, times: Sequence[float], state: StateVector
+) -> np.ndarray:
+    """Ground truth ``exp(-iH t_j)|state>`` for every time, as a ``(T, 2^n)`` stack.
+
+    Matrix-free: the propagator steps from one time to the next (from 0 to
+    the first) with the truncated Taylor series of ``exp(-iH dt)`` applied to
+    the state (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), in
+    sub-steps with ``||H||_1 * |dt| <= 1``.  Times may be zero, negative or
+    in any order; an increasing list costs least.
+    """
+    if not h.hermitian:
+        raise HermiticityError("exact evolution requires a Hermitian Hamiltonian")
+    if h.n != state.n:
+        raise DimensionMismatchError("Hamiltonian and state qubit counts differ")
+    if not all(math.isfinite(t) for t in times):
+        raise DegenerateInputError("evolution times must be finite")
+    tables = _hamiltonian_tables(h)
+    norm = h.one_norm()
+    v = state.amplitudes.copy()
+    buffers = (np.empty_like(v), np.empty_like(v), np.empty_like(v))
+    out = np.empty((len(times), v.shape[0]), dtype=complex)
+    now = 0.0
+    for j, t in enumerate(times):
+        substeps = math.ceil(norm * abs(t - now))
+        for _ in range(substeps):
+            _taylor_step(tables, v, (t - now) / substeps, buffers)
+        now = float(t)
+        out[j] = v
+    return out
+
+
+def exact_evolve(h: OperatorSum, t: float, state: StateVector) -> StateVector:
+    """Ground truth ``exp(-iHt)|state>``: ``exact_states`` at the single time ``t``."""
+    return StateVector(exact_states(h, (t,), state)[0], state.n)
+
+
+@lru_cache(maxsize=64)
 def _eigh(h: OperatorSum) -> tuple[np.ndarray, np.ndarray]:
     dense = to_dense(h).matrix
     w, v = np.linalg.eigh(dense)
@@ -222,19 +343,8 @@ def _eigh(h: OperatorSum) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def exact_evolve(h: OperatorSum, t: float, state: StateVector) -> StateVector:
-    """Ground truth ``exp(-iHt)|state>`` via Hermitian eigendecomposition."""
-    if not h.hermitian:
-        raise HermiticityError("exact evolution requires a Hermitian Hamiltonian")
-    if h.n != state.n:
-        raise DimensionMismatchError("Hamiltonian and state qubit counts differ")
-    w, v = _eigh(h)
-    rotated = v @ (np.exp(-1.0j * w * t) * (v.conj().T @ state.amplitudes))
-    return StateVector(rotated, state.n)
-
-
 def exact_unitary(h: OperatorSum, t: float) -> np.ndarray:
-    """Dense ``exp(-iHt)`` from the cached eigendecomposition."""
+    """Dense ``exp(-iHt)`` from a cached Hermitian eigendecomposition (test oracle)."""
     if not h.hermitian:
         raise HermiticityError("exact evolution requires a Hermitian Hamiltonian")
     w, v = _eigh(h)

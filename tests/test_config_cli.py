@@ -293,6 +293,42 @@ def test_conflicting_keys_are_rejected(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+def identity_term_document(where: str) -> dict:
+    """The 2-qubit document with an ``II`` term in the Hamiltonian or the observable."""
+    doc = sample_document()
+    doc.pop("output")
+    doc["times"] = {"values": [0.1, 0.2]}
+    identity = {"pauli": "II", "coeff": 0.25}
+    if where == "hamiltonian":
+        doc["system"]["hamiltonian"] = [
+            {"pauli": "ZZ", "coeff": 1.0},
+            {"pauli": "XI", "coeff": 0.5},
+            identity,
+        ]
+        doc["partition"] = [[0, 2], [1]]
+    else:
+        doc["observable"] = [{"pauli": "ZI", "coeff": 1.0}, identity]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "cost"])
+def test_identity_hamiltonian_word_is_rejected_at_parse_time(tmp_path, capsys, command):
+    # used to parse, then fail in the compiler with a message naming no path
+    doc = identity_term_document("hamiltonian")
+    message = "system.hamiltonian[2].pauli is the identity word"
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == "system.hamiltonian[2].pauli"
+    assert run_command([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "cost"])
+def test_identity_observable_word_stays_legal(tmp_path, command):
+    doc = identity_term_document("observable")
+    assert run_command([command, "--config", write_config(tmp_path, doc)]) == 0
+
+
 def test_shipped_documents_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]

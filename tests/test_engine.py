@@ -8,7 +8,10 @@ when there is one, on the circuit compiled gate by gate.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,18 +28,25 @@ from trotterprof import (
     composite_circuit,
     composite_expectations,
     evolve_batch,
+    exact_evolve,
     expectation,
     mpf_estimate,
     mpf_weights,
     preset_config,
     profile_sweep,
+    read_csv,
     run_error_curve,
 )
-from trotterprof.config import PRESETS
+from trotterprof.cli import run_command
+from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import _per_time_jitters
-from trotterprof.pauli import _word_tables
+from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
+from trotterprof.simulator import expectation_rows
 
 from conftest import random_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 TOL = 1e-12
 
@@ -70,6 +80,69 @@ def test_evolve_batch_rows_equal_apply_circuit(rng):
     for row, gate_angles in zip(stack, angles):
         circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), 3)
         np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
+
+
+def allocating_evolve(state, tables, angles):
+    """The gate loop as one expression per gate, a fresh stack per operation."""
+    cos = np.cos(angles).T[:, :, None]
+    sin = 1.0j * np.sin(angles).T[:, :, None]
+    amps = np.tile(state.amplitudes, (angles.shape[0], 1))
+    for k, (perm, phase) in enumerate(tables):
+        amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+    return amps
+
+
+def allocating_rows(amps, obs):
+    values = np.zeros(amps.shape[0], dtype=complex)
+    for term in obs.terms:
+        perm, phase = _word_tables(term.word)
+        moved = np.take(amps * phase, perm, axis=1)
+        values += term.coeff * np.array([np.vdot(a, m) for a, m in zip(amps, moved)])
+    return values.real
+
+
+@st.composite
+def gate_sequences(draw):
+    n = draw(st.integers(1, 6))
+    words = draw(
+        st.lists(
+            st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"}),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    rows = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, words, rows, np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_sequences())
+def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
+    n, words, rows, rng = case
+    psi = random_state(rng, n)
+    tables = [_word_tables(w) for w in words]
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    stack = evolve_batch(psi, tables, angles)
+    assert np.array_equal(stack, allocating_evolve(psi, tables, angles))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
+    assert np.array_equal(expectation_rows(stack, obs), allocating_rows(stack, obs))
+
+
+def test_run_at_13_qubits_uses_the_matrix_free_exact_column(tmp_path):
+    # the dense exact column capped run at 12 qubits
+    doc = workloads.tfim_chain_document(13, "ruth3", 1, stop=1.0)
+    doc["times"] = {"values": [0.1, 0.3]}
+    config, out = tmp_path / "chain13.json", tmp_path / "chain13.csv"
+    config.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(config), "--method", "trotter", "--out", str(out)]
+    assert run_command(argv) == 0
+    cfg = parse_config(json.dumps(doc))
+    rows = read_csv(out).rows
+    assert [row.t for row in rows] == [0.1, 0.3]
+    for row in rows:
+        state = exact_evolve(cfg.partition.hamiltonian, row.t, cfg.initial_state)
+        assert abs(row.exact - expectation(state, cfg.observable)) <= TOL
 
 
 @settings(max_examples=40, deadline=None)

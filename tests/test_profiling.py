@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,12 +40,16 @@ from trotterprof import (
     profile_sweep,
     to_dense,
 )
-from trotterprof import profiling, simulator
+from trotterprof import pauli, profiling, simulator
+from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, preset_config
 from trotterprof.formulas import FORMULA_NAMES
 from trotterprof.profiling import composite_circuit, resolve_basis
 
 from conftest import random_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +435,15 @@ def no_dense_oracle(monkeypatch):
     """Make every binding of the dense oracles in the package raise."""
     oracles = (
         profiling.extract_error_operators,
-        simulator.circuit_unitary,
+        simulator._eigh,
         simulator.exact_unitary,
+        simulator.circuit_unitary,
+        pauli.to_dense,
+        pauli.dense_word,
     )
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("calibration reached a dense oracle")
+        raise AssertionError("reached a dense oracle")
 
     for name, module in list(sys.modules.items()):
         if name != "trotterprof" and not name.startswith("trotterprof."):
@@ -442,6 +451,31 @@ def no_dense_oracle(monkeypatch):
         for attr, value in list(vars(module).items()):
             if any(value is oracle for oracle in oracles):
                 monkeypatch.setattr(module, attr, forbidden)
+
+
+#: A 6-qubit TFIM chain for the whole-CLI check below.
+CHAIN6 = workloads.tfim_chain_document(6, "ruth3", 3, stop=1.0)
+
+
+@pytest.mark.parametrize("source", list(PRESETS) + ["chain6"])
+def test_no_command_builds_a_dense_matrix(source, tmp_path, capsys, no_dense_oracle):
+    if source == "chain6":
+        path = tmp_path / "chain6.json"
+        path.write_text(json.dumps(CHAIN6))
+        where = ["--config", str(path)]
+    else:
+        where = ["--preset", source]
+    out = str(tmp_path / "out.csv")
+    for command in (
+        ["run"],  # all three methods
+        ["mpf"],
+        ["profile", "--time", "0.4"],
+        ["slope"],
+        ["calibrate"],
+        ["cost"],
+    ):
+        assert run_command(command + where + ["--out", out]) == 0, command
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

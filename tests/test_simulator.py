@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     Circuit,
@@ -23,7 +25,7 @@ from trotterprof import (
     invert_circuit,
     to_dense,
 )
-from trotterprof.simulator import circuit_unitary, exact_unitary
+from trotterprof.simulator import circuit_unitary, exact_states, exact_unitary
 
 from conftest import random_hermitian_sum, random_state
 
@@ -159,6 +161,51 @@ def test_exact_evolve_group_property(rng):
     once = exact_evolve(h, 0.9, s)
     split = exact_evolve(h, 0.5, exact_evolve(h, 0.4, s))
     np.testing.assert_allclose(once.amplitudes, split.amplitudes, atol=1e-10)
+
+
+@st.composite
+def hermitian_pauli_sums(draw):
+    n = draw(st.integers(1, 8))
+    terms = draw(
+        st.lists(
+            st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return OperatorSum.from_terms([PauliTerm(w, c) for w, c in terms], hermitian=True)
+
+
+evolution_times = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=hermitian_pauli_sums(),
+    times=st.lists(evolution_times, min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_free_evolution_matches_the_eigh_oracle(h, times, seed):
+    psi = random_state(np.random.default_rng(seed), h.n)
+    stack = exact_states(h, times, psi)
+    for t, row in zip(times, stack):
+        oracle = exact_unitary(h, t) @ psi.amplitudes
+        assert np.max(np.abs(exact_evolve(h, t, psi).amplitudes - oracle)) <= 1e-12
+        assert np.max(np.abs(row - oracle)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=hermitian_pauli_sums(),
+    times=st.lists(evolution_times, min_size=2, max_size=6, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stepping_through_times_matches_single_time_calls(h, times, seed):
+    psi = random_state(np.random.default_rng(seed), h.n)
+    times = sorted(times)
+    stack = exact_states(h, times, psi)
+    for t, row in zip(times, stack):
+        assert np.max(np.abs(row - exact_evolve(h, t, psi).amplitudes)) <= 1e-12
 
 
 def test_exact_evolve_requires_hermitian(rng):
