@@ -11,6 +11,7 @@ sweep plus fit report), ``mpf`` (extrapolation curve plus weights),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -192,8 +193,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     t = args.time if args.time is not None else cfg.times[-1]
-    if t <= 0:
-        raise ConfigError("--time must be positive", "time")
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"--time must be positive and finite, got {t}", "time")
     basis = resolve_basis(cfg)
     _, fit = mitigated_estimate(t, replace(cfg, basis=basis))
     exact = expectation(exact_evolve(cfg.partition.hamiltonian, t, cfg.initial_state), cfg.observable)

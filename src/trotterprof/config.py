@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -94,7 +95,13 @@ def _real_number(value: Any, name: str) -> float:
         raise ConfigError(
             f"{name} must be a real number (Hermitian coefficients only)", name
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}", name)
+    return number
 
 
 def _parse_terms(

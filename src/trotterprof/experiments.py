@@ -255,15 +255,7 @@ def run_error_curve(
             cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
         )
         estimates = [
-            mpf_estimate(
-                t,
-                weights,
-                cfg.formula,
-                cfg.partition,
-                cfg.observable,
-                cfg.initial_state,
-                jitter=jitter,
-            )
+            mpf_estimate(t, weights, cfg, jitter=jitter)
             for t, jitter in zip(cfg.times, jitters)
         ]
     else:
@@ -273,7 +265,7 @@ def run_error_curve(
         ).forward(cfg.times)
         values = sample_expectations(cfg.initial_state, tables, angles, cfg.observable)
         estimates = [
-            float(v) if jitter is None else jitter.perturb(float(v))
+            float(v if jitter is None else jitter.perturb(v))
             for v, jitter in zip(values, jitters)
         ]
 

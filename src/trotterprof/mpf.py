@@ -5,6 +5,7 @@ the expectation values with weights that cancel the leading ``1/s**(k-1)``
 error scalings removes successive error orders classically.  Weight systems
 are solved exactly over the rationals, so the cancellation residuals vanish
 to the last bit; an ill-conditioned float realization is only flagged.
+An estimate takes the system as one ``ProfilingConfig``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularFitError
-from .formulas import PartitionedHamiltonian, ProductFormula, sample_template
-from .pauli import OperatorSum
-from .simulator import GaussianJitter, StateVector, sample_expectations
+from .formulas import sample_template
+from .profiling import ProfilingConfig
+from .simulator import GaussianJitter, sample_expectations
 
 CONDITION_WARNING = 1e10
 
@@ -120,25 +121,29 @@ def mpf_weights(
 def mpf_estimate(
     t: float,
     weights: MPFWeights,
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
+    config: ProfilingConfig,
     *,
     jitter: GaussianJitter | None = None,
 ) -> float:
     """Weighted combination of expectations from the iterated circuits.
 
-    Each step count runs its circuit through the batched sample engine; noise
-    is drawn per step count, in order.
+    Each step count runs its circuit of ``config``'s formula through the
+    batched sample engine; the vector of values, in step-count order, is
+    perturbed with one noise draw per count.  ``config.trotter_steps`` is
+    not read: the weights carry the depths.
     """
+
+    def value(count: int) -> float:
+        tables, angles = sample_template(config.formula, config.partition, count).forward([t])
+        return sample_expectations(config.initial_state, tables, angles, config.observable)[0]
+
+    values = np.array([value(count) for count in weights.step_counts])
+    if jitter is not None:
+        values = jitter.perturb(values)
+    # Plain left-to-right additions: the builtin sum rounds differently on 3.12+.
     total = 0.0
-    for weight, count in zip(weights.weights, weights.step_counts):
-        tables, angles = sample_template(f, partition, count).forward([t])
-        value = float(sample_expectations(psi, tables, angles, obs)[0])
-        if jitter is not None:
-            value = jitter.perturb(value)
-        total += weight * value
+    for weight, v in zip(weights.weights, values):
+        total += weight * float(v)
     return total
 
 

@@ -194,34 +194,20 @@ class OperatorSum:
             return NotImplemented
         return self._binary(other, -1.0)
 
-    def __neg__(self) -> OperatorSum:
-        return self.scaled(-1.0)
-
     def scaled(self, factor: complex) -> OperatorSum:
         if abs(factor) < MERGE_EPS or not self.terms:
             return OperatorSum.zero(self.n)
         return OperatorSum.from_terms(t.scaled(factor) for t in self.terms)
 
-    def __mul__(self, other):
-        if isinstance(other, OperatorSum):
-            if self.n != other.n:
-                raise DimensionMismatchError(
-                    "operator sums act on different registers"
-                )
-            products = [
-                pauli_product(p, q) for p in self.terms for q in other.terms
-            ]
-            if not products:
-                return OperatorSum.zero(self.n)
-            return OperatorSum.from_terms(products)
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
+    def __mul__(self, other: OperatorSum) -> OperatorSum:
+        if not isinstance(other, OperatorSum):
+            return NotImplemented
+        if self.n != other.n:
+            raise DimensionMismatchError("operator sums act on different registers")
+        products = [pauli_product(p, q) for p in self.terms for q in other.terms]
+        if not products:
+            return OperatorSum.zero(self.n)
+        return OperatorSum.from_terms(products)
 
 
 def commutator(a: OperatorSum, b: OperatorSum) -> OperatorSum:

@@ -5,6 +5,8 @@ forward or inverted partner at ``(1-a)*t``.  Varying ``a`` leaves the ideal
 evolution invariant but modulates the algorithmic error, so sweeping a grid
 of ``a`` values and fitting the averaged expectation against a known basis
 in ``a`` separates the ideal value (the intercept) from the error terms.
+Sweeps, calibration and estimates take the system (formula, partition,
+observable, initial state and base depth) as one ``ProfilingConfig``.
 
 The module also provides a dense extraction oracle for the error-series
 operators of a compiled circuit, used to validate the fitted coefficients
@@ -155,6 +157,23 @@ class ErrorSeries:
         return self.operators[index]
 
 
+@dataclass(frozen=True)
+class ProfilingConfig:
+    """Everything a mitigated estimate needs besides the evaluation time.
+
+    An unset ``a_grid`` defaults to the Chebyshev grid sized for the basis;
+    an unset ``basis`` is calibrated.
+    """
+
+    formula: ProductFormula
+    partition: PartitionedHamiltonian
+    observable: OperatorSum
+    initial_state: StateVector
+    trotter_steps: int = 1
+    a_grid: tuple[float, ...] | None = None
+    basis: BasisSpec | None = None
+
+
 def composite_circuit(
     spec: CompositeSpec,
     f: ProductFormula,
@@ -200,23 +219,20 @@ def composite_expectations(
     a_values: Sequence[float],
     t_values: Sequence[float],
     variants: Sequence[int],
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
-    trotter_steps: int = 1,
+    config: ProfilingConfig,
 ) -> np.ndarray:
     """Expectations of the probe circuits at every ``(a_values[b], t_values[b])``.
 
-    Column j holds variant ``variants[j]``; each entry equals
-    ``expectation(apply_circuit(psi, composite_circuit(spec, f, partition)), obs)``
-    bit for bit.  All rows of one variant share a word sequence and run as
-    one batched evolution.
+    Column j holds variant ``variants[j]``; each entry equals the looped
+    oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
+    partition)), obs)`` bit for bit, with the formula, partition, observable,
+    state and base depth taken from ``config``.  All rows of one variant
+    share a word sequence and run as one batched evolution.
     """
     a = np.asarray(a_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
     at, abar_t = a * t, (1.0 - a) * t
-    template = sample_template(f, partition, trotter_steps)
+    template = sample_template(config.formula, config.partition, config.trotter_steps)
 
     def segment(x: np.ndarray, inverted: bool):
         return template.inverted(x) if inverted else template.forward(x)
@@ -229,10 +245,10 @@ def composite_expectations(
         second_tables, second_angles = segment(at, variant in (2, 4))
         columns.append(
             sample_expectations(
-                psi,
+                config.initial_state,
                 first_tables + second_tables,
                 np.hstack([first_angles, second_angles]),
-                obs,
+                config.observable,
             )
         )
     return np.column_stack(columns)
@@ -241,31 +257,23 @@ def composite_expectations(
 def _averaged_expectations(
     a_values: Sequence[float],
     t_values: Sequence[float],
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
-    trotter_steps: int,
+    config: ProfilingConfig,
     *,
     jitter: GaussianJitter | None = None,
 ) -> np.ndarray:
     """Variant-averaged expectation per row; noise is drawn row by row, then per variant."""
     values = composite_expectations(
-        a_values, t_values, probe_variants(f), f, partition, obs, psi, trotter_steps
+        a_values, t_values, probe_variants(config.formula), config
     )
     if jitter is not None:
-        values = np.array([[jitter.perturb(float(v)) for v in row] for row in values])
+        values = jitter.perturb(values)
     return np.mean(values, axis=1)
 
 
 def averaged_expectation(
     a: float,
     t: float,
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
-    trotter_steps: int = 1,
+    config: ProfilingConfig,
     *,
     exact_substitute: bool = False,
     jitter: GaussianJitter | None = None,
@@ -277,47 +285,24 @@ def averaged_expectation(
     the probe family's ideal invariance.
     """
     if exact_substitute:
-        h = partition.hamiltonian
-        state = exact_evolve(h, (1.0 - a) * t, psi)
-        value = expectation(exact_evolve(h, a * t, state), obs)
-        return value if jitter is None else jitter.perturb(value)
-    values = _averaged_expectations(
-        [a],
-        [t],
-        f,
-        partition,
-        obs,
-        psi,
-        trotter_steps,
-        jitter=jitter,
-    )
-    return float(values[0])
+        h = config.partition.hamiltonian
+        state = exact_evolve(h, (1.0 - a) * t, config.initial_state)
+        value = expectation(exact_evolve(h, a * t, state), config.observable)
+        return value if jitter is None else float(jitter.perturb(value))
+    return float(_averaged_expectations([a], [t], config, jitter=jitter)[0])
 
 
 def profile_sweep(
     a_grid: Sequence[float],
     t: float,
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
-    trotter_steps: int = 1,
+    config: ProfilingConfig,
     *,
     jitter: GaussianJitter | None = None,
 ) -> list[ProfileSample]:
     """One averaged sample per grid value, in grid order, from one batch."""
     if len(set(a_grid)) != len(a_grid):
         raise DegenerateInputError("duplicate a values in sweep grid")
-    values = _averaged_expectations(
-        a_grid,
-        [t] * len(a_grid),
-        f,
-        partition,
-        obs,
-        psi,
-        trotter_steps,
-        jitter=jitter,
-    )
+    values = _averaged_expectations(a_grid, [t] * len(a_grid), config, jitter=jitter)
     return [ProfileSample(a, float(v)) for a, v in zip(a_grid, values)]
 
 
@@ -442,14 +427,7 @@ def _window_coefficients(
     return coef
 
 
-def calibrate_basis(
-    f: ProductFormula,
-    partition: PartitionedHamiltonian,
-    obs: OperatorSum,
-    psi: StateVector,
-    *,
-    trotter_steps: int = 1,
-) -> BasisSpec:
+def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     """Empirically decide which error orders the profile fit needs.
 
     Each probe pair ``(a, 1 - a)`` runs at geometric times spanning
@@ -467,9 +445,11 @@ def calibrate_basis(
     of magnitude above any useful threshold in double precision, so a purely
     numerical exclusion test is not reliable there).  An odd ``alpha`` is
     judged numerically like the other orders.  Calibration runs on
-    noiseless values by design and builds no dense matrix.
+    noiseless values by design and builds no dense matrix; a configured
+    ``basis`` is ignored.
     """
-    alpha = f.alpha
+    partition = config.partition
+    alpha = config.formula.alpha
     window = list(range(alpha, 2 * alpha - 1))
     powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
     lo, hi = CALIBRATION_U_WINDOW
@@ -478,17 +458,16 @@ def calibrate_basis(
     t_arr = np.geomspace(lo / scale, hi / scale, count)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
-    exact_vals = expectation_rows(exact_states(partition.hamiltonian, t_arr, psi), obs)
+    exact_vals = expectation_rows(
+        exact_states(partition.hamiltonian, t_arr, config.initial_state),
+        config.observable,
+    )
     # Every probe (a, t) of the error series runs in one batch.
     a_values = sorted({a for pair in pairs for a in pair})
     averaged = _averaged_expectations(
         np.repeat(a_values, len(t_arr)),
         np.tile(t_arr, len(a_values)),
-        f,
-        partition,
-        obs,
-        psi,
-        trotter_steps,
+        config,
     ).reshape(len(a_values), len(t_arr))
     error_series = dict(zip(a_values, averaged - exact_vals))
 
@@ -522,34 +501,9 @@ def calibrate_basis(
     return BasisSpec(tuple(sorted(surviving)), antisymmetric)
 
 
-@dataclass(frozen=True)
-class ProfilingConfig:
-    """Everything a mitigated estimate needs besides the evaluation time.
-
-    An unset ``a_grid`` defaults to the Chebyshev grid sized for the basis;
-    an unset ``basis`` is calibrated.
-    """
-
-    formula: ProductFormula
-    partition: PartitionedHamiltonian
-    observable: OperatorSum
-    initial_state: StateVector
-    trotter_steps: int = 1
-    a_grid: tuple[float, ...] | None = None
-    basis: BasisSpec | None = None
-
-
 def resolve_basis(config: ProfilingConfig) -> BasisSpec:
     """The configured basis, or the calibrated one when left unset."""
-    if config.basis is not None:
-        return config.basis
-    return calibrate_basis(
-        config.formula,
-        config.partition,
-        config.observable,
-        config.initial_state,
-        trotter_steps=config.trotter_steps,
-    )
+    return config.basis if config.basis is not None else calibrate_basis(config)
 
 
 def mitigated_estimate(
@@ -567,16 +521,7 @@ def mitigated_estimate(
     """
     basis = resolve_basis(config)
     grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
-    samples = profile_sweep(
-        grid,
-        t,
-        config.formula,
-        config.partition,
-        config.observable,
-        config.initial_state,
-        config.trotter_steps,
-        jitter=jitter,
-    )
+    samples = profile_sweep(grid, t, config, jitter=jitter)
     fit = fit_profile(samples, basis, config.formula.alpha)
     return fit.y_star, fit
 

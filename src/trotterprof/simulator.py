@@ -9,7 +9,8 @@ exact evolution ``exp(-iHt)|psi>`` is matrix-free: ``exact_states`` applies
 ``H`` from its word tables inside a stepped Taylor series, so measured
 deviations contain only algorithmic error.  ``exact_unitary`` and
 ``circuit_unitary`` build dense matrices and are oracles for tests and
-error-operator extraction only.
+error-operator extraction only.  ``GaussianJitter`` perturbs a whole batch
+of measured values with one call.
 """
 
 from __future__ import annotations
@@ -122,9 +123,6 @@ class Circuit:
                 raise DimensionMismatchError(
                     f"gate on {g.n} qubits in a circuit of {self.n}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVector:
@@ -321,7 +319,12 @@ def exact_states(
     out = np.empty((len(times), v.shape[0]), dtype=complex)
     now = 0.0
     for j, t in enumerate(times):
-        substeps = math.ceil(norm * abs(t - now))
+        span = norm * abs(t - now)
+        if not math.isfinite(span):
+            raise DegenerateInputError(
+                f"evolution time {t!r} overflows: ||H||_1 * |dt| is not finite"
+            )
+        substeps = math.ceil(span)
         for _ in range(substeps):
             _taylor_step(tables, v, (t - now) / substeps, buffers)
         now = float(t)
@@ -376,12 +379,15 @@ class GaussianJitter:
     """Optional additive Gaussian perturbation of measured expectation values.
 
     Exists solely to exercise fit robustness; ``sigma=0`` leaves values exact.
+    One ``perturb`` call on a batch draws what perturbing its entries one by
+    one, in C order, would draw.
     """
 
     sigma: float = 0.0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
-    def perturb(self, value: float) -> float:
+    def perturb(self, values: np.ndarray) -> np.ndarray:
+        """``values`` plus one draw per entry, in C order."""
         if self.sigma == 0.0:
-            return value
-        return value + self.rng.normal(0.0, self.sigma)
+            return values
+        return values + self.rng.normal(0.0, self.sigma, np.shape(values))

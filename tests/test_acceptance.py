@@ -132,10 +132,12 @@ def test_criterion_3_ideal_invariance(tfim_ruth3, paper_state):
         averaged_expectation(
             a,
             t,
-            tfim_ruth3.formula,
-            tfim_ruth3.partition,
-            tfim_ruth3.observable,
-            paper_state,
+            ProfilingConfig(
+                tfim_ruth3.formula,
+                tfim_ruth3.partition,
+                tfim_ruth3.observable,
+                paper_state,
+            ),
             exact_substitute=True,
         )
         for a in (-0.5, 0.0, 0.25, 0.5, 1.0, 1.5)
@@ -226,9 +228,7 @@ def test_criterion_6_ordering_and_ratio(benchmark_curves):
             )
             ep_value, _ = mitigated_estimate(t, profile_cfg)
             weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
-            mpf_value = mpf_estimate(
-                t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state
-            )
+            mpf_value = mpf_estimate(t, weights, profile_cfg)
             ratio = abs(mpf_value - exact) / abs(ep_value - exact)
             ratios[f"{model}/{fname}"] = ratio
             assert ratio >= 10.0

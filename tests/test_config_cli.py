@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 import sys
@@ -28,6 +29,7 @@ from trotterprof import (
     tfim_config,
     write_csv,
 )
+from trotterprof import profiling
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, config_digest
 from trotterprof.report import render_csv
@@ -329,6 +331,87 @@ def test_identity_observable_word_stays_legal(tmp_path, command):
     assert run_command([command, "--config", write_config(tmp_path, doc)]) == 0
 
 
+@pytest.mark.parametrize(
+    ("field", "section", "value"),
+    [
+        (
+            "system.hamiltonian[1].coeff",
+            "system",
+            {
+                "num_qubits": 2,
+                "hamiltonian": [
+                    {"pauli": "ZZ", "coeff": 1.0},
+                    {"pauli": "XI", "coeff": math.inf},
+                    {"pauli": "IX", "coeff": 0.5},
+                ],
+            },
+        ),
+        ("observable[0].coeff", "observable", [{"pauli": "ZI", "coeff": -math.inf}]),
+        (
+            "formula.steps[1]",
+            "formula",
+            {"steps": [[0, 0.5], [1, math.nan], [0, 0.5]], "alpha": 3, "symmetric": True},
+        ),
+        (
+            "initial_state.factors[1][0]",
+            "initial_state",
+            {"factors": [[[1, 0], [0, 0]], [[math.inf, 0], [1, 0]]]},
+        ),
+        ("times.values", "times", {"values": [0.1, math.inf]}),
+        ("profiling.a_grid", "profiling", {"a_grid": [0.0, math.nan, 1.0]}),
+        ("noise.sigma", "noise", {"sigma": math.inf}),
+        # an integer literal too large for a float
+        ("noise.sigma", "noise", {"sigma": 10**400}),
+    ],
+)
+def test_non_finite_numbers_are_rejected_with_their_path(
+    tmp_path, capsys, field, section, value
+):
+    # json.loads reads NaN and Infinity; a document must not smuggle them in
+    doc = sample_document()
+    doc.pop("output")
+    doc[section] = value
+    with pytest.raises(ConfigError, match="must be finite") as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == field
+    path = write_config(tmp_path, doc)
+    assert run_command(["run", "--method", "trotter", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_a_time_too_large_to_step_is_a_degenerate_input(tmp_path, capsys):
+    doc = {"preset": "tfim-ruth3", "times": {"values": [1e308]}}
+    assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "evolution time 1e+308 overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_profile_time_must_be_positive_and_finite(capsys, value):
+    code = run_command(["profile", "--preset", "tfim-ruth3", f"--time={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--time must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+def test_round_trip_keeps_a_custom_table_and_linear_times():
+    doc = sample_document()
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    doc["times"] = {"start": 0.1, "stop": 0.5, "points": 5, "scale": "linear"}
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.formula_name is None
+    assert cfg.times == tuple(np.linspace(0.1, 0.5, 5))
+    once = serialize_config(cfg)
+    again = parse_config(once)
+    assert serialize_config(again) == once
+    assert again.formula == cfg.formula
+    assert again.times == cfg.times
+
+
 def test_shipped_documents_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -613,6 +696,17 @@ def test_cost_defaults_to_the_depth_and_counts_that_run_uses(tmp_path, capsys):
     assert "depth 6 steps" in capsys.readouterr().out
     assert run_command(["cost", "--preset", "tfim-ruth3"]) == 0
     assert "multi-product (counts 1, 2): 2 circuits" in capsys.readouterr().out
+
+
+def test_cost_counts_a_configured_grid_without_calibrating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cost must not calibrate when profiling.a_grid is set")
+
+    monkeypatch.setattr(profiling, "calibrate_basis", refuse)
+    grid = [-0.5, -0.2, 0.1, 0.5, 0.9, 1.2, 1.5]
+    doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": grid}}
+    assert run_command(["cost", "--config", write_config(tmp_path, doc)]) == 0
+    assert "(grid 7)" in capsys.readouterr().out
 
 
 def test_cost_command(tmp_path, capsys):

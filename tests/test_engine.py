@@ -156,8 +156,7 @@ def test_composite_values_match_the_looped_circuits(name, variant, points, n):
     cfg = CONFIGS[name]
     a_values, t_values = zip(*points)
     batched = composite_expectations(
-        a_values, t_values, (variant,), cfg.formula, cfg.partition,
-        cfg.observable, cfg.initial_state, n,
+        a_values, t_values, (variant,), replace(cfg, trotter_steps=n)
     )
     assert batched.shape == (len(points), 1)
     for (a, t), value in zip(points, batched[:, 0]):
@@ -178,9 +177,7 @@ def test_trotter_curve_matches_the_looped_circuits(name, ts, n):
 def test_mpf_estimate_matches_the_looped_circuits(name, t, counts):
     cfg = CONFIGS[name]
     weights = mpf_weights(sorted(counts), cfg.formula.alpha, cfg.formula.symmetric)
-    batched = mpf_estimate(
-        t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state
-    )
+    batched = mpf_estimate(t, weights, cfg)
     looped = sum(
         w * looped_trotter(cfg, t, s) for w, s in zip(weights.weights, weights.step_counts)
     )
@@ -199,7 +196,7 @@ def test_noisy_sweep_draws_match_the_looped_path(name, grid, t, n, seed):
     cfg = CONFIGS[name]
     sigma = 1e-3
     samples = profile_sweep(
-        grid, t, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state, n,
+        grid, t, replace(cfg, trotter_steps=n),
         jitter=GaussianJitter(sigma, np.random.default_rng(seed)),
     )
     jitter = GaussianJitter(sigma, np.random.default_rng(seed))
@@ -223,8 +220,7 @@ def test_noisy_trotter_and_mpf_draws_match_the_looped_path(name, seed):
     weights = mpf_weights((1, 2, 3), cfg.formula.alpha, cfg.formula.symmetric)
     for t, s in ((0.2, seed), (0.7, seed + 1)):
         batched = mpf_estimate(
-            t, weights, cfg.formula, cfg.partition, cfg.observable, cfg.initial_state,
-            jitter=GaussianJitter(1e-3, np.random.default_rng(s)),
+            t, weights, cfg, jitter=GaussianJitter(1e-3, np.random.default_rng(s))
         )
         jitter = GaussianJitter(1e-3, np.random.default_rng(s))
         looped = sum(

@@ -15,6 +15,7 @@ from trotterprof import (
     OperatorSum,
     PauliTerm,
     ProductFormula,
+    ProfilingConfig,
     averaged_expectation,
     circuit_cost,
     compile_circuit,
@@ -97,7 +98,9 @@ def test_xxz_total_magnetization_is_error_free(xxz_ruth3, paper_state):
     for t in (0.3, 0.9):
         exact = expectation(exact_evolve(h, t, paper_state), total_z)
         averaged = averaged_expectation(
-            0.3, t, xxz_ruth3.formula, xxz_ruth3.partition, total_z, paper_state
+            0.3,
+            t,
+            ProfilingConfig(xxz_ruth3.formula, xxz_ruth3.partition, total_z, paper_state),
         )
         assert expectation(paper_state, total_z) == pytest.approx(exact, abs=1e-12)
         assert averaged == pytest.approx(exact, abs=1e-13)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from trotterprof import (
     DegenerateInputError,
     MPFOptions,
+    ProfilingConfig,
     SingularFitError,
     critical_n,
     expectation,
@@ -81,10 +82,9 @@ def test_estimate_single_count_matches_plain(tfim_ruth3, paper_state):
     estimate = mpf_estimate(
         t,
         w,
-        tfim_ruth3.formula,
-        tfim_ruth3.partition,
-        tfim_ruth3.observable,
-        paper_state,
+        ProfilingConfig(
+            tfim_ruth3.formula, tfim_ruth3.partition, tfim_ruth3.observable, paper_state
+        ),
     )
     plain = expectation(
         apply_circuit(

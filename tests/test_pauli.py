@@ -199,7 +199,7 @@ def test_hermitian_flag_validation():
 def test_operator_algebra_dunders():
     z = OperatorSum.from_terms([PauliTerm("Z")])
     x = OperatorSum.from_terms([PauliTerm("X")])
-    combo = 2.0 * z + x - z
+    combo = z.scaled(2.0) + x - z
     assert combo.as_dict() == {"Z": 1.0 + 0j, "X": 1.0 + 0j}
     squared = (z + x) * (z + x)
     # (Z + X)^2 = 2I since ZX + XZ = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,7 @@ def test_variant_two_exact_substitution_is_a_independent(tfim_ruth3, paper_state
         averaged_expectation(
             a,
             t,
-            tfim_ruth3.formula,
-            tfim_ruth3.partition,
-            tfim_ruth3.observable,
-            paper_state,
+            replace(tfim_ruth3, initial_state=paper_state),
             exact_substitute=True,
         )
         for a in (-0.3, 0.0, 0.3, 0.5, 0.9, 1.4)
@@ -125,18 +123,12 @@ def test_symmetric_formula_endpoints_agree(tfim_suzuki4, paper_state):
     at_one = averaged_expectation(
         1.0,
         t,
-        tfim_suzuki4.formula,
-        tfim_suzuki4.partition,
-        tfim_suzuki4.observable,
-        paper_state,
+        replace(tfim_suzuki4, initial_state=paper_state),
     )
     at_zero = averaged_expectation(
         0.0,
         t,
-        tfim_suzuki4.formula,
-        tfim_suzuki4.partition,
-        tfim_suzuki4.observable,
-        paper_state,
+        replace(tfim_suzuki4, initial_state=paper_state),
     )
     assert at_one == pytest.approx(at_zero, abs=1e-12)
 
@@ -169,8 +161,7 @@ def test_symmetric_formula_variants_coincide(setup, points, n):
     assert f.symmetric
     a_values, t_values = zip(*points)
     rows = profiling.composite_expectations(
-        a_values, t_values, (1, 2, 3, 4), f, cfg.partition,
-        cfg.observable, cfg.initial_state, n,
+        a_values, t_values, (1, 2, 3, 4), replace(cfg, formula=f, trotter_steps=n)
     )
     assert float(np.max(np.ptp(rows, axis=1))) <= 1e-10
 
@@ -186,10 +177,7 @@ def test_averaged_error_shrinks_at_the_formula_order(tfim_ruth3, paper_state):
             averaged_expectation(
                 0.5,
                 t,
-                tfim_ruth3.formula,
-                tfim_ruth3.partition,
-                tfim_ruth3.observable,
-                paper_state,
+                replace(tfim_ruth3, initial_state=paper_state),
             )
             - exact
         )
@@ -209,10 +197,7 @@ def test_sweep_single_point_matches_plain_trotter(tfim_suzuki4, paper_state):
     samples = profile_sweep(
         [1.0],
         t,
-        tfim_suzuki4.formula,
-        tfim_suzuki4.partition,
-        tfim_suzuki4.observable,
-        paper_state,
+        replace(tfim_suzuki4, initial_state=paper_state),
     )
     plain = expectation(
         apply_circuit(
@@ -232,10 +217,7 @@ def test_sweep_single_point_near_plain_for_asymmetric(tfim_ruth3, paper_state):
     sample = profile_sweep(
         [1.0],
         t,
-        tfim_ruth3.formula,
-        tfim_ruth3.partition,
-        tfim_ruth3.observable,
-        paper_state,
+        replace(tfim_ruth3, initial_state=paper_state),
     )[0]
     plain = expectation(
         apply_circuit(
@@ -250,10 +232,7 @@ def test_sweep_varies_with_a_on_real_circuits(tfim_ruth3, paper_state):
     samples = profile_sweep(
         default_a_grid(2),
         0.4,
-        tfim_ruth3.formula,
-        tfim_ruth3.partition,
-        tfim_ruth3.observable,
-        paper_state,
+        replace(tfim_ruth3, initial_state=paper_state),
     )
     values = [s.value for s in samples]
     assert max(values) - min(values) > 1e-12
@@ -264,10 +243,7 @@ def test_sweep_rejects_duplicate_grid_values(tfim_ruth3, paper_state):
         profile_sweep(
             [0.3, 0.3],
             0.4,
-            tfim_ruth3.formula,
-            tfim_ruth3.partition,
-            tfim_ruth3.observable,
-            paper_state,
+            replace(tfim_ruth3, initial_state=paper_state),
         )
 
 
@@ -344,10 +320,7 @@ def test_fit_mitigates_benchmark_error(tfim_ruth3, paper_state):
     samples = profile_sweep(
         default_a_grid(2),
         t,
-        tfim_ruth3.formula,
-        tfim_ruth3.partition,
-        tfim_ruth3.observable,
-        paper_state,
+        replace(tfim_ruth3, initial_state=paper_state),
     )
     fit = fit_profile(samples, basis, tfim_ruth3.formula.alpha)
     assert abs(fit.y_star - exact) < abs(plain - exact) / 100
@@ -364,10 +337,7 @@ def test_mitigated_estimate_exact_substitution(tfim_ruth3, paper_state):
             averaged_expectation(
                 a,
                 t,
-                tfim_ruth3.formula,
-                tfim_ruth3.partition,
-                tfim_ruth3.observable,
-                paper_state,
+                replace(tfim_ruth3, initial_state=paper_state),
                 exact_substitute=True,
             ),
         )
@@ -677,7 +647,7 @@ def test_matrix_element_cross_validates_fitted_coefficient(zx_partition):
     t = 0.02
     basis = BasisSpec((3, 4), include_antisymmetric=True)
     samples = profile_sweep(
-        default_a_grid(2), t, f, zx_partition, obs, psi
+        default_a_grid(2), t, ProfilingConfig(f, zx_partition, obs, psi)
     )
     fit = fit_profile(samples, basis, alpha=3)
     fitted_leading = fit.coefficients[3] / t**3
