@@ -2,10 +2,12 @@
 
 Configs are JSON documents with sections for the system, its partition into
 commuting fragments, the product formula, initial state, observable, time
-grid, and per-method options.  A document either names a ``preset``
-(``tfim-ruth3``, ``tfim-suzuki4``, ``xxz-ruth3``, ``xxz-suzuki4``, with
-optional overrides of the option sections) or spells out the full system.
-Parsing then re-serializing yields a semantically identical document.
+grid, and per-method options.  A document either names a ``preset`` or
+spells out the full system.  Each preset (``tfim-ruth3``, ``tfim-suzuki4``,
+``xxz-ruth3``, ``xxz-suzuki4``) is itself a document in ``PRESETS``, built
+by the same parser, so ``{"preset": name, ...}`` is that document with the
+given option sections applied.  Parsing then re-serializing yields a
+semantically identical document.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, FormulaError, HermiticityError, TrotterProfError
-from .experiments import (
-    ExperimentConfig,
-    MPFOptions,
-    tfim_config,
-    xxz_config,
-)
+from .experiments import ExperimentConfig, MPFOptions
 from .formulas import (
     FORMULA_NAMES,
     Fragment,
@@ -37,29 +34,72 @@ from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec
 from .simulator import StateVector, init_product_state
 
-PRESETS = ("tfim-ruth3", "tfim-suzuki4", "xxz-ruth3", "xxz-suzuki4")
-
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
 _SYSTEM_SECTIONS = ("system", "partition", "formula", "initial_state", "observable")
 _TERM_KEYS = ("pauli", "coeff")
 
 
+def _terms(*pairs: tuple[str, float]) -> list[dict]:
+    return [{"pauli": word, "coeff": coeff} for word, coeff in pairs]
+
+
+# The paper's two four-site chains with open boundaries, both started from
+# |0> (|0> + i|1>)/sqrt2 |+> |1>.
+_PAPER_STATE = {
+    "factors": [[[1, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+}
+_THIRD = 1.0 / 3.0
+
+# Transverse-field Ising: J = 1 on each bond and h = 1/3 on each site.  The
+# ZZ fragment lists the odd bonds (1,2), (3,4) before the even bond (2,3);
+# the observable mixes both layers.
+_TFIM = {
+    "system": {"num_qubits": 4, "hamiltonian": _terms(
+        ("ZZII", 1.0), ("IIZZ", 1.0), ("IZZI", 1.0),
+        ("XIII", _THIRD), ("IXII", _THIRD), ("IIXI", _THIRD), ("IIIX", _THIRD),
+    )},
+    "partition": [[0, 1, 2], [3, 4, 5, 6]],
+    "initial_state": _PAPER_STATE,
+    "observable": _terms(
+        ("XIII", 0.25), ("IXII", 0.25), ("IIXI", 0.25), ("IIIX", 0.25),
+        ("ZZII", _THIRD), ("IZZI", _THIRD), ("IIZZ", _THIRD),
+    ),
+}
+
+# XXZ: each bond carries XX + YY + (1/3) ZZ; the outer bonds form one
+# commuting fragment and the middle bond the other.  The observable is
+# (1/4) sum_i Z_i + (1/2)(Z_2 - Z_3).  Every bond commutes with sum_i Z_i,
+# so the exact evolution and every circuit conserve that sum and its Trotter
+# error is zero (tests/test_experiments.py checks this); the imbalance term is
+# what makes the error visible.
+_XXZ = {
+    "system": {"num_qubits": 4, "hamiltonian": _terms(
+        ("XXII", 1.0), ("YYII", 1.0), ("ZZII", _THIRD),
+        ("IIXX", 1.0), ("IIYY", 1.0), ("IIZZ", _THIRD),
+        ("IXXI", 1.0), ("IYYI", 1.0), ("IZZI", _THIRD),
+    )},
+    "partition": [[0, 1, 2, 3, 4, 5], [6, 7, 8]],
+    "initial_state": _PAPER_STATE,
+    "observable": _terms(
+        ("ZIII", 0.25), ("IZII", 0.75), ("IIZI", -0.25), ("IIIZ", 0.25)
+    ),
+}
+
+#: The built-in benchmark setups: the system sections of a full document.
+PRESETS = {
+    f"{model}-{formula}": {**system, "formula": formula}
+    for model, system in (("tfim", _TFIM), ("xxz", _XXZ))
+    for formula in ("ruth3", "suzuki4")
+}
+
+
 def preset_config(name: str) -> ExperimentConfig:
     """Materialize one of the built-in benchmark setups."""
-    try:
-        model, formula = name.split("-", 1)
-    except ValueError:
-        raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}", "preset")
-    if model == "tfim":
-        builder = tfim_config
-    elif model == "xxz":
-        builder = xxz_config
-    else:
-        raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}", "preset")
-    try:
-        return builder(formula)
-    except FormulaError as exc:
-        raise ConfigError(str(exc), "preset") from exc
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; choose from {', '.join(PRESETS)}", "preset"
+        )
+    return _parse_system(PRESETS[name])
 
 
 @dataclass(frozen=True)

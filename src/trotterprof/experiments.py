@@ -1,10 +1,11 @@
-"""End-to-end error-scaling studies on the two reference spin chains.
+"""End-to-end error-scaling studies: curves, slopes and cost.
 
-Builds the transverse-field Ising and XXZ benchmark setups, sweeps the
-evaluation time for the plain iterated circuit, the profiling method, and
-the multi-product baseline, and fits log-log error slopes.  Gate budgets
-for both mitigation strategies are counted from the formula's step table,
-the rotation sequence every compiled circuit follows.
+``ExperimentConfig`` is one full setup; ``config`` parses it from a document
+or a preset.  The studies sweep the evaluation time for the plain iterated
+circuit, the profiling method, and the multi-product baseline, and fit
+log-log error slopes.  Gate budgets for both mitigation strategies are
+counted from the formula's step table, the rotation sequence every compiled
+circuit follows.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, FormulaError
+from .errors import DegenerateInputError
 from .formulas import (
-    Fragment,
     PartitionedHamiltonian,
     ProductFormula,
-    builtin_formula,
     sample_template,
     step_terms,
 )
 from .mpf import mpf_estimate, mpf_weights
-from .pauli import OperatorSum, PauliTerm
 from .profiling import (
     ProfilingConfig,
     mitigated_estimate,
@@ -35,7 +33,6 @@ from .simulator import (
     GaussianJitter,
     exact_states,
     expectation_rows,
-    init_product_state,
     sample_expectations,
 )
 
@@ -82,6 +79,10 @@ class ExperimentConfig(ProfilingConfig):
             raise DegenerateInputError("evaluation times must be positive")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise DegenerateInputError("evaluation times must strictly increase")
+        if self.seed < 0:
+            raise DegenerateInputError(
+                f"noise seed must be a non-negative integer, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,103 +109,6 @@ class ErrorCurve:
 
     def errors(self) -> np.ndarray:
         return np.array([p.abs_error for p in self.points])
-
-
-_PAPER_STATE_FACTORS = ((1, 0), (1, 1j), (1, 1), (0, 1))
-
-
-def _chain_words(n: int, body: str, site: int) -> str:
-    prefix = "I" * site
-    suffix = "I" * (n - site - len(body))
-    return prefix + body + suffix
-
-
-def tfim_config(formula_name: str) -> ExperimentConfig:
-    """Transverse-field Ising chain on four sites, open boundaries.
-
-    Couplings J = 1 on the three bonds and field h = 1/3 on every site; the
-    splitting alternates the ZZ layer (odd bonds before the even bond) with
-    the X layer.  The observable mixes both layers and the start state is a
-    fixed product state.
-    """
-    if formula_name not in ("ruth3", "suzuki4"):
-        raise FormulaError(
-            f"benchmark formula must be ruth3 or suzuki4, got {formula_name!r}"
-        )
-    n = 4
-    zz_bonds = [0, 2, 1]  # odd bonds (1,2), (3,4) first, then the even bond (2,3)
-    zz_terms = [PauliTerm(_chain_words(n, "ZZ", b), 1.0) for b in zz_bonds]
-    x_terms = [PauliTerm(_chain_words(n, "X", i), 1.0 / 3.0) for i in range(n)]
-    partition = PartitionedHamiltonian(
-        (
-            Fragment(OperatorSum.from_terms(zz_terms)),
-            Fragment(OperatorSum.from_terms(x_terms)),
-        ),
-        n,
-    )
-    observable = OperatorSum.from_terms(
-        [PauliTerm(_chain_words(n, "X", i), 0.25) for i in range(n)]
-        + [PauliTerm(_chain_words(n, "ZZ", b), 1.0 / 3.0) for b in range(3)]
-    )
-    formula = builtin_formula(formula_name, partition)
-    return ExperimentConfig(
-        partition=partition,
-        formula=formula,
-        observable=observable,
-        initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        formula_name=formula_name,
-    )
-
-
-def xxz_config(formula_name: str) -> ExperimentConfig:
-    """Anisotropic Heisenberg chain on four sites, open boundaries.
-
-    Each bond carries XX + YY + (1/3) ZZ; the two outer bonds form one
-    commuting fragment and the middle bond the other, so a bond exponential
-    splits exactly into three rotations.
-
-    The observable is the average magnetization plus a middle-bond
-    imbalance probe, (1/4) sum_i Z_i + (1/2)(Z_2 - Z_3).  The plain average
-    alone is useless here: every bond term commutes with sum(Z_i), so the
-    exact evolution and every compiled circuit in the probe family conserve
-    it exactly and its Trotter error vanishes identically (see
-    tests/test_experiments.py for the check).  The imbalance term breaks
-    that degeneracy; being conserved, the average part adds no error of its
-    own and keeps the observable magnetization-like.
-    """
-    if formula_name not in ("ruth3", "suzuki4"):
-        raise FormulaError(
-            f"benchmark formula must be ruth3 or suzuki4, got {formula_name!r}"
-        )
-    n = 4
-    eta = 1.0 / 3.0
-
-    def bond_terms(site: int) -> list[PauliTerm]:
-        return [
-            PauliTerm(_chain_words(n, "XX", site), 1.0),
-            PauliTerm(_chain_words(n, "YY", site), 1.0),
-            PauliTerm(_chain_words(n, "ZZ", site), eta),
-        ]
-
-    partition = PartitionedHamiltonian(
-        (
-            Fragment(OperatorSum.from_terms(bond_terms(0) + bond_terms(2))),
-            Fragment(OperatorSum.from_terms(bond_terms(1))),
-        ),
-        n,
-    )
-    weights = (0.25, 0.25 + 0.5, 0.25 - 0.5, 0.25)
-    observable = OperatorSum.from_terms(
-        [PauliTerm(_chain_words(n, "Z", i), w) for i, w in enumerate(weights)]
-    )
-    formula = builtin_formula(formula_name, partition)
-    return ExperimentConfig(
-        partition=partition,
-        formula=formula,
-        observable=observable,
-        initial_state=init_product_state(_PAPER_STATE_FACTORS),
-        formula_name=formula_name,
-    )
 
 
 def worker_count() -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -168,9 +168,6 @@ class OperatorSum:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def as_dict(self) -> Mapping[str, complex]:
-        return {t.word: t.coeff for t in self.terms}
 
     def one_norm(self) -> float:
         """Sum of coefficient magnitudes; an upper bound on the spectral norm."""

@@ -50,6 +50,11 @@ BATCH_AMPLITUDES = 1 << 18
 TAYLOR_TOL = 2.0**-53
 TAYLOR_MAX_TERMS = 40
 
+#: An exact evolution refuses to take more Taylor sub-steps than this, in
+#: total over its times.  A sub-step costs about 0.4 ms at 4 qubits, so the
+#: limit is about 6 minutes there; more than that is an input mistake.
+MAX_TAYLOR_SUBSTEPS = 10**6
+
 #: ``(perm, phase)`` of a Pauli word, as built by ``pauli._word_tables``.
 WordTables = tuple[np.ndarray, np.ndarray]
 
@@ -317,17 +322,22 @@ def exact_states(
     v = state.amplitudes.copy()
     buffers = (np.empty_like(v), np.empty_like(v), np.empty_like(v))
     out = np.empty((len(times), v.shape[0]), dtype=complex)
-    now = 0.0
-    for j, t in enumerate(times):
+    starts, substeps = [0.0, *times], []
+    for t, now in zip(times, starts):
         span = norm * abs(t - now)
         if not math.isfinite(span):
             raise DegenerateInputError(
                 f"evolution time {t!r} overflows: ||H||_1 * |dt| is not finite"
             )
-        substeps = math.ceil(span)
-        for _ in range(substeps):
-            _taylor_step(tables, v, (t - now) / substeps, buffers)
-        now = float(t)
+        substeps.append(math.ceil(span))
+    if sum(substeps) > MAX_TAYLOR_SUBSTEPS:
+        raise DegenerateInputError(
+            f"evolution to time {float(max(times, key=abs))!r} at ||H||_1 ="
+            f" {norm:.6g} needs more than {MAX_TAYLOR_SUBSTEPS} Taylor sub-steps"
+        )
+    for j, (t, now, count) in enumerate(zip(times, starts, substeps)):
+        for _ in range(count):
+            _taylor_step(tables, v, (t - now) / count, buffers)
         out[j] = v
     return out
 

@@ -11,29 +11,28 @@ from trotterprof import (
     PartitionedHamiltonian,
     PauliTerm,
     init_product_state,
-    tfim_config,
-    xxz_config,
+    preset_config,
 )
 
 
 @pytest.fixture(scope="session")
 def tfim_ruth3():
-    return tfim_config("ruth3")
+    return preset_config("tfim-ruth3")
 
 
 @pytest.fixture(scope="session")
 def tfim_suzuki4():
-    return tfim_config("suzuki4")
+    return preset_config("tfim-suzuki4")
 
 
 @pytest.fixture(scope="session")
 def xxz_ruth3():
-    return xxz_config("ruth3")
+    return preset_config("xxz-ruth3")
 
 
 @pytest.fixture(scope="session")
 def xxz_suzuki4():
-    return xxz_config("suzuki4")
+    return preset_config("xxz-suzuki4")
 
 
 @pytest.fixture(scope="session")

@@ -45,12 +45,11 @@ from trotterprof import (
     mpf_estimate,
     mpf_weights,
     averaged_expectation,
+    preset_config,
     run_error_curve,
     sign_stable_mask,
     stable_slope_fit,
-    tfim_config,
     to_dense,
-    xxz_config,
 )
 from trotterprof.profiling import composite_circuit
 from trotterprof.simulator import Circuit, PauliRotation
@@ -66,9 +65,9 @@ def report(criterion: int, message: str) -> None:
 def benchmark_curves():
     """Error curves for every (model, formula, method) cell on the default grid."""
     curves = {}
-    for model, builder in (("tfim", tfim_config), ("xxz", xxz_config)):
+    for model in ("tfim", "xxz"):
         for fname in ("ruth3", "suzuki4"):
-            cfg = builder(fname)
+            cfg = preset_config(f"{model}-{fname}")
             for method in ("trotter", "ep", "mpf"):
                 curves[(model, fname, method)] = run_error_curve(cfg, method)
     return curves
@@ -217,9 +216,9 @@ def test_criterion_6_ordering_and_ratio(benchmark_curves):
 
     # mitigation gap at t = 0.2, evaluated directly at that time
     ratios = {}
-    for model, builder in (("tfim", tfim_config), ("xxz", xxz_config)):
+    for model in ("tfim", "xxz"):
         for fname in ("ruth3", "suzuki4"):
-            cfg = builder(fname)
+            cfg = preset_config(f"{model}-{fname}")
             t = 0.2
             h = cfg.partition.hamiltonian
             exact = expectation(exact_evolve(h, t, cfg.initial_state), cfg.observable)

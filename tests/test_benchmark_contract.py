@@ -10,11 +10,17 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import trotterprof
+from trotterprof import config
 
 ROOT = Path(__file__).resolve().parents[1]
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 #: ``module: names`` that ``perfbench/child.py`` imports or rebinds itself.
 CHILD_BINDINGS = {
@@ -57,3 +63,15 @@ def test_every_benchmark_binding_exists():
         for alias in node.names
     ]
     assert sorted(trotterprof.__all__) == sorted(imported)
+
+
+def test_presets_match_the_benchmark_reference_documents():
+    """Each preset is the paper setup the benchmark wrote down on its own."""
+    assert tuple(config.PRESETS) == workloads.PRESETS
+    for name in config.PRESETS:
+        reference = config.parse_config(
+            json.dumps(workloads.preset_reference_document(name))
+        )
+        assert config.serialize_config(config.preset_config(name)) == (
+            config.serialize_config(reference)
+        )

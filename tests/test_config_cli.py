@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -26,7 +28,6 @@ from trotterprof import (
     serialize_config,
     slope_fit,
     stable_slope_fit,
-    tfim_config,
     write_csv,
 )
 from trotterprof import profiling
@@ -101,11 +102,20 @@ def test_round_trip_is_semantically_stable(
     assert once == twice
 
 
-def test_preset_matches_builder():
-    preset = parse_config(json.dumps({"preset": "tfim-ruth3"}))
-    direct = tfim_config("ruth3")
-    assert serialize_config(preset) == serialize_config(direct)
-    assert config_digest(preset) == config_digest(direct)
+#: ``config-sha256`` of each preset's CSVs: editing a preset document changes it.
+PRESET_DIGESTS = {
+    "tfim-ruth3": "080ac2aa40644e34e81f9e3856cd5836c14e0fe6713c737ac8b5fb33bb928411",
+    "tfim-suzuki4": "113f138bc5f03d2ec5f5d64e8bf9cc7bac6746c6402b2efeaa1a3eaa7b5028cc",
+    "xxz-ruth3": "8035ff78fc8b7656b5580bdf1d89c31301d42c5accfc9b6ba7cc60e1c81b4ad7",
+    "xxz-suzuki4": "c367417aa4518f6faac77f7bd7bad2ac015391323e8678c28674a5fc689545bf",
+}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_digest_is_pinned(name):
+    assert config_digest(preset_config(name)) == PRESET_DIGESTS[name]
+    document = parse_config(json.dumps({"preset": name}))
+    assert config_digest(document) == PRESET_DIGESTS[name]
 
 
 @pytest.mark.parametrize(
@@ -386,6 +396,46 @@ def test_a_time_too_large_to_step_is_a_degenerate_input(tmp_path, capsys):
     assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert "evolution time 1e+308 overflows" in err
+    assert "Traceback" not in err
+
+
+def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
+    # ||H||_1 * t is finite, but stepping to t would take about 4e300 sub-steps
+    doc = {"preset": "tfim-ruth3", "times": {"values": [1e300]}}
+    argv = ["run", "--method", "trotter", "--config", write_config(tmp_path, doc)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trotterprof.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert "evolution to time 1e+300" in done.stderr
+    assert "Taylor sub-steps" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "noise, flags",
+    [
+        ({"sigma": 0.001, "seed": -5}, []),
+        ({"sigma": 0.0, "seed": -5}, []),
+        ({"sigma": 0.001, "seed": 5}, ["--seed", "-5"]),
+        (None, ["--seed", "-5"]),
+    ],
+    ids=["document", "document-noiseless", "flag", "flag-preset"],
+)
+def test_a_negative_noise_seed_is_a_config_error(tmp_path, capsys, noise, flags):
+    if noise is None:
+        source = ["--preset", "tfim-ruth3"]
+    else:
+        doc = {"preset": "tfim-ruth3", "noise": noise}
+        source = ["--config", write_config(tmp_path, doc)]
+    assert run_command(["run", "--method", "trotter", *source, *flags]) == 1
+    err = capsys.readouterr().err
+    assert "noise seed must be a non-negative integer, got -5" in err
     assert "Traceback" not in err
 
 
@@ -676,7 +726,7 @@ def test_slope_reads_sign_stable_points(capsys):
     code = run_command(["slope", "--preset", "tfim-ruth3", "--method", "mpf"])
     captured = capsys.readouterr()
     assert code == 0
-    curve = run_error_curve(tfim_config("ruth3"), "mpf")
+    curve = run_error_curve(preset_config("tfim-ruth3"), "mpf")
     stable = stable_slope_fit(curve, (0.1, 0.5))
     assert f"mpf      slope {stable:+.3f} over" in captured.out
     # this curve changes sign inside the window, so the raw fit reads differently

@@ -9,6 +9,7 @@ import pytest
 
 from trotterprof import (
     CompositeSpec,
+    ConfigError,
     DegenerateInputError,
     ErrorCurve,
     FormulaError,
@@ -29,7 +30,6 @@ from trotterprof import (
     sign_stable_mask,
     slope_fit,
     stable_slope_fit,
-    tfim_config,
     to_dense,
 )
 from trotterprof.config import PRESETS
@@ -63,8 +63,8 @@ def test_tfim_partition_layers(tfim_ruth3):
 
 
 def test_tfim_rejects_low_order_formula_names():
-    with pytest.raises(FormulaError):
-        tfim_config("lie1")
+    with pytest.raises(ConfigError):
+        preset_config("tfim-lie1")
 
 
 def test_xxz_bond_fragments_commute_internally(xxz_ruth3):
@@ -79,7 +79,7 @@ def test_xxz_fragments_rebuild_hamiltonian(xxz_ruth3):
         for body, coeff in (("XX", 1.0), ("YY", 1.0), ("ZZ", 1 / 3)):
             word = "I" * site + body + "I" * (2 - site)
             expected[word] = coeff
-    assert {w: c.real for w, c in total.as_dict().items()} == pytest.approx(expected)
+    assert {t.word: t.coeff.real for t in total.terms} == pytest.approx(expected)
 
 
 def test_xxz_observable_on_all_zeros(xxz_ruth3):

@@ -71,7 +71,7 @@ def test_commutator_examples():
     z = OperatorSum.from_terms([PauliTerm("Z")])
     x = OperatorSum.from_terms([PauliTerm("X")])
     result = commutator(z, x)
-    assert result.as_dict() == {"Y": 2j}
+    assert result.terms == (PauliTerm("Y", 2j),)
 
     zz = OperatorSum.from_terms([PauliTerm("ZZ")])
     ii = OperatorSum.from_terms([PauliTerm("II")])
@@ -174,7 +174,7 @@ def test_canonicalization_merges_and_drops():
     merged = OperatorSum.from_terms(
         [PauliTerm("ZZ", 1.0), PauliTerm("ZZ", 0.5), PauliTerm("XX", 1e-20)]
     )
-    assert merged.as_dict() == {"ZZ": 1.5}
+    assert merged.terms == (PauliTerm("ZZ", 1.5),)
 
     cancelled = OperatorSum.from_terms([PauliTerm("Z", 1.0), PauliTerm("Z", -1.0)])
     assert len(cancelled) == 0
@@ -200,10 +200,10 @@ def test_operator_algebra_dunders():
     z = OperatorSum.from_terms([PauliTerm("Z")])
     x = OperatorSum.from_terms([PauliTerm("X")])
     combo = z.scaled(2.0) + x - z
-    assert combo.as_dict() == {"Z": 1.0 + 0j, "X": 1.0 + 0j}
+    assert combo.terms == (PauliTerm("Z", 1.0), PauliTerm("X", 1.0))
     squared = (z + x) * (z + x)
     # (Z + X)^2 = 2I since ZX + XZ = 0
-    assert squared.as_dict() == {"I": 2.0 + 0j}
+    assert squared.terms == (PauliTerm("I", 2.0),)
 
 
 def test_term_word_validation():

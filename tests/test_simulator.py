@@ -208,6 +208,20 @@ def test_stepping_through_times_matches_single_time_calls(h, times, seed):
         assert np.max(np.abs(row - exact_evolve(h, t, psi).amplitudes)) <= 1e-12
 
 
+def test_a_long_evolution_still_matches_the_eigh_oracle(tfim_ruth3):
+    # ||H||_1 = 13/3, so t = 50 takes 217 Taylor sub-steps
+    h, psi = tfim_ruth3.partition.hamiltonian, tfim_ruth3.initial_state
+    oracle = exact_unitary(h, 50.0) @ psi.amplitudes
+    assert np.max(np.abs(exact_evolve(h, 50.0, psi).amplitudes - oracle)) <= 1e-10
+
+
+def test_too_many_taylor_sub_steps_in_total_are_refused():
+    # each step needs 6e5 sub-steps, under the limit; together they exceed it
+    h = OperatorSum.from_terms([PauliTerm("X", 1.0)])
+    with pytest.raises(DegenerateInputError, match="time 1200000.0 at .* more than"):
+        exact_states(h, [6e5, 1.2e6], init_product_state([(1, 0)]))
+
+
 def test_exact_evolve_requires_hermitian(rng):
     bad = OperatorSum.from_terms([PauliTerm("Z", 1j)])
     with pytest.raises(HermiticityError):
