@@ -21,7 +21,14 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, FormulaError, HermiticityError, TrotterProfError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    FormulaError,
+    HermiticityError,
+    SingularFitError,
+    TrotterProfError,
+)
 from .experiments import ExperimentConfig, MPFOptions
 from .formulas import (
     FORMULA_NAMES,
@@ -31,7 +38,7 @@ from .formulas import (
     builtin_formula,
 )
 from .pauli import OperatorSum, PauliTerm
-from .profiling import BasisSpec
+from .profiling import BasisSpec, check_grid
 from .simulator import StateVector, init_product_state
 
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
@@ -365,8 +372,6 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     if a_grid is not None:
         values = _expect(a_grid, list, "profiling.a_grid")
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
-        if len(set(grid)) != len(grid):
-            raise ConfigError("duplicate a values in profiling.a_grid", "profiling.a_grid")
     basis = cfg.basis
     extra = entry.get("n_extra_orders")
     if extra is None and "include_antisymmetric" in entry:
@@ -389,6 +394,12 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
                 "profiling.include_antisymmetric",
             )
         basis = BasisSpec(tuple(range(alpha, top + 1)), anti)
+    if grid is not None:
+        # A calibrated basis is known only at run time; it is checked there.
+        try:
+            check_grid(grid, basis)
+        except (DegenerateInputError, SingularFitError) as exc:
+            raise ConfigError(f"profiling.a_grid: {exc}", "profiling.a_grid") from exc
     return {"trotter_steps": steps, "a_grid": grid, "basis": basis}
 
 
@@ -397,6 +408,8 @@ def _parse_mpf(raw: Any, current: MPFOptions) -> MPFOptions:
     counts = current.step_counts
     if "step_counts" in entry:
         counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
+        if not counts_list:
+            raise ConfigError("mpf.step_counts must not be empty", "mpf.step_counts")
         for v in counts_list:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(

@@ -10,7 +10,7 @@ circuit follows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,13 +22,8 @@ from .formulas import (
     sample_template,
     step_terms,
 )
-from .mpf import mpf_estimate, mpf_weights
-from .profiling import (
-    ProfilingConfig,
-    mitigated_estimate,
-    probe_variants,
-    resolve_basis,
-)
+from .mpf import mpf_estimate, mpf_values, mpf_weights
+from .profiling import ProfilingConfig, mitigated_estimates, probe_variants
 from .simulator import (
     GaussianJitter,
     exact_states,
@@ -112,7 +107,7 @@ class ErrorCurve:
 
 
 def worker_count() -> int:
-    """Always 1: curves run serially, one time point after another.
+    """Always 1: a run uses one worker, and each curve batches all its times.
 
     Kept because benchmark harnesses record it next to their timings.
     """
@@ -148,22 +143,22 @@ def run_error_curve(
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
     jitters = _per_time_jitters(cfg)
 
+    # Each curve runs all its times in one engine pass per word sequence;
+    # noise is still drawn per time, from that time's own stream.
     if method == "ep":
-        profile_cfg = replace(cfg, basis=resolve_basis(cfg))
         estimates = [
-            mitigated_estimate(t, profile_cfg, jitter=jitter)[0]
-            for t, jitter in zip(cfg.times, jitters)
+            fit.y_star for fit in mitigated_estimates(cfg.times, cfg, jitters=jitters)
         ]
     elif method == "mpf":
         weights = mpf_weights(
             cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
         )
+        values = mpf_values(cfg.times, weights.step_counts, cfg)
         estimates = [
-            mpf_estimate(t, weights, cfg, jitter=jitter)
-            for t, jitter in zip(cfg.times, jitters)
+            mpf_estimate(row, weights, jitter=jitter)
+            for row, jitter in zip(values, jitters)
         ]
     else:
-        # The plain circuits of all times share one word sequence: one batch.
         tables, angles = sample_template(
             cfg.formula, cfg.partition, cfg.trotter_steps
         ).forward(cfg.times)

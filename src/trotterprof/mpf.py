@@ -5,7 +5,8 @@ the expectation values with weights that cancel the leading ``1/s**(k-1)``
 error scalings removes successive error orders classically.  Weight systems
 are solved exactly over the rationals, so the cancellation residuals vanish
 to the last bit; an ill-conditioned float realization is only flagged.
-An estimate takes the system as one ``ProfilingConfig``.
+``mpf_values`` runs the constituent circuits of every time, taking the
+system as one ``ProfilingConfig``; ``mpf_estimate`` combines one time's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularFitError
+from .errors import DegenerateInputError, DimensionMismatchError, SingularFitError
 from .formulas import sample_template
 from .profiling import ProfilingConfig
 from .simulator import GaussianJitter, sample_expectations
@@ -118,26 +119,42 @@ def mpf_weights(
     )
 
 
+def mpf_values(
+    times: Sequence[float], step_counts: Sequence[int], config: ProfilingConfig
+) -> np.ndarray:
+    """``(T, C)`` constituent expectations, one engine batch per step count.
+
+    Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
+    formula iterated ``step_counts[i]`` times.  The circuits of one step
+    count share a word sequence, so each count runs all times as one batch.
+    ``config.trotter_steps`` is not read: the step counts are the depths.
+    """
+    columns = []
+    for count in step_counts:
+        tables, angles = sample_template(config.formula, config.partition, count).forward(times)
+        columns.append(
+            sample_expectations(config.initial_state, tables, angles, config.observable)
+        )
+    return np.column_stack(columns)
+
+
 def mpf_estimate(
-    t: float,
+    values: Sequence[float],
     weights: MPFWeights,
-    config: ProfilingConfig,
     *,
     jitter: GaussianJitter | None = None,
 ) -> float:
-    """Weighted combination of expectations from the iterated circuits.
+    """Weighted combination of one time's constituent values.
 
-    Each step count runs its circuit of ``config``'s formula through the
-    batched sample engine; the vector of values, in step-count order, is
-    perturbed with one noise draw per count.  ``config.trotter_steps`` is
-    not read: the weights carry the depths.
+    ``values`` is one row of ``mpf_values``, in ``weights.step_counts``
+    order; it is perturbed with one noise draw per count, in that order,
+    before the weighted sum.
     """
-
-    def value(count: int) -> float:
-        tables, angles = sample_template(config.formula, config.partition, count).forward([t])
-        return sample_expectations(config.initial_state, tables, angles, config.observable)[0]
-
-    values = np.array([value(count) for count in weights.step_counts])
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(weights.step_counts),):
+        raise DimensionMismatchError(
+            f"{values.shape} values for {len(weights.step_counts)} step counts"
+        )
     if jitter is not None:
         values = jitter.perturb(values)
     # Plain left-to-right additions: the builtin sum rounds differently on 3.12+.

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     CalibrationError,
     DegenerateInputError,
+    DimensionMismatchError,
     ExtractionError,
     SingularFitError,
 )
@@ -292,18 +293,19 @@ def averaged_expectation(
     return float(_averaged_expectations([a], [t], config, jitter=jitter)[0])
 
 
-def profile_sweep(
-    a_grid: Sequence[float],
-    t: float,
-    config: ProfilingConfig,
-    *,
-    jitter: GaussianJitter | None = None,
-) -> list[ProfileSample]:
-    """One averaged sample per grid value, in grid order, from one batch."""
-    if len(set(a_grid)) != len(a_grid):
+def check_grid(grid: Sequence[float], basis: BasisSpec | None) -> None:
+    """The rule every sweep grid meets: distinct values, one more than the columns.
+
+    The fit needs a point per basis column plus one for the intercept; a
+    basis still to be calibrated (``None``) needs at least the intercept's.
+    """
+    if len(set(grid)) != len(grid):
         raise DegenerateInputError("duplicate a values in sweep grid")
-    values = _averaged_expectations(a_grid, [t] * len(a_grid), config, jitter=jitter)
-    return [ProfileSample(a, float(v)) for a, v in zip(a_grid, values)]
+    n_parameters = 1 + (basis.column_count() if basis is not None else 0)
+    if len(grid) < n_parameters:
+        raise SingularFitError(
+            f"{len(grid)} grid points cannot determine {n_parameters} parameters"
+        )
 
 
 def default_a_grid(n_orders: int) -> tuple[float, ...]:
@@ -360,11 +362,7 @@ def fit_profile(
         raise ValueError(
             f"basis orders must stay within [{alpha}, {2 * alpha - 2}]"
         )
-    n_columns = basis.column_count() + 1
-    if len(samples) < n_columns:
-        raise SingularFitError(
-            f"{len(samples)} samples cannot determine {n_columns} parameters"
-        )
+    check_grid([s.a for s in samples], basis)
     a_values = np.array([s.a for s in samples], dtype=float)
     y = np.array([s.value for s in samples], dtype=float)
     design = _basis_matrix(a_values, basis)
@@ -506,6 +504,43 @@ def resolve_basis(config: ProfilingConfig) -> BasisSpec:
     return config.basis if config.basis is not None else calibrate_basis(config)
 
 
+def mitigated_estimates(
+    times: Sequence[float],
+    config: ProfilingConfig,
+    *,
+    jitters: Sequence[GaussianJitter | None] | None = None,
+) -> list[FitResult]:
+    """Sweep the split-parameter grid at every time and fit each time's profile.
+
+    The basis and the grid are resolved, and the grid checked, once, before
+    anything is simulated.  All ``len(times) * len(grid)`` probe rows,
+    time-major and in grid order within a time, run as one batch per probe
+    variant; each row gives the bits of its own looped circuit.  Then, per
+    time, that time's ``(grid, variants)`` block is perturbed with its own
+    jitter (``jitters[j]`` for ``times[j]``, drawn in C order), averaged over
+    the variants and fitted, so noise follows each time's own stream
+    whatever the batching.
+    """
+    basis = resolve_basis(config)
+    grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
+    check_grid(grid, basis)
+    if jitters is None:
+        jitters = [None] * len(times)
+    if len(jitters) != len(times):
+        raise DimensionMismatchError(f"{len(jitters)} jitters for {len(times)} times")
+    variants = probe_variants(config.formula)
+    values = composite_expectations(
+        np.tile(grid, len(times)), np.repeat(times, len(grid)), variants, config
+    ).reshape(len(times), len(grid), len(variants))
+    fits = []
+    for block, jitter in zip(values, jitters):
+        if jitter is not None:
+            block = jitter.perturb(block)
+        samples = [ProfileSample(a, float(v)) for a, v in zip(grid, np.mean(block, axis=1))]
+        fits.append(fit_profile(samples, basis, config.formula.alpha))
+    return fits
+
+
 def mitigated_estimate(
     t: float,
     config: ProfilingConfig,
@@ -514,15 +549,13 @@ def mitigated_estimate(
 ) -> tuple[float, FitResult]:
     """Sweep the split-parameter grid at time ``t`` and return the intercept.
 
-    The intercept of the fitted profile estimates the ideal expectation
-    value with the modeled error orders removed; the full fit, with the
-    samples it was fitted to, is returned alongside so callers can weigh the
-    residual and conditioning.
+    ``mitigated_estimates`` at the single time ``t``.  The intercept of the
+    fitted profile estimates the ideal expectation value with the modeled
+    error orders removed; the full fit, with the samples it was fitted to,
+    is returned alongside so callers can weigh the residual and
+    conditioning.
     """
-    basis = resolve_basis(config)
-    grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
-    samples = profile_sweep(grid, t, config, jitter=jitter)
-    fit = fit_profile(samples, basis, config.formula.alpha)
+    (fit,) = mitigated_estimates([t], config, jitters=[jitter])
     return fit.y_star, fit
 
 

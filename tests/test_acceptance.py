@@ -43,6 +43,7 @@ from trotterprof import (
     invert_circuit,
     mitigated_estimate,
     mpf_estimate,
+    mpf_values,
     mpf_weights,
     averaged_expectation,
     preset_config,
@@ -227,7 +228,9 @@ def test_criterion_6_ordering_and_ratio(benchmark_curves):
             )
             ep_value, _ = mitigated_estimate(t, profile_cfg)
             weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
-            mpf_value = mpf_estimate(t, weights, profile_cfg)
+            mpf_value = mpf_estimate(
+                mpf_values([t], weights.step_counts, profile_cfg)[0], weights
+            )
             ratio = abs(mpf_value - exact) / abs(ep_value - exact)
             ratios[f"{model}/{fname}"] = ratio
             assert ratio >= 10.0

@@ -93,6 +93,13 @@ def test_round_trip_is_semantically_stable(
         profiling["n_extra_orders"] = n_extra_orders
         profiling["include_antisymmetric"] = include_antisymmetric
     doc["profiling"] = profiling
+    if a_grid is not None and n_extra_orders is not None:
+        # strang2 has alpha 3; the pinned orders stop at 2 * alpha - 2
+        columns = min(n_extra_orders + 1, 2) * (2 if include_antisymmetric else 1)
+        if len(a_grid) <= columns:
+            with pytest.raises(ConfigError, match="profiling.a_grid"):
+                parse_config(json.dumps(doc))
+            return
     cfg = parse_config(json.dumps(doc))
     assert cfg.trotter_steps == trotter_steps
     assert cfg.a_grid == (None if a_grid is None else tuple(a_grid))
@@ -201,6 +208,28 @@ def test_duplicate_a_grid_rejected():
     doc["profiling"] = {"a_grid": [0.2, 0.2, 0.6]}
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"preset": "tfim-ruth3", "profiling": {"a_grid": []}}, "profiling.a_grid"),
+        (
+            {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.5], "n_extra_orders": 1}},
+            "profiling.a_grid",
+        ),
+        ({"preset": "tfim-ruth3", "mpf": {"step_counts": []}}, "mpf.step_counts"),
+    ],
+    ids=["empty-grid", "grid-short-for-pinned-basis", "no-step-counts"],
+)
+def test_unusable_grids_and_step_counts_fail_at_parse_time(tmp_path, capsys, doc, key):
+    with pytest.raises(ConfigError, match=re.escape(key)) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == key
+    path = write_config(tmp_path, doc)
+    for argv in (["run", "--method", "trotter"], ["mpf"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_times_validation():
@@ -603,8 +632,9 @@ def test_run_without_config_or_preset_fails_with_usage(capsys):
 
 def test_profile_rank_deficiency_exits_two(tmp_path, capsys):
     doc = sample_document()
-    # two grid points cannot determine a three-function basis plus intercept
-    doc["profiling"] = {"a_grid": [0.25, 0.75], "n_extra_orders": 1}
+    # two grid points cannot determine the calibrated two-column basis plus
+    # intercept; only calibration can tell, so this is a run-time failure
+    doc["profiling"] = {"a_grid": [0.25, 0.75]}
     code = run_command(["profile", "--config", write_config(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == 2
@@ -784,3 +814,16 @@ def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
 def test_version_flag(capsys):
     assert run_command(["--version"]) == 0
     assert "trotterprof" in capsys.readouterr().out
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trotterprof", "--version"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("trotterprof ")

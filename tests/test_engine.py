@@ -19,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trotterprof import (
+    BasisSpec,
     Circuit,
     CompositeSpec,
+    DimensionMismatchError,
     GaussianJitter,
     PauliRotation,
+    SingularFitError,
     apply_circuit,
     compile_circuit,
     composite_circuit,
@@ -30,13 +33,16 @@ from trotterprof import (
     evolve_batch,
     exact_evolve,
     expectation,
+    mitigated_estimate,
+    mitigated_estimates,
     mpf_estimate,
+    mpf_values,
     mpf_weights,
     preset_config,
-    profile_sweep,
     read_csv,
     run_error_curve,
 )
+from trotterprof import profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import _per_time_jitters
@@ -177,7 +183,7 @@ def test_trotter_curve_matches_the_looped_circuits(name, ts, n):
 def test_mpf_estimate_matches_the_looped_circuits(name, t, counts):
     cfg = CONFIGS[name]
     weights = mpf_weights(sorted(counts), cfg.formula.alpha, cfg.formula.symmetric)
-    batched = mpf_estimate(t, weights, cfg)
+    batched = mpf_estimate(mpf_values([t], weights.step_counts, cfg)[0], weights)
     looped = sum(
         w * looped_trotter(cfg, t, s) for w, s in zip(weights.weights, weights.step_counts)
     )
@@ -188,23 +194,27 @@ def test_mpf_estimate_matches_the_looped_circuits(name, t, counts):
 @given(
     presets,
     st.lists(split, min_size=1, max_size=5, unique=True),
-    times,
+    st.lists(times, min_size=2, max_size=3, unique=True),
     steps,
-    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 8),
 )
-def test_noisy_sweep_draws_match_the_looped_path(name, grid, t, n, seed):
-    cfg = CONFIGS[name]
+def test_noisy_sweep_draws_match_the_looped_path(name, grid, ts, n, seed):
+    """Each time of a batched ep curve draws from its own stream, a-major then variant."""
+    # an intercept-only basis lets any grid of distinct values be fitted
+    cfg = replace(CONFIGS[name], trotter_steps=n, a_grid=tuple(grid), basis=BasisSpec(()))
     sigma = 1e-3
-    samples = profile_sweep(
-        grid, t, replace(cfg, trotter_steps=n),
-        jitter=GaussianJitter(sigma, np.random.default_rng(seed)),
-    )
-    jitter = GaussianJitter(sigma, np.random.default_rng(seed))
+
+    def jitter(j):
+        return GaussianJitter(sigma, np.random.default_rng(seed + j))
+
+    fits = mitigated_estimates(ts, cfg, jitters=[jitter(j) for j in range(len(ts))])
     variants = (1,) if cfg.formula.symmetric else (1, 2, 3, 4)
-    for a, sample in zip(grid, samples):
-        looped = np.mean([looped_composite(cfg, v, a, t, n, jitter) for v in variants])
-        assert sample.a == a
-        assert abs(sample.value - looped) <= TOL
+    for j, (t, fit) in enumerate(zip(ts, fits)):
+        own = jitter(j)
+        assert [s.a for s in fit.samples] == grid
+        for a, sample in zip(grid, fit.samples):
+            looped = np.mean([looped_composite(cfg, v, a, t, n, own) for v in variants])
+            assert abs(sample.value - looped) <= TOL
 
 
 @settings(max_examples=10, deadline=None)
@@ -220,7 +230,9 @@ def test_noisy_trotter_and_mpf_draws_match_the_looped_path(name, seed):
     weights = mpf_weights((1, 2, 3), cfg.formula.alpha, cfg.formula.symmetric)
     for t, s in ((0.2, seed), (0.7, seed + 1)):
         batched = mpf_estimate(
-            t, weights, cfg, jitter=GaussianJitter(1e-3, np.random.default_rng(s))
+            mpf_values([t], weights.step_counts, cfg)[0],
+            weights,
+            jitter=GaussianJitter(1e-3, np.random.default_rng(s)),
         )
         jitter = GaussianJitter(1e-3, np.random.default_rng(s))
         looped = sum(
@@ -229,3 +241,67 @@ def test_noisy_trotter_and_mpf_draws_match_the_looped_path(name, seed):
         )
         assert abs(batched - looped) <= TOL
 
+
+@settings(max_examples=15, deadline=None)
+@given(
+    presets,
+    st.lists(times, min_size=1, max_size=6, unique=True),
+    steps,
+    st.none() | st.integers(0, 2**32 - 1),
+)
+def test_curves_equal_the_per_time_path(name, ts, n, seed):
+    """A curve batches all its times; each time keeps the bits of its own run."""
+    cfg = replace(CONFIGS[name], times=tuple(sorted(ts)), trotter_steps=n)
+    if seed is not None:
+        cfg = replace(cfg, noise_sigma=1e-3, seed=seed)
+    ep, mpf = run_error_curve(cfg, "ep"), run_error_curve(cfg, "mpf")
+    pinned = replace(cfg, basis=profiling.resolve_basis(cfg))
+    for point, jitter in zip(ep.points, _per_time_jitters(cfg)):
+        assert point.estimate == mitigated_estimate(point.t, pinned, jitter=jitter)[0]
+    weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
+    for point, jitter in zip(mpf.points, _per_time_jitters(cfg)):
+        values = mpf_values([point.t], weights.step_counts, cfg)[0]
+        assert point.estimate == mpf_estimate(values, weights, jitter=jitter)
+
+
+def chain6_document() -> dict:
+    doc = workloads.tfim_chain_document(6, "ruth3", 1, stop=1.0)
+    doc["times"] = {"start": 0.1, "stop": 1.0, "points": 6, "scale": "log"}
+    doc["noise"] = {"sigma": 1e-4, "seed": 5}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc", [{"preset": "tfim-ruth3"}, chain6_document()], ids=["preset", "chain6"]
+)
+def test_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, doc):
+    config = tmp_path / "doc.json"
+    config.write_text(json.dumps(doc))
+    tables = set()
+    for log2 in (4, 10, 20):
+        monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 1 << log2)
+        out = tmp_path / f"chunk{log2}.csv"
+        assert run_command(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        tables.add("".join(ln for ln in lines if not ln.startswith("# generated")))
+    assert len(tables) == 1
+
+
+def test_a_short_grid_fails_before_the_batch_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was simulated before it was checked")
+
+    monkeypatch.setattr(profiling, "composite_expectations", refuse)
+    # set with replace, as a calibrated basis is: no config check has seen it
+    cfg = replace(CONFIGS["tfim-ruth3"], a_grid=(0.2, 0.7), basis=BasisSpec((5, 6), True))
+    with pytest.raises(SingularFitError, match="2 grid points cannot determine 5 parameters"):
+        mitigated_estimates([0.3, 0.6], cfg)
+
+
+def test_batched_estimators_reject_mismatched_inputs():
+    cfg = replace(CONFIGS["tfim-ruth3"], basis=BasisSpec(()))
+    with pytest.raises(DimensionMismatchError, match="1 jitters for 2 times"):
+        mitigated_estimates([0.3, 0.6], cfg, jitters=[None])
+    weights = mpf_weights((1, 2), cfg.formula.alpha, False)
+    with pytest.raises(DimensionMismatchError, match="for 2 step counts"):
+        mpf_estimate([0.5, 0.4, 0.3], weights)

@@ -18,6 +18,7 @@ from trotterprof import (
     critical_n,
     expectation,
     mpf_estimate,
+    mpf_values,
     mpf_weights,
     run_error_curve,
     stable_slope_fit,
@@ -79,13 +80,10 @@ def test_estimate_single_count_matches_plain(tfim_ruth3, paper_state):
 
     w = mpf_weights((1,), alpha=4, symmetric=False)
     t = 0.4
-    estimate = mpf_estimate(
-        t,
-        w,
-        ProfilingConfig(
-            tfim_ruth3.formula, tfim_ruth3.partition, tfim_ruth3.observable, paper_state
-        ),
+    config = ProfilingConfig(
+        tfim_ruth3.formula, tfim_ruth3.partition, tfim_ruth3.observable, paper_state
     )
+    estimate = mpf_estimate(mpf_values([t], w.step_counts, config)[0], w)
     plain = expectation(
         apply_circuit(
             paper_state, compile_circuit(tfim_ruth3.formula, tfim_ruth3.partition, t)

@@ -38,7 +38,7 @@ from trotterprof import (
     invert_circuit,
     matrix_element_m,
     mitigated_estimate,
-    profile_sweep,
+    mitigated_estimates,
     to_dense,
 )
 from trotterprof import pauli, profiling, simulator
@@ -190,15 +190,17 @@ def test_averaged_error_shrinks_at_the_formula_order(tfim_ruth3, paper_state):
 # sweeps
 
 
+def sweep(grid, t, cfg):
+    """The samples a one-time curve fits, on ``grid``, with an intercept-only basis."""
+    pinned = replace(cfg, a_grid=tuple(grid), basis=BasisSpec(()))
+    return mitigated_estimates([t], pinned)[0].samples
+
+
 def test_sweep_single_point_matches_plain_trotter(tfim_suzuki4, paper_state):
     # a = 1 pairs the full-time circuit with a zero-time partner; for a
     # symmetric splitting the lone variant is exactly the plain circuit
     t = 0.5
-    samples = profile_sweep(
-        [1.0],
-        t,
-        replace(tfim_suzuki4, initial_state=paper_state),
-    )
+    samples = sweep([1.0], t, replace(tfim_suzuki4, initial_state=paper_state))
     plain = expectation(
         apply_circuit(
             paper_state, compile_circuit(tfim_suzuki4.formula, tfim_suzuki4.partition, t)
@@ -214,11 +216,7 @@ def test_sweep_single_point_near_plain_for_asymmetric(tfim_ruth3, paper_state):
     # negated circuit, so the a = 1 average matches the plain value only up
     # to the formula's own error order
     t = 0.1
-    sample = profile_sweep(
-        [1.0],
-        t,
-        replace(tfim_ruth3, initial_state=paper_state),
-    )[0]
+    (sample,) = sweep([1.0], t, replace(tfim_ruth3, initial_state=paper_state))
     plain = expectation(
         apply_circuit(
             paper_state, compile_circuit(tfim_ruth3.formula, tfim_ruth3.partition, t)
@@ -229,22 +227,15 @@ def test_sweep_single_point_near_plain_for_asymmetric(tfim_ruth3, paper_state):
 
 
 def test_sweep_varies_with_a_on_real_circuits(tfim_ruth3, paper_state):
-    samples = profile_sweep(
-        default_a_grid(2),
-        0.4,
-        replace(tfim_ruth3, initial_state=paper_state),
-    )
+    samples = sweep(default_a_grid(2), 0.4, replace(tfim_ruth3, initial_state=paper_state))
+    assert [s.a for s in samples] == list(default_a_grid(2))
     values = [s.value for s in samples]
     assert max(values) - min(values) > 1e-12
 
 
 def test_sweep_rejects_duplicate_grid_values(tfim_ruth3, paper_state):
     with pytest.raises(DegenerateInputError):
-        profile_sweep(
-            [0.3, 0.3],
-            0.4,
-            replace(tfim_ruth3, initial_state=paper_state),
-        )
+        sweep([0.3, 0.3], 0.4, replace(tfim_ruth3, initial_state=paper_state))
 
 
 def test_default_grid_is_symmetric_chebyshev():
@@ -317,13 +308,10 @@ def test_fit_mitigates_benchmark_error(tfim_ruth3, paper_state):
         tfim_ruth3.observable,
     )
     basis = BasisSpec((5, 6), include_antisymmetric=True)
-    samples = profile_sweep(
-        default_a_grid(2),
-        t,
-        replace(tfim_ruth3, initial_state=paper_state),
+    y_star, _ = mitigated_estimate(
+        t, replace(tfim_ruth3, initial_state=paper_state, basis=basis)
     )
-    fit = fit_profile(samples, basis, tfim_ruth3.formula.alpha)
-    assert abs(fit.y_star - exact) < abs(plain - exact) / 100
+    assert abs(y_star - exact) < abs(plain - exact) / 100
 
 
 def test_mitigated_estimate_exact_substitution(tfim_ruth3, paper_state):
@@ -646,9 +634,6 @@ def test_matrix_element_cross_validates_fitted_coefficient(zx_partition):
 
     t = 0.02
     basis = BasisSpec((3, 4), include_antisymmetric=True)
-    samples = profile_sweep(
-        default_a_grid(2), t, ProfilingConfig(f, zx_partition, obs, psi)
-    )
-    fit = fit_profile(samples, basis, alpha=3)
+    _, fit = mitigated_estimate(t, ProfilingConfig(f, zx_partition, obs, psi, basis=basis))
     fitted_leading = fit.coefficients[3] / t**3
     assert fitted_leading / m3 == pytest.approx(0.5, rel=0.05)
