@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -35,15 +36,14 @@ from .experiments import (
     METHODS,
     ErrorCurve,
     ExperimentConfig,
+    _per_time_jitters,
     circuit_cost,
-    exact_curve,
     run_error_curve,
     stable_slope_fit,
 )
 from .mpf import mpf_weights
-from .profiling import default_a_grid, mitigated_estimate, resolve_basis
+from .profiling import default_a_grid, exact_values, mitigated_estimate, resolve_basis
 from .report import ResultRow, ResultTable, atomic_write_text, write_csv
-from .simulator import exact_evolve, expectation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -176,7 +176,7 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    exact = exact_curve(cfg)
+    exact = exact_values(cfg.times, cfg)
     rows = []
     for method in _methods(args):
         rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact)))
@@ -195,9 +195,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     t = args.time if args.time is not None else cfg.times[-1]
     if not (math.isfinite(t) and t > 0):
         raise ConfigError(f"--time must be positive and finite, got {t}", "time")
+    # A configured time draws its noise from the stream ``run`` uses there.
+    jitters = dict(zip(cfg.times, _per_time_jitters(cfg)))
+    if cfg.noise_sigma > 0 and t not in jitters:
+        raise ConfigError(
+            f"--time {t} is not a configured time, so it has no noise stream;"
+            " pick one of the configured times or set noise.sigma to 0",
+            "time",
+        )
     basis = resolve_basis(cfg)
-    _, fit = mitigated_estimate(t, replace(cfg, basis=basis))
-    exact = expectation(exact_evolve(cfg.partition.hamiltonian, t, cfg.initial_state), cfg.observable)
+    _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
+    exact = float(exact_values([t], cfg)[0])
 
     print(f"time {t}")
     print(f"basis orders {list(basis.orders)} antisymmetric {basis.include_antisymmetric}")
@@ -252,7 +260,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
-    exact = exact_curve(cfg)
+    exact = exact_values(cfg.times, cfg)
     rows = []
     for method in _methods(args):
         curve = run_error_curve(cfg, method, exact)
@@ -333,7 +341,15 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at /dev/null so the flush at
+        # shutdown stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -331,6 +331,8 @@ def _parse_times(raw: Any) -> tuple[float, ...]:
                 "times.values",
             )
         values = _expect(entry["values"], list, "times.values")
+        if not values:
+            raise ConfigError("times.values must not be empty", "times.values")
         times = tuple(_real_number(v, "times.values") for v in values)
     else:
         start = _real_number(entry.get("start", 0.1), "times.start")

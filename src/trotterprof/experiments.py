@@ -16,20 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .formulas import (
-    PartitionedHamiltonian,
-    ProductFormula,
-    sample_template,
-    step_terms,
-)
+from .formulas import PartitionedHamiltonian, ProductFormula, step_terms
 from .mpf import mpf_estimate, mpf_values, mpf_weights
-from .profiling import ProfilingConfig, mitigated_estimates, probe_variants
-from .simulator import (
-    GaussianJitter,
-    exact_states,
-    expectation_rows,
-    sample_expectations,
+from .profiling import (
+    ProfilingConfig,
+    exact_values,
+    mitigated_estimates,
+    probe_variants,
 )
+from .simulator import GaussianJitter
 
 METHODS = ("trotter", "ep", "mpf")
 
@@ -125,19 +120,15 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
-def exact_curve(cfg: ExperimentConfig) -> np.ndarray:
-    """Noiseless exact expectation at every configured time, one propagation."""
-    states = exact_states(cfg.partition.hamiltonian, cfg.times, cfg.initial_state)
-    return expectation_rows(states, cfg.observable)
-
-
 def run_error_curve(
     cfg: ExperimentConfig, method: str, exact: Sequence[float] | None = None
 ) -> ErrorCurve:
     """Estimate-vs-exact curve for one method over the configured times.
 
-    ``exact`` is ``exact_curve(cfg)``, passed in when several curves of one
-    configuration share it; it is computed when left out.
+    ``exact`` is ``exact_values(cfg.times, cfg)``, passed in when several
+    curves of one configuration share it; it is computed when left out.
+    The plain Trotter curve is the multi-product constituent at the base
+    depth, perturbed with one draw per time.
     """
     if method not in METHODS:
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
@@ -159,17 +150,14 @@ def run_error_curve(
             for row, jitter in zip(values, jitters)
         ]
     else:
-        tables, angles = sample_template(
-            cfg.formula, cfg.partition, cfg.trotter_steps
-        ).forward(cfg.times)
-        values = sample_expectations(cfg.initial_state, tables, angles, cfg.observable)
+        values = mpf_values(cfg.times, (cfg.trotter_steps,), cfg)[:, 0]
         estimates = [
             float(v if jitter is None else jitter.perturb(v))
             for v, jitter in zip(values, jitters)
         ]
 
     if exact is None:
-        exact = exact_curve(cfg)
+        exact = exact_values(cfg.times, cfg)
     points = tuple(
         CurvePoint(t, value, x, abs(value - x))
         for t, value, x in zip(cfg.times, estimates, map(float, exact))

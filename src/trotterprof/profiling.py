@@ -256,28 +256,17 @@ def composite_expectations(
 
 
 def _averaged_expectations(
-    a_values: Sequence[float],
-    t_values: Sequence[float],
-    config: ProfilingConfig,
-    *,
-    jitter: GaussianJitter | None = None,
+    a_values: Sequence[float], t_values: Sequence[float], config: ProfilingConfig
 ) -> np.ndarray:
-    """Variant-averaged expectation per row; noise is drawn row by row, then per variant."""
+    """Noiseless variant-averaged expectation per row."""
     values = composite_expectations(
         a_values, t_values, probe_variants(config.formula), config
     )
-    if jitter is not None:
-        values = jitter.perturb(values)
     return np.mean(values, axis=1)
 
 
 def averaged_expectation(
-    a: float,
-    t: float,
-    config: ProfilingConfig,
-    *,
-    exact_substitute: bool = False,
-    jitter: GaussianJitter | None = None,
+    a: float, t: float, config: ProfilingConfig, *, exact_substitute: bool = False
 ) -> float:
     """Mean expectation over the probe variants at one ``(a, t)`` point.
 
@@ -288,9 +277,14 @@ def averaged_expectation(
     if exact_substitute:
         h = config.partition.hamiltonian
         state = exact_evolve(h, (1.0 - a) * t, config.initial_state)
-        value = expectation(exact_evolve(h, a * t, state), config.observable)
-        return value if jitter is None else float(jitter.perturb(value))
-    return float(_averaged_expectations([a], [t], config, jitter=jitter)[0])
+        return expectation(exact_evolve(h, a * t, state), config.observable)
+    return float(_averaged_expectations([a], [t], config)[0])
+
+
+def exact_values(times: Sequence[float], config: ProfilingConfig) -> np.ndarray:
+    """Exact ``<psi(t)|O|psi(t)>`` at every time, in one matrix-free propagation."""
+    states = exact_states(config.partition.hamiltonian, times, config.initial_state)
+    return expectation_rows(states, config.observable)
 
 
 def check_grid(grid: Sequence[float], basis: BasisSpec | None) -> None:
@@ -456,10 +450,7 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     t_arr = np.geomspace(lo / scale, hi / scale, count)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
-    exact_vals = expectation_rows(
-        exact_states(partition.hamiltonian, t_arr, config.initial_state),
-        config.observable,
-    )
+    exact_vals = exact_values(t_arr, config)
     # Every probe (a, t) of the error series runs in one batch.
     a_values = sorted({a for pair in pairs for a in pair})
     averaged = _averaged_expectations(

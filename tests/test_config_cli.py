@@ -219,8 +219,10 @@ def test_duplicate_a_grid_rejected():
             "profiling.a_grid",
         ),
         ({"preset": "tfim-ruth3", "mpf": {"step_counts": []}}, "mpf.step_counts"),
+        # used to fail after parsing, with a message naming no key
+        ({"preset": "tfim-ruth3", "times": {"values": []}}, "times.values"),
     ],
-    ids=["empty-grid", "grid-short-for-pinned-basis", "no-step-counts"],
+    ids=["empty-grid", "grid-short-for-pinned-basis", "no-step-counts", "no-times"],
 )
 def test_unusable_grids_and_step_counts_fail_at_parse_time(tmp_path, capsys, doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)) as info:
@@ -697,23 +699,65 @@ def test_profile_reports_fit(tmp_path, capsys):
 
 
 def test_profile_and_run_agree_on_the_ep_row(tmp_path):
-    doc = {"preset": "tfim-ruth3", "times": {"values": [0.3]}}
-    cfg_path = write_config(tmp_path, doc)
-    profiled, ran = tmp_path / "profile.csv", tmp_path / "run.csv"
-    assert run_command(
-        ["profile", "--config", cfg_path, "--time", "0.3", "--out", str(profiled)]
-    ) == 0
-    assert run_command(
-        ["run", "--config", cfg_path, "--method", "ep", "--out", str(ran)]
-    ) == 0
+    noisy = {"preset": "tfim-ruth3", "times": {"values": [0.2, 0.3, 1.0]},
+             "noise": {"sigma": 0.001, "seed": 7}}
+    # with noise, profile draws from the stream run uses at that time; it used
+    # to print the noiseless value
+    for doc in ({"preset": "tfim-ruth3", "times": {"values": [0.3]}}, noisy):
+        cfg_path = write_config(tmp_path, doc)
+        profiled, ran = tmp_path / "profile.csv", tmp_path / "run.csv"
+        assert run_command(
+            ["profile", "--config", cfg_path, "--time", "0.3", "--out", str(profiled)]
+        ) == 0
+        assert run_command(
+            ["run", "--config", cfg_path, "--method", "ep", "--out", str(ran)]
+        ) == 0
 
-    def ep_lines(path):
-        return [line for line in path.read_text().splitlines() if line.startswith("ep,")]
+        def ep_rows(path):
+            return [r for r in read_csv(path).rows if r.method == "ep" and r.t == 0.3]
 
-    assert len(ep_lines(ran)) == 1
-    assert ep_lines(profiled) == ep_lines(ran)
-    samples = [r for r in read_csv(profiled).rows if r.method == "profile-sample"]
-    assert len(samples) == 5  # the Chebyshev grid of the calibrated (5, 6) basis
+        (profile_row,), (run_row,) = ep_rows(profiled), ep_rows(ran)
+        if doc is noisy:
+            # run steps the exact column through 0.2 on its way to 0.3, so
+            # the last bits of its exact value may differ from profile's
+            assert profile_row.estimate == run_row.estimate
+            assert profile_row.exact == pytest.approx(run_row.exact, abs=1e-14)
+        else:
+            assert profile_row == run_row
+        samples = [r for r in read_csv(profiled).rows if r.method == "profile-sample"]
+        assert len(samples) == 5  # the Chebyshev grid of the calibrated (5, 6) basis
+
+
+def test_noisy_profile_needs_a_configured_time(tmp_path, capsys):
+    # only a configured time has a noise stream of its own
+    doc = {"preset": "tfim-ruth3", "times": {"values": [0.3, 1.0]},
+           "noise": {"sigma": 0.001, "seed": 7}}
+    assert run_command(["profile", "--config", write_config(tmp_path, doc), "--time", "0.7"]) == 1
+    err = capsys.readouterr().err
+    assert "--time 0.7 is not a configured time" in err
+    assert "Traceback" not in err
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "trotterprof", "run", "--preset", "tfim-ruth3",
+             "--method", "trotter"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_mpf_command_prints_weights(tmp_path, capsys):

@@ -41,7 +41,7 @@ from trotterprof import (
     mitigated_estimates,
     to_dense,
 )
-from trotterprof import pauli, profiling, simulator
+from trotterprof import formulas, pauli, profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, preset_config
 from trotterprof.formulas import FORMULA_NAMES
@@ -389,8 +389,8 @@ SUZUKI4_BASIS = BasisSpec((5, 6, 7, 8), include_antisymmetric=True)
 
 
 @pytest.fixture()
-def no_dense_oracle(monkeypatch):
-    """Make every binding of the dense oracles in the package raise."""
+def no_reference_path(monkeypatch):
+    """Make every binding of the dense oracles and looped references in the package raise."""
     oracles = (
         profiling.extract_error_operators,
         simulator._eigh,
@@ -398,17 +398,30 @@ def no_dense_oracle(monkeypatch):
         simulator.circuit_unitary,
         pauli.to_dense,
         pauli.dense_word,
+        # the gate-by-gate references the batched engine is tested against
+        simulator.apply_circuit,
+        formulas.compile_circuit,
+        formulas.invert_circuit,
+        profiling.composite_circuit,
+        pauli.apply_pauli_word,
+        simulator.exact_evolve,
+        simulator.expectation,
+        profiling.averaged_expectation,
     )
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("reached a dense oracle")
+    def forbid(oracle):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"reached {oracle.__name__}")
+
+        return forbidden
 
     for name, module in list(sys.modules.items()):
         if name != "trotterprof" and not name.startswith("trotterprof."):
             continue
         for attr, value in list(vars(module).items()):
-            if any(value is oracle for oracle in oracles):
-                monkeypatch.setattr(module, attr, forbidden)
+            for oracle in oracles:
+                if value is oracle:
+                    monkeypatch.setattr(module, attr, forbid(oracle))
 
 
 #: A 6-qubit TFIM chain for the whole-CLI check below.
@@ -416,7 +429,7 @@ CHAIN6 = workloads.tfim_chain_document(6, "ruth3", 3, stop=1.0)
 
 
 @pytest.mark.parametrize("source", list(PRESETS) + ["chain6"])
-def test_no_command_builds_a_dense_matrix(source, tmp_path, capsys, no_dense_oracle):
+def test_no_command_builds_a_dense_matrix(source, tmp_path, capsys, no_reference_path):
     if source == "chain6":
         path = tmp_path / "chain6.json"
         path.write_text(json.dumps(CHAIN6))
@@ -452,7 +465,7 @@ def test_no_command_builds_a_dense_matrix(source, tmp_path, capsys, no_dense_ora
     ],
 )
 def test_calibration_builds_no_dense_matrix(
-    system, formula_name, expected, zx_partition, no_dense_oracle
+    system, formula_name, expected, zx_partition, no_reference_path
 ):
     if system == "zx":
         config = ProfilingConfig(
