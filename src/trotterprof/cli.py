@@ -39,6 +39,7 @@ from .experiments import (
     _per_time_jitters,
     circuit_cost,
     run_error_curve,
+    run_error_curves,
     stable_slope_fit,
 )
 from .mpf import mpf_weights
@@ -176,10 +177,9 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    exact = exact_values(cfg.times, cfg)
     rows = []
-    for method in _methods(args):
-        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact)))
+    for curve in run_error_curves(cfg, _methods(args)):
+        rows.extend(_curve_rows(cfg, curve))
     if not _write_rows(args, doc, rows):
         for row in ResultTable.from_rows(rows).rows:
             print(
@@ -205,7 +205,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     basis = resolve_basis(cfg)
     _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
-    exact = float(exact_values([t], cfg)[0])
+    # a configured time takes run's exact value, stepped through the earlier times
+    times = cfg.times if t in cfg.times else (t,)
+    exact = float(exact_values(times, cfg)[times.index(t)])
 
     print(f"time {t}")
     print(f"basis orders {list(basis.orders)} antisymmetric {basis.include_antisymmetric}")
@@ -260,12 +262,10 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
-    exact = exact_values(cfg.times, cfg)
     rows = []
-    for method in _methods(args):
-        curve = run_error_curve(cfg, method, exact)
+    for curve in run_error_curves(cfg, _methods(args)):
         gradient = stable_slope_fit(curve, window)
-        print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
+        print(f"{curve.method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))
     _write_rows(args, doc, rows)
     return EXIT_OK

@@ -226,9 +226,10 @@ def composite_expectations(
 
     Column j holds variant ``variants[j]``; each entry equals the looped
     oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
-    partition)), obs)`` bit for bit, with the formula, partition, observable,
-    state and base depth taken from ``config``.  All rows of one variant
-    share a word sequence and run as one batched evolution.
+    partition)), obs)`` within 1e-12 (the engine folds commuting repeats of
+    a word), with the formula, partition, observable, state and base depth
+    taken from ``config``.  All rows of one variant share a word sequence
+    and run as one batched evolution.
     """
     a = np.asarray(a_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
@@ -506,7 +507,7 @@ def mitigated_estimates(
     The basis and the grid are resolved, and the grid checked, once, before
     anything is simulated.  All ``len(times) * len(grid)`` probe rows,
     time-major and in grid order within a time, run as one batch per probe
-    variant; each row gives the bits of its own looped circuit.  Then, per
+    variant; a row's bits do not depend on the rows beside it.  Then, per
     time, that time's ``(grid, variants)`` block is perturbed with its own
     jitter (``jitters[j]`` for ``times[j]``, drawn in C order), averaged over
     the variants and fitted, so noise follows each time's own stream

@@ -41,13 +41,14 @@ from trotterprof import (
     preset_config,
     read_csv,
     run_error_curve,
+    sample_expectations,
 )
 from trotterprof import profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import _per_time_jitters
 from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
-from trotterprof.simulator import expectation_rows
+from trotterprof.simulator import expectation_rows, fold_gates
 
 from conftest import random_state
 
@@ -133,6 +134,100 @@ def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
     assert np.array_equal(stack, allocating_evolve(psi, tables, angles))
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
     assert np.array_equal(expectation_rows(stack, obs), allocating_rows(stack, obs))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
+    # a diagonal word skips the gather, an X word the phase, and a one-qubit
+    # X on a qubit with at least SWAP_RUN amplitudes below it swaps halves
+    rng = np.random.default_rng(n)
+    words = []
+    for pos in range(n):
+        words += [("I" * pos + letter).ljust(n, "I") for letter in ("X", "Z")]
+    if n > 1:
+        words += ["ZZ".ljust(n, "I"), "XX".ljust(n, "I"), "XX".rjust(n, "I")]
+    psi = random_state(rng, n)
+    tables = [_word_tables(w) for w in words]
+    angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
+    assert np.array_equal(evolve_batch(psi, tables, angles), allocating_evolve(psi, tables, angles))
+
+
+@st.composite
+def repeating_sequences(draw):
+    """Sequences over a few words, so words recur with other words between."""
+    n = draw(st.integers(1, 6))
+    word = st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
+    pool = draw(st.lists(word, min_size=1, max_size=4))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    rows = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, words, rows, np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeating_sequences())
+def test_folded_sequences_match_the_looped_circuits(case):
+    n, words, rows, rng = case
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in set(words)])
+    batched = sample_expectations(psi, [_word_tables(w) for w in words], angles, obs)
+    for value, gate_angles in zip(batched, angles):
+        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), n)
+        assert abs(value - expectation(apply_circuit(psi, circuit), obs)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "words, kept",
+    [
+        (["X", "Z", "X"], ["X", "Z", "X"]),  # Z anticommutes with X
+        (["XXI", "IYY", "XXI"], ["XXI", "IYY", "XXI"]),  # one clash: anticommute
+        (["ZZI", "IZZ", "ZZI"], ["ZZI", "IZZ"]),
+        (["XX", "YY", "XX"], ["XX", "YY"]),  # two clashes: commute
+    ],
+)
+def test_a_word_folds_only_past_commuting_gates(words, kept):
+    tables = [_word_tables(w) for w in words]
+    angles = np.array([[0.1, 0.2, 0.4], [0.3, -0.5, 0.7]])
+    folded, folded_angles = fold_gates(tables, angles)
+    assert len(folded) == len(kept)
+    assert all(table is _word_tables(w) for table, w in zip(folded, kept))
+    if len(kept) == 2:
+        assert np.array_equal(folded_angles, [[0.1 + 0.4, 0.2], [0.3 + 0.7, -0.5]])
+    else:
+        assert np.array_equal(folded_angles, angles)
+
+
+def evolved_gate_counts(monkeypatch, evaluate) -> list[int]:
+    """Gates each engine batch evolves while ``evaluate`` runs."""
+    counts = []
+
+    def counting(state, tables, angles):
+        counts.append(len(tables))
+        return evolve_batch(state, tables, angles)
+
+    monkeypatch.setattr(simulator, "evolve_batch", counting)
+    evaluate()
+    return counts
+
+
+def test_folding_removes_the_repeated_commuting_fragment(monkeypatch):
+    # suzuki4 is built from Strang halves, so its steps apply the ZZ fragment
+    # twice in a row; the gate counts of the compiled circuits are
+    # 100, 150, 560 and 140/280/560/1120
+    for name, composite in (("tfim-suzuki4", 73), ("xxz-suzuki4", 96)):
+        cfg = CONFIGS[name]
+        counts = evolved_gate_counts(
+            monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), cfg)
+        )
+        assert counts == [composite]
+    chain = parse_config(json.dumps(workloads.chain10_pinned(1)))
+    counts = evolved_gate_counts(
+        monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), chain)
+    )
+    assert counts == [389]
+    counts = evolved_gate_counts(monkeypatch, lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
+    assert counts == [104, 199, 389, 769]
 
 
 def test_run_at_13_qubits_uses_the_matrix_free_exact_column(tmp_path):
