@@ -39,7 +39,6 @@ from .experiments import (
     _per_time_jitters,
     circuit_cost,
     run_error_curve,
-    run_error_curves,
     stable_slope_fit,
 )
 from .mpf import mpf_weights
@@ -177,9 +176,10 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
+    exact = exact_values(cfg.times, cfg)
     rows = []
-    for curve in run_error_curves(cfg, _methods(args)):
-        rows.extend(_curve_rows(cfg, curve))
+    for method in _methods(args):
+        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact)))
     if not _write_rows(args, doc, rows):
         for row in ResultTable.from_rows(rows).rows:
             print(
@@ -206,8 +206,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     basis = resolve_basis(cfg)
     _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
     # a configured time takes run's exact value, stepped through the earlier times
-    times = cfg.times if t in cfg.times else (t,)
-    exact = float(exact_values(times, cfg)[times.index(t)])
+    times = cfg.times[: cfg.times.index(t) + 1] if t in cfg.times else (t,)
+    exact = float(exact_values(times, cfg)[-1])
 
     print(f"time {t}")
     print(f"basis orders {list(basis.orders)} antisymmetric {basis.include_antisymmetric}")
@@ -262,10 +262,12 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
+    exact = exact_values(cfg.times, cfg)
     rows = []
-    for curve in run_error_curves(cfg, _methods(args)):
+    for method in _methods(args):
+        curve = run_error_curve(cfg, method, exact)
         gradient = stable_slope_fit(curve, window)
-        print(f"{curve.method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
+        print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))
     _write_rows(args, doc, rows)
     return EXIT_OK

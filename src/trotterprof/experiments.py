@@ -120,35 +120,19 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
-def _constituents(
-    cfg: ExperimentConfig, counts: Sequence[int], shared: dict[int, np.ndarray]
-) -> np.ndarray:
-    """``mpf_values(cfg.times, counts, cfg)``, simulating only counts not in ``shared``."""
-    missing = [c for c in counts if c not in shared]
-    if missing:
-        shared.update(zip(missing, mpf_values(cfg.times, missing, cfg).T))
-    return np.column_stack([shared[c] for c in counts])
-
-
 def run_error_curve(
-    cfg: ExperimentConfig,
-    method: str,
-    exact: Sequence[float] | None = None,
-    constituents: dict[int, np.ndarray] | None = None,
+    cfg: ExperimentConfig, method: str, exact: Sequence[float] | None = None
 ) -> ErrorCurve:
     """Estimate-vs-exact curve for one method over the configured times.
 
     ``exact`` is ``exact_values(cfg.times, cfg)``, passed in when several
     curves of one configuration share it; it is computed when left out.
     The plain Trotter curve is the multi-product constituent at the base
-    depth, perturbed with one draw per time.  ``constituents`` maps a step
-    count to its noiseless values over ``cfg.times``: curves that pass the
-    same dict simulate each step count once, and fill it as they go.
+    depth, perturbed with one draw per time.
     """
     if method not in METHODS:
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
     jitters = _per_time_jitters(cfg)
-    shared = {} if constituents is None else constituents
 
     # Each curve runs all its times in one engine pass per word sequence;
     # noise is still drawn per time, from that time's own stream.
@@ -160,13 +144,13 @@ def run_error_curve(
         weights = mpf_weights(
             cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
         )
-        values = _constituents(cfg, weights.step_counts, shared)
+        values = mpf_values(cfg.times, weights.step_counts, cfg)
         estimates = [
             mpf_estimate(row, weights, jitter=jitter)
             for row, jitter in zip(values, jitters)
         ]
     else:
-        values = _constituents(cfg, (cfg.trotter_steps,), shared)[:, 0]
+        values = mpf_values(cfg.times, (cfg.trotter_steps,), cfg)[:, 0]
         estimates = [
             float(v if jitter is None else jitter.perturb(v))
             for v, jitter in zip(values, jitters)
@@ -179,17 +163,6 @@ def run_error_curve(
         for t, value, x in zip(cfg.times, estimates, map(float, exact))
     )
     return ErrorCurve(method, points)
-
-
-def run_error_curves(cfg: ExperimentConfig, methods: Sequence[str]) -> list[ErrorCurve]:
-    """One curve per method, all sharing the exact column and the constituents.
-
-    When ``trotter_steps`` is one of ``mpf.step_counts``, the Trotter curve
-    and the multi-product curve read one simulation of that constituent.
-    """
-    exact = exact_values(cfg.times, cfg)
-    constituents: dict[int, np.ndarray] = {}
-    return [run_error_curve(cfg, method, exact, constituents) for method in methods]
 
 
 def slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:

@@ -7,9 +7,9 @@ States are plain complex amplitude vectors; gates are Pauli-word rotations
 a ``(B, 2^n)`` state stack.  It first folds each gate into an earlier gate
 on the same word when every gate between them commutes with it (the angles
 add), then makes one in-place vectorised update per remaining gate; a
-diagonal word and a one-qubit X need no gather.  The folded angles round
-differently, so the engine agrees with the reference within 1e-12, not bit
-for bit.  The exact evolution ``exp(-iHt)|psi>`` is matrix-free:
+diagonal word needs no gather and a word of X letters no phase.  The
+folded angles round differently, so the engine agrees with the reference
+within 1e-12, not bit for bit.  The exact evolution ``exp(-iHt)|psi>`` is matrix-free:
 ``exact_states`` applies ``H`` from its word tables inside a stepped Taylor
 series, so measured deviations contain only algorithmic error.
 ``exact_unitary`` and ``circuit_unitary`` build dense matrices and are
@@ -62,14 +62,6 @@ TAYLOR_MAX_TERMS = 40
 #: total over its times.  A sub-step costs about 0.4 ms at 4 qubits, so the
 #: limit is about 6 minutes there; more than that is an input mistake.
 MAX_TAYLOR_SUBSTEPS = 10**6
-
-#: A one-qubit X on a qubit with fewer than this many amplitudes below it
-#: gathers rather than swapping halves: numpy copies the halves in runs of
-#: that length.  On a 2-vCPU Xeon, runs of 1, 2 and 4 took 1.5 to 3 times
-#: as long as the gather; from 8 on the swap was about as fast at 10 qubits
-#: and up to 1.5 times faster at 14 (a 12-qubit pinned chain ran 3.4 and
-#: 3.8 s, against 3.7 and 4.0 s gathering every X word).
-SWAP_RUN = 8
 
 #: Fold plans kept at once, one per word sequence; a run has one sequence
 #: per probe variant and per step count.
@@ -193,17 +185,14 @@ def evolve_batch(
     one ``apply_circuit`` makes, so a row equals the looped circuit bit for bit.
 
     The stack and two scratch stacks are allocated once and every gate
-    writes into them, in the operand order of ``apply_circuit``.  Three kinds
+    writes into them, in the operand order of ``apply_circuit``.  Two kinds
     of word skip work whose result is known, and keep the bits of the full
     update: a diagonal word skips the gather (its permutation is the
-    identity), a word of X letters skips the phase (all ones), and a
-    one-qubit X with runs of at least ``SWAP_RUN`` amplitudes swaps the two
-    halves of its qubit's axis in place of the gather.
+    identity), and a word of X letters skips the phase (all ones).
     """
     angles = np.asarray(angles, dtype=float)
     _check_angles(tables, angles)
-    dim = 1 << state.n
-    if any(perm.shape[0] != dim for perm, _ in tables):
+    if any(perm.shape[0] != (1 << state.n) for perm, _ in tables):
         raise DimensionMismatchError("gate and state qubit counts differ")
     cos = np.cos(angles).T[:, :, None]
     sin = 1.0j * np.sin(angles).T[:, :, None]
@@ -216,10 +205,6 @@ def evolve_batch(
             np.multiply(amps, phase, out=scaled)
             # mode="clip" lets take write straight into ``moved``; "raise" buffers.
             scaled.take(perm, axis=1, out=moved, mode="clip")
-        elif x & (x - 1) == 0 and x >= SWAP_RUN:
-            # index = (high bits, flipped bit, low bits), ``x`` low values
-            halves = (amps.shape[0], dim // (2 * x), 2, x)
-            np.copyto(moved.reshape(halves), amps.reshape(halves)[:, :, ::-1])
         else:
             amps.take(perm, axis=1, out=moved, mode="clip")
         np.multiply(sin[k], moved, out=moved)

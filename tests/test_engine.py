@@ -138,8 +138,7 @@ def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
-    # a diagonal word skips the gather, an X word the phase, and a one-qubit
-    # X on a qubit with at least SWAP_RUN amplitudes below it swaps halves
+    # a diagonal word skips the gather and an X word the phase
     rng = np.random.default_rng(n)
     words = []
     for pos in range(n):

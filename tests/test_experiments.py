@@ -27,13 +27,11 @@ from trotterprof import (
     mutually_commuting,
     preset_config,
     run_error_curve,
-    run_error_curves,
     sign_stable_mask,
     slope_fit,
     stable_slope_fit,
     to_dense,
 )
-from trotterprof import experiments
 from trotterprof.config import PRESETS
 from trotterprof.experiments import CurvePoint
 
@@ -155,25 +153,6 @@ def test_noise_is_seeded_and_deterministic(tfim_ruth3):
     assert a != c
     clean = run_error_curve(replace(cfg, noise_sigma=0.0), "trotter")
     assert a != clean
-
-
-def test_curves_of_one_run_share_the_base_depth_constituent(tfim_ruth3, monkeypatch):
-    # the Trotter curve is the multi-product constituent at the base depth
-    cfg = replace(
-        tfim_ruth3, times=(0.2, 0.5), trotter_steps=2, noise_sigma=1e-4, seed=3
-    )
-    cfg = replace(cfg, mpf=replace(cfg.mpf, step_counts=(1, 2, 3)))
-    alone = [run_error_curve(cfg, method) for method in ("trotter", "mpf")]
-    simulated = []
-    mpf_values = experiments.mpf_values
-
-    def counting(times, counts, config):
-        simulated.extend(counts)
-        return mpf_values(times, counts, config)
-
-    monkeypatch.setattr(experiments, "mpf_values", counting)
-    assert run_error_curves(cfg, ("trotter", "mpf")) == alone
-    assert simulated == [2, 1, 3]
 
 
 def test_unknown_method_rejected(tfim_ruth3):
