@@ -41,6 +41,11 @@ from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec, check_grid
 from .simulator import StateVector, init_product_state
 
+#: Largest register a document may declare.  A run holds 24 * 2^n bytes per
+#: Pauli word and flip mask (int64 permutation, complex phase) and 16 * 2^n
+#: per state: a 20-site chain's 81 tables and 60 exact states take ~2.8 GiB.
+MAX_QUBITS = 20
+
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
 _SYSTEM_SECTIONS = ("system", "partition", "formula", "initial_state", "observable")
 _TERM_KEYS = ("pauli", "coeff")
@@ -499,8 +504,10 @@ def _parse_system(doc: dict) -> ExperimentConfig:
     """The system sections of a full document, with every option at its default."""
     system = _section(doc.get("system"), "system", ("num_qubits", "hamiltonian"))
     n = system.get("num_qubits")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError("system.num_qubits must be a positive integer", "system.num_qubits")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
+        raise ConfigError(
+            f"system.num_qubits must be an integer from 1 to {MAX_QUBITS}", "system.num_qubits"
+        )
     ham_terms = _parse_terms(
         system.get("hamiltonian"), n, "system.hamiltonian", identity_ok=False
     )

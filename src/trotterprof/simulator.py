@@ -9,12 +9,14 @@ on the same word when every gate between them commutes with it (the angles
 add), then makes one in-place vectorised update per remaining gate; a
 diagonal word needs no gather and a word of X letters no phase.  The
 folded angles round differently, so the engine agrees with the reference
-within 1e-12, not bit for bit.  The exact evolution ``exp(-iHt)|psi>`` is matrix-free:
-``exact_states`` applies ``H`` from its word tables inside a stepped Taylor
-series, so measured deviations contain only algorithmic error.
-``exact_unitary`` and ``circuit_unitary`` build dense matrices and are
-oracles for tests and error-operator extraction only.  ``GaussianJitter``
-perturbs a whole batch of measured values with one call.
+within 1e-12, not bit for bit.  One kernel (``_apply_operator``) applies
+``H`` and every observable from one pre-gathered diagonal per flip mask, the
+diagonal group without a gather; ``expectation_rows`` sums each row of
+``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states`` steps
+a Taylor series of ``exp(-iHt)``, so measured deviations are only
+algorithmic.  ``exact_unitary`` and ``circuit_unitary`` build dense matrices
+and are oracles for tests and error-operator extraction only.
+``GaussianJitter`` perturbs a whole batch of measured values with one call.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ FOLD_PLANS = 64
 
 #: ``(perm, phase)`` of a Pauli word, as built by ``pauli._word_tables``.
 WordTables = tuple[np.ndarray, np.ndarray]
+
+#: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
+OperatorTables = tuple[np.ndarray | None, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,21 +294,18 @@ def fold_gates(
 def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
     """Exact ``<psi_b|O|psi_b>`` for every row of a ``(B, 2^n)`` state stack.
 
-    Each row takes one ``np.vdot`` per term, summed in term order, so a row
-    gives the same bits whichever stack it sits in.  All terms share two
-    scratch stacks.
+    ``O`` acts on the whole stack through the flip-mask tables that the
+    exact propagator uses for ``H`` (``_operator_tables``); a row's value is
+    then ``(conj(psi_b) * O psi_b).sum()``, a reduction along that row
+    alone, so a row gives the same bits whichever stack it sits in.
     """
     if not obs.hermitian:
         raise HermiticityError("expectation requires a Hermitian observable")
     if amps.shape[1] != (1 << obs.n):
         raise DimensionMismatchError("observable and state qubit counts differ")
-    values = np.zeros(amps.shape[0], dtype=complex)
-    scaled, moved = np.empty_like(amps, dtype=complex), np.empty_like(amps, dtype=complex)
-    for term in obs.terms:
-        perm, phase = _word_tables(term.word)
-        np.multiply(amps, phase, out=scaled)
-        scaled.take(perm, axis=1, out=moved, mode="clip")
-        values += term.coeff * np.array([np.vdot(a, m) for a, m in zip(amps, moved)])
+    applied, scratch = np.empty_like(amps, dtype=complex), np.empty_like(amps, dtype=complex)
+    _apply_operator(_operator_tables(obs), amps, applied, scratch)
+    values = np.multiply(np.conjugate(amps, out=scratch), applied, out=applied).sum(axis=1)
     worst = float(np.max(np.abs(values.imag), initial=0.0))
     if worst >= 1e-10:
         raise HermiticityError(f"expectation has imaginary residue {worst!r}")
@@ -334,49 +336,39 @@ def sample_expectations(
 
 
 @lru_cache(maxsize=64)
-def _hamiltonian_tables(h: OperatorSum) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``H`` as ``sum_f (D_f psi)[perm_f]``: one diagonal per distinct flip mask.
+def _operator_tables(op: OperatorSum) -> tuple[OperatorTables, ...]:
+    """``O`` as ``sum_f (D_f psi)[perm_f]``: one diagonal per distinct flip mask.
 
     A term ``c P`` acts as ``(c * phase * psi)[perm]``; terms whose words
     flip the same bits share ``perm`` and add into one diagonal, so a chain
     of ZZ bonds and X fields needs one diagonal plus one gather per site.
-    Each entry is ``(perm_f, D_f[perm_f])``, the diagonal pre-gathered.
+    Each entry is ``(perm_f, D_f[perm_f])``, pre-gathered; ``perm_0`` is None.
     """
     merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for term in h.terms:
+    for term in op.terms:
         perm, phase = _word_tables(term.word)
         flip = int(perm[0])
         diagonal = term.coeff * phase
-        if flip in merged:
-            diagonal = merged[flip][1] + diagonal
-        merged[flip] = (perm, diagonal)
-    tables = []
-    for perm, diagonal in merged.values():
-        gathered = diagonal[perm]
-        gathered.setflags(write=False)
-        tables.append((perm, gathered))
-    return tuple(tables)
+        merged[flip] = (perm, merged[flip][1] + diagonal if flip in merged else diagonal)
+    tables = tuple((perm if f else None, diag[perm]) for f, (perm, diag) in merged.items())
+    for _, diagonal in tables:
+        diagonal.setflags(write=False)
+    return tables
 
 
-def _apply_hamiltonian(
-    tables: Sequence[tuple[np.ndarray, np.ndarray]],
-    v: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
+def _apply_operator(
+    tables: Sequence[OperatorTables], v: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """Write ``H v`` into ``out`` from the flip-mask tables of ``H``."""
+    """Write ``O v`` into ``out`` for a state or a ``(B, 2^n)`` stack ``v``."""
     out.fill(0.0)
     for perm, diag in tables:
-        v.take(perm, out=scratch, mode="clip")
-        np.multiply(scratch, diag, out=scratch)
+        moved = v if perm is None else v.take(perm, axis=-1, out=scratch, mode="clip")
+        np.multiply(moved, diag, out=scratch)
         np.add(out, scratch, out=out)
 
 
 def _taylor_step(
-    tables: Sequence[tuple[np.ndarray, np.ndarray]],
-    v: np.ndarray,
-    dt: float,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tables: Sequence[OperatorTables], v: np.ndarray, dt: float, buffers: tuple[np.ndarray, ...]
 ) -> None:
     """``v <- exp(-iH dt) v`` in place, for ``||H||_1 * |dt| <= 1``.
 
@@ -387,7 +379,7 @@ def _taylor_step(
     term[:] = v
     previous = math.inf
     for k in range(1, TAYLOR_MAX_TERMS + 1):
-        _apply_hamiltonian(tables, term, nxt, scratch)
+        _apply_operator(tables, term, nxt, scratch)
         np.multiply(nxt, -1.0j * dt / k, out=term)
         v += term
         size = math.sqrt(np.vdot(term, term).real)
@@ -413,7 +405,7 @@ def exact_states(
         raise DimensionMismatchError("Hamiltonian and state qubit counts differ")
     if not all(math.isfinite(t) for t in times):
         raise DegenerateInputError("evolution times must be finite")
-    tables = _hamiltonian_tables(h)
+    tables = _operator_tables(h)
     norm = h.one_norm()
     v = state.amplitudes.copy()
     buffers = (np.empty_like(v), np.empty_like(v), np.empty_like(v))

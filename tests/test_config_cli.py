@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from trotterprof import (
 )
 from trotterprof import profiling
 from trotterprof.cli import run_command
-from trotterprof.config import PRESETS, config_digest
+from trotterprof.config import MAX_QUBITS, PRESETS, config_digest
 from trotterprof.report import render_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -232,6 +233,24 @@ def test_unusable_grids_and_step_counts_fail_at_parse_time(tmp_path, capsys, doc
     for argv in (["run", "--method", "trotter"], ["mpf"], ["cost"]):
         assert run_command([*argv, "--config", path]) == 1
         assert key in capsys.readouterr().err
+
+
+def test_a_register_above_the_cap_is_refused_before_anything_is_built(tmp_path, capsys):
+    # the state alone would take 32 MiB at the cap + 1; parsing stays far below
+    doc = workloads.tfim_chain_document(MAX_QUBITS + 1, "ruth3", 1, stop=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="system.num_qubits") as info:
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "system.num_qubits"
+    assert peak < 1 << 20
+    path = write_config(tmp_path, doc)
+    for argv in (["run", "--method", "trotter"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        assert "system.num_qubits" in capsys.readouterr().err
 
 
 def test_times_validation():

@@ -100,12 +100,17 @@ def allocating_evolve(state, tables, angles):
 
 
 def allocating_rows(amps, obs):
-    values = np.zeros(amps.shape[0], dtype=complex)
+    """``O`` as one merged diagonal per flip mask, a fresh stack per operation."""
+    merged = {}
     for term in obs.terms:
         perm, phase = _word_tables(term.word)
-        moved = np.take(amps * phase, perm, axis=1)
-        values += term.coeff * np.array([np.vdot(a, m) for a, m in zip(amps, moved)])
-    return values.real
+        flip = int(perm[0])
+        diagonal = term.coeff * phase
+        merged[flip] = (perm, merged[flip][1] + diagonal if flip in merged else diagonal)
+    applied = np.zeros_like(amps)
+    for perm, diagonal in merged.values():
+        applied = applied + amps[:, perm] * diagonal[perm]
+    return (amps.conj() * applied).sum(axis=1).real
 
 
 @st.composite

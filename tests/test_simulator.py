@@ -25,7 +25,12 @@ from trotterprof import (
     invert_circuit,
     to_dense,
 )
-from trotterprof.simulator import circuit_unitary, exact_states, exact_unitary
+from trotterprof.simulator import (
+    circuit_unitary,
+    exact_states,
+    exact_unitary,
+    expectation_rows,
+)
 
 from conftest import random_hermitian_sum, random_state
 
@@ -266,6 +271,51 @@ def test_expectation_is_real_on_random_states(rng):
     for _ in range(20):
         value = expectation(random_state(rng, 3), obs)
         assert isinstance(value, float)
+
+
+@st.composite
+def observables(draw):
+    """Sums with Y letters, identity terms and same-flip groups, or the zero sum."""
+    n = draw(st.integers(1, 10))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=5))
+    if draw(st.booleans()):
+        words.append("I" * n)
+    if n > 1 and draw(st.booleans()):
+        site = draw(st.integers(0, n - 2))
+        words += ["I" * site + pair + "I" * (n - site - 2) for pair in ("XX", "YY", "ZZ")]
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    terms = [PauliTerm(w, draw(coeffs)) for w in words]
+    obs = OperatorSum.from_terms(terms) if terms else OperatorSum.zero(n)
+    rows = draw(st.integers(1, 129))
+    return obs, rows, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(observables())
+def test_expectation_rows_equal_each_row_alone_and_the_dense_oracle(case):
+    obs, rows, rng = case
+    raw = rng.normal(size=(rows, 1 << obs.n)) + 1j * rng.normal(size=(rows, 1 << obs.n))
+    stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    values = expectation_rows(stack, obs)
+    alone = [expectation_rows(stack[b : b + 1].copy(), obs)[0] for b in range(rows)]
+    assert np.array_equal(values, alone)
+    if obs.n <= 8:
+        dense = to_dense(obs).matrix
+        oracle = np.einsum("bi,bi->b", stack.conj(), stack @ dense.T).real
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+def test_expectation_rows_keep_their_checks():
+    plus = np.full((1, 2), 2**-0.5, dtype=complex)
+    forged = OperatorSum((PauliTerm("X", 1j),), 1, True)
+    with pytest.raises(HermiticityError, match="imaginary residue"):
+        expectation_rows(plus, forged)
+    flagged = OperatorSum.from_terms([PauliTerm("Z")], hermitian=False)
+    with pytest.raises(HermiticityError, match="requires a Hermitian"):
+        expectation_rows(plus, flagged)
+    z = OperatorSum.from_terms([PauliTerm("Z")])
+    with pytest.raises(DimensionMismatchError):
+        expectation_rows(np.full((3, 4), 0.5, dtype=complex), z)
 
 
 def test_rotation_agrees_with_exact_evolution(rng):
