@@ -5,7 +5,7 @@ Compilation expands each step into Pauli rotations for every term of the
 addressed fragment, in the fragment's stored term order, and the resulting
 gate list is applied left to right.  The single-step circuit at ``t/N`` is
 repeated ``N`` times to form the usual iterated circuit.  A
-``SampleTemplate`` holds the same gate sequence with the time left open, for
+``SampleTemplate`` holds the same Pauli words with the time left open, for
 the batched sample engine; ``compile_circuit`` stays the reference.
 """
 
@@ -22,13 +22,11 @@ from .pauli import (
     HERMITIAN_TOL,
     OperatorSum,
     PauliTerm,
-    _word_tables,
     mutually_commuting,
 )
 from .simulator import (
     Circuit,
     PauliRotation,
-    WordTables,
     circuit_unitary,
     exact_unitary,
 )
@@ -202,31 +200,31 @@ def compile_circuit(
 class SampleTemplate:
     """The gate sequence of ``compile_circuit`` for one step count, time left open.
 
-    Gate k of the single step ``V(x/N)`` rotates the word of ``tables[k]`` by
+    Gate k of the single step ``V(x/N)`` rotates the word ``words[k]`` by
     ``(coeffs[k] * (x / N)) * weights[k]``, the product order
     ``compile_circuit`` uses, so templated and compiled angles agree bit for
     bit.
     """
 
-    tables: tuple[WordTables, ...]
+    words: tuple[str, ...]
     coeffs: np.ndarray
     weights: np.ndarray
     trotter_steps: int
 
-    def forward(self, x: Sequence[float]) -> tuple[list[WordTables], np.ndarray]:
-        """Word tables and per-row angles of ``compile_circuit(..., x[b], N)``."""
+    def forward(self, x: Sequence[float]) -> tuple[list[str], np.ndarray]:
+        """Words and per-row angles of ``compile_circuit(..., x[b], N)``."""
         dt = np.asarray(x, dtype=float)[:, None] / self.trotter_steps
         single = (self.coeffs * dt) * self.weights
-        return list(self.tables) * self.trotter_steps, np.tile(single, self.trotter_steps)
+        return list(self.words) * self.trotter_steps, np.tile(single, self.trotter_steps)
 
-    def inverted(self, x: Sequence[float]) -> tuple[list[WordTables], np.ndarray]:
-        """Tables and angles of ``invert_circuit(compile_circuit(..., -x[b], N))``.
+    def inverted(self, x: Sequence[float]) -> tuple[list[str], np.ndarray]:
+        """Words and angles of ``invert_circuit(compile_circuit(..., -x[b], N))``.
 
         Negating the time negates every angle and the inversion negates it
         back, exactly, so this is the forward circuit in reverse gate order.
         """
-        tables, angles = self.forward(x)
-        return tables[::-1], angles[:, ::-1]
+        words, angles = self.forward(x)
+        return words[::-1], angles[:, ::-1]
 
 
 @lru_cache(maxsize=64)
@@ -240,7 +238,7 @@ def sample_template(
         raise FormulaError("trotter_steps must be at least 1")
     gates = step_terms(f, partition)
     return SampleTemplate(
-        tables=tuple(_word_tables(term.word) for _, term in gates),
+        words=tuple(term.word for _, term in gates),
         coeffs=np.array([coeff for coeff, _ in gates], dtype=float),
         weights=np.array([term.coeff.real for _, term in gates], dtype=float),
         trotter_steps=trotter_steps,

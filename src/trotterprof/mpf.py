@@ -131,9 +131,9 @@ def mpf_values(
     """
     columns = []
     for count in step_counts:
-        tables, angles = sample_template(config.formula, config.partition, count).forward(times)
+        words, angles = sample_template(config.formula, config.partition, count).forward(times)
         columns.append(
-            sample_expectations(config.initial_state, tables, angles, config.observable)
+            sample_expectations(config.initial_state, words, angles, config.observable)
         )
     return np.column_stack(columns)
 

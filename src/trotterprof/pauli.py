@@ -95,12 +95,26 @@ def pauli_product(p: PauliTerm, q: PauliTerm) -> PauliTerm:
     return PauliTerm("".join(letters), p.coeff * q.coeff * phase)
 
 
+@lru_cache(maxsize=4096)
+def word_masks(word: str) -> tuple[int, int]:
+    """``(x, z)`` bit masks of a word: the bits it flips (X, Y) and signs (Z, Y).
+
+    Position ``pos`` owns bit ``len(word) - 1 - pos`` of a statevector index.
+    """
+    _validate_word(word)
+    x = z = 0
+    for letter in word:
+        x = x << 1 | (letter in "XY")
+        z = z << 1 | (letter in "YZ")
+    return x, z
+
+
 def words_commute(a: str, b: str) -> bool:
     """Two Pauli words commute iff they anticommute on an even number of sites."""
-    clashes = sum(
-        1 for x, y in zip(a, b) if x != "I" and y != "I" and x != y
-    )
-    return clashes % 2 == 0
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
+    (xa, za), (xb, zb) = word_masks(a), word_masks(b)
+    return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
 
 
 def mutually_commuting(terms: Iterable[PauliTerm]) -> bool:
@@ -261,20 +275,16 @@ def to_dense(op: OperatorSum) -> DenseOperator:
 @lru_cache(maxsize=1024)
 def _word_tables(word: str) -> tuple[np.ndarray, np.ndarray]:
     """Permutation and per-index phase implementing ``word |x> = phase |x ^ flip>``."""
+    flip = word_masks(word)[0]
     n = len(word)
     dim = 1 << n
     idx = np.arange(dim)
-    flip = 0
     phase = np.ones(dim, dtype=complex)
     for pos, letter in enumerate(word):
-        if letter == "I":
+        if letter in "IX":
             continue
-        shift = n - 1 - pos
-        bit = (idx >> shift) & 1
-        if letter == "X":
-            flip |= 1 << shift
-        elif letter == "Y":
-            flip |= 1 << shift
+        bit = (idx >> (n - 1 - pos)) & 1
+        if letter == "Y":
             phase = phase * (1.0j * (1 - 2 * bit))
         else:  # Z
             phase = phase * (1 - 2 * bit)

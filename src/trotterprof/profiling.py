@@ -243,12 +243,12 @@ def composite_expectations(
     for variant in variants:
         if variant not in (1, 2, 3, 4):
             raise DegenerateInputError(f"variant must be 1..4, got {variant}")
-        first_tables, first_angles = segment(abar_t, variant in (3, 4))
-        second_tables, second_angles = segment(at, variant in (2, 4))
+        first_words, first_angles = segment(abar_t, variant in (3, 4))
+        second_words, second_angles = segment(at, variant in (2, 4))
         columns.append(
             sample_expectations(
                 config.initial_state,
-                first_tables + second_tables,
+                first_words + second_words,
                 np.hstack([first_angles, second_angles]),
                 config.observable,
             )

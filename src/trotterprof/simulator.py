@@ -3,11 +3,12 @@
 States are plain complex amplitude vectors; gates are Pauli-word rotations
 ``exp(-i * angle * P)`` applied via ``cos(a)|psi> - i sin(a) P|psi>``.
 ``apply_circuit`` runs one circuit gate by gate and is the reference;
-``sample_expectations`` runs many circuits that share one word sequence as
-a ``(B, 2^n)`` state stack.  It first folds each gate into an earlier gate
-on the same word when every gate between them commutes with it (the angles
-add), then makes one in-place vectorised update per remaining gate; a
-diagonal word needs no gather and a word of X letters no phase.  The
+``sample_expectations`` runs many circuits that share one sequence of Pauli
+words as a ``(B, 2^n)`` state stack.  It first folds each gate into an
+earlier gate on the same word when every gate between them commutes with it
+(the angles add), then makes one in-place vectorised update per remaining
+gate from the word's ``pauli`` tables and masks, looked up once per distinct
+word; a diagonal word needs no gather and a word of X letters no phase.  The
 folded angles round differently, so the engine agrees with the reference
 within 1e-12, not bit for bit.  One kernel (``_apply_operator``) applies
 ``H`` and every observable from one pre-gathered diagonal per flip mask, the
@@ -42,6 +43,8 @@ from .pauli import (
     apply_pauli_word,
     dense_word,
     to_dense,
+    word_masks,
+    words_commute,
 )
 
 NORM_TOL = 1e-10
@@ -68,9 +71,6 @@ MAX_TAYLOR_SUBSTEPS = 10**6
 #: Fold plans kept at once, one per word sequence; a run has one sequence
 #: per probe variant and per step count.
 FOLD_PLANS = 64
-
-#: ``(perm, phase)`` of a Pauli word, as built by ``pauli._word_tables``.
-WordTables = tuple[np.ndarray, np.ndarray]
 
 #: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
 OperatorTables = tuple[np.ndarray | None, np.ndarray]
@@ -171,23 +171,36 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(amps, state.n)
 
 
-def _check_angles(tables: Sequence[WordTables], angles: np.ndarray) -> None:
-    if angles.ndim != 2 or angles.shape[1] != len(tables):
+def _checked_masks(
+    words: Sequence[str], angles: np.ndarray, n: int
+) -> dict[str, tuple[int, int]]:
+    """``word_masks`` of each distinct word, after checking the gates.
+
+    Every word must act on ``n`` qubits, and ``angles`` needs one column per word.
+    """
+    if angles.ndim != 2 or angles.shape[1] != len(words):
         raise DimensionMismatchError(
-            f"angle array of shape {angles.shape} does not match {len(tables)} gates"
+            f"angle array of shape {angles.shape} does not match {len(words)} gates"
         )
+    masks: dict[str, tuple[int, int]] = {}
+    for word in words:
+        if word not in masks:
+            if len(word) != n:
+                raise DimensionMismatchError(f"word {word!r} does not act on {n} qubits")
+            masks[word] = word_masks(word)
+    return masks
 
 
 def evolve_batch(
     state: StateVector,
-    tables: Sequence[WordTables],
+    words: Sequence[str],
     angles: np.ndarray,
 ) -> np.ndarray:
     """Evolve one copy of ``state`` per row of ``angles``; returns the ``(B, 2^n)`` stack.
 
     Row b runs the gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ...,
-    where ``tables[k]`` holds the word tables of ``P_k``.  Each update is the
-    one ``apply_circuit`` makes, so a row equals the looped circuit bit for bit.
+    where ``P_k`` is the Pauli word ``words[k]``.  Each update is the one
+    ``apply_circuit`` makes, so a row equals the looped circuit bit for bit.
 
     The stack and two scratch stacks are allocated once and every gate
     writes into them, in the operand order of ``apply_circuit``.  Two kinds
@@ -196,14 +209,14 @@ def evolve_batch(
     identity), and a word of X letters skips the phase (all ones).
     """
     angles = np.asarray(angles, dtype=float)
-    _check_angles(tables, angles)
-    if any(perm.shape[0] != (1 << state.n) for perm, _ in tables):
-        raise DimensionMismatchError("gate and state qubit counts differ")
+    masks = _checked_masks(words, angles, state.n)
+    gates = {word: (_word_tables(word), masks[word]) for word in masks}
     cos = np.cos(angles).T[:, :, None]
     sin = 1.0j * np.sin(angles).T[:, :, None]
     amps = np.tile(state.amplitudes, (angles.shape[0], 1))
     scaled, moved = np.empty_like(amps), np.empty_like(amps)
-    for k, ((perm, phase), (x, z)) in enumerate(zip(tables, _word_masks(tables))):
+    for k, word in enumerate(words):
+        (perm, phase), (x, z) = gates[word]
         if x == 0:
             np.multiply(amps, phase, out=moved)
         elif z != 0:
@@ -221,28 +234,8 @@ def evolve_batch(
     return amps
 
 
-def _word_masks(tables: Sequence[WordTables]) -> tuple[tuple[int, int], ...]:
-    """``(x, z)`` bit masks of each word: the bits it flips (X, Y) and signs (Z, Y).
-
-    A word is fixed by its two masks, so they key the fold plan by value.
-    A sequence repeats the table objects of its few words; each object is
-    read once per call, while ``tables`` holds it, so its id stays its own.
-    """
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-    masks = []
-    for perm, phase in tables:
-        key = (id(perm), id(phase))
-        if key not in seen:
-            bits = (1 << s for s in range(perm.shape[0].bit_length() - 1))
-            seen[key] = (int(perm[0]), sum(b for b in bits if phase[b] != phase[0]))
-        masks.append(seen[key])
-    return tuple(masks)
-
-
 @lru_cache(maxsize=FOLD_PLANS)
-def _fold_plan(
-    masks: tuple[tuple[int, int], ...],
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def _fold_plan(words: tuple[str, ...]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Which gates of a word sequence stay after folding, and whose angles each sums.
 
     Gate k joins the latest earlier kept gate on its word when every kept
@@ -251,19 +244,18 @@ def _fold_plan(
     the first gate of each kept group, the gate indices grouped in kept order
     (ascending within a group), and where each group starts in that list.
     """
-    kept: list[tuple[int, int]] = []
+    kept: list[str] = []
     groups: list[list[int]] = []
-    for k, (x, z) in enumerate(masks):
+    for k, word in enumerate(words):
         target = None
         for j in range(len(kept) - 1, -1, -1):
-            if kept[j] == (x, z):
+            if kept[j] == word:
                 target = j
                 break
-            kx, kz = kept[j]
-            if ((kx & z) ^ (kz & x)).bit_count() % 2:
+            if not words_commute(kept[j], word):
                 break
         if target is None:
-            kept.append((x, z))
+            kept.append(word)
             groups.append([k])
         else:
             groups[target].append(k)
@@ -274,9 +266,7 @@ def _fold_plan(
     return tuple(group[0] for group in groups), columns, starts
 
 
-def fold_gates(
-    tables: Sequence[WordTables], angles: np.ndarray
-) -> tuple[list[WordTables], np.ndarray]:
+def fold_gates(words: Sequence[str], angles: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The word sequence with commuting repeats of a word merged, and its angles.
 
     Row by row, a kept gate's angle is the sum of its group's columns in
@@ -284,11 +274,11 @@ def fold_gates(
     rows beside it.  The circuits are the same unitaries up to rounding.
     """
     angles = np.asarray(angles, dtype=float)
-    _check_angles(tables, angles)
-    keep, columns, starts = _fold_plan(_word_masks(tables))
-    if len(keep) == len(tables):
-        return list(tables), angles
-    return [tables[k] for k in keep], np.add.reduceat(angles[:, columns], starts, axis=1)
+    _checked_masks(words, angles, len(words[0]) if words else 0)
+    keep, columns, starts = _fold_plan(tuple(words))
+    if len(keep) == len(words):
+        return list(words), angles
+    return [words[k] for k in keep], np.add.reduceat(angles[:, columns], starts, axis=1)
 
 
 def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
@@ -314,24 +304,24 @@ def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
 
 def sample_expectations(
     state: StateVector,
-    tables: Sequence[WordTables],
+    words: Sequence[str],
     angles: np.ndarray,
     obs: OperatorSum,
 ) -> np.ndarray:
     """``expectation(apply_circuit(state, circuit_b), obs)`` for every row b of ``angles``.
 
     The batched sample engine: all circuits share the word sequence
-    ``tables`` and differ only in their angles.  The sequence is folded
+    ``words`` and differ only in their angles.  The sequence is folded
     (``fold_gates``) once, then rows are evolved in chunks of at most
     ``BATCH_AMPLITUDES`` amplitudes.  Values agree with the looped circuits
     within 1e-12; a row's bits do not depend on the rows beside it.
     """
-    tables, angles = fold_gates(tables, angles)
+    words, angles = fold_gates(words, angles)
     rows = max(1, BATCH_AMPLITUDES >> state.n)
     values = np.empty(angles.shape[0])
     for start in range(0, angles.shape[0], rows):
         chunk = angles[start : start + rows]
-        values[start : start + rows] = expectation_rows(evolve_batch(state, tables, chunk), obs)
+        values[start : start + rows] = expectation_rows(evolve_batch(state, words, chunk), obs)
     return values
 
 
@@ -347,7 +337,7 @@ def _operator_tables(op: OperatorSum) -> tuple[OperatorTables, ...]:
     merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for term in op.terms:
         perm, phase = _word_tables(term.word)
-        flip = int(perm[0])
+        flip = word_masks(term.word)[0]
         diagonal = term.coeff * phase
         merged[flip] = (perm, merged[flip][1] + diagonal if flip in merged else diagonal)
     tables = tuple((perm if f else None, diag[perm]) for f, (perm, diag) in merged.items())

@@ -8,6 +8,7 @@ when there is one, on the circuit compiled gate by gate.
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from dataclasses import replace
@@ -43,6 +44,7 @@ from trotterprof import (
     run_error_curve,
     sample_expectations,
 )
+import trotterprof
 from trotterprof import profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
@@ -83,18 +85,19 @@ def test_evolve_batch_rows_equal_apply_circuit(rng):
     words = ["XZY", "ZZI", "IYX", "XXX", "ZIZ"]
     angles = rng.uniform(-2.0, 2.0, size=(6, len(words)))
     psi = random_state(rng, 3)
-    stack = evolve_batch(psi, [_word_tables(w) for w in words], angles)
+    stack = evolve_batch(psi, words, angles)
     for row, gate_angles in zip(stack, angles):
         circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), 3)
         np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
 
 
-def allocating_evolve(state, tables, angles):
+def allocating_evolve(state, words, angles):
     """The gate loop as one expression per gate, a fresh stack per operation."""
     cos = np.cos(angles).T[:, :, None]
     sin = 1.0j * np.sin(angles).T[:, :, None]
     amps = np.tile(state.amplitudes, (angles.shape[0], 1))
-    for k, (perm, phase) in enumerate(tables):
+    for k, word in enumerate(words):
+        perm, phase = _word_tables(word)
         amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
     return amps
 
@@ -133,10 +136,9 @@ def gate_sequences(draw):
 def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
     n, words, rows, rng = case
     psi = random_state(rng, n)
-    tables = [_word_tables(w) for w in words]
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
-    stack = evolve_batch(psi, tables, angles)
-    assert np.array_equal(stack, allocating_evolve(psi, tables, angles))
+    stack = evolve_batch(psi, words, angles)
+    assert np.array_equal(stack, allocating_evolve(psi, words, angles))
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
     assert np.array_equal(expectation_rows(stack, obs), allocating_rows(stack, obs))
 
@@ -151,9 +153,8 @@ def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
     if n > 1:
         words += ["ZZ".ljust(n, "I"), "XX".ljust(n, "I"), "XX".rjust(n, "I")]
     psi = random_state(rng, n)
-    tables = [_word_tables(w) for w in words]
     angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
-    assert np.array_equal(evolve_batch(psi, tables, angles), allocating_evolve(psi, tables, angles))
+    assert np.array_equal(evolve_batch(psi, words, angles), allocating_evolve(psi, words, angles))
 
 
 @st.composite
@@ -175,7 +176,7 @@ def test_folded_sequences_match_the_looped_circuits(case):
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in set(words)])
-    batched = sample_expectations(psi, [_word_tables(w) for w in words], angles, obs)
+    batched = sample_expectations(psi, words, angles, obs)
     for value, gate_angles in zip(batched, angles):
         circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), n)
         assert abs(value - expectation(apply_circuit(psi, circuit), obs)) <= TOL
@@ -191,24 +192,61 @@ def test_folded_sequences_match_the_looped_circuits(case):
     ],
 )
 def test_a_word_folds_only_past_commuting_gates(words, kept):
-    tables = [_word_tables(w) for w in words]
     angles = np.array([[0.1, 0.2, 0.4], [0.3, -0.5, 0.7]])
-    folded, folded_angles = fold_gates(tables, angles)
-    assert len(folded) == len(kept)
-    assert all(table is _word_tables(w) for table, w in zip(folded, kept))
+    folded, folded_angles = fold_gates(words, angles)
+    assert folded == kept
     if len(kept) == 2:
         assert np.array_equal(folded_angles, [[0.1 + 0.4, 0.2], [0.3 + 0.7, -0.5]])
     else:
         assert np.array_equal(folded_angles, angles)
 
 
+def engine_calls(words):
+    psi = random_state(np.random.default_rng(0), 2)
+    angles = np.full((2, len(words)), 0.3)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ")])
+    return {
+        "evolve_batch": lambda: evolve_batch(psi, words, angles),
+        "fold_gates": lambda: fold_gates(words, angles),
+        "sample_expectations": lambda: sample_expectations(psi, words, angles, obs),
+    }
+
+
+@pytest.mark.parametrize("engine", ["evolve_batch", "fold_gates", "sample_expectations"])
+@pytest.mark.parametrize(
+    "words, error, message",
+    [
+        (["XZ", "QZ"], ValueError, "invalid Pauli letters"),
+        (["XZ", "ZZZ"], DimensionMismatchError, "'ZZZ' does not act on 2 qubits"),
+    ],
+    ids=["letter", "length"],
+)
+def test_the_engine_checks_its_words(engine, words, error, message):
+    with pytest.raises(error, match=message):
+        engine_calls(words)[engine]()
+
+
+def test_only_pauli_and_simulator_know_the_word_tables():
+    # the word-table format belongs to the engine; callers pass Pauli words
+    package = Path(trotterprof.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if "_word_tables" in names:
+            users.add(path.stem)
+    assert users == {"pauli", "simulator"}
+
+
 def evolved_gate_counts(monkeypatch, evaluate) -> list[int]:
     """Gates each engine batch evolves while ``evaluate`` runs."""
     counts = []
 
-    def counting(state, tables, angles):
-        counts.append(len(tables))
-        return evolve_batch(state, tables, angles)
+    def counting(state, words, angles):
+        counts.append(len(words))
+        return evolve_batch(state, words, angles)
 
     monkeypatch.setattr(simulator, "evolve_batch", counting)
     evaluate()

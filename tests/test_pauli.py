@@ -21,7 +21,7 @@ from trotterprof import (
     pauli_product,
     to_dense,
 )
-from trotterprof.pauli import dense_word, words_commute
+from trotterprof.pauli import _word_tables, dense_word, word_masks, words_commute
 from trotterprof.simulator import Circuit, PauliRotation, circuit_unitary
 
 from conftest import random_operator_sum
@@ -168,6 +168,26 @@ def test_words_commute_parity_rule():
     assert words_commute("XX", "YY")  # two clashing sites
     assert not words_commute("XI", "ZI")  # one clashing site
     assert words_commute("XI", "IZ")  # disjoint support
+    with pytest.raises(DimensionMismatchError):
+        words_commute("XZ", "Z")  # no common register to compare on
+
+
+def equal_length_pairs(n: int):
+    word = st.text(LETTERS, min_size=n, max_size=n)
+    return st.tuples(word, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(equal_length_pairs))
+def test_masks_and_commutation_keep_the_letter_rules(pair):
+    for word in pair:
+        x, z = word_masks(word)
+        perm, phase = _word_tables(word)
+        assert x == perm[0]
+        assert z == sum(1 << s for s in range(len(word)) if phase[1 << s] != phase[0])
+    a, b = pair
+    clashes = sum(1 for p, q in zip(a, b) if p != "I" and q != "I" and p != q)
+    assert words_commute(a, b) == (clashes % 2 == 0)
 
 
 def test_canonicalization_merges_and_drops():
@@ -211,6 +231,8 @@ def test_term_word_validation():
         PauliTerm("")
     with pytest.raises(ValueError):
         PauliTerm("ZA")
+    with pytest.raises(ValueError):
+        word_masks("Q")  # not read as Z: the engine's words are checked here
 
 
 _LETTER_MATRICES = {
