@@ -109,12 +109,18 @@ def word_masks(word: str) -> tuple[int, int]:
     return x, z
 
 
+def masks_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Words with ``word_masks`` ``a`` and ``b`` commute iff they anticommute
+    on an even number of sites."""
+    (xa, za), (xb, zb) = a, b
+    return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
+
+
 def words_commute(a: str, b: str) -> bool:
-    """Two Pauli words commute iff they anticommute on an even number of sites."""
+    """Two Pauli words of one register commute: ``masks_commute`` of their masks."""
     if len(a) != len(b):
         raise DimensionMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
-    (xa, za), (xb, zb) = word_masks(a), word_masks(b)
-    return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
+    return masks_commute(word_masks(a), word_masks(b))
 
 
 def mutually_commuting(terms: Iterable[PauliTerm]) -> bool:

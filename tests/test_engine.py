@@ -9,8 +9,10 @@ when there is one, on the circuit compiled gate by gate.
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,14 +93,44 @@ def test_evolve_batch_rows_equal_apply_circuit(rng):
         np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
 
 
+def eigenvalue_bits(word):
+    """1 where the diagonal ``word`` has eigenvalue -1, from its Z letters."""
+    n = len(word)
+    x = np.arange(1 << n)
+    bits = np.zeros_like(x)
+    for pos, letter in enumerate(word):
+        if letter == "Z":
+            bits ^= (x >> (n - 1 - pos)) & 1
+    return bits
+
+
 def allocating_evolve(state, words, angles):
-    """The gate loop as one expression per gate, a fresh stack per operation."""
+    """The kernel's steps with a fresh stack per operation.
+
+    A word that flips bits is one expression per gate.  A run of at most n
+    consecutive diagonal words multiplies by its table of phase products,
+    doubled one word at a time and read at each state's eigenvalue bits.
+    """
+    n = state.n
     cos = np.cos(angles).T[:, :, None]
     sin = 1.0j * np.sin(angles).T[:, :, None]
     amps = np.tile(state.amplitudes, (angles.shape[0], 1))
-    for k, word in enumerate(words):
-        perm, phase = _word_tables(word)
-        amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+    k = 0
+    while k < len(words):
+        run = list(itertools.takewhile(lambda w: set(w) <= {"I", "Z"}, words[k : k + n]))
+        if not run:
+            perm, phase = _word_tables(words[k])
+            amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+            k += 1
+            continue
+        table = np.concatenate([cos[k] - sin[k], cos[k] + sin[k]], axis=1)
+        index = eigenvalue_bits(run[0])
+        for j, word in enumerate(run[1:], start=1):
+            minus, plus = cos[k + j] - sin[k + j], cos[k + j] + sin[k + j]
+            table = np.concatenate([table * minus, table * plus], axis=1)
+            index = index + (eigenvalue_bits(word) << j)
+        amps = amps * table[:, index]
+        k += len(run)
     return amps
 
 
@@ -145,7 +177,8 @@ def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
-    # a diagonal word skips the gather and an X word the phase
+    # a diagonal word is a run of one, gathered from its two-entry table,
+    # and an X word skips the phase
     rng = np.random.default_rng(n)
     words = []
     for pos in range(n):
@@ -155,6 +188,61 @@ def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
     assert np.array_equal(evolve_batch(psi, words, angles), allocating_evolve(psi, words, angles))
+
+
+@st.composite
+def diagonal_run_sequences(draw):
+    """Runs of Z-only words, some longer than n, between words that flip bits."""
+    n = draw(st.integers(1, 5))
+    diagonal = ["".join(w) for w in itertools.product("IZ", repeat=n) if "Z" in w]
+    run = st.lists(st.sampled_from(diagonal), min_size=1, max_size=2 * n + 1)
+    if n <= 4:
+        run = run | st.permutations(diagonal)  # all 2^n - 1 of them, split at n
+    flipping = st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) & set("XY"))
+    segments = draw(st.lists(run | st.lists(flipping, min_size=1, max_size=2), max_size=5))
+    rows = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, [w for segment in segments for w in segment], rows, np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_run_sequences())
+def test_diagonal_runs_match_the_looped_circuits_row_by_row(case):
+    n, words, rows, rng = case
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    stack = evolve_batch(psi, words, angles)
+    for b, (row, gate_angles) in enumerate(zip(stack, angles)):
+        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), n)
+        np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
+        assert np.array_equal(row, evolve_batch(psi, words, angles[b : b + 1])[0])
+
+
+def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
+    # 10 qubits and 32 rows: one chunk of the benchmark chain, whose nine ZZ
+    # bonds are one run between the X fields
+    n, rows = 10, 32
+    bonds = [("I" * b + "ZZ").ljust(n, "I") for b in range(n - 1)]
+    fields = [("I" * q + "X").ljust(n, "I") for q in range(n)]
+    words = fields + bonds + fields
+    rng = np.random.default_rng(3)
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    evolve_batch(psi, words, angles)  # fills the plan and index caches
+    (index,) = [i for _, _, i in simulator._step_plan(tuple(words)) if i is not None]
+    stack, table = rows << n, rows << len(bonds)
+    # numpy's ufunc buffers (8192 elements each by default) would hide a table
+    old = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        evolve_batch(psi, words, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    # the three stacks and the index, and room for the per-gate angle
+    # columns but not for a table of its own
+    assert peak < 3 * 16 * stack + index.nbytes + 16 * table // 2
 
 
 @st.composite
@@ -240,17 +328,17 @@ def test_only_pauli_and_simulator_know_the_word_tables():
     assert users == {"pauli", "simulator"}
 
 
-def evolved_gate_counts(monkeypatch, evaluate) -> list[int]:
-    """Gates each engine batch evolves while ``evaluate`` runs."""
-    counts = []
+def evolved_sequences(monkeypatch, evaluate) -> list[tuple[str, ...]]:
+    """The word sequence of each engine batch evolved while ``evaluate`` runs."""
+    sequences = []
 
-    def counting(state, words, angles):
-        counts.append(len(words))
+    def recording(state, words, angles):
+        sequences.append(tuple(words))
         return evolve_batch(state, words, angles)
 
-    monkeypatch.setattr(simulator, "evolve_batch", counting)
+    monkeypatch.setattr(simulator, "evolve_batch", recording)
     evaluate()
-    return counts
+    return sequences
 
 
 def test_folding_removes_the_repeated_commuting_fragment(monkeypatch):
@@ -259,17 +347,22 @@ def test_folding_removes_the_repeated_commuting_fragment(monkeypatch):
     # 100, 150, 560 and 140/280/560/1120
     for name, composite in (("tfim-suzuki4", 73), ("xxz-suzuki4", 96)):
         cfg = CONFIGS[name]
-        counts = evolved_gate_counts(
+        sequences = evolved_sequences(
             monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), cfg)
         )
-        assert counts == [composite]
+        assert [len(words) for words in sequences] == [composite]
     chain = parse_config(json.dumps(workloads.chain10_pinned(1)))
-    counts = evolved_gate_counts(
+    sequences = evolved_sequences(
         monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), chain)
     )
-    assert counts == [389]
-    counts = evolved_gate_counts(monkeypatch, lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
-    assert counts == [104, 199, 389, 769]
+    sequences += evolved_sequences(monkeypatch, lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
+    assert [len(words) for words in sequences] == [389, 104, 199, 389, 769]
+    # each diagonal run is one kernel step: the chain's folded ZZ fragment is
+    # a run of its nine bonds, so the composite is 200 single gates and 21 runs
+    plans = [simulator._step_plan(words) for words in sequences]
+    assert [len(plan) for plan in plans] == [221, 56, 111, 221, 441]
+    assert [stop - start for start, stop, i in plans[0] if i is not None] == [9] * 21
+    assert len({id(i) for plan in plans for _, _, i in plan if i is not None}) == 1
 
 
 def test_run_at_13_qubits_uses_the_matrix_free_exact_column(tmp_path):

@@ -21,7 +21,13 @@ from trotterprof import (
     pauli_product,
     to_dense,
 )
-from trotterprof.pauli import _word_tables, dense_word, word_masks, words_commute
+from trotterprof.pauli import (
+    _word_tables,
+    dense_word,
+    masks_commute,
+    word_masks,
+    words_commute,
+)
 from trotterprof.simulator import Circuit, PauliRotation, circuit_unitary
 
 from conftest import random_operator_sum
@@ -188,6 +194,7 @@ def test_masks_and_commutation_keep_the_letter_rules(pair):
     a, b = pair
     clashes = sum(1 for p, q in zip(a, b) if p != "I" and q != "I" and p != q)
     assert words_commute(a, b) == (clashes % 2 == 0)
+    assert masks_commute(word_masks(a), word_masks(b)) == (clashes % 2 == 0)
 
 
 def test_canonicalization_merges_and_drops():
