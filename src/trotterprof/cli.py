@@ -3,9 +3,13 @@
 Subcommands: ``run`` (trotter/ep/mpf error curves), ``profile`` (single-time
 sweep plus fit report), ``mpf`` (extrapolation curve plus weights),
 ``calibrate`` (basis report), ``slope`` (log-log gradients), and ``cost``
-(circuit accounting).  Configs come from ``--config FILE`` or
-``--preset NAME``; results are written atomically as CSV.  Exit codes:
-0 success, 1 configuration error, 2 numerical failure.
+(circuit accounting).  Each reads its setup from ``--config FILE`` or
+``--preset NAME`` and takes ``--out``; any other flag exists only where it
+is read: ``--seed`` on the commands that draw noise (run, profile, mpf,
+slope), ``--method`` on run and slope, ``--time`` on profile and
+``--window`` on slope.  Everything else, ``cost``'s depth, step counts and
+grid included, comes from the document.  Results are written atomically as
+CSV.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .experiments import (
     stable_slope_fit,
 )
 from .mpf import mpf_weights
-from .profiling import default_a_grid, exact_values, mitigated_estimate, resolve_basis
+from .profiling import exact_values, mitigated_estimate, resolve_basis, sweep_grid
 from .report import ResultRow, ResultTable, atomic_write_text, write_csv
 
 EXIT_OK = 0
@@ -64,34 +68,26 @@ def _build_parser() -> _CliParser:
     parser.add_argument("--version", action="version", version=f"trotterprof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str, *, seed: bool = False, method: bool = False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a JSON config document")
         p.add_argument("--preset", help=f"built-in setup, one of {', '.join(PRESETS)}")
         p.add_argument("--out", help="output CSV path (overrides the config)")
-        p.add_argument("--seed", type=int, help="override the noise seed")
-        p.add_argument(
-            "--method",
-            help="comma-separated subset of trotter,ep,mpf (default: all)",
-        )
+        if seed:
+            p.add_argument("--seed", type=int, help="override the noise seed")
+        if method:
+            p.add_argument(
+                "--method", help="comma-separated subset of trotter,ep,mpf (default: all)"
+            )
+        return p
 
-    run_p = sub.add_parser("run", help="error curves for every requested method")
-    common(run_p)
-
-    profile_p = sub.add_parser("profile", help="sweep the split parameter at one time")
-    common(profile_p)
-    profile_p.add_argument(
+    command("run", "error curves for every requested method", seed=True, method=True)
+    command("profile", "sweep the split parameter at one time", seed=True).add_argument(
         "--time", type=float, help="evaluation time (default: largest configured time)"
     )
-
-    mpf_p = sub.add_parser("mpf", help="multi-product curve and weight report")
-    common(mpf_p)
-
-    cal_p = sub.add_parser("calibrate", help="report the calibrated fit basis")
-    common(cal_p)
-
-    slope_p = sub.add_parser("slope", help="log-log error gradients per method")
-    common(slope_p)
-    slope_p.add_argument(
+    command("mpf", "multi-product curve and weight report", seed=True)
+    command("calibrate", "report the calibrated fit basis")
+    command("slope", "log-log error gradients per method", seed=True, method=True).add_argument(
         "--window",
         nargs=2,
         type=float,
@@ -99,18 +95,7 @@ def _build_parser() -> _CliParser:
         default=(0.1, 0.5),
         help="time window for the gradient fit (default 0.1 0.5)",
     )
-
-    cost_p = sub.add_parser("cost", help="circuit and gate accounting")
-    common(cost_p)
-    cost_p.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="base Trotter depth N, with multi-product counts 1..N"
-        " (default: the configured depth and step counts, as run uses)",
-    )
-    cost_p.add_argument("--grid", type=int, default=None, help="profiling grid size")
-
+    command("cost", "circuit and gate accounting")
     return parser
 
 
@@ -128,14 +113,13 @@ def _load_document(args: argparse.Namespace) -> ConfigDocument:
         doc = ConfigDocument(preset_config(args.preset))
     else:
         raise ConfigError("one of --config or --preset is required", "usage")
-    cfg = doc.experiment
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return ConfigDocument(cfg, doc.output_path)
+    if getattr(args, "seed", None) is None:
+        return doc
+    return ConfigDocument(replace(doc.experiment, seed=args.seed), doc.output_path)
 
 
 def _methods(args: argparse.Namespace) -> tuple[str, ...]:
-    if not getattr(args, "method", None):
+    if not args.method:
         return METHODS
     picked = tuple(m.strip() for m in args.method.split(",") if m.strip())
     for m in picked:
@@ -252,7 +236,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     basis = resolve_basis(cfg)
     print(f"surviving orders {list(basis.orders)}")
     print(f"antisymmetric columns {basis.include_antisymmetric}")
-    print(f"suggested grid size {len(default_a_grid(len(basis.orders)))}")
+    print(f"sweep grid size {len(sweep_grid(cfg, basis))}")
     rows = [ResultRow("calibrate", 0.0, order, 1.0, 1.0, 0.0) for order in basis.orders]
     _write_rows(args, doc, rows)
     return EXIT_OK
@@ -276,31 +260,20 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    if args.steps is None:
-        steps, mpf_counts = cfg.trotter_steps, cfg.mpf.step_counts
-    elif args.steps < 1:
-        raise ConfigError("--steps must be at least 1", "steps")
-    else:
-        steps, mpf_counts = args.steps, tuple(range(1, args.steps + 1))
-    grid = args.grid
-    if grid is None and cfg.a_grid is not None:
-        grid = len(cfg.a_grid)
-    elif grid is None:
-        grid = len(default_a_grid(len(resolve_basis(cfg).orders)))
+    grid = len(sweep_grid(cfg))
+    counts = cfg.mpf.step_counts
     ep = circuit_cost(
         "ep",
         formula=cfg.formula,
         partition=cfg.partition,
-        trotter_steps=steps,
+        trotter_steps=cfg.trotter_steps,
         grid_points=grid,
     )
-    mpf = circuit_cost(
-        "mpf", formula=cfg.formula, partition=cfg.partition, step_counts=mpf_counts
-    )
+    mpf = circuit_cost("mpf", formula=cfg.formula, partition=cfg.partition, step_counts=counts)
     lines = [
         f"profiling: {ep.circuits} circuits x depth {ep.depth_steps} steps"
         f" = {ep.total_steps} steps, {ep.elementary_gates} gates (grid {grid})",
-        f"multi-product (counts {', '.join(map(str, mpf_counts))}): {mpf.circuits} circuits,"
+        f"multi-product (counts {', '.join(map(str, counts))}): {mpf.circuits} circuits,"
         f" {mpf.total_steps} steps, {mpf.elementary_gates} gates",
     ]
     text = "\n".join(lines) + "\n"

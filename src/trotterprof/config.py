@@ -36,15 +36,31 @@ from .formulas import (
     PartitionedHamiltonian,
     ProductFormula,
     builtin_formula,
+    step_terms,
 )
 from .pauli import OperatorSum, PauliTerm
-from .profiling import BasisSpec, check_grid
+from .profiling import CALIBRATION_A_PROBE, CALIBRATION_POINTS, BasisSpec, check_grid
 from .simulator import StateVector, init_product_state
 
 #: Largest register a document may declare.  A run holds 24 * 2^n bytes per
 #: Pauli word and flip mask (int64 permutation, complex phase) and 16 * 2^n
 #: per state: a 20-site chain's 81 tables and 60 exact states take ~2.8 GiB.
 MAX_QUBITS = 20
+
+#: Largest angle array a document may make a run build.  A batch evolves one
+#: row per (time, split parameter), or per calibration probe, and rotates each
+#: row once per gate of its word sequence: ``len(step_terms)`` gates per step
+#: times the depth, which is ``2 * trotter_steps`` for a sweep and the step
+#: count for a multi-product constituent.  ``times.points``,
+#: ``profiling.trotter_steps`` and each ``mpf.step_counts`` entry are bounded
+#: so that no batch holds more than 2^24 float64 angles (128 MiB); the largest
+#: batch of the 10-qubit ``suzuki4`` benchmark chain, 180 rows x 560 gates, is
+#: 1/166 of that.
+MAX_ANGLES = 2**24
+
+#: Rows of calibration's one batch: each probe ``a`` and ``1 - a`` at every
+#: probe time.
+_CALIBRATION_ROWS = 2 * len(CALIBRATION_A_PROBE) * CALIBRATION_POINTS
 
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
 _SYSTEM_SECTIONS = ("system", "partition", "formula", "initial_state", "observable")
@@ -142,6 +158,24 @@ def _section(raw: Any, name: str, keys: tuple[str, ...]) -> dict:
     return entry
 
 
+def _integer(
+    value: Any, name: str, low: int | None = None, high: int | None = None
+) -> int:
+    """A JSON integer, not a boolean, within the bounds given (``high`` needs ``low``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {type(value).__name__}", name)
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f"of at least {low}" if high is None else f"from {low} to {high}"
+        raise ConfigError(f"{name} must be an integer {span}, got {value}", name)
+    return value
+
+
+def _boolean(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean, got {type(value).__name__}", name)
+    return value
+
+
 def _real_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(
@@ -203,17 +237,8 @@ def _parse_partition(
     for g, group in enumerate(groups):
         indices = _expect(group, list, f"partition[{g}]")
         picked = []
-        for idx in indices:
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise ConfigError(
-                    f"partition[{g}] entries must be term indices", f"partition[{g}]"
-                )
-            if idx < 0 or idx >= len(terms):
-                raise ConfigError(
-                    f"partition[{g}] references term {idx}, but the Hamiltonian"
-                    f" has terms 0..{len(terms) - 1}",
-                    f"partition[{g}]",
-                )
+        for entry in indices:
+            idx = _integer(entry, f"partition[{g}]", 0, len(terms) - 1)
             if idx in seen:
                 raise ConfigError(
                     f"term {idx} appears in fragments {seen[idx]} and {g}", "partition"
@@ -250,28 +275,18 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
     steps_raw = _expect(entry.get("steps"), list, "formula.steps")
     steps = []
     for i, pair in enumerate(steps_raw):
-        item = _expect(pair, list, f"formula.steps[{i}]")
-        if len(item) != 2 or not isinstance(item[0], int) or isinstance(item[0], bool):
-            raise ConfigError(
-                f"formula.steps[{i}] must be [fragment_index, coefficient]",
-                f"formula.steps[{i}]",
-            )
-        steps.append((item[0], _real_number(item[1], f"formula.steps[{i}]")))
-    alpha = entry.get("alpha")
-    if not isinstance(alpha, int) or isinstance(alpha, bool):
-        raise ConfigError("formula.alpha must be an integer", "formula.alpha")
-    symmetric = entry.get("symmetric", False)
-    if not isinstance(symmetric, bool):
-        raise ConfigError("formula.symmetric must be a boolean", "formula.symmetric")
+        name = f"formula.steps[{i}]"
+        item = _expect(pair, list, name)
+        if len(item) != 2:
+            raise ConfigError(f"{name} must be [fragment_index, coefficient]", name)
+        index = _integer(item[0], name, 0, len(partition.fragments) - 1)
+        steps.append((index, _real_number(item[1], name)))
+    alpha = _integer(entry.get("alpha"), "formula.alpha", 2)
+    symmetric = _boolean(entry.get("symmetric", False), "formula.symmetric")
     try:
-        formula = ProductFormula(tuple(steps), alpha, symmetric)
+        return ProductFormula(tuple(steps), alpha, symmetric), None
     except FormulaError as exc:
         raise ConfigError(f"formula: {exc}", "formula") from exc
-    if formula.fragment_count > len(partition.fragments):
-        raise ConfigError(
-            "formula addresses more fragments than the partition provides", "formula"
-        )
-    return formula, None
 
 
 def _parse_state(raw: Any, n: int) -> StateVector:
@@ -326,7 +341,21 @@ def _parse_state(raw: Any, n: int) -> StateVector:
     )
 
 
-def _parse_times(raw: Any) -> tuple[float, ...]:
+def _gates_per_step(cfg: ExperimentConfig) -> int:
+    return len(step_terms(cfg.formula, cfg.partition))
+
+
+def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha: int) -> int:
+    """Points of the largest grid a sweep can run.
+
+    A calibrated basis keeps at most the ``alpha - 1`` orders ``alpha .. 2 alpha - 2``.
+    """
+    if a_grid is not None:
+        return len(a_grid)
+    return 2 * (len(basis.orders) if basis is not None else alpha - 1) + 1
+
+
+def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
     entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
     if "values" in entry:
         others = [f"times.{key}" for key in entry if key != "values"]
@@ -342,9 +371,10 @@ def _parse_times(raw: Any) -> tuple[float, ...]:
     else:
         start = _real_number(entry.get("start", 0.1), "times.start")
         stop = _real_number(entry.get("stop", 1.0), "times.stop")
-        points = entry.get("points", 20)
-        if not isinstance(points, int) or isinstance(points, bool) or points < 1:
-            raise ConfigError("times.points must be a positive integer", "times.points")
+        grid = _grid_bound(cfg.a_grid, cfg.basis, cfg.formula.alpha)
+        depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf.step_counts))
+        limit = MAX_ANGLES // (_gates_per_step(cfg) * depth)
+        points = _integer(entry.get("points", 20), "times.points", 1, limit)
         scale = entry.get("scale", "log")
         if scale == "log":
             if start <= 0:
@@ -368,39 +398,35 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
         "profiling",
         ("trotter_steps", "a_grid", "n_extra_orders", "include_antisymmetric"),
     )
-    steps = entry.get("trotter_steps", cfg.trotter_steps)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError(
-            "profiling.trotter_steps must be a positive integer",
-            "profiling.trotter_steps",
-        )
     a_grid = entry.get("a_grid")
     grid = cfg.a_grid
     if a_grid is not None:
         values = _expect(a_grid, list, "profiling.a_grid")
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
     basis = cfg.basis
-    extra = entry.get("n_extra_orders")
-    if extra is None and "include_antisymmetric" in entry:
+    alpha = cfg.formula.alpha
+    if "n_extra_orders" in entry:
+        extra = _integer(entry["n_extra_orders"], "profiling.n_extra_orders", 0)
+        top = min(alpha + extra, 2 * alpha - 2)
+        anti = _boolean(
+            entry.get("include_antisymmetric", True), "profiling.include_antisymmetric"
+        )
+        basis = BasisSpec(tuple(range(alpha, top + 1)), anti)
+    elif "include_antisymmetric" in entry:
         raise ConfigError(
             "profiling.include_antisymmetric needs profiling.n_extra_orders",
             "profiling.include_antisymmetric",
         )
-    if extra is not None:
-        if not isinstance(extra, int) or isinstance(extra, bool) or extra < 0:
-            raise ConfigError(
-                "profiling.n_extra_orders must be a non-negative integer",
-                "profiling.n_extra_orders",
-            )
-        alpha = cfg.formula.alpha
-        top = min(alpha + extra, 2 * alpha - 2)
-        anti = entry.get("include_antisymmetric", True)
-        if not isinstance(anti, bool):
-            raise ConfigError(
-                "profiling.include_antisymmetric must be a boolean",
-                "profiling.include_antisymmetric",
-            )
-        basis = BasisSpec(tuple(range(alpha, top + 1)), anti)
+    rows = max(
+        len(cfg.times) * _grid_bound(grid, basis, alpha),
+        _CALIBRATION_ROWS if basis is None else 0,
+    )
+    steps = _integer(
+        entry.get("trotter_steps", cfg.trotter_steps),
+        "profiling.trotter_steps",
+        1,
+        MAX_ANGLES // (2 * _gates_per_step(cfg) * rows),
+    )
     if grid is not None:
         # A calibrated basis is known only at run time; it is checked there.
         try:
@@ -410,26 +436,18 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     return {"trotter_steps": steps, "a_grid": grid, "basis": basis}
 
 
-def _parse_mpf(raw: Any, current: MPFOptions) -> MPFOptions:
+def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> MPFOptions:
     entry = _section(raw, "mpf", ("step_counts", "symmetric"))
-    counts = current.step_counts
+    counts = cfg.mpf.step_counts
     if "step_counts" in entry:
         counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
         if not counts_list:
             raise ConfigError("mpf.step_counts must not be empty", "mpf.step_counts")
-        for v in counts_list:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(
-                    "mpf.step_counts must be positive integers", "mpf.step_counts"
-                )
-        if len(set(counts_list)) != len(counts_list):
+        limit = MAX_ANGLES // (_gates_per_step(cfg) * len(cfg.times))
+        counts = tuple(_integer(v, "mpf.step_counts", 1, limit) for v in counts_list)
+        if len(set(counts)) != len(counts):
             raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")
-        counts = tuple(counts_list)
-    symmetric = entry.get("symmetric")
-    if symmetric is None:
-        symmetric = current.symmetric
-    if not isinstance(symmetric, bool):
-        raise ConfigError("mpf.symmetric must be a boolean", "mpf.symmetric")
+    symmetric = _boolean(entry.get("symmetric", cfg.mpf.symmetric), "mpf.symmetric")
     return MPFOptions(step_counts=counts, symmetric=symmetric)
 
 
@@ -438,10 +456,8 @@ def _parse_noise(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     sigma = _real_number(entry.get("sigma", cfg.noise_sigma), "noise.sigma")
     if sigma < 0:
         raise ConfigError("noise.sigma must be non-negative", "noise.sigma")
-    seed = entry.get("seed", cfg.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("noise.seed must be an integer", "noise.seed")
-    return {"noise_sigma": sigma, "seed": seed}
+    # ExperimentConfig checks the sign, for the --seed flag too.
+    return {"noise_sigma": sigma, "seed": _integer(entry.get("seed", cfg.seed), "noise.seed")}
 
 
 def _apply_options(cfg: ExperimentConfig, doc: dict) -> ExperimentConfig:
@@ -451,11 +467,11 @@ def _apply_options(cfg: ExperimentConfig, doc: dict) -> ExperimentConfig:
     section counts as missing.
     """
     if doc.get("times") is not None:
-        cfg = replace(cfg, times=_parse_times(doc["times"]))
+        cfg = replace(cfg, times=_parse_times(doc["times"], cfg))
     if doc.get("profiling") is not None:
         cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg))
     if doc.get("mpf") is not None:
-        cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg.mpf))
+        cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg))
     if doc.get("noise") is not None:
         cfg = replace(cfg, **_parse_noise(doc["noise"], cfg))
     return cfg
@@ -483,6 +499,10 @@ def parse_document(text: str) -> ConfigDocument:
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             "syntax",
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError("a number has too many digits to read", "syntax") from exc
+    except RecursionError as exc:
+        raise ConfigError("the document nests too deeply to read", "syntax") from exc
     doc = _section(raw, "document", ("preset",) + _SYSTEM_SECTIONS + _OPTION_SECTIONS)
 
     preset = doc.get("preset")
@@ -503,11 +523,7 @@ def parse_document(text: str) -> ConfigDocument:
 def _parse_system(doc: dict) -> ExperimentConfig:
     """The system sections of a full document, with every option at its default."""
     system = _section(doc.get("system"), "system", ("num_qubits", "hamiltonian"))
-    n = system.get("num_qubits")
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
-        raise ConfigError(
-            f"system.num_qubits must be an integer from 1 to {MAX_QUBITS}", "system.num_qubits"
-        )
+    n = _integer(system.get("num_qubits"), "system.num_qubits", 1, MAX_QUBITS)
     ham_terms = _parse_terms(
         system.get("hamiltonian"), n, "system.hamiltonian", identity_ok=False
     )

@@ -162,8 +162,8 @@ class ErrorSeries:
 class ProfilingConfig:
     """Everything a mitigated estimate needs besides the evaluation time.
 
-    An unset ``a_grid`` defaults to the Chebyshev grid sized for the basis;
-    an unset ``basis`` is calibrated.
+    An unset ``a_grid`` defaults to the Chebyshev grid sized for the basis
+    (``sweep_grid``); an unset ``basis`` is calibrated.
     """
 
     formula: ProductFormula
@@ -496,6 +496,20 @@ def resolve_basis(config: ProfilingConfig) -> BasisSpec:
     return config.basis if config.basis is not None else calibrate_basis(config)
 
 
+def sweep_grid(config: ProfilingConfig, basis: BasisSpec | None = None) -> tuple[float, ...]:
+    """The grid a sweep of ``config`` runs: its ``a_grid``, else the basis's default.
+
+    Every command takes its grid from here.  ``basis`` is the resolved basis
+    when the caller holds it; otherwise it is resolved, calibrating if need
+    be, and only when no grid is configured.
+    """
+    if config.a_grid is not None:
+        return config.a_grid
+    if basis is None:
+        basis = resolve_basis(config)
+    return default_a_grid(len(basis.orders))
+
+
 def mitigated_estimates(
     times: Sequence[float],
     config: ProfilingConfig,
@@ -514,7 +528,7 @@ def mitigated_estimates(
     whatever the batching.
     """
     basis = resolve_basis(config)
-    grid = config.a_grid if config.a_grid is not None else default_a_grid(len(basis.orders))
+    grid = sweep_grid(config, basis)
     check_grid(grid, basis)
     if jitters is None:
         jitters = [None] * len(times)

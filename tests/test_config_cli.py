@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -31,9 +34,9 @@ from trotterprof import (
     stable_slope_fit,
     write_csv,
 )
-from trotterprof import profiling
-from trotterprof.cli import run_command
-from trotterprof.config import MAX_QUBITS, PRESETS, config_digest
+from trotterprof import config, profiling
+from trotterprof.cli import _build_parser, run_command
+from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
 from trotterprof.report import render_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -251,6 +254,152 @@ def test_a_register_above_the_cap_is_refused_before_anything_is_built(tmp_path, 
     for argv in (["run", "--method", "trotter"], ["cost"]):
         assert run_command([*argv, "--config", path]) == 1
         assert "system.num_qubits" in capsys.readouterr().err
+
+
+OVERSIZED_COUNTS = [
+    ("times.points", {"times": {"start": 0.1, "stop": 1.0, "points": 10**13}}),
+    ("profiling.trotter_steps", {"profiling": {"trotter_steps": 10**13}}),
+    ("mpf.step_counts", {"mpf": {"step_counts": [1, 10**13]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, options", OVERSIZED_COUNTS, ids=[key for key, _ in OVERSIZED_COUNTS]
+)
+def test_an_oversized_count_is_refused_before_anything_is_built(
+    tmp_path, capsys, key, options
+):
+    # each used to end in a MemoryError traceback, in np.geomspace or in
+    # SampleTemplate.forward
+    doc = {"preset": "tfim-ruth3", **options}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(key)) as info:
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == key
+    assert peak < 1 << 20
+    path = write_config(tmp_path, doc)
+    for argv in (["run", "--method", "trotter"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+
+def test_the_depth_bound_is_the_angle_budget_of_the_largest_batch():
+    # tfim-ruth3 rotates 21 terms per step; with a calibrated basis its sweep
+    # can take up to 7 grid points, so 20 times make 140 rows of 2N steps
+    limit = MAX_ANGLES // (20 * 7 * 2 * 21)
+    doc = {"preset": "tfim-ruth3", "profiling": {"trotter_steps": limit}}
+    assert parse_config(json.dumps(doc)).trotter_steps == limit
+    doc["profiling"]["trotter_steps"] = limit + 1
+    with pytest.raises(ConfigError, match=f"from 1 to {limit}, got {limit + 1}"):
+        parse_config(json.dumps(doc))
+
+
+def test_shipped_documents_stay_far_inside_the_angle_bound(monkeypatch):
+    # the benchmark's largest batch, 180 rows x 560 gates, is 1/166 of the bound
+    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 100)
+    for workload in workloads.WORKLOADS:
+        for _, doc, _ in workloads.jobs(workload, seed=1):
+            parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"preset": "tfim-ruth3", "noise": {"seed": ' + "7" * 5000 + "}}", "too many digits"),
+        ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+    ],
+    ids=["digits", "nesting"],
+)
+def test_unreadable_json_is_a_config_error(tmp_path, capsys, text, message):
+    # both used to escape json.loads as a ValueError or RecursionError traceback
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(text)
+    assert info.value.field == "syntax"
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run_command(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def typed_document() -> dict:
+    """The 2-qubit document with every integer and boolean key spelled out."""
+    doc = sample_document()
+    doc.pop("output")
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    doc["profiling"] = {"trotter_steps": 1, "n_extra_orders": 1, "include_antisymmetric": True}
+    doc["mpf"] = {"step_counts": [1, 2], "symmetric": True}
+    return doc
+
+
+#: Above every count bound of ``typed_document``, which sit far below 10**9.
+huge = st.integers(min_value=10**9)
+#: (field, path to the value in ``typed_document``, values out of range, or
+#: None for a boolean key).
+TYPED_KEYS = [
+    (
+        "system.num_qubits",
+        ("system", "num_qubits"),
+        st.integers(max_value=0) | st.integers(MAX_QUBITS + 1),
+    ),
+    ("partition[1]", ("partition", 1, 0), st.integers(max_value=-1) | st.integers(3)),
+    ("formula.steps[1]", ("formula", "steps", 1, 0), st.integers(max_value=-1) | st.integers(2)),
+    ("formula.alpha", ("formula", "alpha"), st.integers(max_value=1)),
+    ("times.points", ("times", "points"), st.integers(max_value=0) | huge),
+    ("profiling.trotter_steps", ("profiling", "trotter_steps"), st.integers(max_value=0) | huge),
+    ("profiling.n_extra_orders", ("profiling", "n_extra_orders"), st.integers(max_value=-1)),
+    ("mpf.step_counts", ("mpf", "step_counts", 1), st.integers(max_value=0) | huge),
+    # the sign of a seed is checked by ExperimentConfig, also for --seed
+    ("noise.seed", ("noise", "seed"), st.nothing()),
+    ("formula.symmetric", ("formula", "symmetric"), None),
+    ("profiling.include_antisymmetric", ("profiling", "include_antisymmetric"), None),
+    ("mpf.symmetric", ("mpf", "symmetric"), None),
+]
+other_types = (
+    st.floats() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) | st.none()
+)
+
+
+@st.composite
+def mistyped_documents(draw):
+    field, path, out_of_range = draw(st.sampled_from(TYPED_KEYS))
+    if out_of_range is None:
+        value = draw(other_types | st.integers())
+    else:
+        value = draw(other_types | st.booleans() | out_of_range)
+    doc = typed_document()
+    entry = doc
+    for step in path[:-1]:
+        entry = entry[step]
+    entry[path[-1]] = value
+    return field, doc
+
+
+def test_the_typed_document_parses():
+    parse_config(json.dumps(typed_document()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mistyped_documents())
+def test_every_integer_and_boolean_key_refuses_other_values(tmp_path_factory, case):
+    field, doc = case
+    text = json.dumps(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.field == field
+    path = tmp_path_factory.mktemp("typed") / "config.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(["run", "--method", "trotter", "--config", str(path)])
+    assert code == 1
+    assert field in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_times_validation():
@@ -848,12 +997,106 @@ def test_cost_counts_a_configured_grid_without_calibrating(tmp_path, capsys, mon
 
 
 def test_cost_command(tmp_path, capsys):
-    code = run_command(
-        ["cost", "--preset", "tfim-ruth3", "--steps", "3", "--grid", "5"]
-    )
+    doc = {
+        "preset": "tfim-ruth3",
+        "profiling": {"trotter_steps": 3, "a_grid": [-0.5, 0.0, 0.5, 1.0, 1.5]},
+        "mpf": {"step_counts": [1, 2, 3]},
+    }
+    code = run_command(["cost", "--config", write_config(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == 0
     assert "profiling" in captured.out and "multi-product" in captured.out
+    assert "depth 6 steps" in captured.out
+    assert "(grid 5)" in captured.out
+    assert "counts 1, 2, 3" in captured.out
+
+
+REMOVED_FLAGS = [
+    ["cost", "--steps", "3"],
+    ["cost", "--grid", "5"],
+    ["profile", "--method", "ep"],
+    ["mpf", "--method", "mpf"],
+    ["calibrate", "--method", "zzz"],
+    ["cost", "--method", "bogus"],
+    ["calibrate", "--seed", "5"],
+    ["cost", "--seed", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[" ".join(a[:2]) for a in REMOVED_FLAGS])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # each used to be accepted and change nothing, or describe a sweep that
+    # run never executes
+    assert run_command([*argv, "--preset", "tfim-ruth3"]) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+    assert "usage:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "profiling_options, size",
+    [({"a_grid": [-0.5, -0.2, 0.1, 0.5, 0.9, 1.2, 1.5]}, 7), ({}, 5)],
+    ids=["configured", "default"],
+)
+def test_run_cost_and_calibrate_report_one_grid_size(
+    tmp_path, capsys, monkeypatch, profiling_options, size
+):
+    # calibrate used to print the default grid's 5 beside the configured 7
+    doc = {"preset": "tfim-ruth3", "times": {"values": [0.3]}, "profiling": profiling_options}
+    path = write_config(tmp_path, doc)
+    fitted = []
+    fit = profiling.fit_profile
+
+    def recording_fit(samples, *args):
+        fitted.append(len(samples))
+        return fit(samples, *args)
+
+    monkeypatch.setattr(profiling, "fit_profile", recording_fit)
+    assert run_command(["run", "--method", "ep", "--config", path]) == 0
+    assert fitted == [size]
+    assert run_command(["cost", "--config", path]) == 0
+    assert run_command(["calibrate", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert f"(grid {size})" in out
+    assert f"sweep grid size {size}" in out
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Each command's long options, from the argparse tree, without ``--help``."""
+    (commands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    flags = parser_flags()
+    assert sum(map(len, flags.values())) == 26
+    for name in flags:
+        assert {"--config", "--preset", "--out"} <= flags[name]
+        assert ("--seed" in flags[name]) == (name in ("run", "profile", "mpf", "slope"))
+        assert ("--method" in flags[name]) == (name in ("run", "slope"))
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row:
+            table[row.group(1)] = set(re.findall(r"`(--[\w-]+)", row.group(2)))
+    assert table == parser_flags()
 
 
 def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
