@@ -42,6 +42,7 @@ from .experiments import (
     ExperimentConfig,
     _per_time_jitters,
     circuit_cost,
+    constituent_columns,
     run_error_curve,
     stable_slope_fit,
 )
@@ -160,10 +161,12 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
+    methods = _methods(args)
     exact = exact_values(cfg.times, cfg)
+    columns = constituent_columns(cfg, methods)
     rows = []
-    for method in _methods(args):
-        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact)))
+    for method in methods:
+        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact, columns)))
     if not _write_rows(args, doc, rows):
         for row in ResultTable.from_rows(rows).rows:
             print(
@@ -189,9 +192,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     basis = resolve_basis(cfg)
     _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
-    # a configured time takes run's exact value, stepped through the earlier times
-    times = cfg.times[: cfg.times.index(t) + 1] if t in cfg.times else (t,)
-    exact = float(exact_values(times, cfg)[-1])
+    # a configured time takes run's exact value, from the same call over every time
+    if t in cfg.times:
+        exact = float(exact_values(cfg.times, cfg)[cfg.times.index(t)])
+    else:
+        exact = float(exact_values((t,), cfg)[0])
 
     print(f"time {t}")
     print(f"basis orders {list(basis.orders)} antisymmetric {basis.include_antisymmetric}")
@@ -246,10 +251,12 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
+    methods = _methods(args)
     exact = exact_values(cfg.times, cfg)
+    columns = constituent_columns(cfg, methods)
     rows = []
-    for method in _methods(args):
-        curve = run_error_curve(cfg, method, exact)
+    for method in methods:
+        curve = run_error_curve(cfg, method, exact, columns)
         gradient = stable_slope_fit(curve, window)
         print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))

@@ -58,6 +58,14 @@ MAX_QUBITS = 20
 #: 1/166 of that.
 MAX_ANGLES = 2**24
 
+#: Largest first error order a custom formula may declare.  Fits read the
+#: powers ``a**s`` up to ``s = 2 alpha - 2`` on [-0.5, 1.5] and calibration
+#: the powers up to ``2 alpha + 2``; at ``alpha = 1024`` a pinned fit's
+#: columns overflow, and far larger values exhaust memory in calibration.  At
+#: this bound every command exits cleanly, and the built-in formulas stop at
+#: ``alpha = 5``.
+MAX_ALPHA = 64
+
 #: Rows of calibration's one batch: each probe ``a`` and ``1 - a`` at every
 #: probe time.
 _CALIBRATION_ROWS = 2 * len(CALIBRATION_A_PROBE) * CALIBRATION_POINTS
@@ -281,7 +289,7 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
             raise ConfigError(f"{name} must be [fragment_index, coefficient]", name)
         index = _integer(item[0], name, 0, len(partition.fragments) - 1)
         steps.append((index, _real_number(item[1], name)))
-    alpha = _integer(entry.get("alpha"), "formula.alpha", 2)
+    alpha = _integer(entry.get("alpha"), "formula.alpha", 2, MAX_ALPHA)
     symmetric = _boolean(entry.get("symmetric", False), "formula.symmetric")
     try:
         return ProductFormula(tuple(steps), alpha, symmetric), None

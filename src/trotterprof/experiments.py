@@ -11,7 +11,7 @@ circuit follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -120,15 +120,40 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
+def constituent_columns(
+    cfg: ExperimentConfig, methods: Sequence[str]
+) -> dict[int, np.ndarray]:
+    """The Trotter values over ``cfg.times`` of every step count the methods read.
+
+    ``mpf`` reads ``cfg.mpf.step_counts`` and ``trotter`` the base depth
+    ``cfg.trotter_steps``; each distinct count runs as one engine batch
+    (``mpf_values``), so a base depth among the MPF counts is evolved once.
+    """
+    counts: dict[int, None] = {}
+    if "mpf" in methods:
+        counts.update(dict.fromkeys(cfg.mpf.step_counts))
+    if "trotter" in methods:
+        counts[cfg.trotter_steps] = None
+    if not counts:
+        return {}
+    values = mpf_values(cfg.times, tuple(counts), cfg)
+    return dict(zip(counts, values.T))
+
+
 def run_error_curve(
-    cfg: ExperimentConfig, method: str, exact: Sequence[float] | None = None
+    cfg: ExperimentConfig,
+    method: str,
+    exact: Sequence[float] | None = None,
+    columns: Mapping[int, np.ndarray] | None = None,
 ) -> ErrorCurve:
     """Estimate-vs-exact curve for one method over the configured times.
 
-    ``exact`` is ``exact_values(cfg.times, cfg)``, passed in when several
-    curves of one configuration share it; it is computed when left out.
-    The plain Trotter curve is the multi-product constituent at the base
-    depth, perturbed with one draw per time.
+    ``exact`` is ``exact_values(cfg.times, cfg)`` and ``columns`` is
+    ``constituent_columns(cfg, methods)`` for methods that include this
+    one, passed in when several curves of one configuration share them;
+    each is computed when left out.  The plain Trotter curve is the
+    multi-product constituent at the base depth, perturbed with one draw per
+    time.
     """
     if method not in METHODS:
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
@@ -140,21 +165,23 @@ def run_error_curve(
         estimates = [
             fit.y_star for fit in mitigated_estimates(cfg.times, cfg, jitters=jitters)
         ]
-    elif method == "mpf":
-        weights = mpf_weights(
-            cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
-        )
-        values = mpf_values(cfg.times, weights.step_counts, cfg)
-        estimates = [
-            mpf_estimate(row, weights, jitter=jitter)
-            for row, jitter in zip(values, jitters)
-        ]
     else:
-        values = mpf_values(cfg.times, (cfg.trotter_steps,), cfg)[:, 0]
-        estimates = [
-            float(v if jitter is None else jitter.perturb(v))
-            for v, jitter in zip(values, jitters)
-        ]
+        if columns is None:
+            columns = constituent_columns(cfg, (method,))
+        if method == "mpf":
+            weights = mpf_weights(
+                cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
+            )
+            values = np.column_stack([columns[count] for count in weights.step_counts])
+            estimates = [
+                mpf_estimate(row, weights, jitter=jitter)
+                for row, jitter in zip(values, jitters)
+            ]
+        else:
+            estimates = [
+                float(v if jitter is None else jitter.perturb(v))
+                for v, jitter in zip(columns[cfg.trotter_steps], jitters)
+            ]
 
     if exact is None:
         exact = exact_values(cfg.times, cfg)

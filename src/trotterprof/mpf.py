@@ -49,8 +49,9 @@ class MPFWeights:
         if abs(total - 1.0) > 1e-10:
             raise DegenerateInputError(f"weights sum to {total!r}, expected 1")
         for k in self.cancelled_orders:
+            # (1/s)**(k-1) underflows to 0 where s**(k-1) would overflow a float
             residual = sum(
-                w / s ** (k - 1) for w, s in zip(self.weights, self.step_counts)
+                w * (1.0 / s) ** (k - 1) for w, s in zip(self.weights, self.step_counts)
             )
             if abs(residual) > 1e-8:
                 raise DegenerateInputError(

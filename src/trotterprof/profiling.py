@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -321,23 +322,52 @@ def _basis_matrix(a_values: np.ndarray, basis: BasisSpec) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _scaled_lstsq(
-    design: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """Column-equilibrated least squares: coefficients, residual norm, condition."""
+@dataclass(frozen=True, eq=False)
+class _Factorized:
+    """One column-equilibrated least-squares design, factorized by one SVD.
+
+    ``pinv`` keeps the singular values above ``lstsq``'s default cutoff,
+    ``eps * max(shape)`` of the largest; ``rank`` counts them.
+    """
+
+    scaled: np.ndarray
+    norms: np.ndarray
+    pinv: np.ndarray
+    condition_number: float
+    rank: int
+
+
+def _factorize(design: np.ndarray) -> _Factorized:
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0.0] = 1.0
     scaled = design / norms
-    cond = float(np.linalg.cond(scaled))
-    coef, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    if rank < design.shape[1]:
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        cond = float(s[0] / s[-1])
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(scaled.shape) * s[0]))
+    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    for array in (scaled, norms, pinv):
+        array.setflags(write=False)
+    return _Factorized(scaled, norms, pinv, cond, rank)
+
+
+@lru_cache(maxsize=64)
+def _fit_design(a_values: tuple[float, ...], basis: BasisSpec) -> _Factorized:
+    """The factorized profile design of a grid and basis, shared by every time's fit."""
+    return _factorize(_basis_matrix(np.array(a_values), basis))
+
+
+def _scaled_lstsq(fact: _Factorized, rhs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Column-equilibrated least squares: coefficients, residual norm, condition."""
+    if fact.rank < fact.scaled.shape[1]:
         raise SingularFitError(
-            f"design matrix rank {rank} below column count {design.shape[1]}",
-            condition_number=cond,
+            f"design matrix rank {fact.rank} below column count {fact.scaled.shape[1]}",
+            condition_number=fact.condition_number,
         )
-    residual = float(np.linalg.norm(rhs - scaled @ coef))
-    unscale = norms.reshape(-1, *([1] * (coef.ndim - 1)))
-    return coef / unscale, residual, cond
+    coef = fact.pinv @ rhs
+    residual = float(np.linalg.norm(rhs - fact.scaled @ coef))
+    unscale = fact.norms.reshape(-1, *([1] * (coef.ndim - 1)))
+    return coef / unscale, residual, fact.condition_number
 
 
 def fit_profile(
@@ -348,8 +378,10 @@ def fit_profile(
     """Ordinary least squares of the swept data against the chosen basis.
 
     The model is ``value(a) = y* + sum_s m_s (a^s + abar^s)`` plus optional
-    antisymmetric columns.  Solved by an orthogonal decomposition with a
-    condition gate; the condition number is always reported.
+    antisymmetric columns.  Solved with the pseudo-inverse of the scaled
+    design, factorized once per grid and basis (``_fit_design``) and shared
+    by every time's fit, with the rank and condition gates checked on every
+    call; the condition number is always reported.
     """
     if basis.orders and min(basis.orders) < alpha:
         raise ValueError(f"basis orders must start at alpha={alpha}")
@@ -357,11 +389,10 @@ def fit_profile(
         raise ValueError(
             f"basis orders must stay within [{alpha}, {2 * alpha - 2}]"
         )
-    check_grid([s.a for s in samples], basis)
-    a_values = np.array([s.a for s in samples], dtype=float)
+    grid = tuple(float(s.a) for s in samples)
+    check_grid(grid, basis)
     y = np.array([s.value for s in samples], dtype=float)
-    design = _basis_matrix(a_values, basis)
-    coef, residual, cond = _scaled_lstsq(design, y)
+    coef, residual, cond = _scaled_lstsq(_fit_design(grid, basis), y)
     if cond > CONDITION_GATE:
         raise SingularFitError(
             f"design condition number {cond:.3e} exceeds gate {CONDITION_GATE:.0e}",
@@ -405,8 +436,8 @@ def _window_coefficients(
     for relative comparisons.
     """
     t_max = float(t_arr.max())
-    design = _power_design(t_arr / t_max, powers)
-    cond = float(np.linalg.cond(design / np.linalg.norm(design, axis=0)))
+    design = _factorize(_power_design(t_arr / t_max, powers))
+    cond = design.condition_number
     if cond > CONDITION_GATE:
         # The lowest power is the formula's declared first error order.
         raise CalibrationError(
@@ -606,7 +637,7 @@ def extract_error_operators(
     u_scale = float(np.max(np.abs(u_nodes)))
     design = _power_design(u_nodes / u_scale, powers)
     try:
-        coef, _, cond = _scaled_lstsq(design, deviations)
+        coef, _, cond = _scaled_lstsq(_factorize(design), deviations)
     except SingularFitError as exc:
         raise ExtractionError(
             f"entry fit is singular ({exc}); use a smaller time window"

@@ -16,8 +16,9 @@ updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
 bits still do not depend on its batch.  One kernel (``_apply_operator``) applies
 ``H`` and every observable from one pre-gathered diagonal per flip mask, the
 diagonal group without a gather; ``expectation_rows`` sums each row of
-``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states`` steps
-a Taylor series of ``exp(-iHt)``, so measured deviations are only
+``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states``
+expands ``exp(-iHt)`` in Chebyshev polynomials of ``H / ||H||_1``, one
+recursion per window of times, so measured deviations are only
 algorithmic.  ``exact_unitary`` and ``circuit_unitary`` build dense matrices
 and are oracles for tests and error-operator extraction only.
 ``GaussianJitter`` perturbs a whole batch of measured values with one call.
@@ -60,16 +61,31 @@ NORM_TOL = 1e-10
 #: curves ran fastest at 2^14 to 2^15, and slowest at 2^18.
 BATCH_AMPLITUDES = 1 << 15
 
-#: The exact propagator's Taylor series stops once the norms of two
-#: consecutive terms sum below this (states have unit norm), or after this
-#: many terms.
-TAYLOR_TOL = 2.0**-53
-TAYLOR_MAX_TERMS = 40
+#: The exact propagator expands ``exp(-iH dt)`` in Chebyshev polynomials of
+#: ``H / ||H||_1`` over windows of at most this span ``||H||_1 * |dt|``.
+#: Spans of 4, 10, 25, 40 and 160 take 27, 39, 64, 86 and 254 terms, so a
+#: longer window takes fewer terms per unit of span, but each time then adds
+#: more terms into its row.  Chosen by measurement on TFIM chains: with 20
+#: times, a 10-qubit evolution to a span of 247 took 65, 50, 36, 35 and 29 ms
+#: at windows of 10, 20, 40, 80 and 160, and with 200 times 67, 61, 54, 73
+#: and 68 ms; at 14 qubits and a span of 35, 122, 116, 90, 89 and 89 ms.
+CHEBYSHEV_WINDOW = 40.0
 
-#: An exact evolution refuses to take more Taylor sub-steps than this, in
-#: total over its times.  A sub-step costs about 0.4 ms at 4 qubits, so the
-#: limit is about 6 minutes there; more than that is an input mistake.
-MAX_TAYLOR_SUBSTEPS = 10**6
+#: A time's expansion keeps every coefficient ``|c_k|`` from this size up.
+CHEBYSHEV_TOL = 1e-18
+
+#: An exact evolution refuses to take more Chebyshev terms than this, in
+#: total over its windows; each term is one application of ``H``.  A term
+#: costs about 20 us at 4 qubits, so the limit is under a minute there;
+#: more than that is an input mistake.
+MAX_CHEBYSHEV_TERMS = 2 * 10**6
+
+#: The exact propagator adds a term into at most this many amplitudes of
+#: its rows at once (and at least one row), which bounds its scratch.  Chosen
+#: by measurement: a run's exact column took 2.0 ms on ``tfim-ruth3`` and
+#: 3.5 ms on ``chain8-calibrated`` adding one row at a time, 0.93 and 1.5 ms
+#: at 2^12, and no less at 2^16.
+ACCUMULATE_AMPLITUDES = 1 << 12
 
 #: Fold plans kept at once, one per word sequence; a run has one sequence
 #: per probe variant and per step count.
@@ -430,25 +446,108 @@ def _apply_operator(
         np.add(out, scratch, out=out)
 
 
-def _taylor_step(
-    tables: Sequence[OperatorTables], v: np.ndarray, dt: float, buffers: tuple[np.ndarray, ...]
-) -> None:
-    """``v <- exp(-iH dt) v`` in place, for ``||H||_1 * |dt| <= 1``.
+def _chebyshev_terms(spans: np.ndarray) -> np.ndarray:
+    """The terms each span ``tau`` needs: the fewest K with every later ``|c_k|`` small.
 
-    Sums Taylor terms until two in a row have norms summing below
-    ``TAYLOR_TOL``, relative to the unit norm of the state.
+    Small is below ``CHEBYSHEV_TOL``.  Uses the bound
+    ``|c_k| <= 2 |J_k(tau)| <= 2 (|tau|/2)^k / k!``, which rises and then
+    falls in k, so the terms above the tolerance are k = 0 .. K - 1; past
+    ``e |tau| / 2 + 45`` it is below ``2 e**-45``.
     """
-    term, nxt, scratch = buffers
-    term[:] = v
-    previous = math.inf
-    for k in range(1, TAYLOR_MAX_TERMS + 1):
-        _apply_operator(tables, term, nxt, scratch)
-        np.multiply(nxt, -1.0j * dt / k, out=term)
-        v += term
-        size = math.sqrt(np.vdot(term, term).real)
-        if size + previous <= TAYLOR_TOL:
-            return
-        previous = size
+    half = np.abs(spans) / 2
+    k = np.arange(1, int(math.e * float(half.max(initial=0.0))) + 47)
+    with np.errstate(divide="ignore"):
+        log_bound = np.log(half)[:, None] * k - np.cumsum(np.log(k))
+    return 1 + np.count_nonzero(log_bound >= math.log(CHEBYSHEV_TOL / 2), axis=1)
+
+
+def _chebyshev_coefficients(spans: np.ndarray, terms: int) -> np.ndarray:
+    """``c_k(tau) = (2 - delta_k0) (-i)^k J_k(tau)`` for k < ``terms``, one column per span.
+
+    These are the Chebyshev coefficients of ``exp(-i tau x)`` on [-1, 1].
+    By Jacobi-Anger they are the discrete Fourier transform of
+    ``exp(-i tau cos(theta))`` on ``2 * terms`` points, doubled past k = 0;
+    the aliases of a kept coefficient sit at ``|k| > terms``, below the
+    tolerance.
+    """
+    points = 2 * terms
+    theta = (2 * math.pi / points) * np.arange(points)
+    waves = np.exp(-1.0j * np.multiply.outer(spans, np.cos(theta)))
+    table = np.fft.fft(waves, axis=1)[:, :terms] / points
+    table[:, 1:] *= 2
+    return np.ascontiguousarray(table.T)
+
+
+#: One window of a chain of times: the rows it serves (None for a waypoint,
+#: whose state only carries on), the ``(K, r)`` coefficient table, each
+#: row's term count, and how many times the window repeats (waypoints only).
+Window = tuple[slice | None, np.ndarray, np.ndarray, int]
+
+
+def _chain_windows(times: np.ndarray, norm: float) -> list[Window]:
+    """The windows of one chain of times, ordered by distance from 0.
+
+    A window starts at the previous window's last time (the first at 0) and
+    takes the next times whose spans ``||H||_1 * (t - start)`` stay within
+    ``CHEBYSHEV_WINDOW``; a longer gap is crossed by waypoints of that span.
+    """
+    windows: list[Window] = []
+    start, i = 0.0, 0
+    while i < len(times):
+        gap = norm * abs(times[i] - start)
+        if gap > CHEBYSHEV_WINDOW:
+            count = math.ceil(gap / CHEBYSHEV_WINDOW) - 1
+            span = math.copysign(CHEBYSHEV_WINDOW, times[i] - start)
+            windows.append((None, *_window_table(np.array([span])), count))
+            start += count * span / norm
+            continue
+        stop = i + 1
+        while stop < len(times) and norm * abs(times[stop] - start) <= CHEBYSHEV_WINDOW:
+            stop += 1
+        windows.append((slice(i, stop), *_window_table(norm * (times[i:stop] - start)), 1))
+        start, i = float(times[stop - 1]), stop
+    return windows
+
+
+def _window_table(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A window's coefficient table and its rows' term counts."""
+    terms = _chebyshev_terms(spans)
+    return _chebyshev_coefficients(spans, int(terms.max())), terms
+
+
+def _chebyshev_window(
+    tables: Sequence[OperatorTables],
+    norm: float,
+    window: Window,
+    rows: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
+) -> None:
+    """``rows[j] = sum_k c_k(tau_j) T_k(H / ||H||_1) v`` for ``v`` in ``buffers[0]``.
+
+    Runs ``T_{k+1} v = 2 (H / ||H||_1) T_k v - T_{k-1} v`` from ``T_0 v = v``
+    and ``T_1 v = (H / ||H||_1) v``, adding term k into the rows whose term
+    count exceeds k: a suffix of the rows, since the counts never decrease.
+    The terms go through a scratch of at most ``ACCUMULATE_AMPLITUDES``
+    amplitudes.  Clobbers ``buffers``.
+    """
+    _, coefficients, terms, _ = window
+    previous, current, applied, scratch, products = buffers
+    np.multiply(coefficients[0][:, None], previous, out=rows)
+    chunk = products.shape[0]
+    for k in range(1, coefficients.shape[0]):
+        if k == 1:
+            _apply_operator(tables, previous, current, scratch)
+            np.multiply(current, 1.0 / norm, out=current)
+        else:
+            _apply_operator(tables, current, applied, scratch)
+            np.multiply(applied, 2.0 / norm, out=applied)
+            np.subtract(applied, previous, out=previous)
+            previous, current = current, previous
+        for lo in range(int(np.searchsorted(terms, k, side="right")), len(terms), chunk):
+            block = rows[lo : lo + chunk]
+            term = products[: block.shape[0]]
+            np.multiply(coefficients[k, lo : lo + chunk, None], current, out=term)
+            np.add(block, term, out=block)
 
 
 def exact_states(
@@ -456,11 +555,16 @@ def exact_states(
 ) -> np.ndarray:
     """Ground truth ``exp(-iH t_j)|state>`` for every time, as a ``(T, 2^n)`` stack.
 
-    Matrix-free: the propagator steps from one time to the next (from 0 to
-    the first) with the truncated Taylor series of ``exp(-iH dt)`` applied to
-    the state (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), in
-    sub-steps with ``||H||_1 * |dt| <= 1``.  Times may be zero, negative or
-    in any order; an increasing list costs least.
+    Matrix-free: ``exp(-iH dt)`` is expanded in Chebyshev polynomials of
+    ``H / ||H||_1`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
+    and one three-term recursion serves every time of a window, each time
+    summing its own coefficients.  The times run in sorted order as two
+    chains from 0, the negative ones downwards; a chain's windows span at
+    most ``CHEBYSHEV_WINDOW`` and each starts from the state at the last
+    time of the one before.  Times may be zero, negative or in any order; an
+    unordered list costs one reordering copy of the stack.  A call that
+    needs more than ``MAX_CHEBYSHEV_TERMS`` terms is refused before ``H`` is
+    applied.
     """
     if not h.hermitian:
         raise HermiticityError("exact evolution requires a Hermitian Hamiltonian")
@@ -468,28 +572,46 @@ def exact_states(
         raise DimensionMismatchError("Hamiltonian and state qubit counts differ")
     if not all(math.isfinite(t) for t in times):
         raise DegenerateInputError("evolution times must be finite")
-    tables = _operator_tables(h)
     norm = h.one_norm()
-    v = state.amplitudes.copy()
-    buffers = (np.empty_like(v), np.empty_like(v), np.empty_like(v))
-    out = np.empty((len(times), v.shape[0]), dtype=complex)
-    starts, substeps = [0.0, *times], []
-    for t, now in zip(times, starts):
-        span = norm * abs(t - now)
-        if not math.isfinite(span):
+    for t in times:
+        if not math.isfinite(norm * abs(t)):
             raise DegenerateInputError(
-                f"evolution time {t!r} overflows: ||H||_1 * |dt| is not finite"
+                f"evolution time {float(t)!r} overflows: ||H||_1 * |dt| is not finite"
             )
-        substeps.append(math.ceil(span))
-    if sum(substeps) > MAX_TAYLOR_SUBSTEPS:
+    values = np.asarray(times, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    split = int(np.searchsorted(ordered, 0.0))
+    reach = norm * (max(ordered[-1], 0.0) - min(ordered[0], 0.0)) if len(order) else 0.0
+    # a window takes more terms than its span, so no plan within the limit reaches further
+    if reach <= MAX_CHEBYSHEV_TERMS:
+        plans = [
+            _chain_windows(ordered[:split][::-1], norm),
+            _chain_windows(ordered[split:], norm),
+        ]
+        terms = sum(count * len(table) for plan in plans for _, table, _, count in plan)
+    if reach > MAX_CHEBYSHEV_TERMS or terms > MAX_CHEBYSHEV_TERMS:
         raise DegenerateInputError(
             f"evolution to time {float(max(times, key=abs))!r} at ||H||_1 ="
-            f" {norm:.6g} needs more than {MAX_TAYLOR_SUBSTEPS} Taylor sub-steps"
+            f" {norm:.6g} needs more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms"
         )
-    for j, (t, now, count) in enumerate(zip(times, starts, substeps)):
-        for _ in range(count):
-            _taylor_step(tables, v, (t - now) / count, buffers)
-        out[j] = v
+    tables = _operator_tables(h)
+    dim = 1 << state.n
+    out = np.empty((len(order), dim), dtype=complex)
+    buffers = tuple(np.empty(dim, dtype=complex) for _ in range(4))
+    products = np.empty((max(1, ACCUMULATE_AMPLITUDES >> state.n), dim), dtype=complex)
+    crossed = any(rows is None for plan in plans for rows, *_ in plan)
+    waypoint = np.empty((1, dim), dtype=complex) if crossed else None
+    for stack, plan in zip((out[:split][::-1], out[split:]), plans):
+        start = state.amplitudes
+        for window in plan:
+            rows = waypoint if window[0] is None else stack[window[0]]
+            for _ in range(window[3]):
+                buffers[0][:] = start
+                _chebyshev_window(tables, norm, window, rows, (*buffers, products))
+                start = rows[-1]
+    if np.any(order[1:] < order[:-1]):
+        return out[np.argsort(order)]
     return out
 
 

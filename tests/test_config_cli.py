@@ -36,7 +36,7 @@ from trotterprof import (
 )
 from trotterprof import config, profiling
 from trotterprof.cli import _build_parser, run_command
-from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
+from trotterprof.config import MAX_ALPHA, MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
 from trotterprof.report import render_csv
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -349,7 +349,7 @@ TYPED_KEYS = [
     ),
     ("partition[1]", ("partition", 1, 0), st.integers(max_value=-1) | st.integers(3)),
     ("formula.steps[1]", ("formula", "steps", 1, 0), st.integers(max_value=-1) | st.integers(2)),
-    ("formula.alpha", ("formula", "alpha"), st.integers(max_value=1)),
+    ("formula.alpha", ("formula", "alpha"), st.integers(max_value=1) | st.integers(MAX_ALPHA + 1)),
     ("times.points", ("times", "points"), st.integers(max_value=0) | huge),
     ("profiling.trotter_steps", ("profiling", "trotter_steps"), st.integers(max_value=0) | huge),
     ("profiling.n_extra_orders", ("profiling", "n_extra_orders"), st.integers(max_value=-1)),
@@ -599,7 +599,7 @@ def test_a_time_too_large_to_step_is_a_degenerate_input(tmp_path, capsys):
 
 
 def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
-    # ||H||_1 * t is finite, but stepping to t would take about 4e300 sub-steps
+    # ||H||_1 * t is finite, but evolving to t would take over 4e300 terms
     doc = {"preset": "tfim-ruth3", "times": {"values": [1e300]}}
     argv = ["run", "--method", "trotter", "--config", write_config(tmp_path, doc)]
     src = Path(__file__).resolve().parents[1] / "src"
@@ -612,7 +612,7 @@ def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
     )
     assert done.returncode == 1
     assert "evolution to time 1e+300" in done.stderr
-    assert "Taylor sub-steps" in done.stderr
+    assert "Chebyshev terms" in done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -1110,6 +1110,23 @@ def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
     assert "profiling.n_extra_orders" in err
     doc["profiling"] = {"n_extra_orders": 0}
     assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "mpf", "calibrate", "slope", "cost"])
+def test_every_command_exits_cleanly_at_the_largest_alpha(tmp_path, capsys, command):
+    doc = sample_document()
+    doc.pop("output")
+    steps = [[0, 0.5], [1, 1.0], [0, 0.5]]
+    doc["formula"] = {"steps": steps, "alpha": MAX_ALPHA, "symmetric": True}
+    doc["mpf"] = {"step_counts": [1, 2, 3]}
+    # calibrated, then pinned to every order up to 2 alpha - 2
+    for profiling in ({}, {"n_extra_orders": MAX_ALPHA - 2}):
+        doc["profiling"] = profiling
+        assert run_command([command, "--config", write_config(tmp_path, doc)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+    doc["formula"]["alpha"] = MAX_ALPHA + 1
+    assert run_command([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert f"formula.alpha must be an integer from 2 to {MAX_ALPHA}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -35,6 +35,8 @@ from trotterprof import (
     composite_expectations,
     evolve_batch,
     exact_evolve,
+    exact_states,
+    exact_values,
     expectation,
     mitigated_estimate,
     mitigated_estimates,
@@ -363,6 +365,72 @@ def test_folding_removes_the_repeated_commuting_fragment(monkeypatch):
     assert [len(plan) for plan in plans] == [221, 56, 111, 221, 441]
     assert [stop - start for start, stop, i in plans[0] if i is not None] == [9] * 21
     assert len({id(i) for plan in plans for _, _, i in plan if i is not None}) == 1
+
+
+def h_applications(monkeypatch, cfg) -> int:
+    """Applications of ``H`` in ``exact_values(cfg.times, cfg)``, without the observable's."""
+    calls = []
+    apply = simulator._apply_operator
+
+    def counting(*args):
+        calls.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(simulator, "_apply_operator", counting)
+    exact_values(cfg.times, cfg)
+    monkeypatch.setattr(simulator, "_apply_operator", apply)
+    return len(calls) - 1
+
+
+def test_the_exact_column_applies_h_once_per_chebyshev_term(monkeypatch):
+    # one window each: ||H||_1 * t_max is 4.3 (tfim), 7 (xxz), 9.7 (chain8)
+    # and 24.7 (chain10); a window of K terms applies H K - 1 times
+    docs = {name: CONFIGS[name] for name in PRESETS}
+    docs["chain8-calibrated"] = parse_config(json.dumps(workloads.chain8_calibrated(1)))
+    docs["chain10-pinned"] = parse_config(json.dumps(workloads.chain10_pinned(1)))
+    counts = {name: h_applications(monkeypatch, cfg) for name, cfg in docs.items()}
+    assert counts == {
+        "tfim-ruth3": 26,
+        "tfim-suzuki4": 26,
+        "xxz-ruth3": 32,
+        "xxz-suzuki4": 32,
+        "chain8-calibrated": 37,
+        "chain10-pinned": 62,
+    }
+
+
+def test_the_exact_column_holds_no_stack_beside_its_output():
+    cfg = parse_config(json.dumps(workloads.tfim_chain_document(12, "suzuki4", 1, stop=2.0)))
+    h, psi, times = cfg.partition.hamiltonian, cfg.initial_state, cfg.times
+    exact_states(h, times, psi)  # fills the operator's table cache
+    tracemalloc.start()
+    try:
+        exact_states(h, times, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and at most eight states of scratch and coefficients
+    assert peak <= (len(times) + 8) * 16 * (1 << 12)
+
+
+@pytest.mark.parametrize(
+    "profiling, counts",
+    [({}, [1, 2]), ({"trotter_steps": 2}, [1, 2]), ({"trotter_steps": 3}, [1, 2, 3])],
+)
+def test_run_evolves_each_trotter_depth_once(tmp_path, monkeypatch, profiling, counts):
+    # the trotter curve reads the mpf batch of its depth when the counts hold it
+    depths = []
+    template = trotterprof.mpf.sample_template
+
+    def recording(formula, partition, steps):
+        depths.append(steps)
+        return template(formula, partition, steps)
+
+    monkeypatch.setattr(trotterprof.mpf, "sample_template", recording)
+    config = tmp_path / "doc.json"
+    config.write_text(json.dumps({"preset": "tfim-ruth3", "profiling": profiling}))
+    assert run_command(["run", "--config", str(config)]) == 0
+    assert sorted(depths) == counts
 
 
 def test_run_at_13_qubits_uses_the_matrix_free_exact_column(tmp_path):

@@ -25,6 +25,13 @@ from trotterprof import (
 )
 
 
+def test_high_orders_of_large_step_counts_do_not_overflow_the_residual_check():
+    # 10**6 ** 65 is past the largest float; its reciprocal power underflows to 0
+    w = mpf_weights((1, 2, 10**6), alpha=64, symmetric=True)
+    assert w.cancelled_orders == (64, 66)
+    assert sum(w.weights) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_two_point_first_order_weights():
     w = mpf_weights((1, 2), alpha=2, symmetric=False)
     assert w.weights == pytest.approx((-1.0, 2.0), abs=1e-10)

@@ -282,6 +282,27 @@ def test_fit_rejects_underdetermined_design():
         fit_profile(samples, basis, alpha=4)
 
 
+def test_each_fit_design_is_factorized_once_and_gated_on_every_call(monkeypatch):
+    factorize, designs = profiling._factorize, []
+
+    def recording(design):
+        designs.append(design.shape)
+        return factorize(design)
+
+    monkeypatch.setattr(profiling, "_factorize", recording)
+    profiling._fit_design.cache_clear()
+    basis, grid = BasisSpec((4, 5), include_antisymmetric=True), default_a_grid(2)
+    for shift in range(5):
+        fit = fit_profile([ProfileSample(a, shift + a**5) for a in grid], basis, alpha=4)
+        assert fit.y_star == pytest.approx(shift, abs=1e-10)
+    # a and 1 - a give equal rows of a symmetric basis: rank 2 of 3 columns
+    twins = [ProfileSample(a, 1.0) for a in (0.2, 0.8, 0.3)]
+    for _ in range(2):
+        with pytest.raises(SingularFitError, match="rank 2 below column count 3"):
+            fit_profile(twins, BasisSpec((4, 5)), alpha=4)
+    assert designs == [(5, 5), (3, 3)]
+
+
 def test_fit_rejects_orders_outside_window():
     with pytest.raises(ValueError):
         fit_profile(

@@ -25,6 +25,7 @@ from trotterprof import (
     invert_circuit,
     to_dense,
 )
+from trotterprof import simulator
 from trotterprof.simulator import (
     circuit_unitary,
     exact_states,
@@ -214,17 +215,45 @@ def test_stepping_through_times_matches_single_time_calls(h, times, seed):
 
 
 def test_a_long_evolution_still_matches_the_eigh_oracle(tfim_ruth3):
-    # ||H||_1 = 13/3, so t = 50 takes 217 Taylor sub-steps
+    # ||H||_1 = 13/3, so t = 50 spans 217: five waypoint windows and a last one
     h, psi = tfim_ruth3.partition.hamiltonian, tfim_ruth3.initial_state
     oracle = exact_unitary(h, 50.0) @ psi.amplitudes
     assert np.max(np.abs(exact_evolve(h, 50.0, psi).amplitudes - oracle)) <= 1e-10
 
 
-def test_too_many_taylor_sub_steps_in_total_are_refused():
-    # each step needs 6e5 sub-steps, under the limit; together they exceed it
+def test_too_many_chebyshev_terms_in_total_are_refused(monkeypatch):
+    # 6e5 alone needs about 1.3e6 terms, under the limit; 1.2e6 needs about
+    # 2.6e6, although its span of 1.2e6 is under it too
+    def refuse(*args):
+        raise AssertionError("H was applied before the guard refused")
+
+    monkeypatch.setattr(simulator, "_apply_operator", refuse)
     h = OperatorSum.from_terms([PauliTerm("X", 1.0)])
     with pytest.raises(DegenerateInputError, match="time 1200000.0 at .* more than"):
         exact_states(h, [6e5, 1.2e6], init_product_state([(1, 0)]))
+
+
+@st.composite
+def windowed_evolutions(draw):
+    """A Hermitian sum on at most 6 qubits, a state, and times several windows long."""
+    n = draw(st.integers(1, 6))
+    word = st.text("IXYZ", min_size=n, max_size=n)
+    size = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+    terms = draw(st.lists(st.tuples(word, size), min_size=1, max_size=6, unique_by=lambda t: t[0]))
+    h = OperatorSum.from_terms([PauliTerm(w, c) for w, c in terms], hermitian=True)
+    # spans ||H||_1 * t of up to 4.5 windows, on either side of 0
+    spans = draw(st.lists(st.floats(-4.5, 4.5), min_size=1, max_size=6))
+    times = [u * simulator.CHEBYSHEV_WINDOW / h.one_norm() for u in spans]
+    return h, times, random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=windowed_evolutions())
+def test_evolution_across_several_windows_matches_the_eigh_oracle(case):
+    h, times, psi = case
+    stack = exact_states(h, times, psi)
+    for t, row in zip(times, stack):
+        assert np.max(np.abs(row - exact_unitary(h, t) @ psi.amplitudes)) <= 1e-12
 
 
 def test_exact_evolve_requires_hermitian(rng):
