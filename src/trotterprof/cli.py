@@ -190,13 +190,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             " pick one of the configured times or set noise.sigma to 0",
             "time",
         )
-    basis = resolve_basis(cfg)
-    _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
-    # a configured time takes run's exact value, from the same call over every time
+    # a configured time takes run's exact value, from the same call over every
+    # time; computed first, so that a time it refuses runs no circuit
     if t in cfg.times:
         exact = float(exact_values(cfg.times, cfg)[cfg.times.index(t)])
     else:
         exact = float(exact_values((t,), cfg)[0])
+    basis = resolve_basis(cfg)
+    _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
 
     print(f"time {t}")
     print(f"basis orders {list(basis.orders)} antisymmetric {basis.include_antisymmetric}")

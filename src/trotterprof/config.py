@@ -51,8 +51,9 @@ MAX_QUBITS = 20
 #: row per (time, split parameter), or per calibration probe, and rotates each
 #: row once per gate of its word sequence: ``len(step_terms)`` gates per step
 #: times the depth, which is ``2 * trotter_steps`` for a sweep and the step
-#: count for a multi-product constituent.  ``times.points``,
-#: ``profiling.trotter_steps`` and each ``mpf.step_counts`` entry are bounded
+#: count for a multi-product constituent.  ``times.points``, the lengths of
+#: ``times.values`` and ``profiling.a_grid``, ``profiling.trotter_steps`` and
+#: each ``mpf.step_counts`` entry are bounded
 #: so that no batch holds more than 2^24 float64 angles (128 MiB); the largest
 #: batch of the 10-qubit ``suzuki4`` benchmark chain, 180 rows x 560 gates, is
 #: 1/166 of that.
@@ -365,6 +366,9 @@ def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha
 
 def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
     entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
+    grid = _grid_bound(cfg.a_grid, cfg.basis, cfg.formula.alpha)
+    depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf.step_counts))
+    limit = MAX_ANGLES // (_gates_per_step(cfg) * depth)
     if "values" in entry:
         others = [f"times.{key}" for key in entry if key != "values"]
         if others:
@@ -375,13 +379,15 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
         values = _expect(entry["values"], list, "times.values")
         if not values:
             raise ConfigError("times.values must not be empty", "times.values")
+        if len(values) > limit:
+            raise ConfigError(
+                f"times.values may hold at most {limit} times, got {len(values)}",
+                "times.values",
+            )
         times = tuple(_real_number(v, "times.values") for v in values)
     else:
         start = _real_number(entry.get("start", 0.1), "times.start")
         stop = _real_number(entry.get("stop", 1.0), "times.stop")
-        grid = _grid_bound(cfg.a_grid, cfg.basis, cfg.formula.alpha)
-        depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf.step_counts))
-        limit = MAX_ANGLES // (_gates_per_step(cfg) * depth)
         points = _integer(entry.get("points", 20), "times.points", 1, limit)
         scale = entry.get("scale", "log")
         if scale == "log":
@@ -410,6 +416,12 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     grid = cfg.a_grid
     if a_grid is not None:
         values = _expect(a_grid, list, "profiling.a_grid")
+        limit = MAX_ANGLES // (2 * _gates_per_step(cfg) * cfg.trotter_steps * len(cfg.times))
+        if len(values) > limit:
+            raise ConfigError(
+                f"profiling.a_grid may hold at most {limit} points, got {len(values)}",
+                "profiling.a_grid",
+            )
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
     basis = cfg.basis
     alpha = cfg.formula.alpha

@@ -157,6 +157,9 @@ def run_error_curve(
     """
     if method not in METHODS:
         raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
+    # first, so that a time the exact column refuses runs no circuit
+    if exact is None:
+        exact = exact_values(cfg.times, cfg)
     jitters = _per_time_jitters(cfg)
 
     # Each curve runs all its times in one engine pass per word sequence;
@@ -183,8 +186,6 @@ def run_error_curve(
                 for v, jitter in zip(columns[cfg.trotter_steps], jitters)
             ]
 
-    if exact is None:
-        exact = exact_values(cfg.times, cfg)
     points = tuple(
         CurvePoint(t, value, x, abs(value - x))
         for t, value, x in zip(cfg.times, estimates, map(float, exact))

@@ -18,9 +18,10 @@ bits still do not depend on its batch.  One kernel (``_apply_operator``) applies
 diagonal group without a gather; ``expectation_rows`` sums each row of
 ``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states``
 expands ``exp(-iHt)`` in Chebyshev polynomials of ``H / ||H||_1``, one
-recursion per window of times, so measured deviations are only
-algorithmic.  ``exact_unitary`` and ``circuit_unitary`` build dense matrices
-and are oracles for tests and error-operator extraction only.
+recursion per window of times (a far time is a window of its own, over the
+whole gap), so measured deviations are only algorithmic.  ``exact_unitary``
+and ``circuit_unitary`` build dense matrices and are oracles for tests and
+error-operator extraction only.
 ``GaussianJitter`` perturbs a whole batch of measured values with one call.
 """
 
@@ -478,41 +479,28 @@ def _chebyshev_coefficients(spans: np.ndarray, terms: int) -> np.ndarray:
     return np.ascontiguousarray(table.T)
 
 
-#: One window of a chain of times: the rows it serves (None for a waypoint,
-#: whose state only carries on), the ``(K, r)`` coefficient table, each
-#: row's term count, and how many times the window repeats (waypoints only).
-Window = tuple[slice | None, np.ndarray, np.ndarray, int]
+#: One window of a chain of times: the rows it serves, their spans
+#: ``||H||_1 * (t - start)`` from the window's start, and each row's term count.
+Window = tuple[slice, np.ndarray, np.ndarray]
 
 
 def _chain_windows(times: np.ndarray, norm: float) -> list[Window]:
     """The windows of one chain of times, ordered by distance from 0.
 
-    A window starts at the previous window's last time (the first at 0) and
-    takes the next times whose spans ``||H||_1 * (t - start)`` stay within
-    ``CHEBYSHEV_WINDOW``; a longer gap is crossed by waypoints of that span.
+    A window starts at the previous window's last time (the first at 0),
+    takes its next time whatever the span, then every following time whose
+    span ``||H||_1 * |t - start|`` stays within ``CHEBYSHEV_WINDOW``.
     """
     windows: list[Window] = []
     start, i = 0.0, 0
     while i < len(times):
-        gap = norm * abs(times[i] - start)
-        if gap > CHEBYSHEV_WINDOW:
-            count = math.ceil(gap / CHEBYSHEV_WINDOW) - 1
-            span = math.copysign(CHEBYSHEV_WINDOW, times[i] - start)
-            windows.append((None, *_window_table(np.array([span])), count))
-            start += count * span / norm
-            continue
         stop = i + 1
         while stop < len(times) and norm * abs(times[stop] - start) <= CHEBYSHEV_WINDOW:
             stop += 1
-        windows.append((slice(i, stop), *_window_table(norm * (times[i:stop] - start)), 1))
+        spans = norm * (times[i:stop] - start)
+        windows.append((slice(i, stop), spans, _chebyshev_terms(spans)))
         start, i = float(times[stop - 1]), stop
     return windows
-
-
-def _window_table(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A window's coefficient table and its rows' term counts."""
-    terms = _chebyshev_terms(spans)
-    return _chebyshev_coefficients(spans, int(terms.max())), terms
 
 
 def _chebyshev_window(
@@ -524,13 +512,15 @@ def _chebyshev_window(
 ) -> None:
     """``rows[j] = sum_k c_k(tau_j) T_k(H / ||H||_1) v`` for ``v`` in ``buffers[0]``.
 
-    Runs ``T_{k+1} v = 2 (H / ||H||_1) T_k v - T_{k-1} v`` from ``T_0 v = v``
+    Builds the window's ``(K, r)`` coefficient table, then runs
+    ``T_{k+1} v = 2 (H / ||H||_1) T_k v - T_{k-1} v`` from ``T_0 v = v``
     and ``T_1 v = (H / ||H||_1) v``, adding term k into the rows whose term
     count exceeds k: a suffix of the rows, since the counts never decrease.
     The terms go through a scratch of at most ``ACCUMULATE_AMPLITUDES``
     amplitudes.  Clobbers ``buffers``.
     """
-    _, coefficients, terms, _ = window
+    _, spans, terms = window
+    coefficients = _chebyshev_coefficients(spans, int(terms.max()))
     previous, current, applied, scratch, products = buffers
     np.multiply(coefficients[0][:, None], previous, out=rows)
     chunk = products.shape[0]
@@ -559,12 +549,13 @@ def exact_states(
     ``H / ||H||_1`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)),
     and one three-term recursion serves every time of a window, each time
     summing its own coefficients.  The times run in sorted order as two
-    chains from 0, the negative ones downwards; a chain's windows span at
-    most ``CHEBYSHEV_WINDOW`` and each starts from the state at the last
-    time of the one before.  Times may be zero, negative or in any order; an
-    unordered list costs one reordering copy of the stack.  A call that
-    needs more than ``MAX_CHEBYSHEV_TERMS`` terms is refused before ``H`` is
-    applied.
+    chains from 0, the negative ones downwards; each window starts from the
+    state at the last time of the one before, reaches its first time in one
+    expansion whatever the gap, and takes the later times within
+    ``CHEBYSHEV_WINDOW`` of its start.  Times may be zero, negative or in
+    any order; an unordered list costs one reordering copy of the stack.  A
+    call that needs more than ``MAX_CHEBYSHEV_TERMS`` terms is refused
+    before any coefficient is built or ``H`` is applied.
     """
     if not h.hermitian:
         raise HermiticityError("exact evolution requires a Hermitian Hamiltonian")
@@ -589,7 +580,7 @@ def exact_states(
             _chain_windows(ordered[:split][::-1], norm),
             _chain_windows(ordered[split:], norm),
         ]
-        terms = sum(count * len(table) for plan in plans for _, table, _, count in plan)
+        terms = sum(int(counts.max()) for plan in plans for *_, counts in plan)
     if reach > MAX_CHEBYSHEV_TERMS or terms > MAX_CHEBYSHEV_TERMS:
         raise DegenerateInputError(
             f"evolution to time {float(max(times, key=abs))!r} at ||H||_1 ="
@@ -600,16 +591,13 @@ def exact_states(
     out = np.empty((len(order), dim), dtype=complex)
     buffers = tuple(np.empty(dim, dtype=complex) for _ in range(4))
     products = np.empty((max(1, ACCUMULATE_AMPLITUDES >> state.n), dim), dtype=complex)
-    crossed = any(rows is None for plan in plans for rows, *_ in plan)
-    waypoint = np.empty((1, dim), dtype=complex) if crossed else None
     for stack, plan in zip((out[:split][::-1], out[split:]), plans):
         start = state.amplitudes
         for window in plan:
-            rows = waypoint if window[0] is None else stack[window[0]]
-            for _ in range(window[3]):
-                buffers[0][:] = start
-                _chebyshev_window(tables, norm, window, rows, (*buffers, products))
-                start = rows[-1]
+            rows = stack[window[0]]
+            buffers[0][:] = start
+            _chebyshev_window(tables, norm, window, rows, (*buffers, products))
+            start = rows[-1]
     if np.any(order[1:] < order[:-1]):
         return out[np.argsort(order)]
     return out

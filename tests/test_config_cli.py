@@ -34,7 +34,7 @@ from trotterprof import (
     stable_slope_fit,
     write_csv,
 )
-from trotterprof import config, profiling
+from trotterprof import config, mpf, profiling
 from trotterprof.cli import _build_parser, run_command
 from trotterprof.config import MAX_ALPHA, MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
 from trotterprof.report import render_csv
@@ -275,6 +275,48 @@ def test_an_oversized_count_is_refused_before_anything_is_built(
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=re.escape(key)) as info:
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == key
+    assert peak < 1 << 20
+    path = write_config(tmp_path, doc)
+    for argv in (["run", "--method", "trotter"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+
+#: An angle budget small enough that the lists at its bounds stay short.
+SMALL_ANGLES = MAX_ANGLES // 1000
+
+
+def oversized_list(key: str, extra: int) -> dict:
+    """A ``tfim-ruth3`` document whose list under ``key`` is ``extra`` past its bound.
+
+    ``tfim-ruth3`` rotates 21 terms per step and sweeps composites of 2
+    steps: at each time up to 7 grid points (a calibrated basis), and each
+    grid point at its 20 default times.
+    """
+    if key == "times.values":
+        size = SMALL_ANGLES // (21 * 2 * 7) + extra
+        return {"preset": "tfim-ruth3", "times": {"values": list(np.linspace(0.1, 1.0, size))}}
+    size = SMALL_ANGLES // (2 * 21 * 20) + extra
+    return {"preset": "tfim-ruth3", "profiling": {"a_grid": list(np.linspace(-0.5, 1.5, size))}}
+
+
+@pytest.mark.parametrize("key", ["times.values", "profiling.a_grid"])
+def test_an_oversized_list_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch, key):
+    # a 10^6-time list used to parse, and a long a_grid was blamed on
+    # profiling.trotter_steps ("an integer from 1 to 0")
+    monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
+    assert parse_config(json.dumps(oversized_list(key, 0)))
+    doc = oversized_list(key, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(key) + " may hold at most") as info:
             parse_config(json.dumps(doc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -614,6 +656,23 @@ def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
     assert "evolution to time 1e+300" in done.stderr
     assert "Chebyshev terms" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["mpf"], ["profile", "--time", "1e6"]], ids=["mpf", "profile"])
+def test_a_refused_exact_column_runs_no_circuit(tmp_path, capsys, monkeypatch, argv):
+    # mpf ran its 2 constituent batches, and profile its calibration and
+    # sweep, before the exact column refused the far time
+    def refuse(*args):
+        raise AssertionError("a circuit ran before the exact column was refused")
+
+    monkeypatch.setattr(profiling, "sample_expectations", refuse)
+    monkeypatch.setattr(mpf, "sample_expectations", refuse)
+    doc = {"preset": "tfim-ruth3", "times": {"values": [0.5, 1e6]}}
+    assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "evolution to time 1000000.0" in err
+    assert "Chebyshev terms" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

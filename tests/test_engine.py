@@ -399,6 +399,35 @@ def test_the_exact_column_applies_h_once_per_chebyshev_term(monkeypatch):
     }
 
 
+FAR_TIMES = {
+    # ||H||_1 * t is 217 (tfim-ruth3, t = 50) and 247 (the 10-qubit chain, t = 20)
+    "tfim-ruth3": (CONFIGS["tfim-ruth3"], 50.0, 330),
+    "chain10": (
+        parse_config(json.dumps(workloads.tfim_chain_document(10, "suzuki4", 1, stop=2.0))),
+        20.0,
+        371,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_TIMES))
+def test_a_far_time_is_one_window(monkeypatch, name):
+    # one expansion over the whole gap: K - 1 applications of H for its K terms
+    cfg, t, count = FAR_TIMES[name]
+    h, psi = cfg.partition.hamiltonian, cfg.initial_state
+    calls = []
+    apply = simulator._apply_operator
+
+    def counting(*args):
+        calls.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(simulator, "_apply_operator", counting)
+    row = exact_states(h, [t], psi)[0]
+    assert len(calls) == count
+    assert np.max(np.abs(row - simulator.exact_unitary(h, t) @ psi.amplitudes)) <= 1e-10
+
+
 def test_the_exact_column_holds_no_stack_beside_its_output():
     cfg = parse_config(json.dumps(workloads.tfim_chain_document(12, "suzuki4", 1, stop=2.0)))
     h, psi, times = cfg.partition.hamiltonian, cfg.initial_state, cfg.times

@@ -215,22 +215,35 @@ def test_stepping_through_times_matches_single_time_calls(h, times, seed):
 
 
 def test_a_long_evolution_still_matches_the_eigh_oracle(tfim_ruth3):
-    # ||H||_1 = 13/3, so t = 50 spans 217: five waypoint windows and a last one
+    # ||H||_1 = 13/3, so t = 50 spans 217: one window, whatever its span
     h, psi = tfim_ruth3.partition.hamiltonian, tfim_ruth3.initial_state
     oracle = exact_unitary(h, 50.0) @ psi.amplitudes
     assert np.max(np.abs(exact_evolve(h, 50.0, psi).amplitudes - oracle)) <= 1e-10
 
 
 def test_too_many_chebyshev_terms_in_total_are_refused(monkeypatch):
-    # 6e5 alone needs about 1.3e6 terms, under the limit; 1.2e6 needs about
-    # 2.6e6, although its span of 1.2e6 is under it too
+    # ||H||_1 = 1: each window spans 7.5e5 and needs about 1.02e6 terms, under
+    # the limit, but the two need about 2.04e6, although the reach of 1.5e6
+    # is under it too
     def refuse(*args):
         raise AssertionError("H was applied before the guard refused")
 
     monkeypatch.setattr(simulator, "_apply_operator", refuse)
     h = OperatorSum.from_terms([PauliTerm("X", 1.0)])
-    with pytest.raises(DegenerateInputError, match="time 1200000.0 at .* more than"):
-        exact_states(h, [6e5, 1.2e6], init_product_state([(1, 0)]))
+    with pytest.raises(DegenerateInputError, match="time 1500000.0 at .* more than"):
+        exact_states(h, [7.5e5, 1.5e6], init_product_state([(1, 0)]))
+
+
+@pytest.mark.parametrize("times", [[3e6], [7.5e5, 1.5e6], [-7.5e5, 7.5e5]])
+def test_a_refused_evolution_builds_no_coefficient_table(monkeypatch, times):
+    # refused on its reach, on its total terms in one chain, and in two
+    def refuse(*args):
+        raise AssertionError("a coefficient table was built before the guard refused")
+
+    monkeypatch.setattr(simulator, "_chebyshev_coefficients", refuse)
+    h = OperatorSum.from_terms([PauliTerm("X", 1.0)])
+    with pytest.raises(DegenerateInputError, match="more than"):
+        exact_states(h, times, init_product_state([(1, 0)]))
 
 
 @st.composite
