@@ -149,7 +149,7 @@ def _write_rows(args: argparse.Namespace, doc: ConfigDocument, rows: list[Result
 def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
     """One CSV row per curve point; ``a_or_steps`` is the depth the method ran."""
     if curve.method == "mpf":
-        label = max(cfg.mpf.step_counts)
+        label = max(cfg.mpf_step_counts)
     else:
         label = cfg.trotter_steps
     return [
@@ -223,7 +223,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_mpf(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
+    weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
     print(f"step counts {list(weights.step_counts)}")
     print(f"weights     {[round(w, 12) for w in weights.weights]}")
     print(f"cancelled orders {list(weights.cancelled_orders)}")
@@ -269,7 +269,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     grid = len(sweep_grid(cfg))
-    counts = cfg.mpf.step_counts
+    counts = cfg.mpf_step_counts
     ep = circuit_cost(
         "ep",
         formula=cfg.formula,

@@ -29,7 +29,7 @@ from .errors import (
     SingularFitError,
     TrotterProfError,
 )
-from .experiments import ExperimentConfig, MPFOptions
+from .experiments import ExperimentConfig
 from .formulas import (
     FORMULA_NAMES,
     Fragment,
@@ -39,7 +39,7 @@ from .formulas import (
     step_terms,
 )
 from .pauli import OperatorSum, PauliTerm
-from .profiling import CALIBRATION_A_PROBE, CALIBRATION_POINTS, BasisSpec, check_grid
+from .profiling import BasisSpec, calibration_probes, check_grid
 from .simulator import StateVector, init_product_state
 
 #: Largest register a document may declare.  A run holds 24 * 2^n bytes per
@@ -67,9 +67,11 @@ MAX_ANGLES = 2**24
 #: ``alpha = 5``.
 MAX_ALPHA = 64
 
-#: Rows of calibration's one batch: each probe ``a`` and ``1 - a`` at every
-#: probe time.
-_CALIBRATION_ROWS = 2 * len(CALIBRATION_A_PROBE) * CALIBRATION_POINTS
+#: Longest ``mpf.step_counts`` list.  The exact weight solve slows fast: at
+#: ``alpha = 4`` the counts 1..k took 0.02 s at k = 16, 0.86 s at 48 and 2.2 s
+#: at 64 (2-vCPU VM); from k = 10 the weights are ill-conditioned (condition
+#: number 6.9e12), and from k = 18 they fail the sum-to-1 check after the solve.
+MAX_STEP_COUNTS = 16
 
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
 _SYSTEM_SECTIONS = ("system", "partition", "formula", "initial_state", "observable")
@@ -280,7 +282,7 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
             return builtin_formula(raw, partition), raw
         except FormulaError as exc:
             raise ConfigError(str(exc), "formula") from exc
-    entry = _section(raw, "formula", ("steps", "alpha", "symmetric"))
+    entry = _section(raw, "formula", ("steps", "alpha"))
     steps_raw = _expect(entry.get("steps"), list, "formula.steps")
     steps = []
     for i, pair in enumerate(steps_raw):
@@ -291,9 +293,8 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
         index = _integer(item[0], name, 0, len(partition.fragments) - 1)
         steps.append((index, _real_number(item[1], name)))
     alpha = _integer(entry.get("alpha"), "formula.alpha", 2, MAX_ALPHA)
-    symmetric = _boolean(entry.get("symmetric", False), "formula.symmetric")
     try:
-        return ProductFormula(tuple(steps), alpha, symmetric), None
+        return ProductFormula(tuple(steps), alpha), None
     except FormulaError as exc:
         raise ConfigError(f"formula: {exc}", "formula") from exc
 
@@ -367,7 +368,7 @@ def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha
 def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
     entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
     grid = _grid_bound(cfg.a_grid, cfg.basis, cfg.formula.alpha)
-    depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf.step_counts))
+    depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf_step_counts))
     limit = MAX_ANGLES // (_gates_per_step(cfg) * depth)
     if "values" in entry:
         others = [f"times.{key}" for key in entry if key != "values"]
@@ -437,9 +438,10 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
             "profiling.include_antisymmetric needs profiling.n_extra_orders",
             "profiling.include_antisymmetric",
         )
+    a_values, probe_times = calibration_probes(alpha)
     rows = max(
         len(cfg.times) * _grid_bound(grid, basis, alpha),
-        _CALIBRATION_ROWS if basis is None else 0,
+        len(a_values) * probe_times if basis is None else 0,
     )
     steps = _integer(
         entry.get("trotter_steps", cfg.trotter_steps),
@@ -456,19 +458,21 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     return {"trotter_steps": steps, "a_grid": grid, "basis": basis}
 
 
-def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> MPFOptions:
-    entry = _section(raw, "mpf", ("step_counts", "symmetric"))
-    counts = cfg.mpf.step_counts
-    if "step_counts" in entry:
-        counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
-        if not counts_list:
-            raise ConfigError("mpf.step_counts must not be empty", "mpf.step_counts")
-        limit = MAX_ANGLES // (_gates_per_step(cfg) * len(cfg.times))
-        counts = tuple(_integer(v, "mpf.step_counts", 1, limit) for v in counts_list)
-        if len(set(counts)) != len(counts):
-            raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")
-    symmetric = _boolean(entry.get("symmetric", cfg.mpf.symmetric), "mpf.symmetric")
-    return MPFOptions(step_counts=counts, symmetric=symmetric)
+def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> tuple[int, ...]:
+    entry = _section(raw, "mpf", ("step_counts",))
+    if "step_counts" not in entry:
+        return cfg.mpf_step_counts
+    counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
+    if not 1 <= len(counts_list) <= MAX_STEP_COUNTS:
+        raise ConfigError(
+            f"mpf.step_counts must hold 1 to {MAX_STEP_COUNTS} counts, got {len(counts_list)}",
+            "mpf.step_counts",
+        )
+    limit = MAX_ANGLES // (_gates_per_step(cfg) * len(cfg.times))
+    counts = tuple(_integer(v, "mpf.step_counts", 1, limit) for v in counts_list)
+    if len(set(counts)) != len(counts):
+        raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")
+    return counts
 
 
 def _parse_noise(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
@@ -491,7 +495,7 @@ def _apply_options(cfg: ExperimentConfig, doc: dict) -> ExperimentConfig:
     if doc.get("profiling") is not None:
         cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg))
     if doc.get("mpf") is not None:
-        cfg = replace(cfg, mpf=_parse_mpf(doc["mpf"], cfg))
+        cfg = replace(cfg, mpf_step_counts=_parse_mpf(doc["mpf"], cfg))
     if doc.get("noise") is not None:
         cfg = replace(cfg, **_parse_noise(doc["noise"], cfg))
     return cfg
@@ -592,7 +596,6 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
         formula = {
             "steps": [[int(i), float(c)] for i, c in cfg.formula.steps],
             "alpha": cfg.formula.alpha,
-            "symmetric": cfg.formula.symmetric,
         }
     doc: dict = {
         "system": {
@@ -612,10 +615,7 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
             "trotter_steps": cfg.trotter_steps,
             "a_grid": None if cfg.a_grid is None else [float(a) for a in cfg.a_grid],
         },
-        "mpf": {
-            "step_counts": list(cfg.mpf.step_counts),
-            "symmetric": cfg.mpf.symmetric,
-        },
+        "mpf": {"step_counts": list(cfg.mpf_step_counts)},
         "noise": {"sigma": cfg.noise_sigma, "seed": cfg.seed},
     }
     if cfg.basis is not None:

@@ -37,32 +37,21 @@ ERROR_FLOOR = 1e-14
 DEFAULT_TIMES = tuple(np.geomspace(0.1, 1.0, 20))
 
 
-@dataclass(frozen=True)
-class MPFOptions:
-    """Step counts and cancellation flavor for the extrapolation baseline."""
-
-    step_counts: tuple[int, ...] = (1, 2)
-    symmetric: bool = False
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(ProfilingConfig):
     """A full benchmark setup: the profiling inputs plus times and options.
 
-    ``trotter_steps`` is the base depth of the plain and profiling circuits.
-    An unset ``mpf`` takes the default step counts with the formula's own
-    symmetry.
+    ``trotter_steps`` is the base depth of the plain and profiling circuits,
+    and ``mpf_step_counts`` the depths the extrapolation baseline combines.
     """
 
     times: tuple[float, ...] = DEFAULT_TIMES
-    mpf: MPFOptions | None = None
+    mpf_step_counts: tuple[int, ...] = (1, 2)
     noise_sigma: float = 0.0
     seed: int = 1234
     formula_name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mpf is None:
-            object.__setattr__(self, "mpf", MPFOptions(symmetric=self.formula.symmetric))
         if not self.times:
             raise DegenerateInputError("need at least one evaluation time")
         if any(t <= 0 for t in self.times):
@@ -125,13 +114,13 @@ def constituent_columns(
 ) -> dict[int, np.ndarray]:
     """The Trotter values over ``cfg.times`` of every step count the methods read.
 
-    ``mpf`` reads ``cfg.mpf.step_counts`` and ``trotter`` the base depth
+    ``mpf`` reads ``cfg.mpf_step_counts`` and ``trotter`` the base depth
     ``cfg.trotter_steps``; each distinct count runs as one engine batch
     (``mpf_values``), so a base depth among the MPF counts is evolved once.
     """
     counts: dict[int, None] = {}
     if "mpf" in methods:
-        counts.update(dict.fromkeys(cfg.mpf.step_counts))
+        counts.update(dict.fromkeys(cfg.mpf_step_counts))
     if "trotter" in methods:
         counts[cfg.trotter_steps] = None
     if not counts:
@@ -172,9 +161,7 @@ def run_error_curve(
         if columns is None:
             columns = constituent_columns(cfg, (method,))
         if method == "mpf":
-            weights = mpf_weights(
-                cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric
-            )
+            weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
             values = np.column_stack([columns[count] for count in weights.step_counts])
             estimates = [
                 mpf_estimate(row, weights, jitter=jitter)

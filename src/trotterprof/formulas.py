@@ -85,7 +85,7 @@ class PartitionedHamiltonian:
 
 @dataclass(frozen=True)
 class ProductFormula:
-    """Splitting table with its first error order and symmetry flag.
+    """Splitting table with its first error order.
 
     ``alpha`` is the lowest power of t at which the compiled circuit deviates
     from the exact evolution; the formula's conventional accuracy order is
@@ -94,7 +94,6 @@ class ProductFormula:
 
     steps: tuple[tuple[int, float], ...]
     alpha: int
-    symmetric: bool
 
     def __post_init__(self) -> None:
         if self.alpha < 2:
@@ -116,6 +115,15 @@ class ProductFormula:
     def fragment_count(self) -> int:
         return max(index for index, _ in self.steps) + 1
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the table equals its reverse exactly, so ``V(-t)^dagger = V(t)``.
+
+        A table symmetric only once adjacent steps on one fragment merge reads
+        as asymmetric: that costs work (four probe variants), never accuracy.
+        """
+        return self.steps == self.steps[::-1]
+
 
 def _strang_steps(k: int, scale: float) -> list[tuple[int, float]]:
     half = [(i, 0.5 * scale) for i in range(k - 1)]
@@ -132,25 +140,23 @@ def builtin_formula(name: str, partition: PartitionedHamiltonian) -> ProductForm
     """
     k = len(partition.fragments)
     if name == "lie1":
-        return ProductFormula(tuple((i, 1.0) for i in range(k)), 2, False)
+        return ProductFormula(tuple((i, 1.0) for i in range(k)), 2)
     if name == "strang2":
         if k < 2:
             raise FormulaError("strang2 needs at least two fragments")
-        return ProductFormula(tuple(_strang_steps(k, 1.0)), 3, True)
+        return ProductFormula(tuple(_strang_steps(k, 1.0)), 3)
     if name == "ruth3":
         if k != 2:
             raise FormulaError("ruth3 alternates exactly two fragments")
-        steps = tuple(
-            (i % 2, c) for i, c in enumerate(RUTH_COEFFICIENTS)
-        )
-        return ProductFormula(steps, 4, False)
+        steps = tuple((i % 2, c) for i, c in enumerate(RUTH_COEFFICIENTS))
+        return ProductFormula(steps, 4)
     if name == "suzuki4":
         if k < 2:
             raise FormulaError("suzuki4 needs at least two fragments")
         seq: list[tuple[int, float]] = []
         for c in (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P):
             seq.extend(_strang_steps(k, c))
-        return ProductFormula(tuple(seq), 5, True)
+        return ProductFormula(tuple(seq), 5)
     raise FormulaError(f"unknown formula {name!r}; choose from {FORMULA_NAMES}")
 
 

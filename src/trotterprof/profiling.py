@@ -451,6 +451,13 @@ def _window_coefficients(
     return coef
 
 
+def calibration_probes(alpha: int) -> tuple[list[float], int]:
+    """Calibration's split parameters and probe-time count, one batch row per pair."""
+    a_values = sorted({x for a in CALIBRATION_A_PROBE for x in (a, 1.0 - a)})
+    # two more times than calibrate_basis fits powers, alpha .. 2 alpha + 2
+    return a_values, max(CALIBRATION_POINTS, alpha + CALIBRATION_GUARD_ORDERS + 1)
+
+
 def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     """Empirically decide which error orders the profile fit needs.
 
@@ -478,13 +485,12 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
     lo, hi = CALIBRATION_U_WINDOW
     scale = max(partition.scale(), 1e-12)
-    count = max(CALIBRATION_POINTS, len(powers) + 2)
+    a_values, count = calibration_probes(alpha)
     t_arr = np.geomspace(lo / scale, hi / scale, count)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
     exact_vals = exact_values(t_arr, config)
     # Every probe (a, t) of the error series runs in one batch.
-    a_values = sorted({a for pair in pairs for a in pair})
     averaged = _averaged_expectations(
         np.repeat(a_values, len(t_arr)),
         np.tile(t_arr, len(a_values)),

@@ -23,7 +23,6 @@ import pytest
 from trotterprof import (
     BasisSpec,
     CompositeSpec,
-    MPFOptions,
     OperatorSum,
     PauliTerm,
     ProfileSample,
@@ -227,7 +226,7 @@ def test_criterion_6_ordering_and_ratio(benchmark_curves):
                 cfg.formula, cfg.partition, cfg.observable, cfg.initial_state
             )
             ep_value, _ = mitigated_estimate(t, profile_cfg)
-            weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
+            weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
             mpf_value = mpf_estimate(
                 mpf_values([t], weights.step_counts, profile_cfg)[0], weights
             )
@@ -263,9 +262,7 @@ def test_criterion_7_mpf_baseline(tfim_ruth3):
     trotter_slope = stable_slope_fit(run_error_curve(base, "trotter"), window)
     improvements = {}
     for n in (2, 3):
-        cfg = replace(
-            base, mpf=MPFOptions(step_counts=tuple(range(1, n + 1)), symmetric=False)
-        )
+        cfg = replace(base, mpf_step_counts=tuple(range(1, n + 1)))
         mpf_slope = stable_slope_fit(run_error_curve(cfg, "mpf"), window)
         improvements[n] = mpf_slope - trotter_slope
         assert mpf_slope - trotter_slope >= (n - 1) - 0.5

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -115,10 +116,10 @@ def test_round_trip_is_semantically_stable(
 
 #: ``config-sha256`` of each preset's CSVs: editing a preset document changes it.
 PRESET_DIGESTS = {
-    "tfim-ruth3": "080ac2aa40644e34e81f9e3856cd5836c14e0fe6713c737ac8b5fb33bb928411",
-    "tfim-suzuki4": "113f138bc5f03d2ec5f5d64e8bf9cc7bac6746c6402b2efeaa1a3eaa7b5028cc",
-    "xxz-ruth3": "8035ff78fc8b7656b5580bdf1d89c31301d42c5accfc9b6ba7cc60e1c81b4ad7",
-    "xxz-suzuki4": "c367417aa4518f6faac77f7bd7bad2ac015391323e8678c28674a5fc689545bf",
+    "tfim-ruth3": "73e896cacf708191c02a68cf3228e7fca65647d376bf4c6c3b8a04011a162a2d",
+    "tfim-suzuki4": "173d8113694aedd960e915c1928f5362b804be3f8393e8e00386147246dc7da4",
+    "xxz-ruth3": "c091b220a29136f727c67e0bf4a7e859d577225b0d41f8a6637eeaa6d07b0c02",
+    "xxz-suzuki4": "b590f7156adf747d9781d76bb9235c622b9dd3f14d05e126d51f8a8b9b37f65b",
 }
 
 
@@ -182,7 +183,6 @@ def test_custom_formula_consistency_error():
     doc["formula"] = {
         "steps": [[0, 0.5], [1, 1.0]],
         "alpha": 2,
-        "symmetric": False,
     }
     with pytest.raises(ConfigError, match="sum"):
         parse_config(json.dumps(doc))
@@ -193,7 +193,6 @@ def test_custom_formula_accepted():
     doc["formula"] = {
         "steps": [[0, 1.0], [1, 1.0]],
         "alpha": 2,
-        "symmetric": False,
     }
     cfg = parse_config(json.dumps(doc))
     assert cfg.formula.steps == ((0, 1.0), (1, 1.0))
@@ -331,6 +330,66 @@ def test_an_oversized_list_is_refused_before_it_is_read(tmp_path, capsys, monkey
         assert "Traceback" not in err
 
 
+def test_an_overlong_step_count_list_is_refused_before_it_is_read(tmp_path, capsys):
+    # 2000 counts used to parse: cost reported 2000 circuits, and mpf was
+    # still solving for the weights after 20 s
+    counts = list(range(1, config.MAX_STEP_COUNTS + 1))
+    doc = {"preset": "tfim-ruth3", "mpf": {"step_counts": counts}}
+    assert parse_config(json.dumps(doc)).mpf_step_counts == tuple(counts)
+    # a value that fails its own check shows that no value is read first
+    doc["mpf"]["step_counts"] = ["one"] + list(range(2, 2001))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="must hold 1 to 16 counts, got 2000") as info:
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "mpf.step_counts"
+    assert peak < 1 << 20
+    path = write_config(tmp_path, doc)
+    for argv in (["run"], ["mpf"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "mpf.step_counts" in err
+        assert "Traceback" not in err
+
+
+class _BatchCounted(Exception):
+    """Stops calibration once its batch has been counted."""
+
+
+def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
+    # calibration probes 6 values of a at max(20, alpha + 5) times, 414 rows at
+    # MAX_ALPHA; the depth bound used to assume 120 (127 here, the sweep's
+    # rows), which let this batch reach about 3.3 times the budget
+    monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
+    doc = sample_document()
+    doc.pop("output")
+    doc["formula"] = {"steps": [[0, 1.0], [1, 1.0]], "alpha": MAX_ALPHA}
+    doc["times"] = {"values": [1.0]}
+    doc["profiling"] = {"trotter_steps": 10**9}
+    with pytest.raises(ConfigError, match=r"from 1 to \d+,") as info:
+        parse_config(json.dumps(doc))
+    doc["profiling"]["trotter_steps"] = int(re.search(r"from 1 to (\d+),", str(info.value))[1])
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.basis is None
+    sizes = []
+
+    def count(state, words, angles, obs):
+        sizes.append(angles.shape)
+        raise _BatchCounted
+
+    monkeypatch.setattr(profiling, "sample_expectations", count)
+    with pytest.raises(_BatchCounted):
+        profiling.calibrate_basis(cfg)
+    [(rows, angles_per_row)] = sizes
+    assert SMALL_ANGLES // 2 < rows * angles_per_row <= SMALL_ANGLES
+    assert angles_per_row == 2 * cfg.trotter_steps * 3
+    a_values, probe_times = profiling.calibration_probes(MAX_ALPHA)
+    assert rows == len(a_values) * probe_times == 414
+
+
 def test_the_depth_bound_is_the_angle_budget_of_the_largest_batch():
     # tfim-ruth3 rotates 21 terms per step; with a calibrated basis its sweep
     # can take up to 7 grid points, so 20 times make 140 rows of 2N steps
@@ -373,9 +432,9 @@ def typed_document() -> dict:
     """The 2-qubit document with every integer and boolean key spelled out."""
     doc = sample_document()
     doc.pop("output")
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
     doc["profiling"] = {"trotter_steps": 1, "n_extra_orders": 1, "include_antisymmetric": True}
-    doc["mpf"] = {"step_counts": [1, 2], "symmetric": True}
+    doc["mpf"] = {"step_counts": [1, 2]}
     return doc
 
 
@@ -398,9 +457,7 @@ TYPED_KEYS = [
     ("mpf.step_counts", ("mpf", "step_counts", 1), st.integers(max_value=0) | huge),
     # the sign of a seed is checked by ExperimentConfig, also for --seed
     ("noise.seed", ("noise", "seed"), st.nothing()),
-    ("formula.symmetric", ("formula", "symmetric"), None),
     ("profiling.include_antisymmetric", ("profiling", "include_antisymmetric"), None),
-    ("mpf.symmetric", ("mpf", "symmetric"), None),
 ]
 other_types = (
     st.floats() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) | st.none()
@@ -490,7 +547,7 @@ TYPO_CASES = [
 )
 def test_unknown_keys_are_rejected(tmp_path, capsys, section, path, key, value):
     doc = sample_document()
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
     parse_config(json.dumps(doc))
     entry = doc
     for step in path:
@@ -601,7 +658,7 @@ def test_identity_observable_word_stays_legal(tmp_path, command):
         (
             "formula.steps[1]",
             "formula",
-            {"steps": [[0, 0.5], [1, math.nan], [0, 0.5]], "alpha": 3, "symmetric": True},
+            {"steps": [[0, 0.5], [1, math.nan], [0, 0.5]], "alpha": 3},
         ),
         (
             "initial_state.factors[1][0]",
@@ -708,7 +765,7 @@ def test_profile_time_must_be_positive_and_finite(capsys, value):
 
 def test_round_trip_keeps_a_custom_table_and_linear_times():
     doc = sample_document()
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3, "symmetric": True}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
     doc["times"] = {"start": 0.1, "stop": 0.5, "points": 5, "scale": "linear"}
     cfg = parse_config(json.dumps(doc))
     assert cfg.formula_name is None
@@ -1158,11 +1215,49 @@ def test_readme_flag_table_matches_the_parser():
     assert table == parser_flags()
 
 
+def section_keys() -> list[list[str]]:
+    """The keys of every ``config._section`` call, read from the parser's source."""
+    tree = ast.parse(Path(config.__file__).read_text())
+    return sorted(
+        sorted(eval(compile(ast.Expression(node.args[2]), "config", "eval"), vars(config)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_section"
+    )
+
+
+def test_readme_key_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config documents\n", 1)[1].split("\n## ", 1)[0]
+    table = []
+    for line in section.splitlines():
+        row = re.fullmatch(r" *\| (.+?) \| ((?:`\w+`(?:, )?)+) \|", line)
+        if row:
+            table.append(sorted(re.findall(r"`(\w+)`", row.group(2))))
+    keys = section_keys()
+    assert len(keys) == 10
+    assert sorted(table) == keys
+
+
+@pytest.mark.parametrize("section", ["formula", "mpf"])
+def test_symmetry_is_not_a_document_key(tmp_path, capsys, section):
+    # symmetry is read from the step table
+    doc = sample_document()
+    doc.pop("output")
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
+    doc[section]["symmetric"] = True
+    message = f"unknown key 'symmetric' in {section};"
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == f"{section}.symmetric"
+    assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
     doc = sample_document()
     doc.pop("output")
     # a Strang table declared with alpha 6 needs powers 6..14 in the probe fit
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 6, "symmetric": True}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 6}
     assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "declared with alpha = 6" in err
@@ -1176,7 +1271,7 @@ def test_every_command_exits_cleanly_at_the_largest_alpha(tmp_path, capsys, comm
     doc = sample_document()
     doc.pop("output")
     steps = [[0, 0.5], [1, 1.0], [0, 0.5]]
-    doc["formula"] = {"steps": steps, "alpha": MAX_ALPHA, "symmetric": True}
+    doc["formula"] = {"steps": steps, "alpha": MAX_ALPHA}
     doc["mpf"] = {"step_counts": [1, 2, 3]}
     # calibrated, then pinned to every order up to 2 alpha - 2
     for profiling in ({}, {"n_extra_orders": MAX_ALPHA - 2}):

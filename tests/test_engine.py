@@ -585,7 +585,7 @@ def test_curves_equal_the_per_time_path(name, ts, n, seed):
     pinned = replace(cfg, basis=profiling.resolve_basis(cfg))
     for point, jitter in zip(ep.points, _per_time_jitters(cfg)):
         assert point.estimate == mitigated_estimate(point.t, pinned, jitter=jitter)[0]
-    weights = mpf_weights(cfg.mpf.step_counts, cfg.formula.alpha, cfg.mpf.symmetric)
+    weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
     for point, jitter in zip(mpf.points, _per_time_jitters(cfg)):
         values = mpf_values([point.t], weights.step_counts, cfg)[0]
         assert point.estimate == mpf_estimate(values, weights, jitter=jitter)

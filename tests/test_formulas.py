@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterprof import (
     Circuit,
@@ -21,10 +27,14 @@ from trotterprof import (
     empirical_order,
     invert_circuit,
 )
+from trotterprof.config import PRESETS, parse_config, preset_config
 from trotterprof.formulas import RUTH_COEFFICIENTS, SUZUKI_P
 from trotterprof.simulator import circuit_unitary
 
 from conftest import random_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 RUTH_TABLE = (7 / 24, 2 / 3, 3 / 4, -2 / 3, -1 / 24, 1.0)
 
@@ -84,7 +94,7 @@ def test_ruth3_requires_two_fragments():
 
 def test_formula_coefficient_consistency_enforced():
     with pytest.raises(FormulaError):
-        ProductFormula(((0, 0.5), (1, 1.0)), 2, False)
+        ProductFormula(((0, 0.5), (1, 1.0)), 2)
 
 
 def test_fragment_rejects_noncommuting_terms():
@@ -131,7 +141,7 @@ def test_compiled_gate_count_linear_in_steps(tfim_ruth3):
 def test_compile_rejects_bad_fragment_index():
     z = Fragment(OperatorSum.from_terms([PauliTerm("Z")]))
     part = PartitionedHamiltonian((z,), 1)
-    f = ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)), 3, True)
+    f = ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)), 3)
     with pytest.raises(FormulaError):
         compile_circuit(f, part, 0.1)
 
@@ -205,3 +215,59 @@ def test_empirical_order_degenerate_probe(tfim_ruth3):
         empirical_order(f, tfim_ruth3.partition, [0.01, 0.02])  # too few
     with pytest.raises(DegenerateInputError):
         empirical_order(f, tfim_ruth3.partition, [1e-9, 2e-9, 3e-9, 4e-9])
+
+
+#: The symmetry each built-in formula used to declare by hand.
+DECLARED_SYMMETRY = {"lie1": False, "strang2": True, "ruth3": False, "suzuki4": True}
+
+
+def test_builtin_symmetry_read_from_the_table_matches_the_declared_flag():
+    partitions = [preset_config(name).partition for name in PRESETS]
+    partitions += [
+        parse_config(json.dumps(workloads.tfim_chain_document(n, "lie1", 1, 1.0))).partition
+        for n in (2, 6, 10)
+    ]
+    for partition in partitions:
+        for name, symmetric in DECLARED_SYMMETRY.items():
+            assert builtin_formula(name, partition).symmetric is symmetric
+
+
+#: Two qubits, three commuting fragments; a table uses the first two or all three.
+TWO_QUBIT_FRAGMENTS = PartitionedHamiltonian(
+    tuple(
+        Fragment(OperatorSum.from_terms([PauliTerm(w, c) for w, c in terms]))
+        for terms in ([("ZZ", 1.0)], [("XI", 0.7), ("IX", 0.4)], [("YY", 0.3), ("XX", -0.6)])
+    ),
+    2,
+)
+
+
+@st.composite
+def step_tables(draw):
+    """A valid table on 2-3 fragments, a palindrome about half of the time."""
+    k = draw(st.integers(2, 3))
+    step = st.tuples(st.integers(0, k - 1), st.floats(0.05, 2.0))
+    half = draw(st.lists(step, max_size=4))
+    half += [(i, 1.0) for i in range(k) if i not in {index for index, _ in half}]
+    palindrome = draw(st.booleans())
+    if palindrome:
+        raw = half + draw(st.lists(step, max_size=1)) + half[::-1]
+    else:
+        raw = half + draw(st.lists(step, min_size=1, max_size=4))
+    # scaling every step of a fragment alike keeps a palindrome one
+    totals = {}
+    for index, coeff in raw:
+        totals[index] = totals.get(index, 0.0) + coeff
+    steps = tuple((index, coeff / totals[index]) for index, coeff in raw)
+    return ProductFormula(steps, 2), palindrome
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_tables(), st.floats(0.05, 1.5))
+def test_a_table_read_as_symmetric_is_symmetric(case, t):
+    f, palindrome = case
+    assert f.symmetric == (f.steps == f.steps[::-1])
+    if palindrome:
+        assert f.symmetric
+    if f.symmetric:
+        assert symmetry_defect(f, TWO_QUBIT_FRAGMENTS, t) < 1e-12

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from trotterprof import (
     DegenerateInputError,
-    MPFOptions,
     ProfilingConfig,
     SingularFitError,
     critical_n,
@@ -104,7 +103,7 @@ def test_two_count_error_slope_on_benchmark(tfim_ruth3):
     cfg = replace(
         tfim_ruth3,
         times=tuple(np.geomspace(0.02, 0.15, 10)),
-        mpf=MPFOptions(step_counts=(1, 2), symmetric=False),
+        mpf_step_counts=(1, 2),
     )
     curve = run_error_curve(cfg, "mpf")
     slope = stable_slope_fit(curve, (0.02, 0.15))
@@ -117,9 +116,7 @@ def test_slope_improvement_over_unmitigated(tfim_ruth3, n):
     times = tuple(np.geomspace(window[0], window[1], 10))
     base = replace(tfim_ruth3, times=times)
     trotter_slope = stable_slope_fit(run_error_curve(base, "trotter"), window)
-    cfg = replace(
-        base, mpf=MPFOptions(step_counts=tuple(range(1, n + 1)), symmetric=False)
-    )
+    cfg = replace(base, mpf_step_counts=tuple(range(1, n + 1)))
     mpf_slope = stable_slope_fit(run_error_curve(cfg, "mpf"), window)
     assert mpf_slope - trotter_slope >= (n - 1) - 0.5
 
