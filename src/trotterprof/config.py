@@ -39,7 +39,7 @@ from .formulas import (
     step_terms,
 )
 from .pauli import OperatorSum, PauliTerm
-from .profiling import BasisSpec, calibration_probes, check_grid
+from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid
 from .simulator import StateVector, init_product_state
 
 #: Largest register a document may declare.  A run holds 24 * 2^n bytes per
@@ -53,10 +53,11 @@ MAX_QUBITS = 20
 #: times the depth, which is ``2 * trotter_steps`` for a sweep and the step
 #: count for a multi-product constituent.  ``times.points``, the lengths of
 #: ``times.values`` and ``profiling.a_grid``, ``profiling.trotter_steps`` and
-#: each ``mpf.step_counts`` entry are bounded
-#: so that no batch holds more than 2^24 float64 angles (128 MiB); the largest
-#: batch of the 10-qubit ``suzuki4`` benchmark chain, 180 rows x 560 gates, is
-#: 1/166 of that.
+#: each ``mpf.step_counts`` entry are bounded so that no batch holds more than
+#: 2^24 float64 angles (128 MiB); the largest batch of the 10-qubit ``suzuki4``
+#: benchmark chain, 180 rows x 560 gates, is 1/166 of that.  ``formula.steps``
+#: holds at most half as many steps, as a sweep row rotates at least two gates
+#: per step.
 MAX_ANGLES = 2**24
 
 #: Largest first error order a custom formula may declare.  Fits read the
@@ -67,10 +68,10 @@ MAX_ANGLES = 2**24
 #: ``alpha = 5``.
 MAX_ALPHA = 64
 
-#: Longest ``mpf.step_counts`` list.  The exact weight solve slows fast: at
-#: ``alpha = 4`` the counts 1..k took 0.02 s at k = 16, 0.86 s at 48 and 2.2 s
-#: at 64 (2-vCPU VM); from k = 10 the weights are ill-conditioned (condition
-#: number 6.9e12), and from k = 18 they fail the sum-to-1 check after the solve.
+#: Longest ``mpf.step_counts`` list, bounded for conditioning alone: the closed
+#: form gives 64 weights in 0.02 s (2-vCPU VM), but the counts 1..k at
+#: ``alpha = 4`` are flagged ill-conditioned from k = 9 (condition number
+#: 1.6e11), and from k = 18 their float weights fail the sum-to-1 check.
 MAX_STEP_COUNTS = 16
 
 _OPTION_SECTIONS = ("times", "profiling", "mpf", "noise", "output")
@@ -167,6 +168,14 @@ def _section(raw: Any, name: str, keys: tuple[str, ...]) -> dict:
                 f"{name}.{key}",
             )
     return entry
+
+
+def _bounded_list(raw: Any, name: str, limit: int, unit: str) -> list:
+    """A list of at most ``limit`` entries, measured before any entry is read."""
+    entries = _expect(raw, list, name)
+    if len(entries) > limit:
+        raise ConfigError(f"{name} may hold at most {limit} {unit}, got {len(entries)}", name)
+    return entries
 
 
 def _integer(
@@ -283,7 +292,8 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
         except FormulaError as exc:
             raise ConfigError(str(exc), "formula") from exc
     entry = _section(raw, "formula", ("steps", "alpha"))
-    steps_raw = _expect(entry.get("steps"), list, "formula.steps")
+    # a sweep row rotates at least two gates per step
+    steps_raw = _bounded_list(entry.get("steps"), "formula.steps", MAX_ANGLES // 2, "steps")
     steps = []
     for i, pair in enumerate(steps_raw):
         name = f"formula.steps[{i}]"
@@ -362,7 +372,7 @@ def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha
     """
     if a_grid is not None:
         return len(a_grid)
-    return 2 * (len(basis.orders) if basis is not None else alpha - 1) + 1
+    return len(default_a_grid(len(basis.orders) if basis is not None else alpha - 1))
 
 
 def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
@@ -377,14 +387,9 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
                 f"times.values cannot be combined with {', '.join(others)}",
                 "times.values",
             )
-        values = _expect(entry["values"], list, "times.values")
+        values = _bounded_list(entry["values"], "times.values", limit, "times")
         if not values:
             raise ConfigError("times.values must not be empty", "times.values")
-        if len(values) > limit:
-            raise ConfigError(
-                f"times.values may hold at most {limit} times, got {len(values)}",
-                "times.values",
-            )
         times = tuple(_real_number(v, "times.values") for v in values)
     else:
         start = _real_number(entry.get("start", 0.1), "times.start")
@@ -416,13 +421,8 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     a_grid = entry.get("a_grid")
     grid = cfg.a_grid
     if a_grid is not None:
-        values = _expect(a_grid, list, "profiling.a_grid")
         limit = MAX_ANGLES // (2 * _gates_per_step(cfg) * cfg.trotter_steps * len(cfg.times))
-        if len(values) > limit:
-            raise ConfigError(
-                f"profiling.a_grid may hold at most {limit} points, got {len(values)}",
-                "profiling.a_grid",
-            )
+        values = _bounded_list(a_grid, "profiling.a_grid", limit, "points")
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
     basis = cfg.basis
     alpha = cfg.formula.alpha
@@ -460,9 +460,9 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
 
 def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> tuple[int, ...]:
     entry = _section(raw, "mpf", ("step_counts",))
-    if "step_counts" not in entry:
-        return cfg.mpf_step_counts
-    counts_list = _expect(entry["step_counts"], list, "mpf.step_counts")
+    counts_list = _expect(
+        entry.get("step_counts", list(cfg.mpf_step_counts)), list, "mpf.step_counts"
+    )
     if not 1 <= len(counts_list) <= MAX_STEP_COUNTS:
         raise ConfigError(
             f"mpf.step_counts must hold 1 to {MAX_STEP_COUNTS} counts, got {len(counts_list)}",
@@ -487,18 +487,17 @@ def _parse_noise(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
 def _apply_options(cfg: ExperimentConfig, doc: dict) -> ExperimentConfig:
     """Apply a document's option sections to a preset or a freshly built system.
 
-    A missing section or key keeps the value ``cfg`` already holds; a null
-    section counts as missing.
+    Every reader runs, so every bound is checked on the values the run will
+    use: a missing or null section reads as ``{}``, and a missing key takes
+    its default.
     """
-    if doc.get("times") is not None:
-        cfg = replace(cfg, times=_parse_times(doc["times"], cfg))
-    if doc.get("profiling") is not None:
-        cfg = replace(cfg, **_parse_profiling(doc["profiling"], cfg))
-    if doc.get("mpf") is not None:
-        cfg = replace(cfg, mpf_step_counts=_parse_mpf(doc["mpf"], cfg))
-    if doc.get("noise") is not None:
-        cfg = replace(cfg, **_parse_noise(doc["noise"], cfg))
-    return cfg
+    def section(name: str) -> Any:
+        return {} if doc.get(name) is None else doc[name]
+
+    cfg = replace(cfg, times=_parse_times(section("times"), cfg))
+    cfg = replace(cfg, **_parse_profiling(section("profiling"), cfg))
+    cfg = replace(cfg, mpf_step_counts=_parse_mpf(section("mpf"), cfg))
+    return replace(cfg, **_parse_noise(section("noise"), cfg))
 
 
 def _parse_output(raw: Any) -> str | None:

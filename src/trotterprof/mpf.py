@@ -2,15 +2,17 @@
 
 Running the same splitting with step counts ``s_1 < s_2 < ...`` and combining
 the expectation values with weights that cancel the leading ``1/s**(k-1)``
-error scalings removes successive error orders classically.  Weight systems
-are solved exactly over the rationals, so the cancellation residuals vanish
-to the last bit; an ill-conditioned float realization is only flagged.
+error scalings removes successive error orders classically.  The weights
+come from the closed form of their Vandermonde system, in exact rationals, so
+the cancellation residuals vanish to the last bit; an ill-conditioned float
+realization is only flagged.
 ``mpf_values`` runs the constituent circuits of every time, taking the
 system as one ``ProfilingConfig``; ``mpf_estimate`` combines one time's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,11 +38,8 @@ class MPFWeights:
 
     step_counts: tuple[int, ...]
     weights: tuple[float, ...]
-    symmetric: bool
-    alpha: int
     cancelled_orders: tuple[int, ...] = ()
     condition_number: float = 1.0
-    ill_conditioned: bool = False
 
     def __post_init__(self) -> None:
         if len(self.step_counts) != len(self.weights):
@@ -58,31 +57,34 @@ class MPFWeights:
                     f"cancellation residual {residual!r} at order {k}"
                 )
 
-
-def _solve_rational(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Gaussian elimination with exact rational arithmetic."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularFitError("weight system is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    @property
+    def ill_conditioned(self) -> bool:
+        """Whether the float system's condition number passes ``CONDITION_WARNING``."""
+        return self.condition_number > CONDITION_WARNING
 
 
 def cancelled_orders(count: int, alpha: int, symmetric: bool) -> tuple[int, ...]:
     """The ``count - 1`` error orders a weight system of that size removes."""
     stride = 2 if symmetric else 1
     return tuple(alpha + stride * j for j in range(count - 1))
+
+
+def _exact_weights(counts: Sequence[int], alpha: int, symmetric: bool) -> list[Fraction]:
+    """The weights of distinct ``counts`` as exact rationals, in closed form.
+
+    With ``y_j = s_j**-p`` (``p = 2`` for a symmetric formula, else 1) and
+    ``u_j = w_j s_j**-(alpha-1)``, the cancellation rows read
+    ``sum_j u_j y_j**m = 0`` for ``m < len(counts) - 1``, a Vandermonde system
+    solved by ``u_j = c / prod_{i != j} (y_j - y_i)``; ``sum_j w_j = 1`` fixes c.
+    """
+    p = 2 if symmetric else 1
+    y = [Fraction(1, s**p) for s in counts]
+    raw = [
+        Fraction(s ** (alpha - 1)) / math.prod(y[j] - yi for i, yi in enumerate(y) if i != j)
+        for j, s in enumerate(counts)
+    ]
+    total = sum(raw)
+    return [w / total for w in raw]
 
 
 def mpf_weights(
@@ -102,21 +104,16 @@ def mpf_weights(
     if len(set(counts)) != len(counts):
         raise SingularFitError("duplicate step counts make the system singular")
     orders = cancelled_orders(len(counts), alpha, symmetric)
-    matrix = [[Fraction(1)] * len(counts)]
-    for k in orders:
-        matrix.append([Fraction(1, s ** (k - 1)) for s in counts])
-    rhs = [Fraction(1)] + [Fraction(0)] * len(orders)
-    solution = _solve_rational(matrix, rhs)
-    float_matrix = np.array([[float(x) for x in row] for row in matrix])
-    cond = float(np.linalg.cond(float_matrix))
+    # Fraction's float() rounds 1/s**(k-1) where 1.0 / s**(k-1) would overflow
+    float_matrix = np.array(
+        [[1.0] * len(counts)]
+        + [[float(Fraction(1, s ** (k - 1))) for s in counts] for k in orders]
+    )
     return MPFWeights(
         step_counts=counts,
-        weights=tuple(float(w) for w in solution),
-        symmetric=symmetric,
-        alpha=alpha,
+        weights=tuple(float(w) for w in _exact_weights(counts, alpha, symmetric)),
         cancelled_orders=orders,
-        condition_number=cond,
-        ill_conditioned=cond > CONDITION_WARNING,
+        condition_number=float(np.linalg.cond(float_matrix)),
     )
 
 

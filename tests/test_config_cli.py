@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import struct
 import subprocess
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trotterprof
 from trotterprof import (
     ConfigError,
     ResultRow,
@@ -352,6 +355,67 @@ def test_an_overlong_step_count_list_is_refused_before_it_is_read(tmp_path, caps
         assert run_command([*argv, "--config", path]) == 1
         err = capsys.readouterr().err
         assert "mpf.step_counts" in err
+        assert "Traceback" not in err
+
+
+def alternating_document(steps: int) -> dict:
+    """``sample_document``'s system, without option sections, under a custom
+    ``alpha = 2`` table of ``steps`` steps alternating between its fragments."""
+    keys = ("system", "partition", "initial_state", "observable")
+    doc = {key: sample_document()[key] for key in keys}
+    doc["formula"] = {"steps": [[i % 2, 2 / steps] for i in range(steps)], "alpha": 2}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "options, key",
+    [({}, "times.points"), ({"times": {"points": 14}}, "profiling.trotter_steps")],
+)
+def test_absent_option_sections_are_bounded_at_their_defaults(
+    tmp_path, capsys, monkeypatch, options, key
+):
+    # 2048 steps (3072 gates) against MAX_ANGLES / 64 scale 131072 steps
+    # against MAX_ANGLES: 20 default times pass the limit of 14, and at 14
+    # times calibration's 120-row batch passes the budget at one step.  Both
+    # documents used to parse, because a missing section skipped its bound.
+    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 64)
+    doc = {**alternating_document(2048), **options}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == key
+    path = write_config(tmp_path, doc)
+    for argv in (["run"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+
+def test_an_overlong_formula_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
+    # a sweep row rotates at least two gates per step
+    monkeypatch.setattr(config, "MAX_ANGLES", 2**12)
+    doc = alternating_document(2**11)
+    # an entry that fails its own check shows whether any entry is read
+    doc["formula"]["steps"][0] = ["one", 1.0]
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == "formula.steps[0]"
+    doc["formula"]["steps"].append([1, 0.0])
+    message = "formula.steps may hold at most 2048 steps, got 2049"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "formula.steps"
+    assert peak < 1 << 20
+    path = write_config(tmp_path, doc)
+    for argv in (["run"], ["cost"]):
+        assert run_command([*argv, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
 
@@ -1236,6 +1300,34 @@ def test_readme_key_table_matches_the_parser():
     keys = section_keys()
     assert len(keys) == 10
     assert sorted(table) == keys
+
+
+def readme_value(node: ast.AST) -> object:
+    """A README constant's value: numbers, tuples, signs and arithmetic, ``^`` as power."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Tuple):
+        return tuple(map(readme_value, node.elts))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -readme_value(node.operand)
+    operations = {ast.Pow: pow, ast.BitXor: pow, ast.Mult: lambda a, b: a * b}
+    assert isinstance(node, ast.BinOp), ast.dump(node)
+    return operations[type(node.op)](readme_value(node.left), readme_value(node.right))
+
+
+def test_readme_constants_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
+    assert len(found) == 12
+    modules = [
+        importlib.import_module(f"trotterprof.{info.name}")
+        for info in pkgutil.iter_modules(trotterprof.__path__)
+    ]
+    for name, text in found:
+        value = readme_value(ast.parse(text, mode="eval").body)
+        bound = [vars(module)[name] for module in modules if name in vars(module)]
+        assert bound, f"no trotterprof module binds {name}"
+        assert all(v == value for v in bound), (name, value, bound)
 
 
 @pytest.mark.parametrize("section", ["formula", "mpf"])

@@ -22,6 +22,8 @@ from trotterprof import (
     run_error_curve,
     stable_slope_fit,
 )
+from trotterprof.config import MAX_ALPHA
+from trotterprof.mpf import MPFWeights, _exact_weights, cancelled_orders
 
 
 def test_high_orders_of_large_step_counts_do_not_overflow_the_residual_check():
@@ -134,6 +136,30 @@ def test_weights_cancel_every_listed_order(counts, alpha, symmetric):
     for k in w.cancelled_orders:
         residual = sum(c / s ** (k - 1) for c, s in zip(w.weights, w.step_counts))
         assert abs(residual) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.integers(1, 64), min_size=1, max_size=16),
+    st.integers(2, MAX_ALPHA),
+    st.booleans(),
+)
+def test_closed_form_solves_every_row_exactly(counts, alpha, symmetric):
+    counts = sorted(counts)
+    exact = _exact_weights(counts, alpha, symmetric)
+    assert sum(exact) == 1
+    orders = cancelled_orders(len(counts), alpha, symmetric)
+    for k in orders:
+        assert sum(w / s ** (k - 1) for w, s in zip(exact, counts)) == 0
+    floats = tuple(float(w) for w in exact)
+    try:
+        weights = mpf_weights(counts, alpha, symmetric).weights
+    except DegenerateInputError:
+        # the rounded weights fail the float sum or residual check
+        with pytest.raises(DegenerateInputError):
+            MPFWeights(tuple(counts), floats, orders)
+    else:
+        assert weights == floats
 
 
 def test_critical_step_counts():
