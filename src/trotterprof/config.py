@@ -55,18 +55,11 @@ MAX_QUBITS = 20
 #: ``times.values`` and ``profiling.a_grid``, ``profiling.trotter_steps`` and
 #: each ``mpf.step_counts`` entry are bounded so that no batch holds more than
 #: 2^24 float64 angles (128 MiB); the largest batch of the 10-qubit ``suzuki4``
-#: benchmark chain, 180 rows x 560 gates, is 1/166 of that.  ``formula.steps``
-#: holds at most half as many steps, as a sweep row rotates at least two gates
-#: per step.
+#: benchmark chain, 180 rows x 560 gates, is 1/166 of that.
 MAX_ANGLES = 2**24
 
-#: Largest first error order a custom formula may declare.  Fits read the
-#: powers ``a**s`` up to ``s = 2 alpha - 2`` on [-0.5, 1.5] and calibration
-#: the powers up to ``2 alpha + 2``; at ``alpha = 1024`` a pinned fit's
-#: columns overflow, and far larger values exhaust memory in calibration.  At
-#: this bound every command exits cleanly, and the built-in formulas stop at
-#: ``alpha = 5``.
-MAX_ALPHA = 64
+#: Longest ``formula.steps`` table: deriving its alpha takes under 0.9 s (2 vCPU).
+MAX_FORMULA_STEPS = 2**15
 
 #: Longest ``mpf.step_counts`` list, bounded for conditioning alone: the closed
 #: form gives 64 weights in 0.02 s (2-vCPU VM), but the counts 1..k at
@@ -291,9 +284,8 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
             return builtin_formula(raw, partition), raw
         except FormulaError as exc:
             raise ConfigError(str(exc), "formula") from exc
-    entry = _section(raw, "formula", ("steps", "alpha"))
-    # a sweep row rotates at least two gates per step
-    steps_raw = _bounded_list(entry.get("steps"), "formula.steps", MAX_ANGLES // 2, "steps")
+    entry = _section(raw, "formula", ("steps",))
+    steps_raw = _bounded_list(entry.get("steps"), "formula.steps", MAX_FORMULA_STEPS, "steps")
     steps = []
     for i, pair in enumerate(steps_raw):
         name = f"formula.steps[{i}]"
@@ -302,11 +294,13 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
             raise ConfigError(f"{name} must be [fragment_index, coefficient]", name)
         index = _integer(item[0], name, 0, len(partition.fragments) - 1)
         steps.append((index, _real_number(item[1], name)))
-    alpha = _integer(entry.get("alpha"), "formula.alpha", 2, MAX_ALPHA)
+    missing = set(range(len(partition.fragments))) - {index for index, _ in steps}
     try:
-        return ProductFormula(tuple(steps), alpha), None
+        if missing:
+            raise FormulaError(f"fragment {min(missing)} gets no step")
+        return ProductFormula(tuple(steps)), None
     except FormulaError as exc:
-        raise ConfigError(f"formula: {exc}", "formula") from exc
+        raise ConfigError(f"formula.steps: {exc}", "formula.steps") from exc
 
 
 def _parse_state(raw: Any, n: int) -> StateVector:
@@ -443,12 +437,16 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
         len(cfg.times) * _grid_bound(grid, basis, alpha),
         len(a_values) * probe_times if basis is None else 0,
     )
-    steps = _integer(
-        entry.get("trotter_steps", cfg.trotter_steps),
-        "profiling.trotter_steps",
-        1,
-        MAX_ANGLES // (2 * _gates_per_step(cfg) * rows),
-    )
+    limit = MAX_ANGLES // (2 * _gates_per_step(cfg) * rows)
+    if not limit:
+        raise ConfigError(
+            f"formula.steps rotate {_gates_per_step(cfg)} gates per step, so even one"
+            f" Trotter step of a {rows}-row batch passes the angle budget; shorten the"
+            " table, or pin the basis with profiling.n_extra_orders to skip calibration",
+            "formula.steps",
+        )
+    requested = entry.get("trotter_steps", cfg.trotter_steps)
+    steps = _integer(requested, "profiling.trotter_steps", 1, limit)
     if grid is not None:
         # A calibrated basis is known only at run time; it is checked there.
         try:
@@ -592,10 +590,7 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
     if cfg.formula_name is not None:
         formula: Any = cfg.formula_name
     else:
-        formula = {
-            "steps": [[int(i), float(c)] for i, c in cfg.formula.steps],
-            "alpha": cfg.formula.alpha,
-        }
+        formula = {"steps": [[int(i), float(c)] for i, c in cfg.formula.steps]}
     doc: dict = {
         "system": {
             "num_qubits": cfg.partition.n,

@@ -439,10 +439,10 @@ def _window_coefficients(
     design = _factorize(_power_design(t_arr / t_max, powers))
     cond = design.condition_number
     if cond > CONDITION_GATE:
-        # The lowest power is the formula's declared first error order.
+        # The lowest power is the table's first error order.
         raise CalibrationError(
             f"probe design condition number {cond:.3e} exceeds {CONDITION_GATE:.0e}"
-            f" for a formula declared with alpha = {powers[0]}: the fixed probe"
+            f" at the table's first error order alpha = {powers[0]}: the fixed probe"
             " window cannot separate that many error orders; pin the basis with"
             " profiling.n_extra_orders instead of calibrating"
         )

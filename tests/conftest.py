@@ -82,3 +82,20 @@ def random_hermitian_sum(rng: np.random.Generator, n: int, terms: int) -> Operat
 @pytest.fixture(scope="session")
 def paper_state():
     return init_product_state([(1, 0), (1, 1j), (1, 1), (0, 1)])
+
+
+def suzuki_steps(order: int, k: int, scale: float = 1.0) -> list[tuple[int, float]]:
+    """Suzuki's recursion ``S_{2m}`` over ``k`` fragments, as a step table.
+
+    ``S_2`` is the Strang splitting; ``S_{2m}(t) = S_{2m-2}(p t)^2
+    S_{2m-2}((1 - 4p) t) S_{2m-2}(p t)^2`` with ``p = 1 / (4 - 4^(1/(2m-1)))``
+    has first error order ``2m + 1`` (Suzuki, J. Math. Phys. 32, 400 (1991)).
+    """
+    if order == 2:
+        half = [(i, 0.5 * scale) for i in range(k - 1)]
+        return half + [(k - 1, scale)] + half[::-1]
+    p = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
+    steps: list[tuple[int, float]] = []
+    for c in (p, p, 1.0 - 4.0 * p, p, p):
+        steps += suzuki_steps(order - 2, k, scale * c)
+    return steps

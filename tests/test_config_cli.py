@@ -40,8 +40,11 @@ from trotterprof import (
 )
 from trotterprof import config, mpf, profiling
 from trotterprof.cli import _build_parser, run_command
-from trotterprof.config import MAX_ALPHA, MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
+from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
+from trotterprof.formulas import MAX_ALPHA
 from trotterprof.report import render_csv
+
+from conftest import suzuki_steps
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's document builders)
@@ -185,17 +188,45 @@ def test_custom_formula_consistency_error():
     doc = sample_document()
     doc["formula"] = {
         "steps": [[0, 0.5], [1, 1.0]],
-        "alpha": 2,
     }
     with pytest.raises(ConfigError, match="sum"):
         parse_config(json.dumps(doc))
+
+
+def test_a_table_that_skips_a_fragment_is_refused(tmp_path, capsys):
+    # the table used to run on the Hamiltonian of the fragments it names:
+    # exit 0, every estimate +0 while the exact value reached 0.236
+    doc = sample_document()
+    doc.pop("output")
+    for partition, steps, message in [
+        ([[0], [1, 2]], [[0, 1.0]], "fragment 1 gets no step"),
+        ([[0], [1], [2]], [[0, 1.0], [2, 1.0]], "fragment 1 gets no step"),
+        ([[0], [1, 2]], [[1, 1.0]], "fragment 0 gets no step"),
+    ]:
+        doc["partition"] = partition
+        doc["formula"] = {"steps": steps}
+        with pytest.raises(ConfigError, match=f"formula.steps: {message}") as info:
+            parse_config(json.dumps(doc))
+        assert info.value.field == "formula.steps"
+        assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "alpha" not in err
+
+
+def test_a_custom_builtin_table_is_the_builtin_formula():
+    # the same steps derive the same alpha, so every number of a run agrees
+    for name in PRESETS:
+        preset = preset_config(name)
+        doc = {key: value for key, value in PRESETS[name].items() if key != "formula"}
+        doc["formula"] = {"steps": [list(step) for step in preset.formula.steps]}
+        assert parse_config(json.dumps(doc)).formula == preset.formula
 
 
 def test_custom_formula_accepted():
     doc = sample_document()
     doc["formula"] = {
         "steps": [[0, 1.0], [1, 1.0]],
-        "alpha": 2,
     }
     cfg = parse_config(json.dumps(doc))
     assert cfg.formula.steps == ((0, 1.0), (1, 1.0))
@@ -360,16 +391,16 @@ def test_an_overlong_step_count_list_is_refused_before_it_is_read(tmp_path, caps
 
 def alternating_document(steps: int) -> dict:
     """``sample_document``'s system, without option sections, under a custom
-    ``alpha = 2`` table of ``steps`` steps alternating between its fragments."""
+    table of ``steps`` steps alternating between its fragments (alpha 2)."""
     keys = ("system", "partition", "initial_state", "observable")
     doc = {key: sample_document()[key] for key in keys}
-    doc["formula"] = {"steps": [[i % 2, 2 / steps] for i in range(steps)], "alpha": 2}
+    doc["formula"] = {"steps": [[i % 2, 2 / steps] for i in range(steps)]}
     return doc
 
 
 @pytest.mark.parametrize(
     "options, key",
-    [({}, "times.points"), ({"times": {"points": 14}}, "profiling.trotter_steps")],
+    [({}, "times.points"), ({"times": {"points": 14}}, "formula.steps")],
 )
 def test_absent_option_sections_are_bounded_at_their_defaults(
     tmp_path, capsys, monkeypatch, options, key
@@ -391,9 +422,22 @@ def test_absent_option_sections_are_bounded_at_their_defaults(
         assert "Traceback" not in err
 
 
+def test_a_step_over_the_angle_budget_names_the_table_not_the_depth(monkeypatch):
+    # even one Trotter step of calibration's 120-row batch is over the budget:
+    # the refusal used to read "profiling.trotter_steps must be an integer
+    # from 1 to 0", which names no value the user could change
+    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 64)
+    doc = {**alternating_document(2048), "times": {"points": 14}}
+    with pytest.raises(ConfigError, match="formula.steps rotate 3072 gates per step") as info:
+        parse_config(json.dumps(doc))
+    assert "profiling.n_extra_orders" in str(info.value)
+    # pinning the basis skips calibration's probes, and the 42-row sweep fits
+    doc["profiling"] = {"n_extra_orders": 0}
+    assert parse_config(json.dumps(doc)).trotter_steps == 1
+
+
 def test_an_overlong_formula_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
-    # a sweep row rotates at least two gates per step
-    monkeypatch.setattr(config, "MAX_ANGLES", 2**12)
+    monkeypatch.setattr(config, "MAX_FORMULA_STEPS", 2**11)
     doc = alternating_document(2**11)
     # an entry that fails its own check shows whether any entry is read
     doc["formula"]["steps"][0] = ["one", 1.0]
@@ -424,13 +468,13 @@ class _BatchCounted(Exception):
 
 
 def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
-    # calibration probes 6 values of a at max(20, alpha + 5) times, 414 rows at
-    # MAX_ALPHA; the depth bound used to assume 120 (127 here, the sweep's
-    # rows), which let this batch reach about 3.3 times the budget
+    # calibration probes 6 values of a at max(20, alpha + 5) times, 120 rows
+    # for every alpha up to MAX_ALPHA; the depth bound used to count only the
+    # sweep's rows (3 here), which let this batch pass the budget
     monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
     doc = sample_document()
     doc.pop("output")
-    doc["formula"] = {"steps": [[0, 1.0], [1, 1.0]], "alpha": MAX_ALPHA}
+    doc["formula"] = {"steps": [[0, 1.0], [1, 1.0]]}
     doc["times"] = {"values": [1.0]}
     doc["profiling"] = {"trotter_steps": 10**9}
     with pytest.raises(ConfigError, match=r"from 1 to \d+,") as info:
@@ -450,8 +494,9 @@ def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
     [(rows, angles_per_row)] = sizes
     assert SMALL_ANGLES // 2 < rows * angles_per_row <= SMALL_ANGLES
     assert angles_per_row == 2 * cfg.trotter_steps * 3
-    a_values, probe_times = profiling.calibration_probes(MAX_ALPHA)
-    assert rows == len(a_values) * probe_times == 414
+    a_values, probe_times = profiling.calibration_probes(cfg.formula.alpha)
+    assert rows == len(a_values) * probe_times == 120
+    assert profiling.calibration_probes(MAX_ALPHA) == (a_values, probe_times)
 
 
 def test_the_depth_bound_is_the_angle_budget_of_the_largest_batch():
@@ -496,7 +541,7 @@ def typed_document() -> dict:
     """The 2-qubit document with every integer and boolean key spelled out."""
     doc = sample_document()
     doc.pop("output")
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]]}
     doc["profiling"] = {"trotter_steps": 1, "n_extra_orders": 1, "include_antisymmetric": True}
     doc["mpf"] = {"step_counts": [1, 2]}
     return doc
@@ -514,7 +559,6 @@ TYPED_KEYS = [
     ),
     ("partition[1]", ("partition", 1, 0), st.integers(max_value=-1) | st.integers(3)),
     ("formula.steps[1]", ("formula", "steps", 1, 0), st.integers(max_value=-1) | st.integers(2)),
-    ("formula.alpha", ("formula", "alpha"), st.integers(max_value=1) | st.integers(MAX_ALPHA + 1)),
     ("times.points", ("times", "points"), st.integers(max_value=0) | huge),
     ("profiling.trotter_steps", ("profiling", "trotter_steps"), st.integers(max_value=0) | huge),
     ("profiling.n_extra_orders", ("profiling", "n_extra_orders"), st.integers(max_value=-1)),
@@ -611,7 +655,7 @@ TYPO_CASES = [
 )
 def test_unknown_keys_are_rejected(tmp_path, capsys, section, path, key, value):
     doc = sample_document()
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]]}
     parse_config(json.dumps(doc))
     entry = doc
     for step in path:
@@ -722,7 +766,7 @@ def test_identity_observable_word_stays_legal(tmp_path, command):
         (
             "formula.steps[1]",
             "formula",
-            {"steps": [[0, 0.5], [1, math.nan], [0, 0.5]], "alpha": 3},
+            {"steps": [[0, 0.5], [1, math.nan], [0, 0.5]]},
         ),
         (
             "initial_state.factors[1][0]",
@@ -829,7 +873,7 @@ def test_profile_time_must_be_positive_and_finite(capsys, value):
 
 def test_round_trip_keeps_a_custom_table_and_linear_times():
     doc = sample_document()
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]]}
     doc["times"] = {"start": 0.1, "stop": 0.5, "points": 5, "scale": "linear"}
     cfg = parse_config(json.dumps(doc))
     assert cfg.formula_name is None
@@ -1318,7 +1362,7 @@ def readme_value(node: ast.AST) -> object:
 def test_readme_constants_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     found = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
-    assert len(found) == 12
+    assert len(found) == 14
     modules = [
         importlib.import_module(f"trotterprof.{info.name}")
         for info in pkgutil.iter_modules(trotterprof.__path__)
@@ -1330,17 +1374,21 @@ def test_readme_constants_match_the_code():
         assert all(v == value for v in bound), (name, value, bound)
 
 
-@pytest.mark.parametrize("section", ["formula", "mpf"])
-def test_symmetry_is_not_a_document_key(tmp_path, capsys, section):
-    # symmetry is read from the step table
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("formula", "symmetric", True), ("mpf", "symmetric", True), ("formula", "alpha", 3)],
+    ids=["formula", "mpf", "formula-alpha"],
+)
+def test_symmetry_is_not_a_document_key(tmp_path, capsys, section, key, value):
+    # symmetry and the first error order are read from the step table
     doc = sample_document()
     doc.pop("output")
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 3}
-    doc[section]["symmetric"] = True
-    message = f"unknown key 'symmetric' in {section};"
+    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]]}
+    doc[section][key] = value
+    message = f"unknown key '{key}' in {section};"
     with pytest.raises(ConfigError, match=re.escape(message)) as info:
         parse_config(json.dumps(doc))
-    assert info.value.field == f"{section}.symmetric"
+    assert info.value.field == f"{section}.{key}"
     assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
     assert message in capsys.readouterr().err
 
@@ -1348,11 +1396,11 @@ def test_symmetry_is_not_a_document_key(tmp_path, capsys, section):
 def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
     doc = sample_document()
     doc.pop("output")
-    # a Strang table declared with alpha 6 needs powers 6..14 in the probe fit
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]], "alpha": 6}
+    # Suzuki's S6 has alpha 7, so the probe fit needs powers 7..16
+    doc["formula"] = {"steps": suzuki_steps(6, 2)}
     assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert "declared with alpha = 6" in err
+    assert "the table's first error order alpha = 7" in err
     assert "profiling.n_extra_orders" in err
     doc["profiling"] = {"n_extra_orders": 0}
     assert run_command(["calibrate", "--config", write_config(tmp_path, doc)]) == 0
@@ -1362,17 +1410,19 @@ def test_calibration_beyond_the_probe_window_names_alpha(tmp_path, capsys):
 def test_every_command_exits_cleanly_at_the_largest_alpha(tmp_path, capsys, command):
     doc = sample_document()
     doc.pop("output")
-    steps = [[0, 0.5], [1, 1.0], [0, 0.5]]
-    doc["formula"] = {"steps": steps, "alpha": MAX_ALPHA}
+    # Suzuki's S10 has alpha 11 = MAX_ALPHA
+    doc["formula"] = {"steps": suzuki_steps(MAX_ALPHA - 1, 2)}
     doc["mpf"] = {"step_counts": [1, 2, 3]}
     # calibrated, then pinned to every order up to 2 alpha - 2
     for profiling in ({}, {"n_extra_orders": MAX_ALPHA - 2}):
         doc["profiling"] = profiling
         assert run_command([command, "--config", write_config(tmp_path, doc)]) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
-    doc["formula"]["alpha"] = MAX_ALPHA + 1
+    # S12 has alpha 13, past what the derivation separates
+    doc["formula"] = {"steps": suzuki_steps(MAX_ALPHA + 1, 2)}
     assert run_command([command, "--config", write_config(tmp_path, doc)]) == 1
-    assert f"formula.alpha must be an integer from 2 to {MAX_ALPHA}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"formula.steps: every order through {MAX_ALPHA} vanishes" in err
 
 
 def test_version_flag(capsys):

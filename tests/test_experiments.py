@@ -236,8 +236,8 @@ def cost_cases():
     """``(formula, partition)`` of every preset plus hand-written lie1 and strang2 tables."""
     cases = [(cfg.formula, cfg.partition) for cfg in map(preset_config, PRESETS)]
     partition = preset_config("xxz-ruth3").partition
-    cases.append((ProductFormula(((0, 1.0), (1, 1.0)), 2), partition))
-    cases.append((ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)), 3), partition))
+    cases.append((ProductFormula(((0, 1.0), (1, 1.0))), partition))
+    cases.append((ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5))), partition))
     return cases
 
 
@@ -338,7 +338,7 @@ def test_cost_validates_inputs(tfim_ruth3):
             grid_points=3,
         )
     # a table that addresses a fragment the partition lacks
-    three = ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0)), 2)
+    three = ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0)))
     with pytest.raises(FormulaError):
         circuit_cost("ep", formula=three, partition=tfim_ruth3.partition, grid_points=3)
     with pytest.raises(FormulaError):

@@ -28,12 +28,13 @@ from trotterprof import (
     invert_circuit,
 )
 from trotterprof.config import PRESETS, parse_config, preset_config
-from trotterprof.formulas import RUTH_COEFFICIENTS, SUZUKI_P
+from trotterprof.formulas import MAX_ALPHA, RUTH_COEFFICIENTS, SUZUKI_P
 from trotterprof.simulator import circuit_unitary
 
-from conftest import random_state
+from conftest import random_state, suzuki_steps
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402  (the benchmark's independent reference)
 import workloads  # noqa: E402  (the benchmark's document builders)
 
 RUTH_TABLE = (7 / 24, 2 / 3, 3 / 4, -2 / 3, -1 / 24, 1.0)
@@ -94,7 +95,14 @@ def test_ruth3_requires_two_fragments():
 
 def test_formula_coefficient_consistency_enforced():
     with pytest.raises(FormulaError):
-        ProductFormula(((0, 0.5), (1, 1.0)), 2)
+        ProductFormula(((0, 0.5), (1, 1.0)))
+
+
+def test_a_table_that_skips_a_fragment_is_refused():
+    with pytest.raises(FormulaError, match="fragment 0 gets no step"):
+        ProductFormula(((1, 1.0),))
+    with pytest.raises(FormulaError, match="fragment 1 gets no step"):
+        ProductFormula(((0, 1.0), (2, 1.0)))
 
 
 def test_fragment_rejects_noncommuting_terms():
@@ -141,7 +149,7 @@ def test_compiled_gate_count_linear_in_steps(tfim_ruth3):
 def test_compile_rejects_bad_fragment_index():
     z = Fragment(OperatorSum.from_terms([PauliTerm("Z")]))
     part = PartitionedHamiltonian((z,), 1)
-    f = ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)), 3)
+    f = ProductFormula(((0, 0.5), (1, 1.0), (0, 0.5)))
     with pytest.raises(FormulaError):
         compile_circuit(f, part, 0.1)
 
@@ -193,7 +201,7 @@ def test_empirical_orders_on_tfim(tfim_ruth3, name, alpha):
     probe = np.geomspace(0.01, 0.06, 6)
     slope = empirical_order(f, tfim_ruth3.partition, probe)
     assert slope == pytest.approx(alpha, abs=0.3)
-    assert slope >= f.alpha - 0.3
+    assert f.alpha == alpha
 
 
 def test_empirical_order_suzuki4_on_xxz(xxz_ruth3):
@@ -215,6 +223,71 @@ def test_empirical_order_degenerate_probe(tfim_ruth3):
         empirical_order(f, tfim_ruth3.partition, [0.01, 0.02])  # too few
     with pytest.raises(DegenerateInputError):
         empirical_order(f, tfim_ruth3.partition, [1e-9, 2e-9, 3e-9, 4e-9])
+
+
+def builtin_partitions() -> list[PartitionedHamiltonian]:
+    """The preset partitions, TFIM chains of 2-10 qubits, and the 2-qubit fragments."""
+    partitions = [preset_config(name).partition for name in PRESETS]
+    partitions += [
+        parse_config(json.dumps(workloads.tfim_chain_document(n, "lie1", 1, 1.0))).partition
+        for n in range(2, 11)
+    ]
+    fragments = TWO_QUBIT_FRAGMENTS.fragments
+    return partitions + [TWO_QUBIT_FRAGMENTS, PartitionedHamiltonian(fragments[:2], 2)]
+
+
+def test_builtin_alpha_is_derived_from_the_table():
+    # the orders the built-in formulas used to declare, and the benchmark's
+    # reference still does
+    assert EXPECTED_ORDERS == reference._ALPHA
+    for partition in builtin_partitions():
+        for name, alpha in EXPECTED_ORDERS.items():
+            if name == "ruth3" and len(partition.fragments) != 2:
+                continue
+            assert builtin_formula(name, partition).alpha == alpha
+
+
+def test_one_fragment_tables_are_exact_and_read_alpha_two():
+    assert ProductFormula(((0, 0.25), (0, 0.75))).alpha == 2
+    assert ProductFormula(((0, 1.0),)).alpha == 2
+
+
+@pytest.mark.parametrize("order", [4, 6, 8, 10])
+@pytest.mark.parametrize("k", [2, 3])
+def test_suzuki_recursions_derive_their_orders(order, k):
+    f = ProductFormula(tuple(suzuki_steps(order, k)))
+    assert f.alpha == order + 1
+    assert f.symmetric
+
+
+def test_a_table_beyond_max_alpha_is_refused():
+    assert len(suzuki_steps(MAX_ALPHA - 1, 2)) == 1875
+    # S12 has alpha 13; float64 no longer separates its first failing order
+    with pytest.raises(FormulaError, match=f"every order through {MAX_ALPHA} vanishes"):
+        ProductFormula(tuple(suzuki_steps(MAX_ALPHA + 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EXPECTED_ORDERS)),
+    three=st.booleans(),
+    data=st.data(),
+)
+def test_a_perturbed_builtin_table_derives_the_generic_order(name, three, data):
+    # a generic change leaves the generic order: 3 for a palindrome, else 2
+    partition = TWO_QUBIT_FRAGMENTS
+    if name == "ruth3" or not three:
+        partition = PartitionedHamiltonian(partition.fragments[:2], 2)
+    steps = list(builtin_formula(name, partition).steps)
+    j = data.draw(st.integers(0, len(steps) - 1))
+    delta = data.draw(st.floats(0.05, 0.5) | st.floats(-0.3, -0.05))
+    for i in {j, len(steps) - 1 - j} if data.draw(st.booleans()) else {j}:
+        steps[i] = (steps[i][0], steps[i][1] + delta)
+    totals: dict[int, float] = {}
+    for index, coeff in steps:
+        totals[index] = totals.get(index, 0.0) + coeff
+    f = ProductFormula(tuple((index, coeff / totals[index]) for index, coeff in steps))
+    assert f.alpha == (3 if f.symmetric else 2)
 
 
 #: The symmetry each built-in formula used to declare by hand.
@@ -259,7 +332,15 @@ def step_tables(draw):
     for index, coeff in raw:
         totals[index] = totals.get(index, 0.0) + coeff
     steps = tuple((index, coeff / totals[index]) for index, coeff in raw)
-    return ProductFormula(steps, 2), palindrome
+    return ProductFormula(steps), palindrome
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_tables())
+def test_a_palindrome_derives_an_odd_alpha(case):
+    f, palindrome = case
+    if palindrome:
+        assert f.alpha % 2 == 1
 
 
 @settings(max_examples=80, deadline=None)
