@@ -3,7 +3,7 @@
 Subcommands: ``run`` (trotter/ep/mpf error curves), ``profile`` (single-time
 sweep plus fit report), ``mpf`` (extrapolation curve plus weights),
 ``calibrate`` (basis report), ``slope`` (log-log gradients), and ``cost``
-(circuit accounting).  Each reads its setup from ``--config FILE`` or
+(``run``'s engine batches).  Each reads its setup from ``--config FILE`` or
 ``--preset NAME`` and takes ``--out``; any other flag exists only where it
 is read: ``--seed`` on the commands that draw noise (run, profile, mpf,
 slope), ``--method`` on run and slope, ``--time`` on profile and
@@ -41,11 +41,12 @@ from .experiments import (
     ErrorCurve,
     ExperimentConfig,
     _per_time_jitters,
-    circuit_cost,
     constituent_columns,
+    plan,
     run_error_curve,
     stable_slope_fit,
 )
+from .formulas import sample_template
 from .mpf import mpf_weights
 from .profiling import exact_values, mitigated_estimate, resolve_basis, sweep_grid
 from .report import ResultRow, ResultTable, atomic_write_text, write_csv
@@ -96,7 +97,7 @@ def _build_parser() -> _CliParser:
         default=(0.1, 0.5),
         help="time window for the gradient fit (default 0.1 0.5)",
     )
-    command("cost", "circuit and gate accounting")
+    command("cost", "the engine batches and gates that run executes")
     return parser
 
 
@@ -123,23 +124,21 @@ def _methods(args: argparse.Namespace) -> tuple[str, ...]:
     if not args.method:
         return METHODS
     picked = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    for m in picked:
+    for i, m in enumerate(picked):
         if m not in METHODS:
             raise ConfigError(
                 f"unknown method {m!r}; choose from {', '.join(METHODS)}", "method"
             )
+        if m in picked[:i]:
+            raise ConfigError(f"method {m!r} is given twice in --method", "method")
     if not picked:
         raise ConfigError("empty --method list", "method")
     return picked
 
 
-def _out_path(args: argparse.Namespace, doc: ConfigDocument) -> str | None:
-    return args.out or doc.output_path
-
-
 def _write_rows(args: argparse.Namespace, doc: ConfigDocument, rows: list[ResultRow]) -> bool:
     """Write ``rows`` as CSV when an output path is set; whether one was."""
-    path = _out_path(args, doc)
+    path = args.out or doc.output_path
     if path:
         write_csv(ResultTable.from_rows(rows, base_metadata(doc.experiment)), path)
         print(f"wrote {len(rows)} rows to {path}")
@@ -158,15 +157,17 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
     ]
 
 
+def _curves(cfg: ExperimentConfig, methods: Sequence[str]) -> list[ErrorCurve]:
+    """Each method's curve, from one exact column and one batch per step count."""
+    exact = exact_values(cfg.times, cfg)
+    columns = constituent_columns(cfg, methods)
+    return [run_error_curve(cfg, method, exact, columns) for method in methods]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    methods = _methods(args)
-    exact = exact_values(cfg.times, cfg)
-    columns = constituent_columns(cfg, methods)
-    rows = []
-    for method in methods:
-        rows.extend(_curve_rows(cfg, run_error_curve(cfg, method, exact, columns)))
+    rows = [row for curve in _curves(cfg, _methods(args)) for row in _curve_rows(cfg, curve)]
     if not _write_rows(args, doc, rows):
         for row in ResultTable.from_rows(rows).rows:
             print(
@@ -252,14 +253,10 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
-    methods = _methods(args)
-    exact = exact_values(cfg.times, cfg)
-    columns = constituent_columns(cfg, methods)
     rows = []
-    for method in methods:
-        curve = run_error_curve(cfg, method, exact, columns)
+    for curve in _curves(cfg, _methods(args)):
         gradient = stable_slope_fit(curve, window)
-        print(f"{method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
+        print(f"{curve.method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))
     _write_rows(args, doc, rows)
     return EXIT_OK
@@ -268,25 +265,27 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
-    grid = len(sweep_grid(cfg))
-    counts = cfg.mpf_step_counts
-    ep = circuit_cost(
-        "ep",
-        formula=cfg.formula,
-        partition=cfg.partition,
-        trotter_steps=cfg.trotter_steps,
-        grid_points=grid,
-    )
-    mpf = circuit_cost("mpf", formula=cfg.formula, partition=cfg.partition, step_counts=counts)
-    lines = [
-        f"profiling: {ep.circuits} circuits x depth {ep.depth_steps} steps"
-        f" = {ep.total_steps} steps, {ep.elementary_gates} gates (grid {grid})",
-        f"multi-product (counts {', '.join(map(str, counts))}): {mpf.circuits} circuits,"
-        f" {mpf.total_steps} steps, {mpf.elementary_gates} gates",
+    totals = {stage.name: stage.totals() for stage in plan(cfg, METHODS)}
+    totals["total"] = tuple(map(sum, zip(*totals.values())))
+    rows = [("stage", ("batches", "rows", "row-gates", "folded", "kernel steps")), *totals.items()]
+    lines = [f"{name:<13}{b:>8}{r:>8}{g:>12}{f:>12}{k:>14}" for name, (b, r, g, f, k) in rows]
+    # per time: one time's circuits of the ep sweep and of the mpf constituents
+    count, per_step = len(cfg.times), len(sample_template(cfg.formula, cfg.partition).words)
+    variants, ep_rows, ep_gates, _, _ = totals["sweep"]
+    circuits, gates = ep_rows // count, ep_gates // count
+    steps = gates // per_step
+    (mpf_stage,) = plan(cfg, ("mpf",))
+    _, mpf_rows, mpf_gates, _, _ = mpf_stage.totals()
+    lines += [
+        f"profiling: {circuits} circuits x depth {steps // circuits} steps"
+        f" = {steps} steps, {gates} gates (grid {circuits // variants})",
+        f"multi-product (counts {', '.join(map(str, cfg.mpf_step_counts))}):"
+        f" {mpf_rows // count} circuits, {mpf_gates // count // per_step} steps,"
+        f" {mpf_gates // count} gates",
     ]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    path = _out_path(args, doc)
+    path = args.out or doc.output_path
     if path:
         atomic_write_text(text, path)
         print(f"wrote cost report to {path}")

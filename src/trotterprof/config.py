@@ -36,7 +36,6 @@ from .formulas import (
     PartitionedHamiltonian,
     ProductFormula,
     builtin_formula,
-    step_terms,
 )
 from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid
@@ -355,8 +354,18 @@ def _parse_state(raw: Any, n: int) -> StateVector:
     )
 
 
-def _gates_per_step(cfg: ExperimentConfig) -> int:
-    return len(step_terms(cfg.formula, cfg.partition))
+def _angle_limit(cfg: ExperimentConfig, steps: int, unit: str, advice: str = "") -> int:
+    """How many ``unit``s of ``steps`` formula steps fit ``MAX_ANGLES``; refuses 0."""
+    # len(step_terms(cfg.formula, cfg.partition)), without building the list
+    gates = sum(len(cfg.partition.fragments[i].terms.terms) for i, _ in cfg.formula.steps)
+    limit = MAX_ANGLES // (gates * steps)
+    if not limit:
+        raise ConfigError(
+            f"formula.steps rotate {gates} gates per step, so even one {unit} passes"
+            f" the angle budget; shorten the table{advice}",
+            "formula.steps",
+        )
+    return limit
 
 
 def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha: int) -> int:
@@ -373,7 +382,7 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
     entry = _section(raw, "times", ("values", "start", "stop", "points", "scale"))
     grid = _grid_bound(cfg.a_grid, cfg.basis, cfg.formula.alpha)
     depth = max(2 * cfg.trotter_steps * grid, max(cfg.mpf_step_counts))
-    limit = MAX_ANGLES // (_gates_per_step(cfg) * depth)
+    limit = _angle_limit(cfg, depth, f"time, at {depth} steps of rotations per time,")
     if "values" in entry:
         others = [f"times.{key}" for key in entry if key != "values"]
         if others:
@@ -415,7 +424,7 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     a_grid = entry.get("a_grid")
     grid = cfg.a_grid
     if a_grid is not None:
-        limit = MAX_ANGLES // (2 * _gates_per_step(cfg) * cfg.trotter_steps * len(cfg.times))
+        limit = _angle_limit(cfg, 2 * cfg.trotter_steps * len(cfg.times), "grid point")
         values = _bounded_list(a_grid, "profiling.a_grid", limit, "points")
         grid = tuple(_real_number(v, "profiling.a_grid") for v in values)
     basis = cfg.basis
@@ -432,19 +441,13 @@ def _parse_profiling(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
             "profiling.include_antisymmetric needs profiling.n_extra_orders",
             "profiling.include_antisymmetric",
         )
-    a_values, probe_times = calibration_probes(alpha)
+    a_values, probe_times = calibration_probes(cfg)
     rows = max(
         len(cfg.times) * _grid_bound(grid, basis, alpha),
-        len(a_values) * probe_times if basis is None else 0,
+        len(a_values) * len(probe_times) if basis is None else 0,
     )
-    limit = MAX_ANGLES // (2 * _gates_per_step(cfg) * rows)
-    if not limit:
-        raise ConfigError(
-            f"formula.steps rotate {_gates_per_step(cfg)} gates per step, so even one"
-            f" Trotter step of a {rows}-row batch passes the angle budget; shorten the"
-            " table, or pin the basis with profiling.n_extra_orders to skip calibration",
-            "formula.steps",
-        )
+    pin = ", or pin the basis with profiling.n_extra_orders to skip calibration"
+    limit = _angle_limit(cfg, 2 * rows, f"Trotter step of a {rows}-row batch", pin)
     requested = entry.get("trotter_steps", cfg.trotter_steps)
     steps = _integer(requested, "profiling.trotter_steps", 1, limit)
     if grid is not None:
@@ -466,7 +469,7 @@ def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> tuple[int, ...]:
             f"mpf.step_counts must hold 1 to {MAX_STEP_COUNTS} counts, got {len(counts_list)}",
             "mpf.step_counts",
         )
-    limit = MAX_ANGLES // (_gates_per_step(cfg) * len(cfg.times))
+    limit = _angle_limit(cfg, len(cfg.times), "constituent step")
     counts = tuple(_integer(v, "mpf.step_counts", 1, limit) for v in counts_list)
     if len(set(counts)) != len(counts):
         raise ConfigError("mpf.step_counts must be distinct", "mpf.step_counts")

@@ -1,11 +1,10 @@
-"""End-to-end error-scaling studies: curves, slopes and cost.
+"""End-to-end error-scaling studies: curves, slopes and run plans.
 
 ``ExperimentConfig`` is one full setup; ``config`` parses it from a document
 or a preset.  The studies sweep the evaluation time for the plain iterated
 circuit, the profiling method, and the multi-product baseline, and fit
-log-log error slopes.  Gate budgets for both mitigation strategies are
-counted from the formula's step table, the rotation sequence every compiled
-circuit follows.
+log-log error slopes.  ``plan`` lists the engine batches a run executes,
+from the same builders the run takes them from.
 """
 
 from __future__ import annotations
@@ -16,15 +15,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .formulas import PartitionedHamiltonian, ProductFormula, step_terms
-from .mpf import mpf_estimate, mpf_values, mpf_weights
+from .mpf import constituent_batches, mpf_estimate, mpf_values, mpf_weights
 from .profiling import (
     ProfilingConfig,
+    calibration_batches,
     exact_values,
     mitigated_estimates,
-    probe_variants,
+    sweep_batches,
+    sweep_grid,
+    sweep_rows,
 )
-from .simulator import GaussianJitter
+from .simulator import GaussianJitter, engine_counts
 
 METHODS = ("trotter", "ep", "mpf")
 
@@ -109,24 +110,26 @@ def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:
     ]
 
 
-def constituent_columns(
-    cfg: ExperimentConfig, methods: Sequence[str]
-) -> dict[int, np.ndarray]:
-    """The Trotter values over ``cfg.times`` of every step count the methods read.
-
-    ``mpf`` reads ``cfg.mpf_step_counts`` and ``trotter`` the base depth
-    ``cfg.trotter_steps``; each distinct count runs as one engine batch
-    (``mpf_values``), so a base depth among the MPF counts is evolved once.
-    """
+def constituent_counts(cfg: ExperimentConfig, methods: Sequence[str]) -> tuple[int, ...]:
+    """The step counts whose Trotter values the methods read, each once: ``mpf``
+    reads ``cfg.mpf_step_counts`` and ``trotter`` the base ``cfg.trotter_steps``."""
     counts: dict[int, None] = {}
     if "mpf" in methods:
         counts.update(dict.fromkeys(cfg.mpf_step_counts))
     if "trotter" in methods:
         counts[cfg.trotter_steps] = None
-    if not counts:
-        return {}
-    values = mpf_values(cfg.times, tuple(counts), cfg)
-    return dict(zip(counts, values.T))
+    return tuple(counts)
+
+
+def constituent_columns(
+    cfg: ExperimentConfig, methods: Sequence[str]
+) -> dict[int, np.ndarray]:
+    """The Trotter values over ``cfg.times`` of every step count the methods read.
+
+    Each count of ``constituent_counts`` runs as one engine batch (``mpf_values``).
+    """
+    counts = constituent_counts(cfg, methods)
+    return dict(zip(counts, mpf_values(cfg.times, counts, cfg).T)) if counts else {}
 
 
 def run_error_curve(
@@ -223,53 +226,36 @@ def stable_slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:
 
 
 @dataclass(frozen=True)
-class CostReport:
-    """Circuit accounting: how many circuits, gates, and iterated steps."""
+class Stage:
+    """The engine batches of one stage of a run, in run order, as ``(words, rows)``."""
 
-    circuits: int
-    elementary_gates: int
-    total_steps: int
-    depth_steps: int
+    name: str
+    batches: tuple[tuple[tuple[str, ...], int], ...]
+
+    def totals(self) -> tuple[int, ...]:
+        """Batches, rows, compiled row-gates, folded row-gates and kernel row-steps."""
+        counts = [
+            (rows, rows * len(words), *(rows * c for c in engine_counts(words)))
+            for words, rows in self.batches
+        ]
+        return (len(counts), *(sum(c[k] for c in counts) for k in range(4)))
 
 
-def circuit_cost(
-    method: str,
-    *,
-    formula: ProductFormula,
-    partition: PartitionedHamiltonian,
-    trotter_steps: int = 1,
-    grid_points: int | None = None,
-    step_counts: Sequence[int] | None = None,
-) -> CostReport:
-    """Gate budget of one mitigation strategy, counted from the step table.
-
-    A step ``V(t/N)`` rotates each term of each addressed fragment once.  The
-    profiling method runs one composite circuit per probe variant of depth
-    ``2 * trotter_steps`` per grid point, so its budget is linear in the base
-    depth; the extrapolation baseline runs one circuit per step count and its
-    total step count is the sum.
-    """
-    gates_per_step = len(step_terms(formula, partition))
-    if method == "ep":
-        if grid_points is None or grid_points < 1:
-            raise DegenerateInputError("ep cost needs a positive grid_points")
-        if trotter_steps < 1:
-            raise DegenerateInputError("trotter_steps must be at least 1")
-        circuits = grid_points * len(probe_variants(formula))
-        depth = 2 * trotter_steps
-        return CostReport(
-            circuits=circuits,
-            elementary_gates=circuits * depth * gates_per_step,
-            total_steps=circuits * depth,
-            depth_steps=depth,
-        )
-    if method == "mpf":
-        if not step_counts or min(step_counts) < 1:
-            raise DegenerateInputError("mpf cost needs positive step counts")
-        return CostReport(
-            circuits=len(step_counts),
-            elementary_gates=sum(step_counts) * gates_per_step,
-            total_steps=sum(step_counts),
-            depth_steps=max(step_counts),
-        )
-    raise DegenerateInputError(f"unknown cost method {method!r}")
+def plan(cfg: ExperimentConfig, methods: Sequence[str]) -> tuple[Stage, ...]:
+    """The engine batches that ``run`` of ``methods`` executes, listed from the
+    functions the run takes them from, in run order, but not run (an unset
+    grid calibrates, to learn its size): ``constituents`` for trotter and mpf,
+    then for ep ``calibration`` when no basis is set, and the ``sweep``."""
+    for method in methods:
+        if method not in METHODS:
+            raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
+    counts = constituent_counts(cfg, methods)
+    stages = [("constituents", constituent_batches(cfg.times, counts, cfg))] if counts else []
+    if "ep" in methods:
+        if cfg.basis is None:
+            stages.append(("calibration", calibration_batches(cfg)))
+        stages.append(("sweep", sweep_batches(*sweep_rows(sweep_grid(cfg), cfg.times), cfg)))
+    return tuple(
+        Stage(name, tuple((tuple(words), len(angles)) for words, angles in batches))
+        for name, batches in stages
+    )

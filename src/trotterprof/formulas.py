@@ -221,8 +221,8 @@ def step_terms(
     """``(step coefficient, term)`` of every rotation of one step ``V(t/N)``, in order.
 
     Each step rotates every term of its fragment once, in the fragment's
-    stored term order; ``compile_circuit``, ``sample_template`` and the gate
-    counts of ``experiments.circuit_cost`` all follow this one sequence.
+    stored term order; ``compile_circuit`` and ``sample_template``, and so
+    every engine batch and the plans ``cost`` prints, follow this one sequence.
     """
     if f.fragment_count > len(partition.fragments):
         raise FormulaError(

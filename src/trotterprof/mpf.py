@@ -6,8 +6,9 @@ error scalings removes successive error orders classically.  The weights
 come from the closed form of their Vandermonde system, in exact rationals, so
 the cancellation residuals vanish to the last bit; an ill-conditioned float
 realization is only flagged.
-``mpf_values`` runs the constituent circuits of every time, taking the
-system as one ``ProfilingConfig``; ``mpf_estimate`` combines one time's.
+``mpf_values`` runs the constituent circuits of every time
+(``constituent_batches``), taking the system as one ``ProfilingConfig``;
+``mpf_estimate`` combines one time's.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, SingularFitError
 from .formulas import sample_template
-from .profiling import ProfilingConfig
-from .simulator import GaussianJitter, sample_expectations
+from .profiling import Batch, ProfilingConfig, batch_expectations
+from .simulator import GaussianJitter
 
 CONDITION_WARNING = 1e10
 
@@ -117,23 +118,24 @@ def mpf_weights(
     )
 
 
+def constituent_batches(
+    times: Sequence[float], step_counts: Sequence[int], config: ProfilingConfig
+) -> Iterator[Batch]:
+    """The batches of the constituents: per step count, its circuit at every time
+    (the counts are the depths; ``config.trotter_steps`` is not read)."""
+    for count in step_counts:
+        yield sample_template(config.formula, config.partition, count).forward(times)
+
+
 def mpf_values(
     times: Sequence[float], step_counts: Sequence[int], config: ProfilingConfig
 ) -> np.ndarray:
     """``(T, C)`` constituent expectations, one engine batch per step count.
 
     Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
-    formula iterated ``step_counts[i]`` times.  The circuits of one step
-    count share a word sequence, so each count runs all times as one batch.
-    ``config.trotter_steps`` is not read: the step counts are the depths.
+    formula iterated ``step_counts[i]`` times.
     """
-    columns = []
-    for count in step_counts:
-        words, angles = sample_template(config.formula, config.partition, count).forward(times)
-        columns.append(
-            sample_expectations(config.initial_state, words, angles, config.observable)
-        )
-    return np.column_stack(columns)
+    return batch_expectations(constituent_batches(times, step_counts, config), config)
 
 
 def mpf_estimate(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +73,9 @@ CALIBRATION_GUARD_ORDERS = 4
 EXTRACTION_U_WINDOW = (-0.6, 0.6)
 EXTRACTION_GUARD_ORDERS = 8
 EXTRACTION_UNITARITY_TOL = 1e-6
+
+#: One engine batch: its word sequence, and one row of angles per circuit.
+Batch = tuple[list[str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,44 @@ def probe_variants(f: ProductFormula) -> tuple[int, ...]:
     return (1,) if f.symmetric else (1, 2, 3, 4)
 
 
+def sweep_rows(a_values: Sequence[float], times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(a, t)`` rows of a sweep: every ``a`` at every time, time-major."""
+    return np.tile(a_values, len(times)), np.repeat(times, len(a_values))
+
+
+def sweep_batches(
+    a_values: Sequence[float],
+    t_values: Sequence[float],
+    config: ProfilingConfig,
+    variants: Sequence[int] | None = None,
+) -> Iterator[Batch]:
+    """The batches of the probe rows ``(a_values[b], t_values[b])``, one per variant
+    of ``variants`` (else ``probe_variants``): row b of one compiles
+    ``composite_circuit(spec, f, partition)`` with ``config``'s system."""
+    a = np.asarray(a_values, dtype=float)
+    t = np.asarray(t_values, dtype=float)
+    at, abar_t = a * t, (1.0 - a) * t
+    template = sample_template(config.formula, config.partition, config.trotter_steps)
+
+    def segment(x: np.ndarray, inverted: bool):
+        return template.inverted(x) if inverted else template.forward(x)
+
+    for variant in probe_variants(config.formula) if variants is None else variants:
+        if variant not in (1, 2, 3, 4):
+            raise DegenerateInputError(f"variant must be 1..4, got {variant}")
+        first_words, first_angles = segment(abar_t, variant in (3, 4))
+        second_words, second_angles = segment(at, variant in (2, 4))
+        yield first_words + second_words, np.hstack([first_angles, second_angles])
+
+
+def batch_expectations(batches: Iterable[Batch], config: ProfilingConfig) -> np.ndarray:
+    """Each batch's expectations, a column per batch; ``map`` drops a batch once run."""
+    def run(batch: Batch) -> np.ndarray:
+        return sample_expectations(config.initial_state, *batch, config.observable)
+
+    return np.column_stack(list(map(run, batches)))
+
+
 def composite_expectations(
     a_values: Sequence[float],
     t_values: Sequence[float],
@@ -227,44 +268,9 @@ def composite_expectations(
 
     Column j holds variant ``variants[j]``; each entry equals the looped
     oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
-    partition)), obs)`` within 1e-12 (the engine folds commuting repeats of
-    a word), with the formula, partition, observable, state and base depth
-    taken from ``config``.  All rows of one variant share a word sequence
-    and run as one batched evolution.
+    partition)), obs)`` within 1e-12 (the engine folds repeats of a word).
     """
-    a = np.asarray(a_values, dtype=float)
-    t = np.asarray(t_values, dtype=float)
-    at, abar_t = a * t, (1.0 - a) * t
-    template = sample_template(config.formula, config.partition, config.trotter_steps)
-
-    def segment(x: np.ndarray, inverted: bool):
-        return template.inverted(x) if inverted else template.forward(x)
-
-    columns = []
-    for variant in variants:
-        if variant not in (1, 2, 3, 4):
-            raise DegenerateInputError(f"variant must be 1..4, got {variant}")
-        first_words, first_angles = segment(abar_t, variant in (3, 4))
-        second_words, second_angles = segment(at, variant in (2, 4))
-        columns.append(
-            sample_expectations(
-                config.initial_state,
-                first_words + second_words,
-                np.hstack([first_angles, second_angles]),
-                config.observable,
-            )
-        )
-    return np.column_stack(columns)
-
-
-def _averaged_expectations(
-    a_values: Sequence[float], t_values: Sequence[float], config: ProfilingConfig
-) -> np.ndarray:
-    """Noiseless variant-averaged expectation per row."""
-    values = composite_expectations(
-        a_values, t_values, probe_variants(config.formula), config
-    )
-    return np.mean(values, axis=1)
+    return batch_expectations(sweep_batches(a_values, t_values, config, variants), config)
 
 
 def averaged_expectation(
@@ -280,7 +286,7 @@ def averaged_expectation(
         h = config.partition.hamiltonian
         state = exact_evolve(h, (1.0 - a) * t, config.initial_state)
         return expectation(exact_evolve(h, a * t, state), config.observable)
-    return float(_averaged_expectations([a], [t], config)[0])
+    return float(np.mean(composite_expectations([a], [t], probe_variants(config.formula), config)))
 
 
 def exact_values(times: Sequence[float], config: ProfilingConfig) -> np.ndarray:
@@ -451,11 +457,18 @@ def _window_coefficients(
     return coef
 
 
-def calibration_probes(alpha: int) -> tuple[list[float], int]:
-    """Calibration's split parameters and probe-time count, one batch row per pair."""
+def calibration_probes(config: ProfilingConfig) -> tuple[list[float], np.ndarray]:
+    """Calibration's split parameters, in ``(a, 1 - a)`` pairs, and its probe times."""
     a_values = sorted({x for a in CALIBRATION_A_PROBE for x in (a, 1.0 - a)})
-    # two more times than calibrate_basis fits powers, alpha .. 2 alpha + 2
-    return a_values, max(CALIBRATION_POINTS, alpha + CALIBRATION_GUARD_ORDERS + 1)
+    lo, hi = CALIBRATION_U_WINDOW
+    scale = max(config.partition.scale(), 1e-12)
+    # more times than the alpha + 3 <= 14 powers that calibrate_basis fits
+    return a_values, np.geomspace(lo / scale, hi / scale, CALIBRATION_POINTS)
+
+
+def calibration_batches(config: ProfilingConfig) -> Iterator[Batch]:
+    """The batches of calibration: every probe ``a`` at every probe time."""
+    return sweep_batches(*sweep_rows(*calibration_probes(config)), config)
 
 
 def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
@@ -479,24 +492,17 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     noiseless values by design and builds no dense matrix; a configured
     ``basis`` is ignored.
     """
-    partition = config.partition
     alpha = config.formula.alpha
     window = list(range(alpha, 2 * alpha - 1))
     powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
-    lo, hi = CALIBRATION_U_WINDOW
-    scale = max(partition.scale(), 1e-12)
-    a_values, count = calibration_probes(alpha)
-    t_arr = np.geomspace(lo / scale, hi / scale, count)
+    a_values, t_arr = calibration_probes(config)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
 
     exact_vals = exact_values(t_arr, config)
-    # Every probe (a, t) of the error series runs in one batch.
-    averaged = _averaged_expectations(
-        np.repeat(a_values, len(t_arr)),
-        np.tile(t_arr, len(a_values)),
-        config,
-    ).reshape(len(a_values), len(t_arr))
-    error_series = dict(zip(a_values, averaged - exact_vals))
+    # Every probe (a, t) of the error series runs in one batch per variant.
+    values = batch_expectations(calibration_batches(config), config)
+    averaged = np.mean(values, axis=1).reshape(len(t_arr), len(a_values))
+    error_series = dict(zip(a_values, averaged.T - exact_vals))
 
     even_parts, odd_parts = [], []
     for a, a_bar in pairs:
@@ -556,13 +562,12 @@ def mitigated_estimates(
     """Sweep the split-parameter grid at every time and fit each time's profile.
 
     The basis and the grid are resolved, and the grid checked, once, before
-    anything is simulated.  All ``len(times) * len(grid)`` probe rows,
-    time-major and in grid order within a time, run as one batch per probe
-    variant; a row's bits do not depend on the rows beside it.  Then, per
-    time, that time's ``(grid, variants)`` block is perturbed with its own
-    jitter (``jitters[j]`` for ``times[j]``, drawn in C order), averaged over
-    the variants and fitted, so noise follows each time's own stream
-    whatever the batching.
+    anything is simulated.  All ``len(times) * len(grid)`` probe rows
+    (``sweep_rows``) run as one batch per probe variant; a row's bits do not
+    depend on the rows beside it.  Then, per time, that time's ``(grid,
+    variants)`` block is perturbed with its own jitter (``jitters[j]`` for
+    ``times[j]``, drawn in C order), averaged over the variants and fitted,
+    so noise follows each time's own stream whatever the batching.
     """
     basis = resolve_basis(config)
     grid = sweep_grid(config, basis)
@@ -572,9 +577,9 @@ def mitigated_estimates(
     if len(jitters) != len(times):
         raise DimensionMismatchError(f"{len(jitters)} jitters for {len(times)} times")
     variants = probe_variants(config.formula)
-    values = composite_expectations(
-        np.tile(grid, len(times)), np.repeat(times, len(grid)), variants, config
-    ).reshape(len(times), len(grid), len(variants))
+    values = composite_expectations(*sweep_rows(grid, times), variants, config).reshape(
+        len(times), len(grid), len(variants)
+    )
     fits = []
     for block, jitter in zip(values, jitters):
         if jitter is not None:

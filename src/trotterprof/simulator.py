@@ -371,6 +371,12 @@ def fold_gates(words: Sequence[str], angles: np.ndarray) -> tuple[list[str], np.
     return [words[k] for k in keep], np.add.reduceat(angles[:, columns], starts, axis=1)
 
 
+def engine_counts(words: Sequence[str]) -> tuple[int, int]:
+    """Per row, the folded gates (``_fold_plan``) and kernel steps of a batch's words."""
+    keep = _fold_plan(tuple(words))[0]
+    return len(keep), len(_step_plan(tuple(words[k] for k in keep)))
+
+
 def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
     """Exact ``<psi_b|O|psi_b>`` for every row of a ``(B, 2^n)`` state stack.
 

@@ -29,7 +29,6 @@ from trotterprof import (
     ProfilingConfig,
     apply_circuit,
     builtin_formula,
-    circuit_cost,
     commutator,
     compile_circuit,
     critical_n,
@@ -45,6 +44,7 @@ from trotterprof import (
     mpf_values,
     mpf_weights,
     averaged_expectation,
+    plan,
     preset_config,
     run_error_curve,
     sign_stable_mask,
@@ -281,34 +281,28 @@ def test_criterion_8_critical_step_counts():
 
 
 def test_criterion_9_cost_accounting(tfim_ruth3):
-    grid = 5
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5)
     gates_per_step = sum(
         len(tfim_ruth3.partition.fragments[k].terms.terms)
         for k, _ in tfim_ruth3.formula.steps
     )
 
     def analytic_ep(n):
-        return grid * 4 * 2 * n * gates_per_step
+        return len(grid) * 4 * 2 * n * gates_per_step
 
     def analytic_mpf(n):
         return gates_per_step * n * (n + 1) // 2
 
+    # one time's gates: each stage's compiled row-gates over the run's times
     measured_ep = {}
     measured_mpf = {}
     for n in (1, 6):
-        measured_ep[n] = circuit_cost(
-            "ep",
-            formula=tfim_ruth3.formula,
-            partition=tfim_ruth3.partition,
-            trotter_steps=n,
-            grid_points=grid,
-        ).elementary_gates
-        measured_mpf[n] = circuit_cost(
-            "mpf",
-            formula=tfim_ruth3.formula,
-            partition=tfim_ruth3.partition,
-            step_counts=tuple(range(1, n + 1)),
-        ).elementary_gates
+        cfg = replace(
+            tfim_ruth3, trotter_steps=n, a_grid=grid, mpf_step_counts=tuple(range(1, n + 1))
+        )
+        stages = {stage.name: stage.totals() for stage in plan(cfg, ("ep", "mpf"))}
+        measured_ep[n] = stages["sweep"][2] / len(cfg.times)
+        measured_mpf[n] = stages["constituents"][2] / len(cfg.times)
         assert measured_ep[n] == pytest.approx(analytic_ep(n), rel=0.10)
         assert measured_mpf[n] == pytest.approx(analytic_mpf(n), rel=0.10)
 

@@ -7,6 +7,7 @@ import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from trotterprof import (
     stable_slope_fit,
     write_csv,
 )
-from trotterprof import config, mpf, profiling
+from trotterprof import config, profiling
 from trotterprof.cli import _build_parser, run_command
 from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
 from trotterprof.formulas import MAX_ALPHA
@@ -436,6 +437,33 @@ def test_a_step_over_the_angle_budget_names_the_table_not_the_depth(monkeypatch)
     assert parse_config(json.dumps(doc)).trotter_steps == 1
 
 
+def test_a_table_too_long_for_one_time_names_the_table_not_the_times(tmp_path, capsys):
+    # 200 Z terms and 1 X term under 2^15 steps rotate 3.3M gates per step, so
+    # one time's 6 steps pass MAX_ANGLES; the refusal used to read
+    # "times.points must be an integer from 1 to 0".  The steps on one
+    # fragment sit together, so the table merges to lie1 and parses fast.
+    n, half = 8, 2**14
+    words = ["".join(w) for w in itertools.product("IZ", repeat=n)][1:201]
+    doc = {
+        "system": {
+            "num_qubits": n,
+            "hamiltonian": [{"pauli": w, "coeff": 1.0} for w in [*words, "X" + "I" * (n - 1)]],
+        },
+        "partition": [list(range(200)), [200]],
+        "formula": {"steps": [[0, 1 / half]] * half + [[1, 1 / half]] * half},
+        "initial_state": {"factors": [[[1, 0], [0, 0]]] * n},
+        "observable": [{"pauli": "Z" + "I" * (n - 1), "coeff": 1.0}],
+    }
+    message = "formula.steps rotate 3293184 gates per step, so even one time"
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == "formula.steps"
+    assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_an_overlong_formula_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config, "MAX_FORMULA_STEPS", 2**11)
     doc = alternating_document(2**11)
@@ -468,8 +496,8 @@ class _BatchCounted(Exception):
 
 
 def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
-    # calibration probes 6 values of a at max(20, alpha + 5) times, 120 rows
-    # for every alpha up to MAX_ALPHA; the depth bound used to count only the
+    # calibration probes 6 values of a at 20 times, 120 rows for every
+    # alpha up to MAX_ALPHA; the depth bound used to count only the
     # sweep's rows (3 here), which let this batch pass the budget
     monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
     doc = sample_document()
@@ -494,9 +522,8 @@ def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
     [(rows, angles_per_row)] = sizes
     assert SMALL_ANGLES // 2 < rows * angles_per_row <= SMALL_ANGLES
     assert angles_per_row == 2 * cfg.trotter_steps * 3
-    a_values, probe_times = profiling.calibration_probes(cfg.formula.alpha)
-    assert rows == len(a_values) * probe_times == 120
-    assert profiling.calibration_probes(MAX_ALPHA) == (a_values, probe_times)
+    a_values, probe_times = profiling.calibration_probes(cfg)
+    assert rows == len(a_values) * len(probe_times) == 120
 
 
 def test_the_depth_bound_is_the_angle_budget_of_the_largest_batch():
@@ -831,7 +858,6 @@ def test_a_refused_exact_column_runs_no_circuit(tmp_path, capsys, monkeypatch, a
         raise AssertionError("a circuit ran before the exact column was refused")
 
     monkeypatch.setattr(profiling, "sample_expectations", refuse)
-    monkeypatch.setattr(mpf, "sample_expectations", refuse)
     doc = {"preset": "tfim-ruth3", "times": {"values": [0.5, 1e6]}}
     assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
@@ -1041,6 +1067,21 @@ def test_unknown_method_exits_one(tmp_path):
         ["run", "--config", write_config(tmp_path, doc), "--method", "zne"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["run", "slope"])
+def test_a_repeated_method_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # run --method ep,ep used to write 6 ep rows for 3 times and calibrate twice
+    def refuse(*args):
+        raise AssertionError("a circuit ran for a refused --method")
+
+    monkeypatch.setattr(profiling, "sample_expectations", refuse)
+    path = write_config(tmp_path, {"preset": "tfim-ruth3", "times": {"points": 3}})
+    assert run_command([command, "--config", path, "--method", "ep,trotter,ep"]) == 1
+    captured = capsys.readouterr()
+    assert "method 'ep' is given twice" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_preset_exits_one(capsys):
@@ -1344,6 +1385,14 @@ def test_readme_key_table_matches_the_parser():
     keys = section_keys()
     assert len(keys) == 10
     assert sorted(table) == keys
+
+
+def test_readme_cost_example_is_the_cost_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "$ trotterprof cost --preset tfim-ruth3\n"
+    example = readme.split(command, 1)[1].split("```", 1)[0]
+    assert run_command(["cost", "--preset", "tfim-ruth3"]) == 0
+    assert capsys.readouterr().out == example
 
 
 def readme_value(node: ast.AST) -> object:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +21,13 @@ from trotterprof import (
     ProductFormula,
     ProfilingConfig,
     averaged_expectation,
-    circuit_cost,
     compile_circuit,
     composite_circuit,
     exact_evolve,
     expectation,
     init_product_state,
     mutually_commuting,
+    plan,
     preset_config,
     run_error_curve,
     sign_stable_mask,
@@ -32,8 +35,15 @@ from trotterprof import (
     stable_slope_fit,
     to_dense,
 )
-from trotterprof.config import PRESETS
-from trotterprof.experiments import CurvePoint
+from trotterprof import profiling, simulator
+from trotterprof.cli import run_command
+from trotterprof.config import PRESETS, parse_config
+from trotterprof.experiments import METHODS, CurvePoint
+from trotterprof.mpf import constituent_batches
+from trotterprof.profiling import sweep_batches, sweep_rows
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's document builders)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +239,7 @@ def test_sign_stable_mask_drops_crossing_brackets():
 
 
 # ---------------------------------------------------------------------------
-# circuit cost
+# engine batches and run plans
 
 
 def cost_cases():
@@ -241,105 +251,193 @@ def cost_cases():
     return cases
 
 
+def batch_shapes(batches) -> list[tuple[int, int]]:
+    """``(words, rows)`` of each engine batch."""
+    return [(len(words), len(angles)) for words, angles in batches]
+
+
 def test_mpf_cost_total_steps(tfim_ruth3):
-    report = circuit_cost(
-        "mpf",
-        formula=tfim_ruth3.formula,
-        partition=tfim_ruth3.partition,
-        step_counts=(1, 2, 3),
-    )
-    assert report.total_steps == 6
-    assert report.circuits == 3
-    # the counted gates are those of the compiled constituent circuits
+    gates_per_step = 3 * 3 + 3 * 4  # ruth table: 3 ZZ layers + 3 X layers
+    times = (0.2, 0.5, 1.0)
+    shapes = batch_shapes(constituent_batches(times, (1, 2, 3), tfim_ruth3))
+    # one batch per step count, one row per time: 1 + 2 + 3 = 6 steps
+    assert shapes == [(s * gates_per_step, len(times)) for s in (1, 2, 3)]
+    # each batch runs the words of its compiled constituent circuit
     for formula, partition in cost_cases():
-        for n in (1, 3):
-            counts = tuple(range(1, n + 1))
-            report = circuit_cost("mpf", formula=formula, partition=partition, step_counts=counts)
-            compiled = [len(compile_circuit(formula, partition, 1.0, s).gates) for s in counts]
-            assert report.elementary_gates == sum(compiled)
+        cfg = replace(tfim_ruth3, formula=formula, partition=partition)
+        for counts in ((1,), (1, 2, 3)):
+            for count, (words, _) in zip(counts, constituent_batches(times, counts, cfg)):
+                compiled = compile_circuit(formula, partition, 1.0, count)
+                assert words == [g.word for g in compiled.gates]
 
 
 def test_ep_cost_symmetric_counting(tfim_suzuki4):
-    report = circuit_cost(
-        "ep",
-        formula=tfim_suzuki4.formula,
-        partition=tfim_suzuki4.partition,
-        trotter_steps=1,
-        grid_points=3,
-    )
-    assert report.circuits == 3  # symmetric splitting needs one variant
-    assert report.depth_steps == 2
-    assert report.total_steps == 6
+    batches = sweep_batches(*sweep_rows((0.2, 0.5, 0.8), (1.0,)), tfim_suzuki4)
+    # a symmetric splitting needs one variant, a composite of 2 steps
+    gates_per_step = len(compile_circuit(tfim_suzuki4.formula, tfim_suzuki4.partition, 1.0).gates)
+    assert batch_shapes(batches) == [(2 * gates_per_step, 3)]
 
 
 def test_ep_cost_counts_compiled_gates(tfim_ruth3):
-    report = circuit_cost(
-        "ep",
-        formula=tfim_ruth3.formula,
-        partition=tfim_ruth3.partition,
-        trotter_steps=2,
-        grid_points=5,
-    )
-    gates_per_step = 3 * 3 + 3 * 4  # ruth table: 3 ZZ layers + 3 X layers
-    assert report.circuits == 20  # four variants per grid point
-    assert report.elementary_gates == 20 * 2 * 2 * gates_per_step
-    # every probe variant has the gate count of its compiled composite circuit
+    gates_per_step = 3 * 3 + 3 * 4
+    cfg = replace(tfim_ruth3, trotter_steps=2)
+    grid = (-0.5, 0.0, 0.3, 1.0, 1.5)
+    shapes = batch_shapes(sweep_batches(*sweep_rows(grid, (1.0,)), cfg))
+    assert shapes == [(2 * 2 * gates_per_step, 5)] * 4  # four variants
+    # every probe variant runs the words of its compiled composite circuit
     for formula, partition in cost_cases():
         variants = (1,) if formula.symmetric else (1, 2, 3, 4)
         for n in (1, 3):
-            report = circuit_cost(
-                "ep", formula=formula, partition=partition, trotter_steps=n, grid_points=5
-            )
-            assert report.circuits == 5 * len(variants)
-            for v in variants:
+            cfg = replace(tfim_ruth3, formula=formula, partition=partition, trotter_steps=n)
+            batches = list(sweep_batches(*sweep_rows(grid, (1.0,)), cfg))
+            assert len(batches) == len(variants)
+            for v, (words, angles) in zip(variants, batches):
                 circuit = composite_circuit(CompositeSpec(v, 0.3, 1.0, n), formula, partition)
-                assert report.elementary_gates == report.circuits * len(circuit.gates)
+                assert words == [g.word for g in circuit.gates]
+                assert angles.shape == (5, len(circuit.gates))
+                np.testing.assert_allclose(angles[2], [g.angle for g in circuit.gates])
 
 
 def test_cost_scaling_linear_vs_quadratic(tfim_ruth3):
-    grid = 5
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5)
 
     def ep_gates(n):
-        return circuit_cost(
-            "ep",
-            formula=tfim_ruth3.formula,
-            partition=tfim_ruth3.partition,
-            trotter_steps=n,
-            grid_points=grid,
-        ).elementary_gates
+        cfg = replace(tfim_ruth3, trotter_steps=n)
+        return sum(w * r for w, r in batch_shapes(sweep_batches(*sweep_rows(grid, (1.0,)), cfg)))
 
     def mpf_gates(n):
-        return circuit_cost(
-            "mpf",
-            formula=tfim_ruth3.formula,
-            partition=tfim_ruth3.partition,
-            step_counts=tuple(range(1, n + 1)),
-        ).elementary_gates
+        return sum(w for w, _ in batch_shapes(constituent_batches((1.0,), range(1, n + 1), tfim_ruth3)))
 
     assert ep_gates(6) == 6 * ep_gates(1)
     assert mpf_gates(6) == 21 * mpf_gates(1)
 
 
 def test_cost_validates_inputs(tfim_ruth3):
-    with pytest.raises(DegenerateInputError):
-        circuit_cost("ep", formula=tfim_ruth3.formula, partition=tfim_ruth3.partition)
-    with pytest.raises(DegenerateInputError):
-        circuit_cost("mpf", formula=tfim_ruth3.formula, partition=tfim_ruth3.partition)
-    with pytest.raises(DegenerateInputError):
-        circuit_cost(
-            "shadow", formula=tfim_ruth3.formula, partition=tfim_ruth3.partition
-        )
-    with pytest.raises(DegenerateInputError):
-        circuit_cost(
-            "ep",
-            formula=tfim_ruth3.formula,
-            partition=tfim_ruth3.partition,
-            trotter_steps=0,
-            grid_points=3,
-        )
+    with pytest.raises(FormulaError, match="at least 1"):
+        list(sweep_batches([0.3], [1.0], replace(tfim_ruth3, trotter_steps=0)))
+    with pytest.raises(FormulaError, match="at least 1"):
+        list(constituent_batches([1.0], (0,), tfim_ruth3))
+    with pytest.raises(DegenerateInputError, match="variant must be 1..4"):
+        list(sweep_batches([0.3], [1.0], tfim_ruth3, (5,)))
+    with pytest.raises(DegenerateInputError, match="method must be one of"):
+        plan(tfim_ruth3, ("shadow",))
     # a table that addresses a fragment the partition lacks
-    three = ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0)))
+    three = replace(tfim_ruth3, formula=ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0))))
     with pytest.raises(FormulaError):
-        circuit_cost("ep", formula=three, partition=tfim_ruth3.partition, grid_points=3)
+        list(sweep_batches([0.3], [1.0], three))
     with pytest.raises(FormulaError):
-        circuit_cost("mpf", formula=three, partition=tfim_ruth3.partition, step_counts=(1,))
+        list(constituent_batches([1.0], (1,), three))
+    with pytest.raises(FormulaError):
+        plan(three, METHODS)
+
+
+#: The four presets and the benchmark's two chain documents (seed 1).
+PLAN_DOCUMENTS = {
+    **{name: {"preset": name} for name in PRESETS},
+    "chain8-calibrated": workloads.chain8_calibrated(1),
+    "chain10-pinned": workloads.chain10_pinned(1),
+}
+
+#: Each command's arguments; the slope window takes every time of every document.
+COMMANDS = {
+    "run": ["run"],
+    "slope": ["slope", "--window", "0", "100"],
+    "profile": ["profile"],
+    "mpf": ["mpf"],
+    "calibrate": ["calibrate"],
+    "cost": ["cost"],
+}
+
+
+def planned_stages(cfg, command: str) -> list:
+    """The stages of ``plan`` that ``command`` executes."""
+    if command in ("run", "slope"):
+        return list(plan(cfg, METHODS))
+    if command == "profile":  # one sweep, at the last time
+        return list(plan(replace(cfg, times=cfg.times[-1:]), ("ep",)))
+    if command == "mpf":
+        return list(plan(cfg, ("mpf",)))
+    calibration = [s for s in plan(cfg, ("ep",)) if s.name == "calibration"]
+    # cost calibrates only to learn the size of a default grid
+    return calibration if command == "calibrate" or cfg.a_grid is None else []
+
+
+class EngineSpy:
+    """Records every engine batch and what the kernel evolves for it.
+
+    ``sample_expectations`` is wrapped in every namespace that binds it, and
+    ``evolve_batch`` where ``sample_expectations`` calls it, on its folded
+    sequence, one chunk of rows at a time.
+    """
+
+    def __init__(self, monkeypatch):
+        self.batches, self.folded, self.steps = [], 0, 0
+        original, evolve = simulator.sample_expectations, simulator.evolve_batch
+
+        def sample(state, words, angles, obs):
+            self.batches.append((tuple(words), len(angles)))
+            return original(state, words, angles, obs)
+
+        def evolve_chunk(state, words, angles):
+            self.folded += len(angles) * len(words)
+            self.steps += len(angles) * len(simulator._step_plan(tuple(words)))
+            return evolve(state, words, angles)
+
+        self.namespaces = sorted(
+            name
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "trotterprof"
+            and getattr(module, "sample_expectations", None) is original
+        )
+        for name in self.namespaces:
+            monkeypatch.setattr(sys.modules[name], "sample_expectations", sample)
+        monkeypatch.setattr(simulator, "evolve_batch", evolve_chunk)
+
+
+@pytest.mark.parametrize("name", list(PLAN_DOCUMENTS))
+def test_every_command_runs_the_batches_its_plan_lists(tmp_path, capsys, monkeypatch, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(PLAN_DOCUMENTS[name]))
+    cfg = parse_config(path.read_text())
+    # planned first: a plan may calibrate, to learn the size of the grid
+    expected = {command: planned_stages(cfg, command) for command in COMMANDS}
+    for command, argv in COMMANDS.items():
+        calibrations = []
+        with monkeypatch.context() as patch:
+            spy = EngineSpy(patch)
+            assert {"trotterprof", "trotterprof.profiling", "trotterprof.simulator"} <= set(
+                spy.namespaces
+            )
+            calibrate = profiling.calibrate_basis
+            patch.setattr(
+                profiling, "calibrate_basis", lambda c: calibrations.append(c) or calibrate(c)
+            )
+            assert run_command([*argv, "--config", str(path)]) == 0, command
+        assert spy.batches == [b for stage in expected[command] for b in stage.batches], command
+        totals = [stage.totals() for stage in expected[command]]
+        assert spy.folded == sum(t[3] for t in totals), command
+        assert spy.steps == sum(t[4] for t in totals), command
+        # a command calibrates at most once, and only when its plan says so
+        stages = [stage.name for stage in expected[command]]
+        assert len(calibrations) == stages.count("calibration") <= 1, command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "options", [{"a_grid": [-0.5, 0.0, 0.5, 1.0, 1.5]}, {"n_extra_orders": 1}]
+)
+def test_cost_runs_no_circuit_when_the_grid_is_known(tmp_path, capsys, monkeypatch, options):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"preset": "tfim-ruth3", "profiling": options}))
+    spy = EngineSpy(monkeypatch)
+    assert run_command(["cost", "--config", str(path)]) == 0
+    assert spy.batches == []
+    out = capsys.readouterr().out
+    assert ("calibration" in out) == ("a_grid" in options)
+
+
+def test_cost_totals_count_every_batch_of_a_run(capsys):
+    assert run_command(["cost", "--preset", "tfim-ruth3"]) == 0
+    total = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("total")]
+    # 480 calibration rows, 400 sweep rows and 40 constituent rows
+    assert total == [["total", "10", "920", "38220", "36680", "26200"]]

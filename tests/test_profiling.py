@@ -504,13 +504,13 @@ def test_calibration_probes_exact_complementary_pairs(
     monkeypatch, tfim_ruth3, paper_state
 ):
     probed: list[float] = []
-    averaged = profiling._averaged_expectations
+    batches = profiling.sweep_batches
 
     def recording(a_values, *args, **kwargs):
         probed.extend(float(a) for a in a_values)
-        return averaged(a_values, *args, **kwargs)
+        return batches(a_values, *args, **kwargs)
 
-    monkeypatch.setattr(profiling, "_averaged_expectations", recording)
+    monkeypatch.setattr(profiling, "sweep_batches", recording)
     resolve_basis(
         ProfilingConfig(
             tfim_ruth3.formula,
