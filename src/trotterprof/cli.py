@@ -32,6 +32,7 @@ from .config import (
 from .errors import (
     CalibrationError,
     ConfigError,
+    DegenerateInputError,
     ExtractionError,
     SingularFitError,
     TrotterProfError,
@@ -253,13 +254,20 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
-    rows = []
+    if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+        raise ConfigError(f"--window needs finite TMIN < TMAX, got {window[0]} {window[1]}", "window")
+    rows, missing = [], []
     for curve in _curves(cfg, _methods(args)):
-        gradient = stable_slope_fit(curve, window)
-        print(f"{curve.method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
         rows.extend(_curve_rows(cfg, curve))
+        try:
+            gradient = stable_slope_fit(curve, window)
+        except DegenerateInputError as exc:  # too few usable points: a numerical outcome
+            missing.append(curve.method)
+            print(f"no slope for {curve.method}: {exc}", file=sys.stderr)
+            continue
+        print(f"{curve.method:8s} slope {gradient:+.3f} over t in [{window[0]}, {window[1]}]")
     _write_rows(args, doc, rows)
-    return EXIT_OK
+    return EXIT_NUMERIC if missing else EXIT_OK
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:

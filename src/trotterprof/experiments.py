@@ -15,15 +15,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .mpf import constituent_batches, mpf_estimate, mpf_values, mpf_weights
+from .mpf import constituent_layout, mpf_estimate, mpf_values, mpf_weights
 from .profiling import (
+    Layout,
     ProfilingConfig,
-    calibration_batches,
+    calibration_probes,
     exact_values,
     mitigated_estimates,
-    sweep_batches,
+    probe_layout,
     sweep_grid,
-    sweep_rows,
 )
 from .simulator import GaussianJitter, engine_counts
 
@@ -227,35 +227,48 @@ def stable_slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class Stage:
-    """The engine batches of one stage of a run, in run order, as ``(words, rows)``."""
+    """The engine batches of one stage of a run: ``rows`` circuits per batch, and
+    the batches' word sequences in run order as the branch sets of ``layout``."""
 
     name: str
-    batches: tuple[tuple[tuple[str, ...], int], ...]
+    rows: int
+    layout: Layout
+
+    @property
+    def batches(self) -> tuple[tuple[tuple[str, ...], int], ...]:
+        """Each batch as ``(words, rows)``, in run order."""
+        return tuple((words, self.rows) for _, sequences in self.layout for words in sequences)
 
     def totals(self) -> tuple[int, ...]:
-        """Batches, rows, compiled row-gates, folded row-gates and kernel row-steps."""
-        counts = [
-            (rows, rows * len(words), *(rows * c for c in engine_counts(words)))
-            for words, rows in self.batches
-        ]
-        return (len(counts), *(sum(c[k] for c in counts) for k in range(4)))
+        """Batches, rows, compiled row-gates, folded row-gates and kernel row-steps.
+
+        Folded gates and kernel steps are those the engine evolves, so a
+        trunk that branches share counts once (``engine_counts``).
+        """
+        batches = self.batches
+        gates = sum(len(words) for words, _ in batches)
+        folded, steps = map(sum, zip(*(engine_counts(seqs, seam) for seam, seqs in self.layout)))
+        rows = self.rows
+        return len(batches), rows * len(batches), rows * gates, rows * folded, rows * steps
 
 
 def plan(cfg: ExperimentConfig, methods: Sequence[str]) -> tuple[Stage, ...]:
-    """The engine batches that ``run`` of ``methods`` executes, listed from the
-    functions the run takes them from, in run order, but not run (an unset
-    grid calibrates, to learn its size): ``constituents`` for trotter and mpf,
-    then for ep ``calibration`` when no basis is set, and the ``sweep``."""
+    """The engine batches that ``run`` of ``methods`` executes, in run order,
+    counted from the word sequences and rows the run takes them from, without
+    building an angle (an unset grid calibrates, to learn its size):
+    ``constituents`` for trotter and mpf, then for ep ``calibration`` when no
+    basis is set, and the ``sweep``."""
     for method in methods:
         if method not in METHODS:
             raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
     counts = constituent_counts(cfg, methods)
-    stages = [("constituents", constituent_batches(cfg.times, counts, cfg))] if counts else []
+    stages = []
+    if counts:
+        stages.append(Stage("constituents", len(cfg.times), constituent_layout(counts, cfg)))
     if "ep" in methods:
+        layout = probe_layout(cfg)
         if cfg.basis is None:
-            stages.append(("calibration", calibration_batches(cfg)))
-        stages.append(("sweep", sweep_batches(*sweep_rows(sweep_grid(cfg), cfg.times), cfg)))
-    return tuple(
-        Stage(name, tuple((tuple(words), len(angles)) for words, angles in batches))
-        for name, batches in stages
-    )
+            a_values, times = calibration_probes(cfg)
+            stages.append(Stage("calibration", len(a_values) * len(times), layout))
+        stages.append(Stage("sweep", len(sweep_grid(cfg)) * len(cfg.times), layout))
+    return tuple(stages)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, SingularFitError
 from .formulas import sample_template
-from .profiling import Batch, ProfilingConfig, batch_expectations
+from .profiling import Batch, Layout, ProfilingConfig, batch_expectations
 from .simulator import GaussianJitter
 
 CONDITION_WARNING = 1e10
@@ -125,6 +125,12 @@ def constituent_batches(
     (the counts are the depths; ``config.trotter_steps`` is not read)."""
     for count in step_counts:
         yield sample_template(config.formula, config.partition, count).forward(times)
+
+
+def constituent_layout(step_counts: Sequence[int], config: ProfilingConfig) -> Layout:
+    """The word sequences of ``constituent_batches``, one branch set each."""
+    f, partition = config.formula, config.partition
+    return tuple((0, (tuple(sample_template(f, partition, n).sequence()),)) for n in step_counts)
 
 
 def mpf_values(

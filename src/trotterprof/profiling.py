@@ -15,6 +15,7 @@ against first principles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +48,7 @@ from .simulator import (
     exact_unitary,
     expectation,
     expectation_rows,
-    sample_expectations,
+    sample_branches,
 )
 
 #: Least-squares designs above this condition number are rejected.
@@ -76,6 +77,11 @@ EXTRACTION_UNITARITY_TOL = 1e-6
 
 #: One engine batch: its word sequence, and one row of angles per circuit.
 Batch = tuple[list[str], np.ndarray]
+
+#: A stage's batches in run order, as branch sets ``(seam, sequences)``: the
+#: word sequences of batches that run together (``sample_branches``), whose
+#: circuits share their first ``seam`` gates, angles included.
+Layout = tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -225,6 +231,13 @@ def sweep_rows(a_values: Sequence[float], times: Sequence[float]) -> tuple[np.nd
     return np.tile(a_values, len(times)), np.repeat(times, len(a_values))
 
 
+def _segments(variant: int) -> tuple[bool, bool]:
+    """Whether a probe variant inverts its segment at ``(1-a)t``, and its segment at ``at``."""
+    if variant not in (1, 2, 3, 4):
+        raise DegenerateInputError(f"variant must be 1..4, got {variant}")
+    return variant in (3, 4), variant in (2, 4)
+
+
 def sweep_batches(
     a_values: Sequence[float],
     t_values: Sequence[float],
@@ -243,19 +256,43 @@ def sweep_batches(
         return template.inverted(x) if inverted else template.forward(x)
 
     for variant in probe_variants(config.formula) if variants is None else variants:
-        if variant not in (1, 2, 3, 4):
-            raise DegenerateInputError(f"variant must be 1..4, got {variant}")
-        first_words, first_angles = segment(abar_t, variant in (3, 4))
-        second_words, second_angles = segment(at, variant in (2, 4))
+        first, second = _segments(variant)
+        first_words, first_angles = segment(abar_t, first)
+        second_words, second_angles = segment(at, second)
         yield first_words + second_words, np.hstack([first_angles, second_angles])
 
 
-def batch_expectations(batches: Iterable[Batch], config: ProfilingConfig) -> np.ndarray:
-    """Each batch's expectations, a column per batch; ``map`` drops a batch once run."""
-    def run(batch: Batch) -> np.ndarray:
-        return sample_expectations(config.initial_state, *batch, config.observable)
+def probe_layout(config: ProfilingConfig, variants: Sequence[int] | None = None) -> Layout:
+    """The word sequences of ``sweep_batches`` as branch sets: consecutive variants
+    that open with the same segment, ``forward((1-a)t)`` for 1 and 2 and
+    ``inverted((1-a)t)`` for 3 and 4, share it as their trunk."""
+    template = sample_template(config.formula, config.partition, config.trotter_steps)
+    segment = {inverted: tuple(template.sequence(inverted)) for inverted in (False, True)}
+    if variants is None:
+        variants = probe_variants(config.formula)
+    return tuple(
+        (len(segment[first]), tuple(segment[first] + segment[second] for _, second in run))
+        for first, run in itertools.groupby(map(_segments, variants), key=lambda s: s[0])
+    )
 
-    return np.column_stack(list(map(run, batches)))
+
+def batch_expectations(
+    batches: Iterable[Batch], config: ProfilingConfig, layout: Layout | None = None
+) -> np.ndarray:
+    """Each batch's expectations, a column per batch.
+
+    ``layout`` groups the batches into the branch sets that run together
+    (``sample_branches``); without one, each batch runs alone.  One set's
+    batches are alive at a time.
+    """
+    batches = iter(batches)
+    if layout is None:
+        sets = (([batch], 0) for batch in batches)
+    else:
+        sets = ((list(itertools.islice(batches, len(seqs))), seam) for seam, seqs in layout)
+    return np.hstack(
+        [sample_branches(config.initial_state, b, seam, config.observable) for b, seam in sets]
+    )
 
 
 def composite_expectations(
@@ -270,7 +307,8 @@ def composite_expectations(
     oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
     partition)), obs)`` within 1e-12 (the engine folds repeats of a word).
     """
-    return batch_expectations(sweep_batches(a_values, t_values, config, variants), config)
+    batches = sweep_batches(a_values, t_values, config, variants)
+    return batch_expectations(batches, config, probe_layout(config, variants))
 
 
 def averaged_expectation(
@@ -466,11 +504,6 @@ def calibration_probes(config: ProfilingConfig) -> tuple[list[float], np.ndarray
     return a_values, np.geomspace(lo / scale, hi / scale, CALIBRATION_POINTS)
 
 
-def calibration_batches(config: ProfilingConfig) -> Iterator[Batch]:
-    """The batches of calibration: every probe ``a`` at every probe time."""
-    return sweep_batches(*sweep_rows(*calibration_probes(config)), config)
-
-
 def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     """Empirically decide which error orders the profile fit needs.
 
@@ -500,7 +533,8 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
 
     exact_vals = exact_values(t_arr, config)
     # Every probe (a, t) of the error series runs in one batch per variant.
-    values = batch_expectations(calibration_batches(config), config)
+    batches = sweep_batches(*sweep_rows(a_values, t_arr), config)
+    values = batch_expectations(batches, config, probe_layout(config))
     averaged = np.mean(values, axis=1).reshape(len(t_arr), len(a_values))
     error_series = dict(zip(a_values, averaged.T - exact_vals))
 

@@ -13,9 +13,12 @@ consecutive diagonal words is one update: every row gathers a table of the
 run's phase products, built from the gates' cosines and sines.  The folded
 angles and the products round differently from the reference's gate-by-gate
 updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
-bits still do not depend on its batch.  One kernel (``_apply_operator``) applies
-``H`` and every observable from one pre-gathered diagonal per flip mask, the
-diagonal group without a gather; ``expectation_rows`` sums each row of
+bits still do not depend on its batch.  ``sample_branches`` runs batches whose
+circuits open with the same gates: it evolves that trunk once per chunk of
+rows, then each batch's branch from a copy, with each batch's own bits.  One
+kernel (``_apply_operator``) applies ``H`` and every observable from one
+pre-gathered diagonal per flip mask, the diagonal group without a gather;
+``expectation_rows`` sums each row of
 ``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states``
 expands ``exp(-iHt)`` in Chebyshev polynomials of ``H / ||H||_1``, one
 recursion per window of times (a far time is a window of its own, over the
@@ -89,7 +92,7 @@ MAX_CHEBYSHEV_TERMS = 2 * 10**6
 ACCUMULATE_AMPLITUDES = 1 << 12
 
 #: Fold plans kept at once, one per word sequence; a run has one sequence
-#: per probe variant and per step count.
+#: per probe variant and per step count, and one trunk per pair of variants.
 FOLD_PLANS = 64
 
 #: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
@@ -223,29 +226,50 @@ def evolve_batch(
     ``apply_circuit`` within 1e-12, and a row's bits do not depend on the
     rows beside it.
 
-    The stack and two scratch stacks are allocated once and every step
-    writes into them (``_step_plan``).  A non-diagonal word makes the update
-    of ``apply_circuit``, in its operand order; a word of X letters skips the
+    The stack and two scratch stacks are allocated once, and every step of
+    ``_step_plan`` writes into them (``_evolve_steps``).
+    """
+    angles = np.asarray(angles, dtype=float)
+    _checked_masks(words, angles, state.n)
+    amps = np.tile(state.amplitudes, (angles.shape[0], 1))
+    scratch = (np.empty_like(amps), np.empty_like(amps))
+    _evolve_steps(amps, words, _rotations(angles), _step_plan(tuple(words)), scratch)
+    _check_norms(amps, scratch)
+    return amps
+
+
+def _rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(a)`` and ``i sin(a)`` of a ``(B, K)`` angle array, one ``(B, 1)`` column per gate."""
+    return np.cos(angles).T[:, :, None], 1.0j * np.sin(angles).T[:, :, None]
+
+
+def _evolve_steps(
+    amps: np.ndarray,
+    words: Sequence[str],
+    rotations: tuple[np.ndarray, np.ndarray],
+    steps: Sequence[tuple[int, int, np.ndarray | None]],
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Advance the stack ``amps`` in place through ``steps``, a slice of ``_step_plan(words)``.
+
+    ``rotations`` holds ``_rotations`` of the gates' angles, a column per
+    word of ``words``.  A non-diagonal word makes the update of
+    ``apply_circuit``, in its operand order; a word of X letters skips the
     all-ones phase.  A run of diagonal words multiplies each row by one
     gathered table of phase products (``_run_table``), built in the front of
     a scratch stack.
     """
-    angles = np.asarray(angles, dtype=float)
-    masks = _checked_masks(words, angles, state.n)
-    tables = {word: _word_tables(word) for word, (x, _) in masks.items() if x}
-    cos = np.cos(angles).T[:, :, None]
-    sin = 1.0j * np.sin(angles).T[:, :, None]
-    amps = np.tile(state.amplitudes, (angles.shape[0], 1))
-    scaled, moved = np.empty_like(amps), np.empty_like(amps)
-    for start, stop, index in _step_plan(tuple(words)):
+    cos, sin = rotations
+    scaled, moved = scratch
+    for start, stop, index in steps:
         if index is not None:
             table = _run_table(cos[start:stop], sin[start:stop], scaled)
             # mode="clip" lets take write straight into ``moved``; "raise" buffers.
             table.take(index, axis=1, out=moved, mode="clip")
             np.multiply(amps, moved, out=amps)
             continue
-        perm, phase = tables[words[start]]
-        if masks[words[start]][1]:
+        perm, phase = _word_tables(words[start])
+        if word_masks(words[start])[1]:
             np.multiply(amps, phase, out=scaled)
             scaled.take(perm, axis=1, out=moved, mode="clip")
         else:
@@ -253,12 +277,15 @@ def evolve_batch(
         np.multiply(sin[start], moved, out=moved)
         np.multiply(cos[start], amps, out=amps)
         np.subtract(amps, moved, out=amps)
-    # the squared norms, through the scratch stacks rather than fresh ones
+
+
+def _check_norms(amps: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Refuse a stack whose rows lost their norm; the squared norms go through ``scratch``."""
+    scaled, moved = scratch
     np.multiply(np.conjugate(amps, out=scaled), amps, out=moved)
     norms = np.sqrt(moved.real.sum(axis=1))
     if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise DegenerateInputError("batched evolution lost normalization")
-    return amps
 
 
 def _run_table(cos: np.ndarray, sin: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -365,16 +392,23 @@ def fold_gates(words: Sequence[str], angles: np.ndarray) -> tuple[list[str], np.
     """
     angles = np.asarray(angles, dtype=float)
     _checked_masks(words, angles, len(words[0]) if words else 0)
-    keep, columns, starts = _fold_plan(tuple(words))
-    if len(keep) == len(words):
-        return list(words), angles
-    return [words[k] for k in keep], np.add.reduceat(angles[:, columns], starts, axis=1)
+    plan = _fold_plan(tuple(words))
+    return [words[k] for k in plan[0]], _folded_angles(plan, angles)
 
 
-def engine_counts(words: Sequence[str]) -> tuple[int, int]:
-    """Per row, the folded gates (``_fold_plan``) and kernel steps of a batch's words."""
-    keep = _fold_plan(tuple(words))[0]
-    return len(keep), len(_step_plan(tuple(words[k] for k in keep)))
+def _folded_words(words: tuple[str, ...]) -> tuple[str, ...]:
+    """The words of a sequence that stay after folding (``_fold_plan``)."""
+    return tuple(words[k] for k in _fold_plan(words)[0])
+
+
+def _folded_angles(
+    plan: tuple[tuple[int, ...], np.ndarray, np.ndarray], angles: np.ndarray
+) -> np.ndarray:
+    """The folded angles of a sequence whose ``_fold_plan`` is ``plan``, row by row."""
+    keep, columns, starts = plan
+    if len(keep) == angles.shape[1]:
+        return angles
+    return np.add.reduceat(angles[:, columns], starts, axis=1)
 
 
 def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
@@ -419,6 +453,93 @@ def sample_expectations(
         chunk = angles[start : start + rows]
         values[start : start + rows] = expectation_rows(evolve_batch(state, words, chunk), obs)
     return values
+
+
+def sample_branches(
+    state: StateVector,
+    batches: Sequence[tuple[Sequence[str], np.ndarray]],
+    seam: int,
+    obs: OperatorSum,
+) -> np.ndarray:
+    """``sample_expectations`` of every batch, a column per batch, evolving their trunk once.
+
+    The batches share their rows, and their circuits share the first
+    ``seam`` gates, words and angles alike.  Per chunk of rows, the kernel
+    steps that every folded sequence opens with (``_trunk``) are evolved
+    once; each branch then continues from a copy of that stack, and the last
+    one in place, so one extra stack is alive per chunk.  Every row sees the
+    operations of ``sample_expectations``, in the same order, so the values
+    are the same bits.  A single batch runs through ``sample_expectations``.
+    """
+    if len(batches) == 1:
+        return sample_expectations(state, *batches[0], obs)[:, None]
+    sequences = tuple(tuple(words) for words, _ in batches)
+    angles = [np.asarray(a, dtype=float) for _, a in batches]
+    for words, a in zip(sequences, angles):
+        _checked_masks(words, a, state.n)
+    first, head = sequences[0][:seam], angles[0][:, :seam]
+    for words, a in zip(sequences, angles):
+        if a.shape[0] != head.shape[0] or words[:seam] != first or not np.array_equal(
+            a[:, :seam], head
+        ):
+            raise DimensionMismatchError(f"batches do not share their rows and first {seam} gates")
+    cut = _trunk(sequences, seam)[0]
+    plans = [_fold_plan(words) for words in sequences]
+    folded = [_folded_words(words) for words in sequences]
+    steps = [_step_plan(words) for words in folded]
+    rows = max(1, BATCH_AMPLITUDES >> state.n)
+    values = np.empty((head.shape[0], len(batches)))
+    for start in range(0, head.shape[0], rows):
+        trunk = np.tile(state.amplitudes, (min(rows, head.shape[0] - start), 1))
+        scratch = (np.empty_like(trunk), np.empty_like(trunk))
+        for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
+            rotations = _rotations(_folded_angles(plan, a[start : start + rows]))
+            if j == 0:
+                _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
+            stack = trunk if j == len(batches) - 1 else trunk.copy()
+            _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
+            _check_norms(stack, scratch)
+            values[start : start + rows, j] = expectation_rows(stack, obs)
+    return values
+
+
+@lru_cache(maxsize=FOLD_PLANS)
+def _trunk(sequences: tuple[tuple[str, ...], ...], seam: int) -> tuple[int, int]:
+    """The kernel steps and folded gates that every sequence evolves alike, before ``seam``.
+
+    The sequences share their first ``seam`` words.  A fold group
+    (``_fold_plan``) is in the trunk while it ends before the seam in every
+    sequence; so is every group before it, and they are the same groups in
+    every sequence.  A group that takes a gate from past the seam stays in
+    the branches, and so does every later one.  The trunk is the longest run
+    of ``_step_plan`` steps that every folded sequence opens with, over
+    those groups only: a diagonal run that one sequence extends past them
+    stays in the branches too.
+    """
+    groups = len(sequences[0])
+    for words in sequences:
+        keep, columns, starts = _fold_plan(words)
+        late = np.flatnonzero(np.maximum.reduceat(columns, starts) >= seam) if keep else []
+        groups = min(groups, int(late[0]) if len(late) else len(keep))
+    plans = [_step_plan(_folded_words(words)) for words in sequences]
+    cut = 0
+    for step in zip(*plans):
+        if step[0][1] > groups or any(s[:2] != step[0][:2] for s in step):
+            break
+        cut += 1
+    return cut, plans[0][cut - 1][1] if cut else 0
+
+
+def engine_counts(sequences: Sequence[Sequence[str]], seam: int) -> tuple[int, int]:
+    """Per row, the folded gates and kernel steps that ``sample_branches`` evolves
+    for batches of these word sequences: a trunk (``_trunk``) counts once."""
+    sequences = tuple(tuple(words) for words in sequences)
+    steps, gates = _trunk(sequences, seam) if len(sequences) > 1 else (0, 0)
+    folded, evolved = gates, steps
+    for words in map(_folded_words, sequences):
+        folded += len(words) - gates
+        evolved += len(_step_plan(words)) - steps
+    return folded, evolved
 
 
 @lru_cache(maxsize=64)

@@ -42,6 +42,7 @@ from trotterprof import (
 from trotterprof import config, profiling
 from trotterprof.cli import _build_parser, run_command
 from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
+from trotterprof.experiments import DEFAULT_TIMES
 from trotterprof.formulas import MAX_ALPHA
 from trotterprof.report import render_csv
 
@@ -512,11 +513,11 @@ def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
     assert cfg.basis is None
     sizes = []
 
-    def count(state, words, angles, obs):
-        sizes.append(angles.shape)
+    def count(state, batches, seam, obs):
+        sizes.append(batches[0][1].shape)
         raise _BatchCounted
 
-    monkeypatch.setattr(profiling, "sample_expectations", count)
+    monkeypatch.setattr(profiling, "sample_branches", count)
     with pytest.raises(_BatchCounted):
         profiling.calibrate_basis(cfg)
     [(rows, angles_per_row)] = sizes
@@ -857,7 +858,7 @@ def test_a_refused_exact_column_runs_no_circuit(tmp_path, capsys, monkeypatch, a
     def refuse(*args):
         raise AssertionError("a circuit ran before the exact column was refused")
 
-    monkeypatch.setattr(profiling, "sample_expectations", refuse)
+    monkeypatch.setattr(profiling, "sample_branches", refuse)
     doc = {"preset": "tfim-ruth3", "times": {"values": [0.5, 1e6]}}
     assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
@@ -1075,7 +1076,7 @@ def test_a_repeated_method_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
     def refuse(*args):
         raise AssertionError("a circuit ran for a refused --method")
 
-    monkeypatch.setattr(profiling, "sample_expectations", refuse)
+    monkeypatch.setattr(profiling, "sample_branches", refuse)
     path = write_config(tmp_path, {"preset": "tfim-ruth3", "times": {"points": 3}})
     assert run_command([command, "--config", path, "--method", "ep,trotter,ep"]) == 1
     captured = capsys.readouterr()
@@ -1233,6 +1234,46 @@ def test_slope_reads_sign_stable_points(capsys):
     assert f"mpf      slope {stable:+.3f} over" in captured.out
     # this curve changes sign inside the window, so the raw fit reads differently
     assert f"{slope_fit(curve, (0.1, 0.5)):+.3f}" != f"{stable:+.3f}"
+
+
+def test_slope_names_each_method_without_a_slope_and_exits_two(tmp_path, capsys):
+    # tfim-ruth3's trotter error changes sign between the 5th and 6th default
+    # times, which leaves 3 of these 5 points to fit; ep and mpf keep all 5
+    doc = {"preset": "tfim-ruth3", "times": {"values": list(DEFAULT_TIMES[2:7])}}
+    out = tmp_path / "slope.csv"
+    code = run_command(["slope", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "no slope for trotter: only 3 usable points in window [0.1, 0.5]\n"
+    lines = captured.out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["ep", "slope"], ["mpf", "slope"]]
+    assert lines[-1] == f"wrote 15 rows to {out}"
+    assert sorted({row.method for row in read_csv(out).rows}) == ["ep", "mpf", "trotter"]
+
+
+@pytest.mark.parametrize("window", [["0.5", "0.1"], ["0.3", "0.3"], ["0.1", "nan"]])
+def test_a_slope_window_must_be_finite_and_increasing(capsys, monkeypatch, window):
+    def refuse(*args):
+        raise AssertionError("a circuit ran for a refused --window")
+
+    monkeypatch.setattr(profiling, "sample_branches", refuse)
+    assert run_command(["slope", "--preset", "tfim-ruth3", "--window", *window]) == 1
+    assert "--window needs finite TMIN < TMAX" in capsys.readouterr().err
+
+
+def test_cost_builds_no_angle_array(tmp_path, capsys):
+    # cost counts words and rows: the 100000-row sweep batches of 20000
+    # times used to peak at about 110 MiB under tracemalloc
+    path = write_config(tmp_path, {"preset": "tfim-ruth3", "times": {"points": 20000}})
+    tracemalloc.start()
+    try:
+        assert run_command(["cost", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sweep = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("sweep")]
+    assert [words[:3] for words in sweep] == [["sweep", "4", "400000"]]
+    assert peak < 10 << 20
 
 
 def test_cost_counts_the_grid_that_run_sweeps(capsys):

@@ -26,8 +26,12 @@ from trotterprof import (
     Circuit,
     CompositeSpec,
     DimensionMismatchError,
+    Fragment,
     GaussianJitter,
+    PartitionedHamiltonian,
     PauliRotation,
+    ProductFormula,
+    ProfilingConfig,
     SingularFitError,
     apply_circuit,
     compile_circuit,
@@ -46,6 +50,7 @@ from trotterprof import (
     preset_config,
     read_csv,
     run_error_curve,
+    sample_branches,
     sample_expectations,
 )
 import trotterprof
@@ -54,6 +59,7 @@ from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import _per_time_jitters
 from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
+from trotterprof.profiling import probe_layout, sweep_batches
 from trotterprof.simulator import expectation_rows, fold_gates
 
 from conftest import random_state
@@ -299,10 +305,13 @@ def engine_calls(words):
         "evolve_batch": lambda: evolve_batch(psi, words, angles),
         "fold_gates": lambda: fold_gates(words, angles),
         "sample_expectations": lambda: sample_expectations(psi, words, angles, obs),
+        "sample_branches": lambda: sample_branches(psi, [(words, angles)] * 2, 1, obs),
     }
 
 
-@pytest.mark.parametrize("engine", ["evolve_batch", "fold_gates", "sample_expectations"])
+@pytest.mark.parametrize(
+    "engine", ["evolve_batch", "fold_gates", "sample_expectations", "sample_branches"]
+)
 @pytest.mark.parametrize(
     "words, error, message",
     [
@@ -314,6 +323,90 @@ def engine_calls(words):
 def test_the_engine_checks_its_words(engine, words, error, message):
     with pytest.raises(error, match=message):
         engine_calls(words)[engine]()
+
+
+@st.composite
+def branching_cases(draw):
+    """A random table over a Z, an X and a one-word fragment, its four probe
+    variants in any order, and rows in chunks of ``chunk`` with a ragged last one."""
+    n = draw(st.integers(2, 5))
+
+    def words(letters: str, most: int):
+        word = st.text(letters, min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
+        return st.lists(word, min_size=1, max_size=most, unique=True)
+
+    fragments = [draw(words("IZ", 3)), draw(words("IX", 3)), draw(words("IXYZ", 1))]
+    raw = draw(st.lists(st.tuples(st.integers(0, 2), st.floats(0.1, 1.0)), max_size=6))
+    raw += [(k, 0.5) for k in draw(st.permutations(range(3)))]
+    sums = {k: sum(c for i, c in raw if i == k) for k in range(3)}
+    formula = ProductFormula(tuple((k, c / sums[k]) for k, c in raw))
+    chunk = draw(st.integers(2, 5))
+    rows = chunk * draw(st.integers(1, 3)) + draw(st.integers(1, chunk - 1))
+    variants = tuple(draw(st.permutations((1, 2, 3, 4))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, fragments, formula, draw(steps), variants, chunk, rows, np.random.default_rng(seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(branching_cases())
+def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
+    n, fragments, formula, depth, variants, chunk, rows, rng = case
+    partition = PartitionedHamiltonian(
+        tuple(
+            Fragment(OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words]))
+            for words in fragments
+        ),
+        n,
+    )
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in sum(fragments, [])])
+    cfg = ProfilingConfig(formula, partition, obs, random_state(rng, n), trotter_steps=depth)
+    a, t = rng.uniform(-0.5, 1.5, rows), rng.uniform(0.05, 1.5, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "BATCH_AMPLITUDES", chunk << n)
+        shared = composite_expectations(a, t, variants, cfg)
+        alone = [
+            sample_expectations(cfg.initial_state, words, angles, obs)
+            for words, angles in sweep_batches(a, t, cfg, variants)
+        ]
+    assert np.array_equal(shared, np.column_stack(alone))
+    # consecutive variants that open with the same segment share it
+    pairs = sum(1 for v, w in zip(variants, variants[1:]) if (v > 2) == (w > 2))
+    assert len(probe_layout(cfg, variants)) == 4 - pairs
+
+
+def test_branches_must_share_their_rows_and_trunk():
+    psi = random_state(np.random.default_rng(1), 2)
+    words = ["XZ", "ZZ", "YX"]
+    angles = np.full((3, 3), 0.3)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ")])
+    other = angles.copy()
+    other[1, 1] = 0.4
+    for batches in (
+        [(words, angles), (words, angles[:2])],
+        [(words, angles), (["XZ", "XX", "YX"], angles)],
+        [(words, angles), (words, other)],
+    ):
+        with pytest.raises(DimensionMismatchError, match="first 2 gates"):
+            sample_branches(psi, batches, 2, obs)
+    # past the seam the branches may differ
+    values = sample_branches(psi, [(words, angles), (words, other)], 1, obs)
+    assert np.array_equal(values[:, 1], sample_expectations(psi, words, other, obs))
+
+
+def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
+    # ZI ends the shared gates; the first branch runs it with IZ as one
+    # diagonal step, the second alone, so only XI is evolved once
+    psi = random_state(np.random.default_rng(2), 2)
+    shared = ["XI", "ZI"]
+    sequences = (shared + ["IZ", "XX"], shared + ["YY", "IZ"])
+    rng = np.random.default_rng(3)
+    head = rng.uniform(-3.0, 3.0, size=(5, 2))
+    batches = [(words, np.hstack([head, rng.uniform(-3.0, 3.0, size=(5, 2))])) for words in sequences]
+    obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
+    alone = [sample_expectations(psi, words, angles, obs) for words, angles in batches]
+    assert np.array_equal(sample_branches(psi, batches, 2, obs), np.column_stack(alone))
+    assert simulator._trunk(tuple(map(tuple, sequences)), 2) == (1, 1)
+    assert simulator.engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
 
 
 def test_only_pauli_and_simulator_know_the_word_tables():

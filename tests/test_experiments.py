@@ -40,7 +40,8 @@ from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import METHODS, CurvePoint
 from trotterprof.mpf import constituent_batches
-from trotterprof.profiling import sweep_batches, sweep_rows
+from trotterprof.profiling import probe_layout, sweep_batches, sweep_rows
+from trotterprof.simulator import engine_counts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's document builders)
@@ -365,33 +366,34 @@ def planned_stages(cfg, command: str) -> list:
 class EngineSpy:
     """Records every engine batch and what the kernel evolves for it.
 
-    ``sample_expectations`` is wrapped in every namespace that binds it, and
-    ``evolve_batch`` where ``sample_expectations`` calls it, on its folded
-    sequence, one chunk of rows at a time.
+    ``sample_branches`` is wrapped in every namespace that binds it, and the
+    kernel loop ``_evolve_steps`` where the engine calls it: on the steps of
+    a trunk once, then on each branch's own steps, one chunk of rows at a
+    time, and on a lone batch's whole folded sequence.
     """
 
     def __init__(self, monkeypatch):
         self.batches, self.folded, self.steps = [], 0, 0
-        original, evolve = simulator.sample_expectations, simulator.evolve_batch
+        original, evolve = simulator.sample_branches, simulator._evolve_steps
 
-        def sample(state, words, angles, obs):
-            self.batches.append((tuple(words), len(angles)))
-            return original(state, words, angles, obs)
+        def sample(state, batches, seam, obs):
+            self.batches += [(tuple(words), len(angles)) for words, angles in batches]
+            return original(state, batches, seam, obs)
 
-        def evolve_chunk(state, words, angles):
-            self.folded += len(angles) * len(words)
-            self.steps += len(angles) * len(simulator._step_plan(tuple(words)))
-            return evolve(state, words, angles)
+        def evolve_steps(amps, words, rotations, steps, scratch):
+            self.folded += len(amps) * sum(stop - start for start, stop, _ in steps)
+            self.steps += len(amps) * len(steps)
+            return evolve(amps, words, rotations, steps, scratch)
 
         self.namespaces = sorted(
             name
             for name, module in list(sys.modules.items())
             if name.split(".")[0] == "trotterprof"
-            and getattr(module, "sample_expectations", None) is original
+            and getattr(module, "sample_branches", None) is original
         )
         for name in self.namespaces:
-            monkeypatch.setattr(sys.modules[name], "sample_expectations", sample)
-        monkeypatch.setattr(simulator, "evolve_batch", evolve_chunk)
+            monkeypatch.setattr(sys.modules[name], "sample_branches", sample)
+        monkeypatch.setattr(simulator, "_evolve_steps", evolve_steps)
 
 
 @pytest.mark.parametrize("name", list(PLAN_DOCUMENTS))
@@ -439,5 +441,27 @@ def test_cost_runs_no_circuit_when_the_grid_is_known(tmp_path, capsys, monkeypat
 def test_cost_totals_count_every_batch_of_a_run(capsys):
     assert run_command(["cost", "--preset", "tfim-ruth3"]) == 0
     total = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("total")]
-    # 480 calibration rows, 400 sweep rows and 40 constituent rows
-    assert total == [["total", "10", "920", "38220", "36680", "26200"]]
+    # 480 calibration rows, 400 sweep rows and 40 constituent rows; per
+    # (a, t), variants 1 and 2 share 17 folded gates in 11 kernel steps, and
+    # variants 3 and 4 share 18 in 14, so the probes evolve 126 of their 161
+    # folded gates and 90 of their 115 steps
+    assert total == [["total", "10", "920", "38220", "28980", "20700"]]
+
+
+@pytest.mark.parametrize(
+    "name, alone, shared",
+    [
+        ("tfim-ruth3", (161, 115), (126, 90)),
+        ("xxz-ruth3", (207, 206), (162, 161)),
+        ("chain8-calibrated", (345, 207), (270, 162)),
+    ],
+)
+def test_probe_variants_evolve_their_shared_trunk_once(name, alone, shared):
+    # per (a, t): folded gates and kernel steps of the four variants run one
+    # by one, and with variants 1, 2 and 3, 4 branching from one trunk each
+    cfg = parse_config(json.dumps(PLAN_DOCUMENTS[name]))
+    layout = probe_layout(cfg)
+    assert [len(sequences) for _, sequences in layout] == [2, 2]
+    each = [engine_counts([words], seam) for seam, sequences in layout for words in sequences]
+    assert tuple(map(sum, zip(*each))) == alone
+    assert tuple(map(sum, zip(*(engine_counts(seqs, seam) for seam, seqs in layout)))) == shared
