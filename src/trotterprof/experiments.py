@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import simulator
 from .errors import DegenerateInputError
 from .mpf import constituent_layout, mpf_estimate, mpf_values, mpf_weights
 from .profiling import (
@@ -92,11 +93,10 @@ class ErrorCurve:
 
 
 def worker_count() -> int:
-    """Always 1: a run uses one worker, and each curve batches all its times.
-
-    Kept because benchmark harnesses record it next to their timings.
-    """
-    return 1
+    """The threads a batch's row chunks evolve on (``simulator.WORKERS``):
+    one per CPU the process may use.  Benchmark harnesses record it next to
+    their timings."""
+    return simulator.WORKERS
 
 
 def _per_time_jitters(cfg: ExperimentConfig) -> list[GaussianJitter | None]:

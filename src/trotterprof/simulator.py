@@ -15,7 +15,9 @@ angles and the products round differently from the reference's gate-by-gate
 updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
 bits still do not depend on its batch.  ``sample_branches`` runs batches whose
 circuits open with the same gates: it evolves that trunk once per chunk of
-rows, then each batch's branch from a copy, with each batch's own bits.  One
+rows, then each batch's branch from a copy, with each batch's own bits; one
+batch alone is ``sample_expectations``.  A batch of several chunks runs them
+on one thread per CPU (``WORKERS``), with the same bits as on one.  One
 kernel (``_apply_operator``) applies ``H`` and every observable from one
 pre-gathered diagonal per flip mask, the diagonal group without a gather;
 ``expectation_rows`` sums each row of
@@ -31,10 +33,11 @@ error-operator extraction only.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +57,9 @@ from .pauli import (
     to_dense,
     word_masks,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 NORM_TOL = 1e-10
 
@@ -94,6 +100,13 @@ ACCUMULATE_AMPLITUDES = 1 << 12
 #: Fold plans kept at once, one per word sequence; a run has one sequence
 #: per probe variant and per step count, and one trunk per pair of variants.
 FOLD_PLANS = 64
+
+#: The threads that evolve a batch's row chunks at once: one per CPU the
+#: process may use.  numpy releases the GIL in the kernel's gathers and
+#: products, and a chunk's rows are the same bits on any thread.
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 #: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
 OperatorTables = tuple[np.ndarray | None, np.ndarray]
@@ -441,18 +454,13 @@ def sample_expectations(
     """``expectation(apply_circuit(state, circuit_b), obs)`` for every row b of ``angles``.
 
     The batched sample engine: all circuits share the word sequence
-    ``words`` and differ only in their angles.  The sequence is folded
-    (``fold_gates``) once, then rows are evolved in chunks of at most
-    ``BATCH_AMPLITUDES`` amplitudes.  Values agree with the looped circuits
-    within 1e-12; a row's bits do not depend on the rows beside it.
+    ``words`` and differ only in their angles.  Rows are evolved in chunks
+    of at most ``BATCH_AMPLITUDES`` amplitudes, each chunk folding its own
+    angles as ``fold_gates`` does.  Values agree with the looped circuits
+    within 1e-12; a row's bits do not depend on the rows beside it.  This is
+    ``sample_branches`` of the batch alone, with no trunk.
     """
-    words, angles = fold_gates(words, angles)
-    rows = max(1, BATCH_AMPLITUDES >> state.n)
-    values = np.empty(angles.shape[0])
-    for start in range(0, angles.shape[0], rows):
-        chunk = angles[start : start + rows]
-        values[start : start + rows] = expectation_rows(evolve_batch(state, words, chunk), obs)
-    return values
+    return sample_branches(state, [(words, angles)], 0, obs)[:, 0]
 
 
 def sample_branches(
@@ -468,39 +476,70 @@ def sample_branches(
     steps that every folded sequence opens with (``_trunk``) are evolved
     once; each branch then continues from a copy of that stack, and the last
     one in place, so one extra stack is alive per chunk.  Every row sees the
-    operations of ``sample_expectations``, in the same order, so the values
-    are the same bits.  A single batch runs through ``sample_expectations``.
+    operations of its batch run alone, in the same order, so the values are
+    the same bits.  Chunks run on ``WORKERS`` threads when there are at
+    least two chunks and two workers (``_map_chunks``); each chunk writes
+    only its own rows.
     """
-    if len(batches) == 1:
-        return sample_expectations(state, *batches[0], obs)[:, None]
     sequences = tuple(tuple(words) for words, _ in batches)
     angles = [np.asarray(a, dtype=float) for _, a in batches]
     for words, a in zip(sequences, angles):
         _checked_masks(words, a, state.n)
     first, head = sequences[0][:seam], angles[0][:, :seam]
-    for words, a in zip(sequences, angles):
+    for words, a in zip(sequences[1:], angles[1:]):
         if a.shape[0] != head.shape[0] or words[:seam] != first or not np.array_equal(
             a[:, :seam], head
         ):
             raise DimensionMismatchError(f"batches do not share their rows and first {seam} gates")
-    cut = _trunk(sequences, seam)[0]
+    cut = _trunk(sequences, seam)[0] if len(batches) > 1 else 0
     plans = [_fold_plan(words) for words in sequences]
     folded = [_folded_words(words) for words in sequences]
     steps = [_step_plan(words) for words in folded]
-    rows = max(1, BATCH_AMPLITUDES >> state.n)
-    values = np.empty((head.shape[0], len(batches)))
-    for start in range(0, head.shape[0], rows):
-        trunk = np.tile(state.amplitudes, (min(rows, head.shape[0] - start), 1))
+    # workers only read the caches: fill them here
+    for word in set().union(*folded):
+        _word_tables(word)
+    _operator_tables(obs)
+    total, rows = head.shape[0], max(1, BATCH_AMPLITUDES >> state.n)
+    values = np.empty((total, len(batches)))
+
+    def chunk(start: int) -> None:
+        trunk = np.tile(state.amplitudes, (min(rows, total - start), 1))
         scratch = (np.empty_like(trunk), np.empty_like(trunk))
         for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
             rotations = _rotations(_folded_angles(plan, a[start : start + rows]))
-            if j == 0:
+            if j == 0 and cut:
                 _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
             stack = trunk if j == len(batches) - 1 else trunk.copy()
             _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
             _check_norms(stack, scratch)
             values[start : start + rows, j] = expectation_rows(stack, obs)
+
+    _map_chunks(chunk, range(0, total, rows))
     return values
+
+
+def _map_chunks(chunk: Callable[[int], None], starts: range) -> None:
+    """Run ``chunk`` at every start: on the calling thread when there is one
+    start or one worker, otherwise on the ``WORKERS`` threads of ``_pool``.
+
+    ``Executor.map`` raises a chunk's exception here and cancels the chunks
+    that have not started.
+    """
+    if len(starts) < 2 or WORKERS < 2:
+        for start in starts:
+            chunk(start)
+    else:
+        for _ in _pool(WORKERS).map(chunk, starts):
+            pass
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> Executor:
+    """The thread pool of ``workers`` threads, made on first use; the import
+    of ``concurrent.futures`` waits for it too."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="trotterprof-chunk")
 
 
 @lru_cache(maxsize=FOLD_PLANS)

@@ -57,7 +57,9 @@ import trotterprof
 from trotterprof import profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
-from trotterprof.experiments import _per_time_jitters
+from trotterprof.errors import DegenerateInputError
+from trotterprof.experiments import _per_time_jitters, worker_count
+from trotterprof.mpf import constituent_batches
 from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
 from trotterprof.profiling import probe_layout, sweep_batches
 from trotterprof.simulator import expectation_rows, fold_gates
@@ -328,7 +330,8 @@ def test_the_engine_checks_its_words(engine, words, error, message):
 @st.composite
 def branching_cases(draw):
     """A random table over a Z, an X and a one-word fragment, its four probe
-    variants in any order, and rows in chunks of ``chunk`` with a ragged last one."""
+    variants in any order, and rows in chunks of ``chunk`` with a ragged last
+    one, run on ``workers`` threads."""
     n = draw(st.integers(2, 5))
 
     def words(letters: str, most: int):
@@ -343,14 +346,16 @@ def branching_cases(draw):
     chunk = draw(st.integers(2, 5))
     rows = chunk * draw(st.integers(1, 3)) + draw(st.integers(1, chunk - 1))
     variants = tuple(draw(st.permutations((1, 2, 3, 4))))
+    workers = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, fragments, formula, draw(steps), variants, chunk, rows, np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    return n, fragments, formula, draw(steps), variants, chunk, rows, workers, rng
 
 
 @settings(max_examples=100, deadline=None)
 @given(branching_cases())
 def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
-    n, fragments, formula, depth, variants, chunk, rows, rng = case
+    n, fragments, formula, depth, variants, chunk, rows, workers, rng = case
     partition = PartitionedHamiltonian(
         tuple(
             Fragment(OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words]))
@@ -363,7 +368,15 @@ def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
     a, t = rng.uniform(-0.5, 1.5, rows), rng.uniform(0.05, 1.5, rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "BATCH_AMPLITUDES", chunk << n)
-        shared = composite_expectations(a, t, variants, cfg)
+        patch.setattr(simulator, "WORKERS", workers)
+        # threads switch often, so a chunk that wrote another's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = composite_expectations(a, t, variants, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        patch.setattr(simulator, "WORKERS", 1)
         alone = [
             sample_expectations(cfg.initial_state, words, angles, obs)
             for words, angles in sweep_batches(a, t, cfg, variants)
@@ -409,6 +422,75 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     assert simulator.engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
 
 
+def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, capsys):
+    # the second chunk checked loses its norm, on the calling thread or on a worker
+    check = simulator._check_norms
+    calls = itertools.count()
+
+    def losing(amps, scratch):
+        if next(calls) == 1:
+            amps *= 2.0
+        check(amps, scratch)
+
+    monkeypatch.setattr(simulator, "_check_norms", losing)
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 4 << 2)
+    psi = random_state(np.random.default_rng(4), 2)
+    words, angles = ["XZ", "ZZ", "YX"], np.full((10, 3), 0.3)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ")])
+    argv = ["run", "--preset", "tfim-ruth3", "--out", str(tmp_path / "out.csv")]
+    codes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(simulator, "WORKERS", workers)
+        calls = itertools.count()
+        with pytest.raises(DegenerateInputError, match="lost normalization"):
+            sample_expectations(psi, words, angles, obs)
+        calls = itertools.count()
+        codes.append(run_command(argv))
+        assert "batched evolution lost normalization" in capsys.readouterr().err
+    assert codes == [1, 1]
+
+
+def test_batches_of_one_chunk_start_no_thread(tmp_path, monkeypatch):
+    def refuse(workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    monkeypatch.setattr(simulator, "_pool", refuse)
+    out = str(tmp_path / "out.csv")
+    assert run_command(["run", "--preset", "tfim-ruth3", "--out", out]) == 0
+    # in chunks of 4 rows the same run needs the pool
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 4 << 4)
+    with pytest.raises(AssertionError, match="a pool was started"):
+        run_command(["run", "--preset", "tfim-ruth3", "--out", out])
+
+
+def test_a_batch_of_no_rows_gives_no_values(monkeypatch):
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    psi = random_state(np.random.default_rng(5), 2)
+    words, empty = ["XZ", "ZZ"], np.empty((0, 2))
+    obs = OperatorSum.from_terms([PauliTerm("ZZ")])
+    assert sample_expectations(psi, words, empty, obs).shape == (0,)
+    assert sample_branches(psi, [(words, empty)] * 2, 1, obs).shape == (0, 2)
+
+
+def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
+    # one worker: chunks on several threads overlap by timing
+    monkeypatch.setattr(simulator, "WORKERS", 1)
+    cfg = CONFIGS["tfim-suzuki4"]
+    peaks = []
+    for rows in (20000, 40000):
+        words, angles = next(constituent_batches(np.linspace(0.1, 2.0, rows), (4,), cfg))
+        tracemalloc.start()
+        try:
+            sample_expectations(cfg.initial_state, words, angles, cfg.observable)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the peak beyond the angles is one chunk's and the values' (160 kB more
+    # here); folding the whole batch at once took 52 MiB more
+    assert peaks[1] - peaks[0] < 2**20
+
+
 def test_only_pauli_and_simulator_know_the_word_tables():
     # the word-table format belongs to the engine; callers pass Pauli words
     package = Path(trotterprof.__file__).parent
@@ -423,34 +505,36 @@ def test_only_pauli_and_simulator_know_the_word_tables():
     assert users == {"pauli", "simulator"}
 
 
-def evolved_sequences(monkeypatch, evaluate) -> list[tuple[str, ...]]:
-    """The word sequence of each engine batch evolved while ``evaluate`` runs."""
+def evolved_sequences(evaluate) -> list[tuple[str, ...]]:
+    """The folded word sequence of each kernel loop run while ``evaluate`` runs."""
     sequences = []
+    evolve = simulator._evolve_steps
 
-    def recording(state, words, angles):
+    def recording(amps, words, *args):
         sequences.append(tuple(words))
-        return evolve_batch(state, words, angles)
+        return evolve(amps, words, *args)
 
-    monkeypatch.setattr(simulator, "evolve_batch", recording)
-    evaluate()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_evolve_steps", recording)
+        evaluate()
     return sequences
 
 
-def test_folding_removes_the_repeated_commuting_fragment(monkeypatch):
+def test_folding_removes_the_repeated_commuting_fragment():
     # suzuki4 is built from Strang halves, so its steps apply the ZZ fragment
     # twice in a row; the gate counts of the compiled circuits are
     # 100, 150, 560 and 140/280/560/1120
     for name, composite in (("tfim-suzuki4", 73), ("xxz-suzuki4", 96)):
         cfg = CONFIGS[name]
         sequences = evolved_sequences(
-            monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), cfg)
+            lambda: composite_expectations([0.3], [0.5], (1,), cfg)
         )
         assert [len(words) for words in sequences] == [composite]
     chain = parse_config(json.dumps(workloads.chain10_pinned(1)))
     sequences = evolved_sequences(
-        monkeypatch, lambda: composite_expectations([0.3], [0.5], (1,), chain)
+        lambda: composite_expectations([0.3], [0.5], (1,), chain)
     )
-    sequences += evolved_sequences(monkeypatch, lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
+    sequences += evolved_sequences(lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
     assert [len(words) for words in sequences] == [389, 104, 199, 389, 769]
     # each diagonal run is one kernel step: the chain's folded ZZ fragment is
     # a run of its nine bonds, so the composite is 200 single gates and 21 runs
@@ -698,9 +782,11 @@ def test_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, doc):
     config = tmp_path / "doc.json"
     config.write_text(json.dumps(doc))
     tables = set()
-    for log2 in (4, 10, 20):
+    for log2, workers in itertools.product((4, 10, 20), (1, 2, 3)):
         monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 1 << log2)
-        out = tmp_path / f"chunk{log2}.csv"
+        monkeypatch.setattr(simulator, "WORKERS", workers)
+        assert worker_count() == workers
+        out = tmp_path / f"chunk{log2}-{workers}.csv"
         assert run_command(["run", "--config", str(config), "--out", str(out)]) == 0
         lines = out.read_text().splitlines(keepends=True)
         tables.add("".join(ln for ln in lines if not ln.startswith("# generated")))
