@@ -75,7 +75,9 @@ def _build_parser() -> _CliParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a JSON config document")
         p.add_argument("--preset", help=f"built-in setup, one of {', '.join(PRESETS)}")
-        p.add_argument("--out", help="output CSV path (overrides the config)")
+        p.add_argument(
+            "--out", help="output path (overrides the config's, which cost never writes)"
+        )
         if seed:
             p.add_argument("--seed", type=int, help="override the noise seed")
         if method:
@@ -293,10 +295,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     ]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    path = args.out or doc.output_path
-    if path:
-        atomic_write_text(text, path)
-        print(f"wrote cost report to {path}")
+    # the document's output path names the data file of ``run``, not this report
+    if args.out:
+        atomic_write_text(text, args.out)
+        print(f"wrote cost report to {args.out}")
     return EXIT_OK
 
 

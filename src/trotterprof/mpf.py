@@ -141,7 +141,8 @@ def mpf_values(
     Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
     formula iterated ``step_counts[i]`` times.
     """
-    return batch_expectations(constituent_batches(times, step_counts, config), config)
+    batches = constituent_batches(times, step_counts, config)
+    return batch_expectations(batches, config, constituent_layout(step_counts, config))
 
 
 def mpf_estimate(

@@ -277,19 +277,15 @@ def probe_layout(config: ProfilingConfig, variants: Sequence[int] | None = None)
 
 
 def batch_expectations(
-    batches: Iterable[Batch], config: ProfilingConfig, layout: Layout | None = None
+    batches: Iterable[Batch], config: ProfilingConfig, layout: Layout
 ) -> np.ndarray:
     """Each batch's expectations, a column per batch.
 
     ``layout`` groups the batches into the branch sets that run together
-    (``sample_branches``); without one, each batch runs alone.  One set's
-    batches are alive at a time.
+    (``sample_branches``).  One set's batches are alive at a time.
     """
     batches = iter(batches)
-    if layout is None:
-        sets = (([batch], 0) for batch in batches)
-    else:
-        sets = ((list(itertools.islice(batches, len(seqs))), seam) for seam, seqs in layout)
+    sets = ((list(itertools.islice(batches, len(seqs))), seam) for seam, seqs in layout)
     return np.hstack(
         [sample_branches(config.initial_state, b, seam, config.observable) for b, seam in sets]
     )
@@ -356,13 +352,16 @@ def default_a_grid(n_orders: int) -> tuple[float, ...]:
 
 
 def _basis_matrix(a_values: np.ndarray, basis: BasisSpec) -> np.ndarray:
+    """The profile design of a grid; a huge ``a`` gives entries of inf or nan,
+    which ``_factorize`` refuses."""
     abar = 1.0 - a_values
     columns = [np.ones_like(a_values)]
-    for s in basis.orders:
-        columns.append(a_values**s + abar**s)
-    if basis.include_antisymmetric:
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in basis.orders:
-            columns.append(a_values**s - abar**s)
+            columns.append(a_values**s + abar**s)
+        if basis.include_antisymmetric:
+            for s in basis.orders:
+                columns.append(a_values**s - abar**s)
     return np.column_stack(columns)
 
 
@@ -382,7 +381,13 @@ class _Factorized:
 
 
 def _factorize(design: np.ndarray) -> _Factorized:
-    norms = np.linalg.norm(design, axis=0)
+    """Equilibrate and factorize ``design``; one whose column norms are not
+    finite floats (an entry or a sum of squares past the float range) is a
+    ``SingularFitError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(design, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise SingularFitError("design matrix has column norms beyond the float range")
     norms[norms == 0.0] = 1.0
     scaled = design / norms
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
@@ -398,7 +403,10 @@ def _factorize(design: np.ndarray) -> _Factorized:
 @lru_cache(maxsize=64)
 def _fit_design(a_values: tuple[float, ...], basis: BasisSpec) -> _Factorized:
     """The factorized profile design of a grid and basis, shared by every time's fit."""
-    return _factorize(_basis_matrix(np.array(a_values), basis))
+    try:
+        return _factorize(_basis_matrix(np.array(a_values), basis))
+    except SingularFitError as exc:
+        raise SingularFitError(f"sweep grid {list(a_values)}: {exc}") from None
 
 
 def _scaled_lstsq(fact: _Factorized, rhs: np.ndarray) -> tuple[np.ndarray, float, float]:

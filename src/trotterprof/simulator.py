@@ -3,8 +3,9 @@
 States are plain complex amplitude vectors; gates are Pauli-word rotations
 ``exp(-i * angle * P)`` applied via ``cos(a)|psi> - i sin(a) P|psi>``.
 ``apply_circuit`` runs one circuit gate by gate and is the reference;
-``sample_expectations`` runs many circuits that share one sequence of Pauli
-words as a ``(B, 2^n)`` state stack.  It first folds each gate into an
+``sample_branches`` is the batched engine and the one way a batch is
+evolved.  It runs batches of circuits, each batch sharing one sequence of
+Pauli words, as ``(B, 2^n)`` state stacks.  It first folds each gate into an
 earlier gate on the same word when every gate between them commutes with it
 (the angles add), then makes one in-place vectorised update per remaining
 gate that flips bits, from the word's ``pauli`` tables and masks, looked up
@@ -13,12 +14,12 @@ consecutive diagonal words is one update: every row gathers a table of the
 run's phase products, built from the gates' cosines and sines.  The folded
 angles and the products round differently from the reference's gate-by-gate
 updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
-bits still do not depend on its batch.  ``sample_branches`` runs batches whose
-circuits open with the same gates: it evolves that trunk once per chunk of
-rows, then each batch's branch from a copy, with each batch's own bits; one
-batch alone is ``sample_expectations``.  A batch of several chunks runs them
-on one thread per CPU (``WORKERS``), with the same bits as on one.  One
-kernel (``_apply_operator``) applies ``H`` and every observable from one
+bits still do not depend on its batch.  Batches whose circuits open with
+the same gates share a trunk: it is evolved once per chunk of rows, then
+each batch's branch from a copy, with each batch's own bits; a batch of its
+own is a branch set of one.  A batch of several chunks runs them on one
+thread per CPU (``WORKERS``), with the same bits as on one.  One kernel
+(``_apply_operator``) applies ``H`` and every observable from one
 pre-gathered diagonal per flip mask, the diagonal group without a gather;
 ``expectation_rows`` sums each row of
 ``conj(psi) * O psi`` on its own, and the matrix-free ``exact_states``
@@ -98,7 +99,7 @@ MAX_CHEBYSHEV_TERMS = 2 * 10**6
 ACCUMULATE_AMPLITUDES = 1 << 12
 
 #: Fold plans kept at once, one per word sequence; a run has one sequence
-#: per probe variant and per step count, and one trunk per pair of variants.
+#: per probe variant and per step count, and one trunk per branch set.
 FOLD_PLANS = 64
 
 #: The threads that evolve a batch's row chunks at once: one per CPU the
@@ -225,30 +226,6 @@ def _checked_masks(
                 raise DimensionMismatchError(f"word {word!r} does not act on {n} qubits")
             masks[word] = word_masks(word)
     return masks
-
-
-def evolve_batch(
-    state: StateVector,
-    words: Sequence[str],
-    angles: np.ndarray,
-) -> np.ndarray:
-    """Evolve one copy of ``state`` per row of ``angles``; returns the ``(B, 2^n)`` stack.
-
-    Row b runs the gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ...,
-    where ``P_k`` is the Pauli word ``words[k]``.  Rows agree with the looped
-    ``apply_circuit`` within 1e-12, and a row's bits do not depend on the
-    rows beside it.
-
-    The stack and two scratch stacks are allocated once, and every step of
-    ``_step_plan`` writes into them (``_evolve_steps``).
-    """
-    angles = np.asarray(angles, dtype=float)
-    _checked_masks(words, angles, state.n)
-    amps = np.tile(state.amplitudes, (angles.shape[0], 1))
-    scratch = (np.empty_like(amps), np.empty_like(amps))
-    _evolve_steps(amps, words, _rotations(angles), _step_plan(tuple(words)), scratch)
-    _check_norms(amps, scratch)
-    return amps
 
 
 def _rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,19 +373,6 @@ def _fold_plan(words: tuple[str, ...]) -> tuple[tuple[int, ...], np.ndarray, np.
     return tuple(group[0] for group in groups), columns, starts
 
 
-def fold_gates(words: Sequence[str], angles: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The word sequence with commuting repeats of a word merged, and its angles.
-
-    Row by row, a kept gate's angle is the sum of its group's columns in
-    index order (``np.add.reduceat``), so a row's bits do not depend on the
-    rows beside it.  The circuits are the same unitaries up to rounding.
-    """
-    angles = np.asarray(angles, dtype=float)
-    _checked_masks(words, angles, len(words[0]) if words else 0)
-    plan = _fold_plan(tuple(words))
-    return [words[k] for k in plan[0]], _folded_angles(plan, angles)
-
-
 def _folded_words(words: tuple[str, ...]) -> tuple[str, ...]:
     """The words of a sequence that stay after folding (``_fold_plan``)."""
     return tuple(words[k] for k in _fold_plan(words)[0])
@@ -445,41 +409,29 @@ def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
     return values.real
 
 
-def sample_expectations(
-    state: StateVector,
-    words: Sequence[str],
-    angles: np.ndarray,
-    obs: OperatorSum,
-) -> np.ndarray:
-    """``expectation(apply_circuit(state, circuit_b), obs)`` for every row b of ``angles``.
-
-    The batched sample engine: all circuits share the word sequence
-    ``words`` and differ only in their angles.  Rows are evolved in chunks
-    of at most ``BATCH_AMPLITUDES`` amplitudes, each chunk folding its own
-    angles as ``fold_gates`` does.  Values agree with the looped circuits
-    within 1e-12; a row's bits do not depend on the rows beside it.  This is
-    ``sample_branches`` of the batch alone, with no trunk.
-    """
-    return sample_branches(state, [(words, angles)], 0, obs)[:, 0]
-
-
 def sample_branches(
     state: StateVector,
     batches: Sequence[tuple[Sequence[str], np.ndarray]],
     seam: int,
     obs: OperatorSum,
 ) -> np.ndarray:
-    """``sample_expectations`` of every batch, a column per batch, evolving their trunk once.
+    """``expectation(apply_circuit(state, circuit), obs)`` of every row of every
+    batch, a column per batch, evolving their trunk once.
 
-    The batches share their rows, and their circuits share the first
-    ``seam`` gates, words and angles alike.  Per chunk of rows, the kernel
-    steps that every folded sequence opens with (``_trunk``) are evolved
-    once; each branch then continues from a copy of that stack, and the last
-    one in place, so one extra stack is alive per chunk.  Every row sees the
-    operations of its batch run alone, in the same order, so the values are
-    the same bits.  Chunks run on ``WORKERS`` threads when there are at
-    least two chunks and two workers (``_map_chunks``); each chunk writes
-    only its own rows.
+    A batch is a word sequence and a ``(B, K)`` angle array: row b runs the
+    gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ..., where ``P_k``
+    is the Pauli word ``words[k]``.  The batches share their rows, and their
+    circuits share the first ``seam`` gates, words and angles alike.  Rows
+    are evolved in chunks of at most ``BATCH_AMPLITUDES`` amplitudes, each
+    chunk folding its own angles (``_fold_plan``, ``_folded_angles``).  Per
+    chunk, the kernel steps that every folded sequence opens with
+    (``_trunk``) are evolved once; each branch then continues from a copy of
+    that stack, and the last one in place, so one extra stack is alive per
+    chunk.  Every row sees the same operations in the same order whatever
+    the seam and the batches beside it, so the values are the same bits;
+    they agree with the looped circuits within 1e-12.  Chunks run on
+    ``WORKERS`` threads when there are at least two chunks and two workers
+    (``_map_chunks``); each chunk writes only its own rows.
     """
     sequences = tuple(tuple(words) for words, _ in batches)
     angles = [np.asarray(a, dtype=float) for _, a in batches]
@@ -491,7 +443,7 @@ def sample_branches(
             a[:, :seam], head
         ):
             raise DimensionMismatchError(f"batches do not share their rows and first {seam} gates")
-    cut = _trunk(sequences, seam)[0] if len(batches) > 1 else 0
+    cut = _trunk(sequences, seam)[0]
     plans = [_fold_plan(words) for words in sequences]
     folded = [_folded_words(words) for words in sequences]
     steps = [_step_plan(words) for words in folded]
@@ -573,7 +525,7 @@ def engine_counts(sequences: Sequence[Sequence[str]], seam: int) -> tuple[int, i
     """Per row, the folded gates and kernel steps that ``sample_branches`` evolves
     for batches of these word sequences: a trunk (``_trunk``) counts once."""
     sequences = tuple(tuple(words) for words in sequences)
-    steps, gates = _trunk(sequences, seam) if len(sequences) > 1 else (0, 0)
+    steps, gates = _trunk(sequences, seam)
     folded, evolved = gates, steps
     for words in map(_folded_words, sequences):
         folded += len(words) - gates

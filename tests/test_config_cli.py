@@ -851,6 +851,27 @@ def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "slope", "profile"])
+@pytest.mark.parametrize("value", [1e308, 1e40])
+def test_a_huge_grid_value_is_a_numerical_failure(tmp_path, command, value):
+    # the profile design's column norms leave the float range: 1e308 ended in
+    # "SVD did not converge", and 1e40 leaked an overflow RuntimeWarning
+    doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, value]}}
+    config, out = write_config(tmp_path, doc), str(tmp_path / "out.csv")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trotterprof", command, "--config", config, "--out", out],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert f"sweep grid [0.1, 0.2, 0.3, 0.4, {value!r}]" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
 @pytest.mark.parametrize("argv", [["mpf"], ["profile", "--time", "1e6"]], ids=["mpf", "profile"])
 def test_a_refused_exact_column_runs_no_circuit(tmp_path, capsys, monkeypatch, argv):
     # mpf ran its 2 constituent batches, and profile its calibration and
@@ -1300,6 +1321,24 @@ def test_cost_counts_a_configured_grid_without_calibrating(tmp_path, capsys, mon
     doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": grid}}
     assert run_command(["cost", "--config", write_config(tmp_path, doc)]) == 0
     assert "(grid 7)" in capsys.readouterr().out
+
+
+def test_cost_writes_its_report_only_where_out_says(tmp_path, capsys, monkeypatch):
+    # the document's output path is run's data file: cost used to overwrite it
+    monkeypatch.chdir(tmp_path)
+    doc = {"preset": "tfim-ruth3", "output": {"path": "results.csv", "format": "csv"}}
+    config = write_config(tmp_path, doc)
+    assert run_command(["run", "--config", config, "--method", "trotter"]) == 0
+    data = (tmp_path / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert run_command(["cost", "--config", config]) == 0
+    report = capsys.readouterr().out
+    assert "wrote" not in report
+    assert (tmp_path / "results.csv").read_bytes() == data
+    assert run_command(["cost", "--config", config, "--out", "cost.txt"]) == 0
+    assert capsys.readouterr().out == report + "wrote cost report to cost.txt\n"
+    assert (tmp_path / "cost.txt").read_text() == report
+    assert (tmp_path / "results.csv").read_bytes() == data
 
 
 def test_cost_command(tmp_path, capsys):

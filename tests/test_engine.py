@@ -1,9 +1,12 @@
 """The batched sample engine against the looped reference circuits.
 
 Every sample kind (composite probes, plain Trotter circuits, multi-product
-constituents) runs through ``sample_expectations``; the reference is
-``expectation(apply_circuit(psi, circuit), obs)``, perturbed by the jitter
-when there is one, on the circuit compiled gate by gate.
+constituents) runs through ``sample_branches``, the engine's one evolve
+path; a batch of its own is a branch set of one (``alone``).  The reference
+is ``expectation(apply_circuit(psi, circuit), obs)``, perturbed by the
+jitter when there is one, on the circuit compiled gate by gate.  The
+in-place kernel is checked bit for bit against an allocating copy of it,
+run on the folded sequence that the engine evolves (``folded``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from trotterprof import (
     compile_circuit,
     composite_circuit,
     composite_expectations,
-    evolve_batch,
     exact_evolve,
     exact_states,
     exact_values,
@@ -51,7 +53,6 @@ from trotterprof import (
     read_csv,
     run_error_curve,
     sample_branches,
-    sample_expectations,
 )
 import trotterprof
 from trotterprof import profiling, simulator
@@ -62,7 +63,7 @@ from trotterprof.experiments import _per_time_jitters, worker_count
 from trotterprof.mpf import constituent_batches
 from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
 from trotterprof.profiling import probe_layout, sweep_batches
-from trotterprof.simulator import expectation_rows, fold_gates
+from trotterprof.simulator import engine_counts
 
 from conftest import random_state
 
@@ -93,14 +94,38 @@ def looped_trotter(cfg, t, n, jitter=None):
     return measured(cfg, compile_circuit(cfg.formula, cfg.partition, t, n), jitter)
 
 
-def test_evolve_batch_rows_equal_apply_circuit(rng):
+def alone(state, words, angles, obs):
+    """The engine's values for one batch, run as a branch set of its own."""
+    return sample_branches(state, [(words, angles)], 0, obs)[:, 0]
+
+
+def folded(words, angles):
+    """The word sequence and angles that the engine evolves for a batch."""
+    words = tuple(words)
+    plan = simulator._fold_plan(words)
+    return list(simulator._folded_words(words)), simulator._folded_angles(plan, angles)
+
+
+def looped_values(state, words, angles, obs):
+    """``expectation(apply_circuit(state, circuit_b), obs)`` for each row b of ``angles``."""
+    n = state.n
+    return [
+        expectation(
+            apply_circuit(state, Circuit(tuple(map(PauliRotation, words, row)), n)), obs
+        )
+        for row in angles
+    ]
+
+
+def test_engine_rows_equal_apply_circuit(rng):
     words = ["XZY", "ZZI", "IYX", "XXX", "ZIZ"]
     angles = rng.uniform(-2.0, 2.0, size=(6, len(words)))
     psi = random_state(rng, 3)
-    stack = evolve_batch(psi, words, angles)
-    for row, gate_angles in zip(stack, angles):
-        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), 3)
-        np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
+    # a one-qubit observable of every letter on every qubit
+    for word in ("XII", "YII", "ZII", "IXI", "IYI", "IZI", "IIX", "IIY", "IIZ"):
+        obs = OperatorSum.from_terms([PauliTerm(word)])
+        looped = looped_values(psi, words, angles, obs)
+        np.testing.assert_allclose(alone(psi, words, angles, obs), looped, rtol=0, atol=TOL)
 
 
 def eigenvalue_bits(word):
@@ -179,10 +204,9 @@ def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
     n, words, rows, rng = case
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
-    stack = evolve_batch(psi, words, angles)
-    assert np.array_equal(stack, allocating_evolve(psi, words, angles))
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
-    assert np.array_equal(expectation_rows(stack, obs), allocating_rows(stack, obs))
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(alone(psi, words, angles, obs), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -197,7 +221,9 @@ def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
         words += ["ZZ".ljust(n, "I"), "XX".ljust(n, "I"), "XX".rjust(n, "I")]
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
-    assert np.array_equal(evolve_batch(psi, words, angles), allocating_evolve(psi, words, angles))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(alone(psi, words, angles, obs), expected)
 
 
 @st.composite
@@ -221,11 +247,13 @@ def test_diagonal_runs_match_the_looped_circuits_row_by_row(case):
     n, words, rows, rng = case
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
-    stack = evolve_batch(psi, words, angles)
-    for b, (row, gate_angles) in enumerate(zip(stack, angles)):
-        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), n)
-        np.testing.assert_allclose(row, apply_circuit(psi, circuit).amplitudes, rtol=0, atol=TOL)
-        assert np.array_equal(row, evolve_batch(psi, words, angles[b : b + 1])[0])
+    words_and_y = [*dict.fromkeys(words), "Y" * n]  # a sequence may hold no word
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words_and_y])
+    values = alone(psi, words, angles, obs)
+    looped = looped_values(psi, words, angles, obs)
+    np.testing.assert_allclose(values, looped, rtol=0, atol=TOL)
+    for b, value in enumerate(values):
+        assert alone(psi, words, angles[b : b + 1], obs)[0] == value
 
 
 def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
@@ -238,21 +266,27 @@ def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
     rng = np.random.default_rng(3)
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
-    evolve_batch(psi, words, angles)  # fills the plan and index caches
-    (index,) = [i for _, _, i in simulator._step_plan(tuple(words)) if i is not None]
-    stack, table = rows << n, rows << len(bonds)
+    # no word folds here: the X fields anticommute with the bonds between them
+    assert folded(words, angles)[0] == words
+    steps = simulator._step_plan(tuple(words))
+    assert sum(i is not None for _, _, i in steps) == 1
+    amps = np.tile(psi.amplitudes, (rows, 1))
+    scratch = (np.empty_like(amps), np.empty_like(amps))
+    rotations = simulator._rotations(angles)
+    simulator._evolve_steps(amps, words, rotations, steps, scratch)  # fills the caches
+    table = 16 * rows << len(bonds)
     # numpy's ufunc buffers (8192 elements each by default) would hide a table
     old = np.setbufsize(16)
     tracemalloc.start()
     try:
-        evolve_batch(psi, words, angles)
+        simulator._evolve_steps(amps, words, rotations, steps, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         np.setbufsize(old)
-    # the three stacks and the index, and room for the per-gate angle
-    # columns but not for a table of its own
-    assert peak < 3 * 16 * stack + index.nbytes + 16 * table // 2
+    # the stacks are the caller's: room for the run's factor columns, not
+    # for half a table of its own
+    assert peak < table // 2
 
 
 @st.composite
@@ -274,10 +308,8 @@ def test_folded_sequences_match_the_looped_circuits(case):
     psi = random_state(rng, n)
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in set(words)])
-    batched = sample_expectations(psi, words, angles, obs)
-    for value, gate_angles in zip(batched, angles):
-        circuit = Circuit(tuple(PauliRotation(w, a) for w, a in zip(words, gate_angles)), n)
-        assert abs(value - expectation(apply_circuit(psi, circuit), obs)) <= TOL
+    batched = alone(psi, words, angles, obs)
+    np.testing.assert_allclose(batched, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize(
@@ -291,8 +323,8 @@ def test_folded_sequences_match_the_looped_circuits(case):
 )
 def test_a_word_folds_only_past_commuting_gates(words, kept):
     angles = np.array([[0.1, 0.2, 0.4], [0.3, -0.5, 0.7]])
-    folded, folded_angles = fold_gates(words, angles)
-    assert folded == kept
+    folded_words, folded_angles = folded(words, angles)
+    assert folded_words == kept
     if len(kept) == 2:
         assert np.array_equal(folded_angles, [[0.1 + 0.4, 0.2], [0.3 + 0.7, -0.5]])
     else:
@@ -304,16 +336,12 @@ def engine_calls(words):
     angles = np.full((2, len(words)), 0.3)
     obs = OperatorSum.from_terms([PauliTerm("ZZ")])
     return {
-        "evolve_batch": lambda: evolve_batch(psi, words, angles),
-        "fold_gates": lambda: fold_gates(words, angles),
-        "sample_expectations": lambda: sample_expectations(psi, words, angles, obs),
+        "alone": lambda: alone(psi, words, angles, obs),
         "sample_branches": lambda: sample_branches(psi, [(words, angles)] * 2, 1, obs),
     }
 
 
-@pytest.mark.parametrize(
-    "engine", ["evolve_batch", "fold_gates", "sample_expectations", "sample_branches"]
-)
+@pytest.mark.parametrize("engine", ["alone", "sample_branches"])
 @pytest.mark.parametrize(
     "words, error, message",
     [
@@ -377,11 +405,11 @@ def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
         finally:
             sys.setswitchinterval(interval)
         patch.setattr(simulator, "WORKERS", 1)
-        alone = [
-            sample_expectations(cfg.initial_state, words, angles, obs)
+        each = [
+            alone(cfg.initial_state, words, angles, obs)
             for words, angles in sweep_batches(a, t, cfg, variants)
         ]
-    assert np.array_equal(shared, np.column_stack(alone))
+    assert np.array_equal(shared, np.column_stack(each))
     # consecutive variants that open with the same segment share it
     pairs = sum(1 for v, w in zip(variants, variants[1:]) if (v > 2) == (w > 2))
     assert len(probe_layout(cfg, variants)) == 4 - pairs
@@ -403,7 +431,7 @@ def test_branches_must_share_their_rows_and_trunk():
             sample_branches(psi, batches, 2, obs)
     # past the seam the branches may differ
     values = sample_branches(psi, [(words, angles), (words, other)], 1, obs)
-    assert np.array_equal(values[:, 1], sample_expectations(psi, words, other, obs))
+    assert np.array_equal(values[:, 1], alone(psi, words, other, obs))
 
 
 def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
@@ -416,10 +444,32 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     head = rng.uniform(-3.0, 3.0, size=(5, 2))
     batches = [(words, np.hstack([head, rng.uniform(-3.0, 3.0, size=(5, 2))])) for words in sequences]
     obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
-    alone = [sample_expectations(psi, words, angles, obs) for words, angles in batches]
-    assert np.array_equal(sample_branches(psi, batches, 2, obs), np.column_stack(alone))
+    each = [alone(psi, words, angles, obs) for words, angles in batches]
+    assert np.array_equal(sample_branches(psi, batches, 2, obs), np.column_stack(each))
     assert simulator._trunk(tuple(map(tuple, sequences)), 2) == (1, 1)
-    assert simulator.engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
+    assert engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
+
+
+def test_a_lone_batch_gives_the_same_bits_at_any_seam(monkeypatch):
+    # suzuki4 is symmetric, so its sweep is one batch, variant 1, whose
+    # layout seam ends the forward((1-a)t) segment: the trunk is evolved in
+    # place, then the rest of the sequence, in chunks of 4 rows on 2 threads
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 4 << 4)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    cfg = CONFIGS["tfim-suzuki4"]
+    ((seam, (words,)),) = probe_layout(cfg)
+    assert seam > 0
+    rng = np.random.default_rng(6)
+    (batch,) = sweep_batches(rng.uniform(-0.5, 1.5, 10), rng.uniform(0.05, 1.5, 10), cfg)
+    psi, obs = cfg.initial_state, cfg.observable
+    values = {}
+    for cut in (seam, 0):
+        runs = evolved_sequences(
+            lambda: values.setdefault(cut, sample_branches(psi, [batch], cut, obs))
+        )
+        assert len(runs) == 3 * (2 if cut else 1)
+    assert np.array_equal(values[seam], values[0])
+    assert engine_counts([words], seam) == engine_counts([words], 0)
 
 
 def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, capsys):
@@ -443,7 +493,7 @@ def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, cap
         monkeypatch.setattr(simulator, "WORKERS", workers)
         calls = itertools.count()
         with pytest.raises(DegenerateInputError, match="lost normalization"):
-            sample_expectations(psi, words, angles, obs)
+            alone(psi, words, angles, obs)
         calls = itertools.count()
         codes.append(run_command(argv))
         assert "batched evolution lost normalization" in capsys.readouterr().err
@@ -469,7 +519,7 @@ def test_a_batch_of_no_rows_gives_no_values(monkeypatch):
     psi = random_state(np.random.default_rng(5), 2)
     words, empty = ["XZ", "ZZ"], np.empty((0, 2))
     obs = OperatorSum.from_terms([PauliTerm("ZZ")])
-    assert sample_expectations(psi, words, empty, obs).shape == (0,)
+    assert alone(psi, words, empty, obs).shape == (0,)
     assert sample_branches(psi, [(words, empty)] * 2, 1, obs).shape == (0, 2)
 
 
@@ -482,7 +532,7 @@ def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
         words, angles = next(constituent_batches(np.linspace(0.1, 2.0, rows), (4,), cfg))
         tracemalloc.start()
         try:
-            sample_expectations(cfg.initial_state, words, angles, cfg.observable)
+            alone(cfg.initial_state, words, angles, cfg.observable)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -505,14 +555,29 @@ def test_only_pauli_and_simulator_know_the_word_tables():
     assert users == {"pauli", "simulator"}
 
 
-def evolved_sequences(evaluate) -> list[tuple[str, ...]]:
-    """The folded word sequence of each kernel loop run while ``evaluate`` runs."""
+def test_only_sample_branches_evolves_a_batch():
+    # one evolve path: no other function folds a batch's angles or runs the
+    # kernel loop on it, in the engine or beside it
+    package = Path(trotterprof.__file__).parent
+    users = {name: set() for name in ("_evolve_steps", "_folded_angles")}
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in users:
+                    users[name].add((path.stem, getattr(top, "name", None)))
+    assert users == {name: {("simulator", "sample_branches")} for name in users}
+
+
+def evolved_sequences(evaluate) -> list[tuple[tuple[str, ...], int]]:
+    """The folded word sequence of each kernel loop run while ``evaluate`` runs,
+    with the index of the loop's first kernel step."""
     sequences = []
     evolve = simulator._evolve_steps
 
-    def recording(amps, words, *args):
-        sequences.append(tuple(words))
-        return evolve(amps, words, *args)
+    def recording(amps, words, rotations, steps, *args):
+        sequences.append((tuple(words), steps[0][0] if steps else None))
+        return evolve(amps, words, rotations, steps, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_evolve_steps", recording)
@@ -523,18 +588,16 @@ def evolved_sequences(evaluate) -> list[tuple[str, ...]]:
 def test_folding_removes_the_repeated_commuting_fragment():
     # suzuki4 is built from Strang halves, so its steps apply the ZZ fragment
     # twice in a row; the gate counts of the compiled circuits are
-    # 100, 150, 560 and 140/280/560/1120
+    # 100, 150, 560 and 140/280/560/1120.  A lone probe batch runs two kernel
+    # loops, its trunk and then the rest; a batch's first loop starts at step 0
     for name, composite in (("tfim-suzuki4", 73), ("xxz-suzuki4", 96)):
         cfg = CONFIGS[name]
-        sequences = evolved_sequences(
-            lambda: composite_expectations([0.3], [0.5], (1,), cfg)
-        )
-        assert [len(words) for words in sequences] == [composite]
+        loops = evolved_sequences(lambda: composite_expectations([0.3], [0.5], (1,), cfg))
+        assert [len(words) for words, first in loops if first == 0] == [composite]
     chain = parse_config(json.dumps(workloads.chain10_pinned(1)))
-    sequences = evolved_sequences(
-        lambda: composite_expectations([0.3], [0.5], (1,), chain)
-    )
-    sequences += evolved_sequences(lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
+    loops = evolved_sequences(lambda: composite_expectations([0.3], [0.5], (1,), chain))
+    loops += evolved_sequences(lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
+    sequences = [words for words, first in loops if first == 0]
     assert [len(words) for words in sequences] == [389, 104, 199, 389, 769]
     # each diagonal run is one kernel step: the chain's folded ZZ fragment is
     # a run of its nine bonds, so the composite is 200 single gates and 21 runs
@@ -626,13 +689,14 @@ def test_the_exact_column_holds_no_stack_beside_its_output():
 def test_run_evolves_each_trotter_depth_once(tmp_path, monkeypatch, profiling, counts):
     # the trotter curve reads the mpf batch of its depth when the counts hold it
     depths = []
-    template = trotterprof.mpf.sample_template
+    batches = trotterprof.mpf.constituent_batches
 
-    def recording(formula, partition, steps):
-        depths.append(steps)
-        return template(formula, partition, steps)
+    def recording(times, step_counts, config):
+        for count, batch in zip(step_counts, batches(times, step_counts, config)):
+            depths.append(count)
+            yield batch
 
-    monkeypatch.setattr(trotterprof.mpf, "sample_template", recording)
+    monkeypatch.setattr(trotterprof.mpf, "constituent_batches", recording)
     config = tmp_path / "doc.json"
     config.write_text(json.dumps({"preset": "tfim-ruth3", "profiling": profiling}))
     assert run_command(["run", "--config", str(config)]) == 0

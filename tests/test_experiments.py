@@ -369,7 +369,7 @@ class EngineSpy:
     ``sample_branches`` is wrapped in every namespace that binds it, and the
     kernel loop ``_evolve_steps`` where the engine calls it: on the steps of
     a trunk once, then on each branch's own steps, one chunk of rows at a
-    time, and on a lone batch's whole folded sequence.
+    time; a lone batch is a branch set of one.
     """
 
     def __init__(self, monkeypatch):

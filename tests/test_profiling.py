@@ -303,6 +303,16 @@ def test_each_fit_design_is_factorized_once_and_gated_on_every_call(monkeypatch)
     assert designs == [(5, 5), (3, 3)]
 
 
+@pytest.mark.parametrize("value", [1e308, 1e40])
+def test_a_grid_past_the_float_range_is_a_singular_fit(value):
+    # 1e308 overflows the powers, 1e40 only the column norms; neither may
+    # warn (warnings are errors here) or reach the SVD
+    grid = [0.1, 0.2, 0.3, 0.4, value]
+    with pytest.raises(SingularFitError, match="beyond the float range") as info:
+        fit_profile([ProfileSample(a, 1.0) for a in grid], BasisSpec((3, 4), True), alpha=3)
+    assert str(info.value).startswith(f"sweep grid {grid}: ")
+
+
 def test_fit_rejects_orders_outside_window():
     with pytest.raises(ValueError):
         fit_profile(
