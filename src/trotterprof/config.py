@@ -402,6 +402,8 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
         if scale == "log":
             if start <= 0:
                 raise ConfigError("log scale needs times.start > 0", "times.start")
+            if stop <= 0:
+                raise ConfigError("log scale needs times.stop > 0", "times.stop")
             times = tuple(np.geomspace(start, stop, points))
         elif scale == "linear":
             times = tuple(np.linspace(start, stop, points))

@@ -3,28 +3,29 @@
 ``ExperimentConfig`` is one full setup; ``config`` parses it from a document
 or a preset.  The studies sweep the evaluation time for the plain iterated
 circuit, the profiling method, and the multi-product baseline, and fit
-log-log error slopes.  ``plan`` lists the engine batches a run executes,
-from the same builders the run takes them from.
+log-log error slopes.  ``plan`` lists the engine batches a run executes from
+the generators the run evolves (``constituent_sets``, ``sweep_sets``), called
+with zero rows, so it reads their word sequences without building an angle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import simulator
 from .errors import DegenerateInputError
-from .mpf import constituent_layout, mpf_estimate, mpf_values, mpf_weights
+from .mpf import constituent_sets, mpf_estimate, mpf_values, mpf_weights
 from .profiling import (
-    Layout,
+    BranchSet,
     ProfilingConfig,
     calibration_probes,
     exact_values,
     mitigated_estimates,
-    probe_layout,
     sweep_grid,
+    sweep_sets,
 )
 from .simulator import GaussianJitter, engine_counts
 
@@ -225,6 +226,16 @@ def stable_slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:
     return slope_fit(pruned, window)
 
 
+#: A stage's batches in run order, as branch sets ``(seam, sequences)`` of
+#: word sequences (``BranchSet`` without the angles).
+Layout = tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
+
+
+def _layout(sets: Iterable[BranchSet]) -> Layout:
+    """The seams and word sequences of ``sets``."""
+    return tuple((seam, tuple(tuple(words) for words, _ in batches)) for seam, batches in sets)
+
+
 @dataclass(frozen=True)
 class Stage:
     """The engine batches of one stage of a run: ``rows`` circuits per batch, and
@@ -253,20 +264,21 @@ class Stage:
 
 
 def plan(cfg: ExperimentConfig, methods: Sequence[str]) -> tuple[Stage, ...]:
-    """The engine batches that ``run`` of ``methods`` executes, in run order,
-    counted from the word sequences and rows the run takes them from, without
-    building an angle (an unset grid calibrates, to learn its size):
+    """The engine batches that ``run`` of ``methods`` executes, in run order:
     ``constituents`` for trotter and mpf, then for ep ``calibration`` when no
-    basis is set, and the ``sweep``."""
+    basis is set, and the ``sweep``.  The layouts come from the run's own
+    generators at zero rows, so no angle is built (an unset grid calibrates,
+    to learn its size)."""
     for method in methods:
         if method not in METHODS:
             raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
     counts = constituent_counts(cfg, methods)
     stages = []
     if counts:
-        stages.append(Stage("constituents", len(cfg.times), constituent_layout(counts, cfg)))
+        layout = _layout(constituent_sets((), counts, cfg))
+        stages.append(Stage("constituents", len(cfg.times), layout))
     if "ep" in methods:
-        layout = probe_layout(cfg)
+        layout = _layout(sweep_sets((), (), cfg))
         if cfg.basis is None:
             a_values, times = calibration_probes(cfg)
             stages.append(Stage("calibration", len(a_values) * len(times), layout))

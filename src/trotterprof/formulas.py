@@ -272,16 +272,11 @@ class SampleTemplate:
     weights: np.ndarray
     trotter_steps: int
 
-    def sequence(self, inverted: bool = False) -> list[str]:
-        """The words of ``forward``, or of ``inverted``, without their angles."""
-        words = list(self.words) * self.trotter_steps
-        return words[::-1] if inverted else words
-
     def forward(self, x: Sequence[float]) -> tuple[list[str], np.ndarray]:
         """Words and per-row angles of ``compile_circuit(..., x[b], N)``."""
         dt = np.asarray(x, dtype=float)[:, None] / self.trotter_steps
         single = (self.coeffs * dt) * self.weights
-        return self.sequence(), np.tile(single, self.trotter_steps)
+        return list(self.words) * self.trotter_steps, np.tile(single, self.trotter_steps)
 
     def inverted(self, x: Sequence[float]) -> tuple[list[str], np.ndarray]:
         """Words and angles of ``invert_circuit(compile_circuit(..., -x[b], N))``.

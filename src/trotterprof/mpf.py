@@ -6,9 +6,9 @@ error scalings removes successive error orders classically.  The weights
 come from the closed form of their Vandermonde system, in exact rationals, so
 the cancellation residuals vanish to the last bit; an ill-conditioned float
 realization is only flagged.
-``mpf_values`` runs the constituent circuits of every time
-(``constituent_batches``), taking the system as one ``ProfilingConfig``;
-``mpf_estimate`` combines one time's.
+``mpf_values`` runs the constituent circuits of every time, one branch set of
+one batch per step count (``constituent_sets``), taking the system as one
+``ProfilingConfig``; ``mpf_estimate`` combines one time's.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, SingularFitError
 from .formulas import sample_template
-from .profiling import Batch, Layout, ProfilingConfig, batch_expectations
+from .profiling import BranchSet, ProfilingConfig, batch_expectations
 from .simulator import GaussianJitter
 
 CONDITION_WARNING = 1e10
@@ -118,19 +118,14 @@ def mpf_weights(
     )
 
 
-def constituent_batches(
+def constituent_sets(
     times: Sequence[float], step_counts: Sequence[int], config: ProfilingConfig
-) -> Iterator[Batch]:
-    """The batches of the constituents: per step count, its circuit at every time
-    (the counts are the depths; ``config.trotter_steps`` is not read)."""
+) -> Iterator[BranchSet]:
+    """The constituents as branch sets at seam 0, one per step count: its circuit
+    at every time (the counts are the depths; ``config.trotter_steps`` is not
+    read)."""
     for count in step_counts:
-        yield sample_template(config.formula, config.partition, count).forward(times)
-
-
-def constituent_layout(step_counts: Sequence[int], config: ProfilingConfig) -> Layout:
-    """The word sequences of ``constituent_batches``, one branch set each."""
-    f, partition = config.formula, config.partition
-    return tuple((0, (tuple(sample_template(f, partition, n).sequence()),)) for n in step_counts)
+        yield 0, [sample_template(config.formula, config.partition, count).forward(times)]
 
 
 def mpf_values(
@@ -141,8 +136,7 @@ def mpf_values(
     Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
     formula iterated ``step_counts[i]`` times.
     """
-    batches = constituent_batches(times, step_counts, config)
-    return batch_expectations(batches, config, constituent_layout(step_counts, config))
+    return batch_expectations(constituent_sets(times, step_counts, config), config)
 
 
 def mpf_estimate(

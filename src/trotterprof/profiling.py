@@ -7,6 +7,9 @@ of ``a`` values and fitting the averaged expectation against a known basis
 in ``a`` separates the ideal value (the intercept) from the error terms.
 Sweeps, calibration and estimates take the system (formula, partition,
 observable, initial state and base depth) as one ``ProfilingConfig``.
+``sweep_sets`` builds the probe circuits as the branch sets the engine
+runs, variants that open with the same segment together, and
+``batch_expectations`` evaluates any stage's sets.
 
 The module also provides a dense extraction oracle for the error-series
 operators of a compiled circuit, used to validate the fitted coefficients
@@ -78,10 +81,9 @@ EXTRACTION_UNITARITY_TOL = 1e-6
 #: One engine batch: its word sequence, and one row of angles per circuit.
 Batch = tuple[list[str], np.ndarray]
 
-#: A stage's batches in run order, as branch sets ``(seam, sequences)``: the
-#: word sequences of batches that run together (``sample_branches``), whose
-#: circuits share their first ``seam`` gates, angles included.
-Layout = tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
+#: Batches that run together (``sample_branches``) as ``(seam, batches)``:
+#: their circuits share their first ``seam`` gates, angles included.
+BranchSet = tuple[int, list[Batch]]
 
 
 @dataclass(frozen=True)
@@ -197,24 +199,22 @@ def composite_circuit(
     which approximates the same ideal evolution but flips the error series.
     """
     n = spec.trotter_steps
-    at = spec.a * spec.t
-    abar_t = spec.a_bar * spec.t
 
-    def forward(x: float) -> Circuit:
+    def segment(x: float, inverted: bool) -> Circuit:
+        if inverted:
+            return invert_circuit(compile_circuit(f, partition, -x, n))
         return compile_circuit(f, partition, x, n)
 
-    def inverted(x: float) -> Circuit:
-        return invert_circuit(compile_circuit(f, partition, -x, n))
+    first, second = _segments(spec.variant)
+    gates = segment(spec.a_bar * spec.t, first).gates + segment(spec.a * spec.t, second).gates
+    return Circuit(gates, partition.n)
 
-    if spec.variant == 1:
-        first, second = forward(abar_t), forward(at)
-    elif spec.variant == 2:
-        first, second = forward(abar_t), inverted(at)
-    elif spec.variant == 3:
-        first, second = inverted(abar_t), forward(at)
-    else:
-        first, second = inverted(abar_t), inverted(at)
-    return Circuit(first.gates + second.gates, partition.n)
+
+def _segments(variant: int) -> tuple[bool, bool]:
+    """Whether a probe variant inverts its segment at ``(1-a)t``, and its segment at ``at``."""
+    if variant not in (1, 2, 3, 4):
+        raise DegenerateInputError(f"variant must be 1..4, got {variant}")
+    return variant in (3, 4), variant in (2, 4)
 
 
 def probe_variants(f: ProductFormula) -> tuple[int, ...]:
@@ -231,22 +231,21 @@ def sweep_rows(a_values: Sequence[float], times: Sequence[float]) -> tuple[np.nd
     return np.tile(a_values, len(times)), np.repeat(times, len(a_values))
 
 
-def _segments(variant: int) -> tuple[bool, bool]:
-    """Whether a probe variant inverts its segment at ``(1-a)t``, and its segment at ``at``."""
-    if variant not in (1, 2, 3, 4):
-        raise DegenerateInputError(f"variant must be 1..4, got {variant}")
-    return variant in (3, 4), variant in (2, 4)
-
-
-def sweep_batches(
+def sweep_sets(
     a_values: Sequence[float],
     t_values: Sequence[float],
     config: ProfilingConfig,
     variants: Sequence[int] | None = None,
-) -> Iterator[Batch]:
-    """The batches of the probe rows ``(a_values[b], t_values[b])``, one per variant
-    of ``variants`` (else ``probe_variants``): row b of one compiles
-    ``composite_circuit(spec, f, partition)`` with ``config``'s system."""
+) -> Iterator[BranchSet]:
+    """The probe rows ``(a_values[b], t_values[b])`` as branch sets, a batch per
+    variant of ``variants`` (else ``probe_variants``): row b of one compiles
+    ``composite_circuit(spec, f, partition)`` with ``config``'s system.
+
+    Consecutive variants that open with the same segment, ``forward((1-a)t)``
+    for 1 and 2 and ``inverted((1-a)t)`` for 3 and 4, form one set whose seam
+    ends that segment; it is built once per set.  With no rows the sets carry
+    their word sequences and ``(0, K)`` angle arrays.
+    """
     a = np.asarray(a_values, dtype=float)
     t = np.asarray(t_values, dtype=float)
     at, abar_t = a * t, (1.0 - a) * t
@@ -255,39 +254,24 @@ def sweep_batches(
     def segment(x: np.ndarray, inverted: bool):
         return template.inverted(x) if inverted else template.forward(x)
 
-    for variant in probe_variants(config.formula) if variants is None else variants:
-        first, second = _segments(variant)
-        first_words, first_angles = segment(abar_t, first)
-        second_words, second_angles = segment(at, second)
-        yield first_words + second_words, np.hstack([first_angles, second_angles])
-
-
-def probe_layout(config: ProfilingConfig, variants: Sequence[int] | None = None) -> Layout:
-    """The word sequences of ``sweep_batches`` as branch sets: consecutive variants
-    that open with the same segment, ``forward((1-a)t)`` for 1 and 2 and
-    ``inverted((1-a)t)`` for 3 and 4, share it as their trunk."""
-    template = sample_template(config.formula, config.partition, config.trotter_steps)
-    segment = {inverted: tuple(template.sequence(inverted)) for inverted in (False, True)}
     if variants is None:
         variants = probe_variants(config.formula)
-    return tuple(
-        (len(segment[first]), tuple(segment[first] + segment[second] for _, second in run))
-        for first, run in itertools.groupby(map(_segments, variants), key=lambda s: s[0])
-    )
+    for first, run in itertools.groupby(map(_segments, variants), key=lambda s: s[0]):
+        first_words, first_angles = segment(abar_t, first)
+        yield len(first_words), [
+            (first_words + words, np.hstack([first_angles, angles]))
+            for words, angles in (segment(at, second) for _, second in run)
+        ]
 
 
-def batch_expectations(
-    batches: Iterable[Batch], config: ProfilingConfig, layout: Layout
-) -> np.ndarray:
-    """Each batch's expectations, a column per batch.
-
-    ``layout`` groups the batches into the branch sets that run together
-    (``sample_branches``).  One set's batches are alive at a time.
-    """
-    batches = iter(batches)
-    sets = ((list(itertools.islice(batches, len(seqs))), seam) for seam, seqs in layout)
+def batch_expectations(sets: Iterable[BranchSet], config: ProfilingConfig) -> np.ndarray:
+    """Each batch's expectations, a column per batch in run order; one set's
+    batches are alive at a time."""
     return np.hstack(
-        [sample_branches(config.initial_state, b, seam, config.observable) for b, seam in sets]
+        [
+            sample_branches(config.initial_state, batches, seam, config.observable)
+            for seam, batches in sets
+        ]
     )
 
 
@@ -303,8 +287,7 @@ def composite_expectations(
     oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
     partition)), obs)`` within 1e-12 (the engine folds repeats of a word).
     """
-    batches = sweep_batches(a_values, t_values, config, variants)
-    return batch_expectations(batches, config, probe_layout(config, variants))
+    return batch_expectations(sweep_sets(a_values, t_values, config, variants), config)
 
 
 def averaged_expectation(
@@ -541,8 +524,8 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
 
     exact_vals = exact_values(t_arr, config)
     # Every probe (a, t) of the error series runs in one batch per variant.
-    batches = sweep_batches(*sweep_rows(a_values, t_arr), config)
-    values = batch_expectations(batches, config, probe_layout(config))
+    variants = probe_variants(config.formula)
+    values = composite_expectations(*sweep_rows(a_values, t_arr), variants, config)
     averaged = np.mean(values, axis=1).reshape(len(t_arr), len(a_values))
     error_series = dict(zip(a_values, averaged.T - exact_vals))
 

@@ -127,7 +127,7 @@ class StateVector:
                 f"amplitude shape {amps.shape} does not match n={self.n}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DegenerateInputError(f"state norm {norm!r} is not 1")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -185,7 +185,13 @@ class Circuit:
 
 
 def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVector:
-    """Kronecker product of per-qubit ``(c0, c1)`` pairs, normalized at the end."""
+    """Kronecker product of per-qubit ``(c0, c1)`` pairs, normalized at the end.
+
+    Each pair is first scaled by the power of two that brings its largest real
+    or imaginary part into [0.5, 1), so no pair's size can overflow or
+    underflow the product's norm.  The scaling is exact: where the unscaled
+    norm is in the float range, the state is the same bits.
+    """
     if not factors:
         raise DegenerateInputError("need at least one qubit factor")
     amps = np.array([1.0 + 0.0j])
@@ -193,7 +199,9 @@ def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVecto
         pair = np.array([c0, c1], dtype=complex)
         if np.all(pair == 0):
             raise DegenerateInputError(f"factor for qubit {k + 1} is zero")
-        amps = np.kron(amps, pair)
+        parts = pair.view(float)
+        exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+        amps = np.kron(amps, np.ldexp(parts, -exponent).view(complex))
     norm = np.linalg.norm(amps)
     return StateVector(amps / norm, len(factors))
 
@@ -274,7 +282,7 @@ def _check_norms(amps: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> No
     scaled, moved = scratch
     np.multiply(np.conjugate(amps, out=scaled), amps, out=moved)
     norms = np.sqrt(moved.real.sum(axis=1))
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise DegenerateInputError("batched evolution lost normalization")
 
 

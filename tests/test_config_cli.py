@@ -17,6 +17,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -823,6 +824,51 @@ def test_non_finite_numbers_are_rejected_with_their_path(
     err = capsys.readouterr().err
     assert f"{field} must be finite" in err
     assert "Traceback" not in err
+
+
+def ruth3_with_first_factor(factor) -> dict:
+    """``tfim-ruth3`` with its state written as factors, the first one ``factor``."""
+    doc = config.document_for(preset_config("tfim-ruth3"))
+    doc.pop("output", None)
+    rest = [[[1, 0], [0, 1]], [[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+    doc["initial_state"] = {"factors": [factor, *rest]}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "factor, same_as",
+    [([[1e-320, 0], [0, 0]], [[1, 0], [0, 0]]), ([[1e308, 0], [1e308, 0]], [[1, 0], [1, 0]])],
+    ids=["underflow", "overflow"],
+)
+def test_a_product_state_that_underflows_or_overflows(tmp_path, capsys, factor, same_as):
+    # the underflowing factor made a NaN state that every command ran; the
+    # overflowing one leaked a RuntimeWarning, then refused a norm of 0
+    doc = ruth3_with_first_factor(factor)
+    state = parse_config(json.dumps(doc)).initial_state.amplitudes
+    expected = parse_config(json.dumps(ruth3_with_first_factor(same_as))).initial_state
+    np.testing.assert_allclose(state, expected.amplitudes, atol=1e-15)
+    path = write_config(tmp_path, doc)
+    for argv in (["run"], ["slope", "--window", "0", "100"], ["profile"], ["mpf"], ["calibrate"], ["cost"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command([*argv, "--config", path, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), argv
+        assert "nan" not in out.lower(), argv
+        assert not caught and "Warning" not in err and "Traceback" not in err, argv
+
+
+def test_a_log_time_grid_must_stop_above_zero(tmp_path, capsys):
+    # np.geomspace leaked a RuntimeWarning before "times must be positive"
+    doc = {"preset": "tfim-ruth3", "times": {"start": 0.1, "stop": -1, "points": 5, "scale": "log"}}
+    with pytest.raises(ConfigError, match="times.stop > 0") as info:
+        parse_config(json.dumps(doc))
+    assert info.value.field == "times.stop"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert not caught
+    assert "times.stop" in capsys.readouterr().err
 
 
 def test_a_time_too_large_to_step_is_a_degenerate_input(tmp_path, capsys):

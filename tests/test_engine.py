@@ -60,9 +60,9 @@ from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.errors import DegenerateInputError
 from trotterprof.experiments import _per_time_jitters, worker_count
-from trotterprof.mpf import constituent_batches
+from trotterprof.mpf import constituent_sets
 from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
-from trotterprof.profiling import probe_layout, sweep_batches
+from trotterprof.profiling import sweep_sets
 from trotterprof.simulator import engine_counts
 
 from conftest import random_state
@@ -405,14 +405,16 @@ def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
         finally:
             sys.setswitchinterval(interval)
         patch.setattr(simulator, "WORKERS", 1)
+        sets = list(sweep_sets(a, t, cfg, variants))
         each = [
             alone(cfg.initial_state, words, angles, obs)
-            for words, angles in sweep_batches(a, t, cfg, variants)
+            for _, batches in sets
+            for words, angles in batches
         ]
     assert np.array_equal(shared, np.column_stack(each))
     # consecutive variants that open with the same segment share it
     pairs = sum(1 for v, w in zip(variants, variants[1:]) if (v > 2) == (w > 2))
-    assert len(probe_layout(cfg, variants)) == 4 - pairs
+    assert len(sets) == 4 - pairs
 
 
 def test_branches_must_share_their_rows_and_trunk():
@@ -452,15 +454,15 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
 
 def test_a_lone_batch_gives_the_same_bits_at_any_seam(monkeypatch):
     # suzuki4 is symmetric, so its sweep is one batch, variant 1, whose
-    # layout seam ends the forward((1-a)t) segment: the trunk is evolved in
-    # place, then the rest of the sequence, in chunks of 4 rows on 2 threads
+    # seam ends the forward((1-a)t) segment: the trunk is evolved in place,
+    # then the rest of the sequence, in chunks of 4 rows on 2 threads
     monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 4 << 4)
     monkeypatch.setattr(simulator, "WORKERS", 2)
     cfg = CONFIGS["tfim-suzuki4"]
-    ((seam, (words,)),) = probe_layout(cfg)
-    assert seam > 0
     rng = np.random.default_rng(6)
-    (batch,) = sweep_batches(rng.uniform(-0.5, 1.5, 10), rng.uniform(0.05, 1.5, 10), cfg)
+    ((seam, [batch]),) = sweep_sets(rng.uniform(-0.5, 1.5, 10), rng.uniform(0.05, 1.5, 10), cfg)
+    assert seam > 0
+    words = batch[0]
     psi, obs = cfg.initial_state, cfg.observable
     values = {}
     for cut in (seam, 0):
@@ -529,7 +531,7 @@ def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
     cfg = CONFIGS["tfim-suzuki4"]
     peaks = []
     for rows in (20000, 40000):
-        words, angles = next(constituent_batches(np.linspace(0.1, 2.0, rows), (4,), cfg))
+        ((_, [(words, angles)]),) = constituent_sets(np.linspace(0.1, 2.0, rows), (4,), cfg)
         tracemalloc.start()
         try:
             alone(cfg.initial_state, words, angles, cfg.observable)
@@ -689,14 +691,14 @@ def test_the_exact_column_holds_no_stack_beside_its_output():
 def test_run_evolves_each_trotter_depth_once(tmp_path, monkeypatch, profiling, counts):
     # the trotter curve reads the mpf batch of its depth when the counts hold it
     depths = []
-    batches = trotterprof.mpf.constituent_batches
+    sets = trotterprof.mpf.constituent_sets
 
     def recording(times, step_counts, config):
-        for count, batch in zip(step_counts, batches(times, step_counts, config)):
+        for count, branch_set in zip(step_counts, sets(times, step_counts, config)):
             depths.append(count)
-            yield batch
+            yield branch_set
 
-    monkeypatch.setattr(trotterprof.mpf, "constituent_batches", recording)
+    monkeypatch.setattr(trotterprof.mpf, "constituent_sets", recording)
     config = tmp_path / "doc.json"
     config.write_text(json.dumps({"preset": "tfim-ruth3", "profiling": profiling}))
     assert run_command(["run", "--config", str(config)]) == 0

@@ -39,8 +39,9 @@ from trotterprof import profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.experiments import METHODS, CurvePoint
-from trotterprof.mpf import constituent_batches
-from trotterprof.profiling import probe_layout, sweep_batches, sweep_rows
+from trotterprof.formulas import SampleTemplate
+from trotterprof.mpf import constituent_sets
+from trotterprof.profiling import sweep_rows, sweep_sets
 from trotterprof.simulator import engine_counts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -252,46 +253,61 @@ def cost_cases():
     return cases
 
 
-def batch_shapes(batches) -> list[tuple[int, int]]:
-    """``(words, rows)`` of each engine batch."""
-    return [(len(words), len(angles)) for words, angles in batches]
+def batches_of(sets) -> list:
+    """The engine batches of branch sets, in run order."""
+    return [batch for _, batches in sets for batch in batches]
+
+
+def batch_shapes(sets) -> list[tuple[int, int]]:
+    """``(words, rows)`` of each engine batch of branch sets."""
+    return [(len(words), len(angles)) for words, angles in batches_of(sets)]
 
 
 def test_mpf_cost_total_steps(tfim_ruth3):
     gates_per_step = 3 * 3 + 3 * 4  # ruth table: 3 ZZ layers + 3 X layers
     times = (0.2, 0.5, 1.0)
-    shapes = batch_shapes(constituent_batches(times, (1, 2, 3), tfim_ruth3))
+    shapes = batch_shapes(constituent_sets(times, (1, 2, 3), tfim_ruth3))
     # one batch per step count, one row per time: 1 + 2 + 3 = 6 steps
     assert shapes == [(s * gates_per_step, len(times)) for s in (1, 2, 3)]
     # each batch runs the words of its compiled constituent circuit
     for formula, partition in cost_cases():
         cfg = replace(tfim_ruth3, formula=formula, partition=partition)
         for counts in ((1,), (1, 2, 3)):
-            for count, (words, _) in zip(counts, constituent_batches(times, counts, cfg)):
+            sets = list(constituent_sets(times, counts, cfg))
+            assert [seam for seam, _ in sets] == [0] * len(counts)
+            for count, (words, _) in zip(counts, batches_of(sets)):
                 compiled = compile_circuit(formula, partition, 1.0, count)
                 assert words == [g.word for g in compiled.gates]
 
 
 def test_ep_cost_symmetric_counting(tfim_suzuki4):
-    batches = sweep_batches(*sweep_rows((0.2, 0.5, 0.8), (1.0,)), tfim_suzuki4)
+    sets = sweep_sets(*sweep_rows((0.2, 0.5, 0.8), (1.0,)), tfim_suzuki4)
     # a symmetric splitting needs one variant, a composite of 2 steps
     gates_per_step = len(compile_circuit(tfim_suzuki4.formula, tfim_suzuki4.partition, 1.0).gates)
-    assert batch_shapes(batches) == [(2 * gates_per_step, 3)]
+    assert batch_shapes(sets) == [(2 * gates_per_step, 3)]
 
 
 def test_ep_cost_counts_compiled_gates(tfim_ruth3):
     gates_per_step = 3 * 3 + 3 * 4
     cfg = replace(tfim_ruth3, trotter_steps=2)
     grid = (-0.5, 0.0, 0.3, 1.0, 1.5)
-    shapes = batch_shapes(sweep_batches(*sweep_rows(grid, (1.0,)), cfg))
+    shapes = batch_shapes(sweep_sets(*sweep_rows(grid, (1.0,)), cfg))
     assert shapes == [(2 * 2 * gates_per_step, 5)] * 4  # four variants
     # every probe variant runs the words of its compiled composite circuit
     for formula, partition in cost_cases():
         variants = (1,) if formula.symmetric else (1, 2, 3, 4)
         for n in (1, 3):
             cfg = replace(tfim_ruth3, formula=formula, partition=partition, trotter_steps=n)
-            batches = list(sweep_batches(*sweep_rows(grid, (1.0,)), cfg))
+            sets = list(sweep_sets(*sweep_rows(grid, (1.0,)), cfg))
+            batches = batches_of(sets)
             assert len(batches) == len(variants)
+            # variants 1, 2 and 3, 4 share their opening segment
+            assert len(sets) == (1 if formula.symmetric else 2)
+            for seam, (first, *rest) in sets:
+                assert seam == len(first[0]) // 2
+                for words, angles in rest:
+                    assert words[:seam] == first[0][:seam]
+                    assert np.array_equal(angles[:, :seam], first[1][:, :seam])
             for v, (words, angles) in zip(variants, batches):
                 circuit = composite_circuit(CompositeSpec(v, 0.3, 1.0, n), formula, partition)
                 assert words == [g.word for g in circuit.gates]
@@ -304,10 +320,10 @@ def test_cost_scaling_linear_vs_quadratic(tfim_ruth3):
 
     def ep_gates(n):
         cfg = replace(tfim_ruth3, trotter_steps=n)
-        return sum(w * r for w, r in batch_shapes(sweep_batches(*sweep_rows(grid, (1.0,)), cfg)))
+        return sum(w * r for w, r in batch_shapes(sweep_sets(*sweep_rows(grid, (1.0,)), cfg)))
 
     def mpf_gates(n):
-        return sum(w for w, _ in batch_shapes(constituent_batches((1.0,), range(1, n + 1), tfim_ruth3)))
+        return sum(w for w, _ in batch_shapes(constituent_sets((1.0,), range(1, n + 1), tfim_ruth3)))
 
     assert ep_gates(6) == 6 * ep_gates(1)
     assert mpf_gates(6) == 21 * mpf_gates(1)
@@ -315,19 +331,19 @@ def test_cost_scaling_linear_vs_quadratic(tfim_ruth3):
 
 def test_cost_validates_inputs(tfim_ruth3):
     with pytest.raises(FormulaError, match="at least 1"):
-        list(sweep_batches([0.3], [1.0], replace(tfim_ruth3, trotter_steps=0)))
+        list(sweep_sets([0.3], [1.0], replace(tfim_ruth3, trotter_steps=0)))
     with pytest.raises(FormulaError, match="at least 1"):
-        list(constituent_batches([1.0], (0,), tfim_ruth3))
+        list(constituent_sets([1.0], (0,), tfim_ruth3))
     with pytest.raises(DegenerateInputError, match="variant must be 1..4"):
-        list(sweep_batches([0.3], [1.0], tfim_ruth3, (5,)))
+        list(sweep_sets([0.3], [1.0], tfim_ruth3, (5,)))
     with pytest.raises(DegenerateInputError, match="method must be one of"):
         plan(tfim_ruth3, ("shadow",))
     # a table that addresses a fragment the partition lacks
     three = replace(tfim_ruth3, formula=ProductFormula(((0, 1.0), (1, 1.0), (2, 1.0))))
     with pytest.raises(FormulaError):
-        list(sweep_batches([0.3], [1.0], three))
+        list(sweep_sets([0.3], [1.0], three))
     with pytest.raises(FormulaError):
-        list(constituent_batches([1.0], (1,), three))
+        list(constituent_sets([1.0], (1,), three))
     with pytest.raises(FormulaError):
         plan(three, METHODS)
 
@@ -425,6 +441,32 @@ def test_every_command_runs_the_batches_its_plan_lists(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", list(PLAN_DOCUMENTS))
+def test_plan_builds_no_angle(monkeypatch, name):
+    # a plan reads the run's generators at zero rows; only the calibration it
+    # runs to learn the size of an unset grid builds angles
+    cfg = parse_config(json.dumps(PLAN_DOCUMENTS[name]))
+    rows, calibrating = [], []
+    forward, calibrate = SampleTemplate.forward, profiling.calibrate_basis
+
+    def recording(self, x):
+        if not calibrating:
+            rows.append(len(x))
+        return forward(self, x)
+
+    def calibration(config):
+        calibrating.append(True)
+        try:
+            return calibrate(config)
+        finally:
+            calibrating.pop()
+
+    monkeypatch.setattr(SampleTemplate, "forward", recording)
+    monkeypatch.setattr(profiling, "calibrate_basis", calibration)
+    plan(cfg, METHODS)
+    assert rows and set(rows) == {0}
+
+
 @pytest.mark.parametrize(
     "options", [{"a_grid": [-0.5, 0.0, 0.5, 1.0, 1.5]}, {"n_extra_orders": 1}]
 )
@@ -460,7 +502,7 @@ def test_probe_variants_evolve_their_shared_trunk_once(name, alone, shared):
     # per (a, t): folded gates and kernel steps of the four variants run one
     # by one, and with variants 1, 2 and 3, 4 branching from one trunk each
     cfg = parse_config(json.dumps(PLAN_DOCUMENTS[name]))
-    layout = probe_layout(cfg)
+    layout = [(seam, [words for words, _ in batches]) for seam, batches in sweep_sets((), (), cfg)]
     assert [len(sequences) for _, sequences in layout] == [2, 2]
     each = [engine_counts([words], seam) for seam, sequences in layout for words in sequences]
     assert tuple(map(sum, zip(*each))) == alone

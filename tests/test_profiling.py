@@ -514,13 +514,13 @@ def test_calibration_probes_exact_complementary_pairs(
     monkeypatch, tfim_ruth3, paper_state
 ):
     probed: list[float] = []
-    batches = profiling.sweep_batches
+    sets = profiling.sweep_sets
 
     def recording(a_values, *args, **kwargs):
         probed.extend(float(a) for a in a_values)
-        return batches(a_values, *args, **kwargs)
+        return sets(a_values, *args, **kwargs)
 
-    monkeypatch.setattr(profiling, "sweep_batches", recording)
+    monkeypatch.setattr(profiling, "sweep_sets", recording)
     resolve_basis(
         ProfilingConfig(
             tfim_ruth3.formula,

@@ -54,6 +54,19 @@ def test_init_benchmark_state_carries_global_half(paper_state):
     assert np.linalg.norm(paper_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_init_scales_each_factor_exactly():
+    # a factor's size drops out, even one whose squares underflow or overflow
+    reference = init_product_state([(3.0, 4j), (1, 1), (0.6, -0.8)])
+    for tiny, huge in ((2.0**-600, 2.0**700), (1e-320, 1e300)):
+        scaled = init_product_state([(3.0 * tiny, 4j * tiny), (huge, huge), (0.6, -0.8)])
+        if tiny == 2.0**-600:  # powers of two: the same bits
+            assert np.array_equal(scaled.amplitudes, reference.amplitudes)
+        else:
+            np.testing.assert_allclose(scaled.amplitudes, reference.amplitudes, atol=1e-3)
+    np.testing.assert_allclose(init_product_state([(1e-320, 0)]).amplitudes, [1, 0])
+    np.testing.assert_allclose(init_product_state([(1e308, 1e308)]).amplitudes, [0.5**0.5] * 2)
+
+
 def test_init_rejects_zero_factor():
     with pytest.raises(DegenerateInputError):
         init_product_state([(1, 0), (0, 0)])
@@ -400,3 +413,14 @@ def test_state_vector_normalization_guard():
         StateVector(np.array([1.0, 1.0], dtype=complex), 1)
     with pytest.raises(DegenerateInputError):
         StateVector.normalized(np.zeros(4))
+    with pytest.raises(DegenerateInputError, match="nan"):
+        StateVector(np.array([np.nan, 0.0], dtype=complex), 1)
+
+
+def test_the_norm_check_refuses_a_nan_row():
+    amps = np.tile(init_product_state([(1, 1), (1, 1j)]).amplitudes, (3, 1))
+    scratch = (np.empty_like(amps), np.empty_like(amps))
+    simulator._check_norms(amps, scratch)
+    amps[1, 2] = np.nan
+    with pytest.raises(DegenerateInputError, match="lost normalization"):
+        simulator._check_norms(amps, scratch)
