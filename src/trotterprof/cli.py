@@ -15,6 +15,7 @@ CSV.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -27,7 +28,6 @@ from .config import (
     PRESETS,
     base_metadata,
     parse_document,
-    preset_config,
 )
 from .errors import (
     CalibrationError,
@@ -113,11 +113,11 @@ def _load_document(args: argparse.Namespace) -> ConfigDocument:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}", "config") from exc
-        doc = parse_document(text)
     elif args.preset:
-        doc = ConfigDocument(preset_config(args.preset))
+        text = json.dumps({"preset": args.preset})
     else:
         raise ConfigError("one of --config or --preset is required", "usage")
+    doc = parse_document(text)
     if getattr(args, "seed", None) is None:
         return doc
     return ConfigDocument(replace(doc.experiment, seed=args.seed), doc.output_path)

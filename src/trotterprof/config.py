@@ -6,8 +6,8 @@ grid, and per-method options.  A document either names a ``preset`` or
 spells out the full system.  Each preset (``tfim-ruth3``, ``tfim-suzuki4``,
 ``xxz-ruth3``, ``xxz-suzuki4``) is itself a document in ``PRESETS``, built
 by the same parser, so ``{"preset": name, ...}`` is that document with the
-given option sections applied.  Parsing then re-serializing yields a
-semantically identical document.
+given option sections applied (``preset_config(name)`` parses ``{"preset":
+name}``).  Parsing then re-serializing yields a semantically identical document.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Any
-
-import numpy as np
 
 from ._version import __version__
 from .errors import (
@@ -29,13 +28,14 @@ from .errors import (
     SingularFitError,
     TrotterProfError,
 )
-from .experiments import ExperimentConfig
+from .experiments import DEFAULT_TIME_GRID, ExperimentConfig, time_grid
 from .formulas import (
     FORMULA_NAMES,
     Fragment,
     PartitionedHamiltonian,
     ProductFormula,
     builtin_formula,
+    builtin_steps,
 )
 from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid
@@ -126,12 +126,8 @@ PRESETS = {
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    """Materialize one of the built-in benchmark setups."""
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; choose from {', '.join(PRESETS)}", "preset"
-        )
-    return _parse_system(PRESETS[name])
+    """The setup of the document ``{"preset": name}``."""
+    return parse_config(json.dumps({"preset": name}))
 
 
 @dataclass(frozen=True)
@@ -273,14 +269,14 @@ def _parse_partition(
     return PartitionedHamiltonian(tuple(fragments), n)
 
 
-def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[ProductFormula, str | None]:
+def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> ProductFormula:
     if isinstance(raw, str):
         if raw not in FORMULA_NAMES:
             raise ConfigError(
                 f"unknown formula {raw!r}; choose from {FORMULA_NAMES}", "formula"
             )
         try:
-            return builtin_formula(raw, partition), raw
+            return builtin_formula(raw, partition)
         except FormulaError as exc:
             raise ConfigError(str(exc), "formula") from exc
     entry = _section(raw, "formula", ("steps",))
@@ -297,7 +293,7 @@ def _parse_formula(raw: Any, partition: PartitionedHamiltonian) -> tuple[Product
     try:
         if missing:
             raise FormulaError(f"fragment {min(missing)} gets no step")
-        return ProductFormula(tuple(steps)), None
+        return ProductFormula(tuple(steps))
     except FormulaError as exc:
         raise ConfigError(f"formula.steps: {exc}", "formula.steps") from exc
 
@@ -395,20 +391,19 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
             raise ConfigError("times.values must not be empty", "times.values")
         times = tuple(_real_number(v, "times.values") for v in values)
     else:
-        start = _real_number(entry.get("start", 0.1), "times.start")
-        stop = _real_number(entry.get("stop", 1.0), "times.stop")
-        points = _integer(entry.get("points", 20), "times.points", 1, limit)
-        scale = entry.get("scale", "log")
+        given = {**DEFAULT_TIME_GRID, **entry}
+        start = _real_number(given["start"], "times.start")
+        stop = _real_number(given["stop"], "times.stop")
+        points = _integer(given["points"], "times.points", 1, limit)
+        scale = given["scale"]
         if scale == "log":
             if start <= 0:
                 raise ConfigError("log scale needs times.start > 0", "times.start")
             if stop <= 0:
                 raise ConfigError("log scale needs times.stop > 0", "times.stop")
-            times = tuple(np.geomspace(start, stop, points))
-        elif scale == "linear":
-            times = tuple(np.linspace(start, stop, points))
-        else:
+        elif scale != "linear":
             raise ConfigError("times.scale must be 'log' or 'linear'", "times.scale")
+        times = time_grid(start, stop, points, scale)
     if any(t <= 0 for t in times):
         raise ConfigError("times must be positive", "times")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -533,14 +528,16 @@ def parse_document(text: str) -> ConfigDocument:
 
     preset = doc.get("preset")
     if preset is not None:
-        if not isinstance(preset, str):
-            raise ConfigError("preset must be a string", "preset")
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ConfigError(
+                f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}", "preset"
+            )
         for section in _SYSTEM_SECTIONS:
             if section in doc:
                 raise ConfigError(
                     f"preset documents may not also define {section!r}", section
                 )
-        cfg = preset_config(preset)
+        cfg = _parse_system(PRESETS[preset])
     else:
         cfg = _parse_system(doc)
     return ConfigDocument(_apply_options(cfg, doc), _parse_output(doc.get("output")))
@@ -554,7 +551,7 @@ def _parse_system(doc: dict) -> ExperimentConfig:
         system.get("hamiltonian"), n, "system.hamiltonian", identity_ok=False
     )
     partition = _parse_partition(doc.get("partition"), ham_terms, n)
-    formula, formula_name = _parse_formula(doc.get("formula"), partition)
+    formula = _parse_formula(doc.get("formula"), partition)
     state = _parse_state(doc.get("initial_state"), n)
     try:
         observable = OperatorSum.from_terms(
@@ -567,7 +564,6 @@ def _parse_system(doc: dict) -> ExperimentConfig:
         formula=formula,
         observable=observable,
         initial_state=state,
-        formula_name=formula_name,
     )
 
 
@@ -580,7 +576,7 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
+def document_for(cfg: ExperimentConfig) -> dict:
     """Canonical document dictionary describing an experiment setup."""
     terms: list[dict] = []
     partition: list[list[int]] = []
@@ -592,10 +588,11 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
             indices.append(cursor)
             cursor += 1
         partition.append(indices)
-    if cfg.formula_name is not None:
-        formula: Any = cfg.formula_name
-    else:
-        formula = {"steps": [[int(i), float(c)] for i, c in cfg.formula.steps]}
+    formula: Any = {"steps": [[int(i), float(c)] for i, c in cfg.formula.steps]}
+    for name in FORMULA_NAMES:  # a built-in table is written by its name
+        with suppress(FormulaError):  # raised for a formula not defined over k fragments
+            if builtin_steps(name, len(cfg.partition.fragments)) == cfg.formula.steps:
+                formula = name
     doc: dict = {
         "system": {
             "num_qubits": cfg.partition.n,
@@ -621,14 +618,12 @@ def document_for(cfg: ExperimentConfig, output_path: str | None = None) -> dict:
         top = max(cfg.basis.orders) if cfg.basis.orders else cfg.formula.alpha
         doc["profiling"]["n_extra_orders"] = max(0, top - cfg.formula.alpha)
         doc["profiling"]["include_antisymmetric"] = cfg.basis.include_antisymmetric
-    if output_path is not None:
-        doc["output"] = {"path": output_path, "format": "csv"}
     return doc
 
 
-def serialize_config(cfg: ExperimentConfig, output_path: str | None = None) -> str:
+def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text for an experiment (stable key order)."""
-    return json.dumps(document_for(cfg, output_path), sort_keys=True, indent=2) + "\n"
+    return json.dumps(document_for(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

@@ -35,9 +35,15 @@ METHODS = ("trotter", "ep", "mpf")
 #: flagged, and slope fits leave them out.
 ERROR_FLOOR = 1e-14
 
-#: Evaluation times of the presets and of documents without a ``times``
-#: section: 20 log-spaced points on [0.1, 1].
-DEFAULT_TIMES = tuple(np.geomspace(0.1, 1.0, 20))
+def time_grid(start: float, stop: float, points: int, scale: str) -> tuple[float, ...]:
+    """``points`` times from ``start`` to ``stop``, spaced on a ``log`` or ``linear`` scale."""
+    return tuple((np.geomspace if scale == "log" else np.linspace)(start, stop, points))
+
+
+#: The time grid of the presets and of documents without a ``times`` section,
+#: as the keys of that section: 20 log-spaced points on [0.1, 1].
+DEFAULT_TIME_GRID = {"start": 0.1, "stop": 1.0, "points": 20, "scale": "log"}
+DEFAULT_TIMES = time_grid(**DEFAULT_TIME_GRID)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -52,7 +58,6 @@ class ExperimentConfig(ProfilingConfig):
     mpf_step_counts: tuple[int, ...] = (1, 2)
     noise_sigma: float = 0.0
     seed: int = 1234
-    formula_name: str | None = None
 
     def __post_init__(self) -> None:
         if not self.times:

@@ -184,6 +184,24 @@ def _strang_steps(k: int, scale: float) -> list[tuple[int, float]]:
     return half + [(k - 1, scale)] + half[::-1]
 
 
+def builtin_steps(name: str, k: int) -> tuple[tuple[int, float], ...]:
+    """The step table of a built-in formula over ``k`` fragments (``builtin_formula``)."""
+    if name in ("strang2", "suzuki4") and k < 2:
+        raise FormulaError(f"{name} needs at least two fragments")
+    if name == "lie1":
+        return tuple((i, 1.0) for i in range(k))
+    if name == "strang2":
+        return tuple(_strang_steps(k, 1.0))
+    if name == "ruth3":
+        if k != 2:
+            raise FormulaError("ruth3 alternates exactly two fragments")
+        return tuple((i % 2, c) for i, c in enumerate(RUTH_COEFFICIENTS))
+    if name == "suzuki4":
+        scales = (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P)
+        return tuple(step for c in scales for step in _strang_steps(k, c))
+    raise FormulaError(f"unknown formula {name!r}; choose from {FORMULA_NAMES}")
+
+
 def builtin_formula(name: str, partition: PartitionedHamiltonian) -> ProductFormula:
     """Construct one of the built-in splitting tables for a given partition.
 
@@ -193,26 +211,7 @@ def builtin_formula(name: str, partition: PartitionedHamiltonian) -> ProductForm
     ``S4(t) = S2(pt) S2(pt) S2((1-4p)t) S2(pt) S2(pt)`` (alpha 5); each
     table's alpha is derived, not passed.
     """
-    k = len(partition.fragments)
-    if name == "lie1":
-        return ProductFormula(tuple((i, 1.0) for i in range(k)))
-    if name == "strang2":
-        if k < 2:
-            raise FormulaError("strang2 needs at least two fragments")
-        return ProductFormula(tuple(_strang_steps(k, 1.0)))
-    if name == "ruth3":
-        if k != 2:
-            raise FormulaError("ruth3 alternates exactly two fragments")
-        steps = tuple((i % 2, c) for i, c in enumerate(RUTH_COEFFICIENTS))
-        return ProductFormula(steps)
-    if name == "suzuki4":
-        if k < 2:
-            raise FormulaError("suzuki4 needs at least two fragments")
-        seq: list[tuple[int, float]] = []
-        for c in (SUZUKI_P, SUZUKI_P, 1.0 - 4.0 * SUZUKI_P, SUZUKI_P, SUZUKI_P):
-            seq.extend(_strang_steps(k, c))
-        return ProductFormula(tuple(seq))
-    raise FormulaError(f"unknown formula {name!r}; choose from {FORMULA_NAMES}")
+    return ProductFormula(builtin_steps(name, len(partition.fragments)))
 
 
 def step_terms(

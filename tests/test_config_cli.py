@@ -18,7 +18,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from trotterprof import config, profiling
 from trotterprof.cli import _build_parser, run_command
 from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
 from trotterprof.experiments import DEFAULT_TIMES
-from trotterprof.formulas import MAX_ALPHA
+from trotterprof.formulas import MAX_ALPHA, ProductFormula, builtin_formula
 from trotterprof.report import render_csv
 
 from conftest import suzuki_steps
@@ -83,7 +83,7 @@ def test_parse_full_document():
     cfg = parse_config(json.dumps(sample_document()))
     assert cfg.partition.n == 2
     assert cfg.formula.alpha == 3 and cfg.formula.symmetric
-    assert cfg.formula_name == "strang2"
+    assert config.document_for(cfg)["formula"] == "strang2"
     assert len(cfg.times) == 5
     assert cfg.seed == 11
 
@@ -144,7 +144,7 @@ def test_preset_digest_is_pinned(name):
 )
 def test_all_presets_materialize(name):
     cfg = preset_config(name)
-    assert cfg.formula_name == name.split("-")[1]
+    assert config.document_for(cfg)["formula"] == name.split("-")[1]
     assert cfg.partition.n == 4
 
 
@@ -218,12 +218,45 @@ def test_a_table_that_skips_a_fragment_is_refused(tmp_path, capsys):
 
 
 def test_a_custom_builtin_table_is_the_builtin_formula():
-    # the same steps derive the same alpha, so every number of a run agrees
+    # the same steps derive the same alpha, so every number of a run agrees,
+    # and the table is written by its name, so the digest agrees too
     for name in PRESETS:
         preset = preset_config(name)
         doc = {key: value for key, value in PRESETS[name].items() if key != "formula"}
         doc["formula"] = {"steps": [list(step) for step in preset.formula.steps]}
-        assert parse_config(json.dumps(doc)).formula == preset.formula
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.formula == preset.formula
+        assert config_digest(cfg) == PRESET_DIGESTS[name]
+
+
+def test_a_replaced_formula_serializes_under_its_own_name():
+    # the setup stored the document's formula name beside the formula, so a
+    # setup given strang2 still serialized as ruth3, with tfim-ruth3's digest
+    preset = preset_config("tfim-ruth3")
+    strang = replace(preset, formula=builtin_formula("strang2", preset.partition))
+    assert config.document_for(strang)["formula"] == "strang2"
+    assert config_digest(strang) != PRESET_DIGESTS["tfim-ruth3"]
+    assert config_digest(parse_config(serialize_config(strang))) == config_digest(strang)
+    custom = replace(preset, formula=ProductFormula(((1, 0.5), (0, 1.0), (1, 0.5))))
+    assert config.document_for(custom)["formula"] == {"steps": [[1, 0.5], [0, 1.0], [1, 0.5]]}
+    assert config_digest(custom) not in (config_digest(preset), config_digest(strang))
+
+
+def test_a_preset_flag_passes_every_bound_a_preset_document_does(tmp_path, capsys, monkeypatch):
+    # --preset built its setup beside the parser: with the angle budget
+    # lowered, cost --preset exited 0 while the same preset as a document exited 1
+    monkeypatch.setattr(config, "MAX_ANGLES", 1000)
+    with pytest.raises(ConfigError) as flag:
+        preset_config("tfim-ruth3")
+    with pytest.raises(ConfigError) as document:
+        parse_config(json.dumps({"preset": "tfim-ruth3"}))
+    assert flag.value.field == document.value.field == "times.points"
+    errors = []
+    for source in (["--preset", "tfim-ruth3"], ["--config", write_config(tmp_path, {"preset": "tfim-ruth3"})]):
+        assert run_command(["cost", *source]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "times.points must be an integer from 1 to" in errors[0]
 
 
 def test_custom_formula_accepted():
@@ -233,7 +266,7 @@ def test_custom_formula_accepted():
     }
     cfg = parse_config(json.dumps(doc))
     assert cfg.formula.steps == ((0, 1.0), (1, 1.0))
-    assert cfg.formula_name is None
+    assert config.document_for(cfg)["formula"] == "lie1"  # the table is lie1's
 
 
 def test_non_hermitian_coefficient_rejected():
@@ -829,7 +862,6 @@ def test_non_finite_numbers_are_rejected_with_their_path(
 def ruth3_with_first_factor(factor) -> dict:
     """``tfim-ruth3`` with its state written as factors, the first one ``factor``."""
     doc = config.document_for(preset_config("tfim-ruth3"))
-    doc.pop("output", None)
     rest = [[[1, 0], [0, 1]], [[1, 0], [1, 0]], [[0, 0], [1, 0]]]
     doc["initial_state"] = {"factors": [factor, *rest]}
     return doc
@@ -967,10 +999,10 @@ def test_profile_time_must_be_positive_and_finite(capsys, value):
 
 def test_round_trip_keeps_a_custom_table_and_linear_times():
     doc = sample_document()
-    doc["formula"] = {"steps": [[0, 0.5], [1, 1.0], [0, 0.5]]}
+    doc["formula"] = {"steps": [[1, 0.5], [0, 1.0], [1, 0.5]]}
     doc["times"] = {"start": 0.1, "stop": 0.5, "points": 5, "scale": "linear"}
     cfg = parse_config(json.dumps(doc))
-    assert cfg.formula_name is None
+    assert config.document_for(cfg)["formula"] == doc["formula"]
     assert cfg.times == tuple(np.linspace(0.1, 0.5, 5))
     once = serialize_config(cfg)
     again = parse_config(once)
@@ -984,7 +1016,7 @@ def test_shipped_documents_parse():
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
     parse_config(example)
     for name in PRESETS:
-        parse_config(serialize_config(preset_config(name), output_path="out.csv"))
+        parse_config(serialize_config(preset_config(name)))
     for workload in workloads.WORKLOADS:
         for _, doc, reference in workloads.jobs(workload, seed=1):
             parse_config(json.dumps(doc))
