@@ -283,15 +283,13 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     count, per_step = len(cfg.times), len(sample_template(cfg.formula, cfg.partition).words)
     variants, ep_rows, ep_gates, _, _ = totals["sweep"]
     circuits, gates = ep_rows // count, ep_gates // count
-    steps = gates // per_step
-    (mpf_stage,) = plan(cfg, ("mpf",))
-    _, mpf_rows, mpf_gates, _, _ = mpf_stage.totals()
+    steps, mpf_steps = gates // per_step, sum(cfg.mpf_step_counts)
     lines += [
         f"profiling: {circuits} circuits x depth {steps // circuits} steps"
         f" = {steps} steps, {gates} gates (grid {circuits // variants})",
         f"multi-product (counts {', '.join(map(str, cfg.mpf_step_counts))}):"
-        f" {mpf_rows // count} circuits, {mpf_gates // count // per_step} steps,"
-        f" {mpf_gates // count} gates",
+        f" {len(cfg.mpf_step_counts)} circuits, {mpf_steps} steps,"
+        f" {mpf_steps * per_step} gates",
     ]
     text = "\n".join(lines) + "\n"
     print(text, end="")

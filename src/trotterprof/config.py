@@ -38,7 +38,7 @@ from .formulas import (
     builtin_steps,
 )
 from .pauli import OperatorSum, PauliTerm
-from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid
+from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid, widest_basis
 from .simulator import StateVector, init_product_state
 
 #: Largest register a document may declare.  A run holds 24 * 2^n bytes per
@@ -365,13 +365,11 @@ def _angle_limit(cfg: ExperimentConfig, steps: int, unit: str, advice: str = "")
 
 
 def _grid_bound(a_grid: tuple[float, ...] | None, basis: BasisSpec | None, alpha: int) -> int:
-    """Points of the largest grid a sweep can run.
-
-    A calibrated basis keeps at most the ``alpha - 1`` orders ``alpha .. 2 alpha - 2``.
-    """
+    """Points of the largest grid a sweep can run; a calibrated basis keeps at
+    most the orders of ``widest_basis``."""
     if a_grid is not None:
         return len(a_grid)
-    return len(default_a_grid(len(basis.orders) if basis is not None else alpha - 1))
+    return len(default_a_grid(len((basis or widest_basis(alpha)).orders)))
 
 
 def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
@@ -590,7 +588,7 @@ def document_for(cfg: ExperimentConfig) -> dict:
         partition.append(indices)
     formula: Any = {"steps": [[int(i), float(c)] for i, c in cfg.formula.steps]}
     for name in FORMULA_NAMES:  # a built-in table is written by its name
-        with suppress(FormulaError):  # raised for a formula not defined over k fragments
+        with suppress(FormulaError):  # the formula is not defined over these fragments
             if builtin_steps(name, len(cfg.partition.fragments)) == cfg.formula.steps:
                 formula = name
     doc: dict = {

@@ -35,6 +35,7 @@ METHODS = ("trotter", "ep", "mpf")
 #: flagged, and slope fits leave them out.
 ERROR_FLOOR = 1e-14
 
+
 def time_grid(start: float, stop: float, points: int, scale: str) -> tuple[float, ...]:
     """``points`` times from ``start`` to ``stop``, spaced on a ``log`` or ``linear`` scale."""
     return tuple((np.geomspace if scale == "log" else np.linspace)(start, stop, points))

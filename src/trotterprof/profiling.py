@@ -138,6 +138,12 @@ class BasisSpec:
         return len(self.orders) * (2 if self.include_antisymmetric else 1)
 
 
+def widest_basis(alpha: int) -> BasisSpec:
+    """The orders ``alpha .. 2 alpha - 2`` with antisymmetric columns: every
+    basis that calibration returns keeps a subset of these columns."""
+    return BasisSpec(tuple(range(alpha, 2 * alpha - 1)), True)
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of a profile fit: intercept, per-order slopes, diagnostics, data."""
@@ -517,7 +523,7 @@ def calibrate_basis(config: ProfilingConfig) -> BasisSpec:
     ``basis`` is ignored.
     """
     alpha = config.formula.alpha
-    window = list(range(alpha, 2 * alpha - 1))
+    window = widest_basis(alpha).orders
     powers = list(range(alpha, 2 * alpha - 2 + CALIBRATION_GUARD_ORDERS + 1))
     a_values, t_arr = calibration_probes(config)
     pairs = [(a, 1.0 - a) for a in CALIBRATION_A_PROBE]
@@ -569,13 +575,15 @@ def sweep_grid(config: ProfilingConfig, basis: BasisSpec | None = None) -> tuple
 
     Every command takes its grid from here.  ``basis`` is the resolved basis
     when the caller holds it; otherwise it is resolved, calibrating if need
-    be, and only when no grid is configured.
+    be, and only when no grid is configured.  A configured grid whose design
+    has column norms past the float range is a ``SingularFitError`` here,
+    before any sweep runs; with no basis held or configured, the design is
+    that of ``widest_basis``, so no calibration is needed to refuse it.
     """
-    if config.a_grid is not None:
-        return config.a_grid
-    if basis is None:
-        basis = resolve_basis(config)
-    return default_a_grid(len(basis.orders))
+    if config.a_grid is None:
+        return default_a_grid(len((basis or resolve_basis(config)).orders))
+    _fit_design(config.a_grid, basis or config.basis or widest_basis(config.formula.alpha))
+    return config.a_grid
 
 
 def mitigated_estimates(

@@ -137,18 +137,22 @@ class StateVector:
     def normalized(cls, raw: Sequence[complex]) -> StateVector:
         """Build a state from unnormalized amplitudes (length must be 2**n).
 
-        Idempotent: already-normalized input is kept bit for bit, so states
-        survive serialization round trips unchanged.
+        The amplitudes are first scaled by a power of two (``_unit_scaled``),
+        so their norm can neither overflow nor underflow.  Idempotent:
+        already-normalized input is kept bit for bit, so states survive
+        serialization round trips unchanged.
         """
-        amps = np.asarray(raw, dtype=complex)
+        amps = np.array(raw, dtype=complex)
         n = int(np.log2(amps.shape[0]))
         if (1 << n) != amps.shape[0]:
             raise DimensionMismatchError("amplitude count is not a power of two")
-        norm = np.linalg.norm(amps)
+        scaled, exponent = _unit_scaled(amps)
+        norm = np.linalg.norm(scaled)
         if norm == 0.0:
             raise DegenerateInputError("cannot normalize the zero vector")
-        if abs(norm - 1.0) > 1e-12:
-            amps = amps / norm
+        with np.errstate(over="ignore"):  # an input norm past the float range
+            if abs(np.ldexp(norm, exponent) - 1.0) > 1e-12:
+                amps = scaled / norm
         return cls(amps, n)
 
 
@@ -184,6 +188,14 @@ class Circuit:
                 )
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Contiguous complex ``values`` times ``2**-e``, and ``e``: the power of two
+    that brings their largest real or imaginary part into [0.5, 1), exactly."""
+    parts = values.view(float)
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    return np.ldexp(parts, -exponent).view(complex), exponent
+
+
 def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVector:
     """Kronecker product of per-qubit ``(c0, c1)`` pairs, normalized at the end.
 
@@ -199,9 +211,7 @@ def init_product_state(factors: Sequence[tuple[complex, complex]]) -> StateVecto
         pair = np.array([c0, c1], dtype=complex)
         if np.all(pair == 0):
             raise DegenerateInputError(f"factor for qubit {k + 1} is zero")
-        parts = pair.view(float)
-        exponent = math.frexp(float(np.max(np.abs(parts))))[1]
-        amps = np.kron(amps, np.ldexp(parts, -exponent).view(complex))
+        amps = np.kron(amps, _unit_scaled(pair)[0])
     norm = np.linalg.norm(amps)
     return StateVector(amps / norm, len(factors))
 

@@ -251,8 +251,8 @@ def test_a_preset_flag_passes_every_bound_a_preset_document_does(tmp_path, capsy
     with pytest.raises(ConfigError) as document:
         parse_config(json.dumps({"preset": "tfim-ruth3"}))
     assert flag.value.field == document.value.field == "times.points"
-    errors = []
-    for source in (["--preset", "tfim-ruth3"], ["--config", write_config(tmp_path, {"preset": "tfim-ruth3"})]):
+    errors, path = [], write_config(tmp_path, {"preset": "tfim-ruth3"})
+    for source in (["--preset", "tfim-ruth3"], ["--config", path]):
         assert run_command(["cost", *source]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
@@ -890,6 +890,31 @@ def test_a_product_state_that_underflows_or_overflows(tmp_path, capsys, factor, 
         assert not caught and "Warning" not in err and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize(
+    "amplitudes, same_as",
+    [
+        ([[1e308, 0]] * 16, [[0.25, 0]] * 16),
+        ([[1e-160, 0]] + [[0, 0]] * 15, [[1, 0]] + [[0, 0]] * 15),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_amplitudes_whose_norm_overflows_or_underflows(tmp_path, capsys, amplitudes, same_as):
+    # the norm of 16 amplitudes of 1e308 overflowed (a leaked RuntimeWarning,
+    # then "state norm 0.0 is not 1"); that of a lone 1e-160 lost digits in
+    # the subnormal range, so the basis state was refused with norm 1.0000056
+    doc = config.document_for(preset_config("tfim-ruth3"))
+    doc["initial_state"] = {"amplitudes": amplitudes}
+    state = parse_config(json.dumps(doc)).initial_state.amplitudes
+    np.testing.assert_array_equal(state, np.array(same_as) @ [1, 1j])
+    path = write_config(tmp_path, doc)
+    for argv in (["run"], ["slope", "--window", "0", "100"], ["profile"], ["mpf"], ["calibrate"], ["cost"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command([*argv, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == 0, argv
+        assert not caught and capsys.readouterr().err == "", argv
+
+
 def test_a_log_time_grid_must_stop_above_zero(tmp_path, capsys):
     # np.geomspace leaked a RuntimeWarning before "times must be positive"
     doc = {"preset": "tfim-ruth3", "times": {"start": 0.1, "stop": -1, "points": 5, "scale": "log"}}
@@ -929,11 +954,12 @@ def test_a_time_too_long_to_step_is_refused_at_once(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("command", ["run", "slope", "profile"])
+@pytest.mark.parametrize("command", ["run", "slope", "profile", "cost", "calibrate"])
 @pytest.mark.parametrize("value", [1e308, 1e40])
 def test_a_huge_grid_value_is_a_numerical_failure(tmp_path, command, value):
     # the profile design's column norms leave the float range: 1e308 ended in
-    # "SVD did not converge", and 1e40 leaked an overflow RuntimeWarning
+    # "SVD did not converge", and 1e40 leaked an overflow RuntimeWarning;
+    # cost and calibrate, which fit nothing, exited 0 on that grid
     doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, value]}}
     config, out = write_config(tmp_path, doc), str(tmp_path / "out.csv")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -948,6 +974,13 @@ def test_a_huge_grid_value_is_a_numerical_failure(tmp_path, command, value):
     assert f"sweep grid [0.1, 0.2, 0.3, 0.4, {value!r}]" in done.stderr
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["mpf"], ["run", "--method", "trotter,mpf"]], ids=["mpf", "run"])
+def test_a_huge_grid_value_leaves_the_commands_that_never_sweep(tmp_path, capsys, argv):
+    doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, 1e308]}}
+    assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["mpf"], ["profile", "--time", "1e6"]], ids=["mpf", "profile"])

@@ -313,6 +313,24 @@ def test_a_grid_past_the_float_range_is_a_singular_fit(value):
     assert str(info.value).startswith(f"sweep grid {grid}: ")
 
 
+@pytest.mark.parametrize("basis", [None, BasisSpec((5, 6), True)], ids=["unset", "pinned"])
+def test_a_grid_past_the_float_range_runs_no_sweep(tfim_ruth3, monkeypatch, basis):
+    # the sweep ran in full before its fit refused the design; with the basis
+    # unset, the widest one calibration can return refuses it uncalibrated
+    config = replace(tfim_ruth3, a_grid=(0.1, 0.2, 0.3, 0.4, 1e40), basis=basis)
+    resolved = replace(config, basis=resolve_basis(replace(config, a_grid=None)))
+
+    def refuse(*args):
+        raise AssertionError("a circuit ran on an unusable grid")
+
+    monkeypatch.setattr(profiling, "sample_branches", refuse)
+    for cfg in (config, resolved):
+        with pytest.raises(SingularFitError, match="beyond the float range"):
+            profiling.sweep_grid(cfg)
+    with pytest.raises(SingularFitError, match="beyond the float range"):
+        mitigated_estimates([0.5], resolved)
+
+
 def test_fit_rejects_orders_outside_window():
     with pytest.raises(ValueError):
         fit_profile(
