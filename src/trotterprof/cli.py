@@ -160,8 +160,17 @@ def _curve_rows(cfg: ExperimentConfig, curve: ErrorCurve) -> list[ResultRow]:
     ]
 
 
+def _check_grid(cfg: ExperimentConfig) -> None:
+    """Refuse a configured grid whose design leaves the float range
+    (``sweep_grid``), before any circuit runs: it needs no calibration."""
+    if cfg.a_grid is not None:
+        sweep_grid(cfg)
+
+
 def _curves(cfg: ExperimentConfig, methods: Sequence[str]) -> list[ErrorCurve]:
     """Each method's curve, from one exact column and one batch per step count."""
+    if "ep" in methods:
+        _check_grid(cfg)
     exact = exact_values(cfg.times, cfg)
     columns = constituent_columns(cfg, methods)
     return [run_error_curve(cfg, method, exact, columns) for method in methods]
@@ -200,6 +209,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         exact = float(exact_values(cfg.times, cfg)[cfg.times.index(t)])
     else:
         exact = float(exact_values((t,), cfg)[0])
+    _check_grid(cfg)
     basis = resolve_basis(cfg)
     _, fit = mitigated_estimate(t, replace(cfg, basis=basis), jitter=jitters.get(t))
 
@@ -243,6 +253,7 @@ def _cmd_mpf(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     cfg = doc.experiment
+    _check_grid(cfg)
     basis = resolve_basis(cfg)
     print(f"surviving orders {list(basis.orders)}")
     print(f"antisymmetric columns {basis.include_antisymmetric}")

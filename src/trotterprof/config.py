@@ -19,6 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Any
 
+from . import simulator
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -45,17 +46,6 @@ from .simulator import StateVector, init_product_state
 #: Pauli word and flip mask (int64 permutation, complex phase) and 16 * 2^n
 #: per state: a 20-site chain's 81 tables and 60 exact states take ~2.8 GiB.
 MAX_QUBITS = 20
-
-#: Largest angle array a document may make a run build.  A batch evolves one
-#: row per (time, split parameter), or per calibration probe, and rotates each
-#: row once per gate of its word sequence: ``len(step_terms)`` gates per step
-#: times the depth, which is ``2 * trotter_steps`` for a sweep and the step
-#: count for a multi-product constituent.  ``times.points``, the lengths of
-#: ``times.values`` and ``profiling.a_grid``, ``profiling.trotter_steps`` and
-#: each ``mpf.step_counts`` entry are bounded so that no batch holds more than
-#: 2^24 float64 angles (128 MiB); the largest batch of the 10-qubit ``suzuki4``
-#: benchmark chain, 180 rows x 560 gates, is 1/166 of that.
-MAX_ANGLES = 2**24
 
 #: Longest ``formula.steps`` table: deriving its alpha takes under 0.9 s (2 vCPU).
 MAX_FORMULA_STEPS = 2**15
@@ -351,10 +341,20 @@ def _parse_state(raw: Any, n: int) -> StateVector:
 
 
 def _angle_limit(cfg: ExperimentConfig, steps: int, unit: str, advice: str = "") -> int:
-    """How many ``unit``s of ``steps`` formula steps fit ``MAX_ANGLES``; refuses 0."""
+    """How many ``unit``s of ``steps`` formula steps fit ``simulator.MAX_ANGLES``; refuses 0.
+
+    A batch evolves one row per (time, split parameter), or per calibration
+    probe, and rotates each row once per gate of its word sequence:
+    ``len(step_terms)`` gates per step times the depth, which is
+    ``2 * trotter_steps`` for a sweep and the step count for a multi-product
+    constituent.  ``times.points``, the lengths of ``times.values`` and
+    ``profiling.a_grid``, ``profiling.trotter_steps`` and each
+    ``mpf.step_counts`` entry are bounded by it, so that no batch holds more
+    angles than that.
+    """
     # len(step_terms(cfg.formula, cfg.partition)), without building the list
     gates = sum(len(cfg.partition.fragments[i].terms.terms) for i, _ in cfg.formula.steps)
-    limit = MAX_ANGLES // (gates * steps)
+    limit = simulator.MAX_ANGLES // (gates * steps)
     if not limit:
         raise ConfigError(
             f"formula.steps rotate {gates} gates per step, so even one {unit} passes"

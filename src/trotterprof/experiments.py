@@ -100,7 +100,7 @@ class ErrorCurve:
 
 
 def worker_count() -> int:
-    """The threads a batch's row chunks evolve on (``simulator.WORKERS``):
+    """The threads an engine call's row chunks evolve on (``simulator.WORKERS``):
     one per CPU the process may use.  Benchmark harnesses record it next to
     their timings."""
     return simulator.WORKERS

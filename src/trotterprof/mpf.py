@@ -131,7 +131,8 @@ def constituent_sets(
 def mpf_values(
     times: Sequence[float], step_counts: Sequence[int], config: ProfilingConfig
 ) -> np.ndarray:
-    """``(T, C)`` constituent expectations, one engine batch per step count.
+    """``(T, C)`` constituent expectations, one engine batch per step count, in
+    one engine call.
 
     Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
     formula iterated ``step_counts[i]`` times.

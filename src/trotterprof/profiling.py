@@ -9,7 +9,7 @@ Sweeps, calibration and estimates take the system (formula, partition,
 observable, initial state and base depth) as one ``ProfilingConfig``.
 ``sweep_sets`` builds the probe circuits as the branch sets the engine
 runs, variants that open with the same segment together, and
-``batch_expectations`` evaluates any stage's sets.
+``batch_expectations`` evaluates any stage's sets in one engine call.
 
 The module also provides a dense extraction oracle for the error-series
 operators of a compiled circuit, used to validate the fitted coefficients
@@ -42,6 +42,7 @@ from .formulas import (
 )
 from .pauli import DenseOperator, OperatorSum, to_dense
 from .simulator import (
+    BranchSet,
     Circuit,
     GaussianJitter,
     StateVector,
@@ -77,13 +78,6 @@ CALIBRATION_GUARD_ORDERS = 4
 EXTRACTION_U_WINDOW = (-0.6, 0.6)
 EXTRACTION_GUARD_ORDERS = 8
 EXTRACTION_UNITARITY_TOL = 1e-6
-
-#: One engine batch: its word sequence, and one row of angles per circuit.
-Batch = tuple[list[str], np.ndarray]
-
-#: Batches that run together (``sample_branches``) as ``(seam, batches)``:
-#: their circuits share their first ``seam`` gates, angles included.
-BranchSet = tuple[int, list[Batch]]
 
 
 @dataclass(frozen=True)
@@ -271,14 +265,10 @@ def sweep_sets(
 
 
 def batch_expectations(sets: Iterable[BranchSet], config: ProfilingConfig) -> np.ndarray:
-    """Each batch's expectations, a column per batch in run order; one set's
-    batches are alive at a time."""
-    return np.hstack(
-        [
-            sample_branches(config.initial_state, batches, seam, config.observable)
-            for seam, batches in sets
-        ]
-    )
+    """Each batch's expectations, a column per batch in run order: one engine
+    call (``sample_branches``), which pulls the sets in groups that fit
+    ``MAX_ANGLES``."""
+    return sample_branches(config.initial_state, sets, config.observable)
 
 
 def composite_expectations(

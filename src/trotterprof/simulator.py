@@ -17,8 +17,10 @@ updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
 bits still do not depend on its batch.  Batches whose circuits open with
 the same gates share a trunk: it is evolved once per chunk of rows, then
 each batch's branch from a copy, with each batch's own bits; a batch of its
-own is a branch set of one.  A batch of several chunks runs them on one
-thread per CPU (``WORKERS``), with the same bits as on one.  One kernel
+own is a branch set of one.  One call takes a stage's branch sets, in
+groups whose angles fit ``MAX_ANGLES``, and runs a group's chunks of every
+set longest first, on one thread per CPU (``WORKERS``) when they hold more
+than one chunk of amplitudes, with the same bits as on one.  One kernel
 (``_apply_operator``) applies ``H`` and every observable from one
 pre-gathered diagonal per flip mask, the diagonal group without a gather;
 ``expectation_rows`` sums each row of
@@ -38,7 +40,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +74,14 @@ NORM_TOL = 1e-10
 #: curves ran fastest at 2^14 to 2^15, and slowest at 2^18.
 BATCH_AMPLITUDES = 1 << 15
 
+#: Largest angle array a document may make a run build: 2^24 float64 angles
+#: (128 MiB).  ``config`` bounds every count that sizes a batch so that no
+#: batch holds more (``config._angle_limit``); the largest batch of the
+#: 10-qubit ``suzuki4`` benchmark chain, 180 rows x 560 gates, is 1/166 of it.
+#: ``sample_branches`` pulls a call's branch sets in groups whose angles
+#: together fit it.
+MAX_ANGLES = 2**24
+
 #: The exact propagator expands ``exp(-iH dt)`` in Chebyshev polynomials of
 #: ``H / ||H||_1`` over windows of at most this span ``||H||_1 * |dt|``.
 #: Spans of 4, 10, 25, 40 and 160 take 27, 39, 64, 86 and 254 terms, so a
@@ -102,7 +112,7 @@ ACCUMULATE_AMPLITUDES = 1 << 12
 #: per probe variant and per step count, and one trunk per branch set.
 FOLD_PLANS = 64
 
-#: The threads that evolve a batch's row chunks at once: one per CPU the
+#: The threads that evolve an engine call's row chunks at once: one per CPU the
 #: process may use.  numpy releases the GIL in the kernel's gathers and
 #: products, and a chunk's rows are the same bits on any thread.
 WORKERS = (
@@ -111,6 +121,13 @@ WORKERS = (
 
 #: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
 OperatorTables = tuple[np.ndarray | None, np.ndarray]
+
+#: One engine batch: its word sequence, and one row of angles per circuit.
+Batch = tuple[list[str], np.ndarray]
+
+#: Batches that run together (``sample_branches``) as ``(seam, batches)``:
+#: their circuits share their first ``seam`` gates, angles included.
+BranchSet = tuple[int, list[Batch]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,79 +444,132 @@ def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
     return values.real
 
 
-def sample_branches(
-    state: StateVector,
-    batches: Sequence[tuple[Sequence[str], np.ndarray]],
-    seam: int,
-    obs: OperatorSum,
-) -> np.ndarray:
+def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: OperatorSum) -> np.ndarray:
     """``expectation(apply_circuit(state, circuit), obs)`` of every row of every
-    batch, a column per batch, evolving their trunk once.
+    batch of every branch set, a column per batch in order, evolving each
+    set's trunk once.
 
     A batch is a word sequence and a ``(B, K)`` angle array: row b runs the
     gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ..., where ``P_k``
-    is the Pauli word ``words[k]``.  The batches share their rows, and their
-    circuits share the first ``seam`` gates, words and angles alike.  Rows
-    are evolved in chunks of at most ``BATCH_AMPLITUDES`` amplitudes, each
-    chunk folding its own angles (``_fold_plan``, ``_folded_angles``).  Per
-    chunk, the kernel steps that every folded sequence opens with
-    (``_trunk``) are evolved once; each branch then continues from a copy of
-    that stack, and the last one in place, so one extra stack is alive per
-    chunk.  Every row sees the same operations in the same order whatever
-    the seam and the batches beside it, so the values are the same bits;
-    they agree with the looped circuits within 1e-12.  Chunks run on
-    ``WORKERS`` threads when there are at least two chunks and two workers
-    (``_map_chunks``); each chunk writes only its own rows.
+    is the Pauli word ``words[k]``.  Every batch of the call has the same
+    rows, and the batches of one set ``(seam, batches)`` share their first
+    ``seam`` gates, words and angles alike.  Rows are evolved in chunks of
+    at most ``BATCH_AMPLITUDES`` amplitudes, each chunk folding its own
+    angles (``_fold_plan``, ``_folded_angles``).  Per chunk, the kernel
+    steps that every folded sequence of a set opens with (``_trunk``) are
+    evolved once; each branch then continues from a copy of that stack, and
+    the last one in place, so one extra stack is alive per chunk.  Every row
+    sees the same operations in the same order whatever the seam, the
+    batches beside it and the sets of the call, so the values are the same
+    bits; they agree with the looped circuits within 1e-12.
+
+    Sets are pulled from ``sets`` in groups whose angle arrays together fit
+    ``MAX_ANGLES`` (a set that does not fit opens the next group, so a
+    larger set is a group of its own), and the groups run one after
+    another.  The angles alive are one group's and those of the set pulled
+    after it, which waits, built, for the next group.  A group's chunks run
+    longest first, by rows times kernel steps (``engine_counts``), through
+    ``_map_chunks``, the pool's one rule for the whole group; each chunk
+    writes only its own rows of its own set's columns.
     """
+    _operator_tables(obs)  # workers only read the caches: fill them here
+    per_chunk = max(1, BATCH_AMPLITUDES >> state.n)
+    columns: list[np.ndarray] = []
+    rows: int | None = None
+
+    def branches(seam, sequences, angles, values) -> Callable[[int], None]:
+        """The chunk job of one set, writing its columns of ``values``."""
+        cut = _trunk(sequences, seam)[0]
+        plans = [_fold_plan(words) for words in sequences]
+        folded = [_folded_words(words) for words in sequences]
+        steps = [_step_plan(words) for words in folded]
+        for word in set().union(*folded):
+            _word_tables(word)
+
+        def chunk(start: int) -> None:
+            trunk = np.tile(state.amplitudes, (min(per_chunk, rows - start), 1))
+            scratch = (np.empty_like(trunk), np.empty_like(trunk))
+            for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
+                rotations = _rotations(_folded_angles(plan, a[start : start + per_chunk]))
+                if j == 0 and cut:
+                    _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
+                stack = trunk if j == len(angles) - 1 else trunk.copy()
+                _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
+                _check_norms(stack, scratch)
+                values[start : start + per_chunk, j] = expectation_rows(stack, obs)
+
+        return chunk
+
+    def evolve(group) -> np.ndarray:
+        """One group's values: its sets' chunks, longest first."""
+        values = np.empty((rows, sum(len(angles) for _, _, angles in group)))
+        jobs, column = [], 0
+        for seam, sequences, angles in group:
+            chunk = branches(seam, sequences, angles, values[:, column : column + len(angles)])
+            steps = engine_counts(sequences, seam)[1]
+            for start in range(0, rows, per_chunk):
+                jobs.append((min(per_chunk, rows - start) * steps, chunk, start))
+            column += len(angles)
+        jobs.sort(key=lambda job: -job[0])  # stable: ties keep their order
+        _map_chunks([job[1:] for job in jobs], len(group) * rows << state.n)
+        return values
+
+    group: list[tuple[int, tuple[tuple[str, ...], ...], list[np.ndarray]]] = []
+    size = 0
+    for seam, batches in sets:
+        sequences, angles = _checked_set(seam, batches, state.n)
+        if rows is None:
+            rows = angles[0].shape[0]
+        elif angles[0].shape[0] != rows:
+            raise DimensionMismatchError(
+                f"branch sets of {rows} and {angles[0].shape[0]} rows in one call"
+            )
+        angle_count = sum(a.size for a in angles)
+        if group and size + angle_count > MAX_ANGLES:
+            columns.append(evolve(group))
+            group, size = [], 0
+        group.append((seam, sequences, angles))
+        size += angle_count
+    if not group:
+        raise DegenerateInputError("sample_branches needs at least one branch set")
+    columns.append(evolve(group))
+    return columns[0] if len(columns) == 1 else np.hstack(columns)
+
+
+def _checked_set(
+    seam: int, batches: Sequence[Batch], n: int
+) -> tuple[tuple[tuple[str, ...], ...], list[np.ndarray]]:
+    """A branch set's word sequences and float angle arrays, after checking that
+    its batches have words on ``n`` qubits and share their rows and first
+    ``seam`` gates."""
+    if not batches:
+        raise DegenerateInputError("a branch set needs at least one batch")
     sequences = tuple(tuple(words) for words, _ in batches)
     angles = [np.asarray(a, dtype=float) for _, a in batches]
     for words, a in zip(sequences, angles):
-        _checked_masks(words, a, state.n)
+        _checked_masks(words, a, n)
     first, head = sequences[0][:seam], angles[0][:, :seam]
     for words, a in zip(sequences[1:], angles[1:]):
         if a.shape[0] != head.shape[0] or words[:seam] != first or not np.array_equal(
             a[:, :seam], head
         ):
             raise DimensionMismatchError(f"batches do not share their rows and first {seam} gates")
-    cut = _trunk(sequences, seam)[0]
-    plans = [_fold_plan(words) for words in sequences]
-    folded = [_folded_words(words) for words in sequences]
-    steps = [_step_plan(words) for words in folded]
-    # workers only read the caches: fill them here
-    for word in set().union(*folded):
-        _word_tables(word)
-    _operator_tables(obs)
-    total, rows = head.shape[0], max(1, BATCH_AMPLITUDES >> state.n)
-    values = np.empty((total, len(batches)))
-
-    def chunk(start: int) -> None:
-        trunk = np.tile(state.amplitudes, (min(rows, total - start), 1))
-        scratch = (np.empty_like(trunk), np.empty_like(trunk))
-        for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
-            rotations = _rotations(_folded_angles(plan, a[start : start + rows]))
-            if j == 0 and cut:
-                _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
-            stack = trunk if j == len(batches) - 1 else trunk.copy()
-            _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
-            _check_norms(stack, scratch)
-            values[start : start + rows, j] = expectation_rows(stack, obs)
-
-    _map_chunks(chunk, range(0, total, rows))
-    return values
+    return sequences, angles
 
 
-def _map_chunks(chunk: Callable[[int], None], starts: range) -> None:
-    """Run ``chunk`` at every start: on the calling thread when there is one
-    start or one worker, otherwise on the ``WORKERS`` threads of ``_pool``.
+def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: int) -> None:
+    """Run every ``chunk(start)`` of ``jobs``, in their order: on the ``WORKERS``
+    threads of ``_pool`` when there are two workers, two jobs and more than
+    ``BATCH_AMPLITUDES`` amplitudes to evolve, otherwise on the calling thread.
 
-    ``Executor.map`` raises a chunk's exception here and cancels the chunks
-    that have not started.
+    ``Executor.map`` raises a job's exception here and cancels the jobs that
+    have not started.
     """
-    if len(starts) < 2 or WORKERS < 2:
-        for start in starts:
+    if WORKERS < 2 or len(jobs) < 2 or amplitudes <= BATCH_AMPLITUDES:
+        for chunk, start in jobs:
             chunk(start)
     else:
-        for _ in _pool(WORKERS).map(chunk, starts):
+        for _ in _pool(WORKERS).map(lambda job: job[0](job[1]), jobs):
             pass
 
 

@@ -40,12 +40,13 @@ from trotterprof import (
     stable_slope_fit,
     write_csv,
 )
-from trotterprof import config, profiling
+from trotterprof import config, profiling, simulator
 from trotterprof.cli import _build_parser, run_command
-from trotterprof.config import MAX_ANGLES, MAX_QUBITS, PRESETS, config_digest
+from trotterprof.config import MAX_QUBITS, PRESETS, config_digest
 from trotterprof.experiments import DEFAULT_TIMES
 from trotterprof.formulas import MAX_ALPHA, ProductFormula, builtin_formula
 from trotterprof.report import render_csv
+from trotterprof.simulator import MAX_ANGLES
 
 from conftest import suzuki_steps
 
@@ -245,7 +246,7 @@ def test_a_replaced_formula_serializes_under_its_own_name():
 def test_a_preset_flag_passes_every_bound_a_preset_document_does(tmp_path, capsys, monkeypatch):
     # --preset built its setup beside the parser: with the angle budget
     # lowered, cost --preset exited 0 while the same preset as a document exited 1
-    monkeypatch.setattr(config, "MAX_ANGLES", 1000)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", 1000)
     with pytest.raises(ConfigError) as flag:
         preset_config("tfim-ruth3")
     with pytest.raises(ConfigError) as document:
@@ -380,7 +381,7 @@ def oversized_list(key: str, extra: int) -> dict:
 def test_an_oversized_list_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch, key):
     # a 10^6-time list used to parse, and a long a_grid was blamed on
     # profiling.trotter_steps ("an integer from 1 to 0")
-    monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", SMALL_ANGLES)
     assert parse_config(json.dumps(oversized_list(key, 0)))
     doc = oversized_list(key, 1)
     tracemalloc.start()
@@ -445,7 +446,7 @@ def test_absent_option_sections_are_bounded_at_their_defaults(
     # against MAX_ANGLES: 20 default times pass the limit of 14, and at 14
     # times calibration's 120-row batch passes the budget at one step.  Both
     # documents used to parse, because a missing section skipped its bound.
-    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 64)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", MAX_ANGLES // 64)
     doc = {**alternating_document(2048), **options}
     with pytest.raises(ConfigError) as info:
         parse_config(json.dumps(doc))
@@ -462,7 +463,7 @@ def test_a_step_over_the_angle_budget_names_the_table_not_the_depth(monkeypatch)
     # even one Trotter step of calibration's 120-row batch is over the budget:
     # the refusal used to read "profiling.trotter_steps must be an integer
     # from 1 to 0", which names no value the user could change
-    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 64)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", MAX_ANGLES // 64)
     doc = {**alternating_document(2048), "times": {"points": 14}}
     with pytest.raises(ConfigError, match="formula.steps rotate 3072 gates per step") as info:
         parse_config(json.dumps(doc))
@@ -534,7 +535,7 @@ def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
     # calibration probes 6 values of a at 20 times, 120 rows for every
     # alpha up to MAX_ALPHA; the depth bound used to count only the
     # sweep's rows (3 here), which let this batch pass the budget
-    monkeypatch.setattr(config, "MAX_ANGLES", SMALL_ANGLES)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", SMALL_ANGLES)
     doc = sample_document()
     doc.pop("output")
     doc["formula"] = {"steps": [[0, 1.0], [1, 1.0]]}
@@ -547,7 +548,8 @@ def test_the_calibration_batch_stays_inside_the_angle_bound(monkeypatch):
     assert cfg.basis is None
     sizes = []
 
-    def count(state, batches, seam, obs):
+    def count(state, sets, obs):
+        _, batches = next(iter(sets))
         sizes.append(batches[0][1].shape)
         raise _BatchCounted
 
@@ -574,7 +576,7 @@ def test_the_depth_bound_is_the_angle_budget_of_the_largest_batch():
 
 def test_shipped_documents_stay_far_inside_the_angle_bound(monkeypatch):
     # the benchmark's largest batch, 180 rows x 560 gates, is 1/166 of the bound
-    monkeypatch.setattr(config, "MAX_ANGLES", MAX_ANGLES // 100)
+    monkeypatch.setattr(simulator, "MAX_ANGLES", MAX_ANGLES // 100)
     for workload in workloads.WORKLOADS:
         for _, doc, _ in workloads.jobs(workload, seed=1):
             parse_config(json.dumps(doc))
@@ -981,6 +983,24 @@ def test_a_huge_grid_value_leaves_the_commands_that_never_sweep(tmp_path, capsys
     doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, 1e308]}}
     assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "slope", "profile", "calibrate"])
+@pytest.mark.parametrize("value", [1e308, 1e40])
+def test_a_huge_grid_value_is_refused_before_any_circuit(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    # run evolved its 2 constituent batches and its 4 calibration batches, and
+    # profile and calibrate calibrated, before the sweep's design was checked
+    def refuse(*args):
+        raise AssertionError("a circuit ran before the grid was refused")
+
+    monkeypatch.setattr(profiling, "sample_branches", refuse)
+    doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, value]}}
+    assert run_command([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"sweep grid [0.1, 0.2, 0.3, 0.4, {value!r}]" in err
+    assert "beyond the float range" in err
 
 
 @pytest.mark.parametrize("argv", [["mpf"], ["profile", "--time", "1e6"]], ids=["mpf", "profile"])

@@ -16,6 +16,7 @@ import itertools
 import json
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,7 +97,7 @@ def looped_trotter(cfg, t, n, jitter=None):
 
 def alone(state, words, angles, obs):
     """The engine's values for one batch, run as a branch set of its own."""
-    return sample_branches(state, [(words, angles)], 0, obs)[:, 0]
+    return sample_branches(state, [(0, [(words, angles)])], obs)[:, 0]
 
 
 def folded(words, angles):
@@ -337,7 +338,7 @@ def engine_calls(words):
     obs = OperatorSum.from_terms([PauliTerm("ZZ")])
     return {
         "alone": lambda: alone(psi, words, angles, obs),
-        "sample_branches": lambda: sample_branches(psi, [(words, angles)] * 2, 1, obs),
+        "sample_branches": lambda: sample_branches(psi, [(1, [(words, angles)] * 2)], obs),
     }
 
 
@@ -417,6 +418,100 @@ def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
     assert len(sets) == 4 - pairs
 
 
+@st.composite
+def branch_calls(draw):
+    """Several branch sets over one register and one set of rows: each set a
+    trunk of ``seam`` random words and one to three branches past it, rows in
+    chunks of ``chunk`` with a ragged last one, groups of at most ``budget``
+    angles, run on ``workers`` threads."""
+    n = draw(st.integers(1, 4))
+    word = st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
+    shapes = []
+    for _ in range(draw(st.integers(1, 5))):
+        trunk = draw(st.lists(word, max_size=4))
+        branches = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=3))
+        shapes.append((trunk, branches))
+    chunk = draw(st.integers(1, 4))
+    rows = chunk * draw(st.integers(0, 3)) + draw(st.integers(1, chunk))
+    budget = draw(st.integers(1, 300))
+    workers = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for trunk, branches in shapes:
+        head = rng.uniform(-3.0, 3.0, (rows, len(trunk)))
+        batches = [
+            (trunk + words, np.hstack([head, rng.uniform(-3.0, 3.0, (rows, len(words)))]))
+            for words in branches
+        ]
+        sets.append((len(trunk), batches))
+    words = {w for _, batches in sets for sequence, _ in batches for w in sequence}
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in sorted(words)])
+    return random_state(rng, n), sets, obs, chunk, budget, workers
+
+
+@settings(max_examples=100, deadline=None)
+@given(branch_calls())
+def test_a_call_of_many_sets_gives_the_bits_of_each_batch_alone(case):
+    psi, sets, obs, chunk, budget, workers = case
+    each = [alone(psi, words, angles, obs) for _, batches in sets for words, angles in batches]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "BATCH_AMPLITUDES", chunk << psi.n)
+        patch.setattr(simulator, "MAX_ANGLES", budget)
+        patch.setattr(simulator, "WORKERS", workers)
+        # threads switch often, so a chunk that wrote another's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            values = sample_branches(psi, iter(sets), obs)
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(values, np.column_stack(each))
+
+
+def test_a_call_holds_one_group_of_angles_and_the_next_set(monkeypatch):
+    # sets of 2 rows of alternating X and Z words, which fold nothing, so a
+    # kernel loop's folded length names its set; groups of at most 100 angles
+    monkeypatch.setattr(simulator, "MAX_ANGLES", 100)
+    monkeypatch.setattr(simulator, "WORKERS", 1)
+    lengths = [20, 21, 15, 75, 10, 11, 12, 13, 14, 45]
+    sizes = [2 * length for length in lengths]
+    groups, group = [], []
+    for i, size in enumerate(sizes):
+        if group and sum(sizes[j] for j in group) + size > 100:
+            groups.append(group)
+            group = []
+        group.append(i)
+    groups.append(group)
+    assert groups == [[0, 1], [2], [3], [4, 5, 6, 7], [8], [9]]
+    psi = random_state(np.random.default_rng(9), 2)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XI")])
+    alive = weakref.WeakValueDictionary()
+
+    def sets():
+        rng = np.random.default_rng(10)
+        for i, length in enumerate(lengths):
+            angles = rng.uniform(-3.0, 3.0, (2, length))
+            alive[i] = angles
+            yield 0, [((["XI", "ZI"] * length)[:length], angles)]
+
+    seen = []
+    evolve = simulator._evolve_steps
+
+    def recording(amps, words, *args):
+        seen.append((lengths.index(len(words)), sorted(alive)))
+        return evolve(amps, words, *args)
+
+    monkeypatch.setattr(simulator, "_evolve_steps", recording)
+    sample_branches(psi, sets(), obs)
+    for running, held in seen:
+        (k,) = [k for k, group in enumerate(groups) if running in group]
+        # the running group, and the set that opens the next one: pulled to
+        # learn that it does not fit, it waits with its angles built
+        assert held == groups[k] + (groups[k + 1][:1] if k + 1 < len(groups) else [])
+        assert sum(sizes[i] for i in groups[k]) <= 100 or len(groups[k]) == 1
+    assert sorted({running for running, _ in seen}) == list(range(len(lengths)))
+
+
 def test_branches_must_share_their_rows_and_trunk():
     psi = random_state(np.random.default_rng(1), 2)
     words = ["XZ", "ZZ", "YX"]
@@ -430,9 +525,9 @@ def test_branches_must_share_their_rows_and_trunk():
         [(words, angles), (words, other)],
     ):
         with pytest.raises(DimensionMismatchError, match="first 2 gates"):
-            sample_branches(psi, batches, 2, obs)
+            sample_branches(psi, [(2, batches)], obs)
     # past the seam the branches may differ
-    values = sample_branches(psi, [(words, angles), (words, other)], 1, obs)
+    values = sample_branches(psi, [(1, [(words, angles), (words, other)])], obs)
     assert np.array_equal(values[:, 1], alone(psi, words, other, obs))
 
 
@@ -447,7 +542,7 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     batches = [(words, np.hstack([head, rng.uniform(-3.0, 3.0, size=(5, 2))])) for words in sequences]
     obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
     each = [alone(psi, words, angles, obs) for words, angles in batches]
-    assert np.array_equal(sample_branches(psi, batches, 2, obs), np.column_stack(each))
+    assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
     assert simulator._trunk(tuple(map(tuple, sequences)), 2) == (1, 1)
     assert engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
 
@@ -467,7 +562,7 @@ def test_a_lone_batch_gives_the_same_bits_at_any_seam(monkeypatch):
     values = {}
     for cut in (seam, 0):
         runs = evolved_sequences(
-            lambda: values.setdefault(cut, sample_branches(psi, [batch], cut, obs))
+            lambda: values.setdefault(cut, sample_branches(psi, [(cut, [batch])], obs))
         )
         assert len(runs) == 3 * (2 if cut else 1)
     assert np.array_equal(values[seam], values[0])
@@ -501,8 +596,44 @@ def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, cap
         assert "batched evolution lost normalization" in capsys.readouterr().err
     assert codes == [1, 1]
 
+    # the second of four constituent sets loses its norm, in a call whose
+    # sets are groups of their own: the later groups never start
+    monkeypatch.setattr(simulator, "_check_norms", check)
+    doc = {"preset": "tfim-ruth3", "mpf": {"step_counts": [1, 2, 3, 4]}}
+    config = tmp_path / "doc.json"
+    config.write_text(json.dumps(doc))
+    cfg = parse_config(config.read_text())
+    lengths = [
+        len(simulator._folded_words(tuple(batches[0][0])))
+        for _, batches in constituent_sets((), cfg.mpf_step_counts, cfg)
+    ]
+    evolve, engine, evolved = simulator._evolve_steps, simulator.sample_branches, []
 
-def test_batches_of_one_chunk_start_no_thread(tmp_path, monkeypatch):
+    def losing_second(amps, words, *args):
+        evolved.append(len(words))
+        evolve(amps, words, *args)
+        if len(words) == lengths[1]:
+            amps *= 2.0
+
+    def set_per_group(state, sets, obs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "MAX_ANGLES", 1)
+            return engine(state, sets, obs)
+
+    monkeypatch.setattr(simulator, "_evolve_steps", losing_second)
+    monkeypatch.setattr(profiling, "sample_branches", set_per_group)
+    argv = ["run", "--config", str(config), "--method", "mpf", "--out", str(tmp_path / "mpf.csv")]
+    for workers in (1, 2):
+        monkeypatch.setattr(simulator, "WORKERS", workers)
+        evolved.clear()
+        assert run_command(argv) == 1
+        assert "batched evolution lost normalization" in capsys.readouterr().err
+        assert set(evolved) == set(lengths[:2])
+
+
+def test_calls_of_one_chunk_of_amplitudes_start_no_thread(tmp_path, monkeypatch):
+    # every engine call of a preset run holds at most BATCH_AMPLITUDES
+    # amplitudes over all its sets, so it stays on the calling thread
     def refuse(workers):
         raise AssertionError("a pool was started")
 
@@ -516,13 +647,50 @@ def test_batches_of_one_chunk_start_no_thread(tmp_path, monkeypatch):
         run_command(["run", "--preset", "tfim-ruth3", "--out", out])
 
 
+def test_a_call_of_sets_past_one_chunk_of_amplitudes_starts_the_pool(monkeypatch):
+    # each set is one chunk of 8 rows; two of them pass the gate together
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 8 << 2)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    started, pool = [], simulator._pool
+
+    def starting(workers):
+        started.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(simulator, "_pool", starting)
+    rng = np.random.default_rng(7)
+    psi = random_state(rng, 2)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
+    sets = [(0, [(["XZ", "ZZ", "YX"], rng.uniform(-3.0, 3.0, (8, 3)))]) for _ in range(2)]
+    each = [alone(psi, *batches[0], obs) for _, batches in sets]
+    assert started == []
+    assert np.array_equal(sample_branches(psi, sets, obs), np.column_stack(each))
+    assert started == [2]
+    # one worker runs the same call on the calling thread
+    monkeypatch.setattr(simulator, "WORKERS", 1)
+    assert np.array_equal(sample_branches(psi, sets, obs), np.column_stack(each))
+    assert started == [2]
+
+
+def test_the_sets_of_a_call_must_share_their_rows():
+    psi = random_state(np.random.default_rng(8), 2)
+    obs = OperatorSum.from_terms([PauliTerm("ZZ")])
+    sets = [(0, [(["XZ"], np.zeros((3, 1)))]), (0, [(["ZX"], np.zeros((2, 1)))])]
+    with pytest.raises(DimensionMismatchError, match="branch sets of 3 and 2 rows"):
+        sample_branches(psi, sets, obs)
+    with pytest.raises(DegenerateInputError, match="at least one branch set"):
+        sample_branches(psi, [], obs)
+    with pytest.raises(DegenerateInputError, match="at least one batch"):
+        sample_branches(psi, [(0, [])], obs)
+
+
 def test_a_batch_of_no_rows_gives_no_values(monkeypatch):
     monkeypatch.setattr(simulator, "WORKERS", 2)
     psi = random_state(np.random.default_rng(5), 2)
     words, empty = ["XZ", "ZZ"], np.empty((0, 2))
     obs = OperatorSum.from_terms([PauliTerm("ZZ")])
     assert alone(psi, words, empty, obs).shape == (0,)
-    assert sample_branches(psi, [(words, empty)] * 2, 1, obs).shape == (0, 2)
+    assert sample_branches(psi, [(1, [(words, empty)] * 2)], obs).shape == (0, 2)
 
 
 def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
@@ -571,6 +739,27 @@ def test_only_sample_branches_evolves_a_batch():
     assert users == {name: {("simulator", "sample_branches")} for name in users}
 
 
+def test_only_the_pool_imports_concurrent_futures():
+    # the import waits for the first call that needs the pool, so a run whose
+    # calls stay on the calling thread never pays for it
+    package = Path(trotterprof.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.If) and ast.unparse(top.test) == "TYPE_CHECKING":
+                continue  # read by type checkers, never run
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0] == "concurrent" for module in modules):
+                    importers.add((path.stem, getattr(top, "name", None)))
+    assert importers == {("simulator", "_pool")}
+
+
 def evolved_sequences(evaluate) -> list[tuple[tuple[str, ...], int]]:
     """The folded word sequence of each kernel loop run while ``evaluate`` runs,
     with the index of the loop's first kernel step."""
@@ -600,11 +789,12 @@ def test_folding_removes_the_repeated_commuting_fragment():
     loops = evolved_sequences(lambda: composite_expectations([0.3], [0.5], (1,), chain))
     loops += evolved_sequences(lambda: mpf_values([0.5], (1, 2, 4, 8), chain))
     sequences = [words for words, first in loops if first == 0]
-    assert [len(words) for words in sequences] == [389, 104, 199, 389, 769]
+    # the constituents of counts 1, 2, 4 and 8 run in one call, longest first
+    assert [len(words) for words in sequences] == [389, 769, 389, 199, 104]
     # each diagonal run is one kernel step: the chain's folded ZZ fragment is
     # a run of its nine bonds, so the composite is 200 single gates and 21 runs
     plans = [simulator._step_plan(words) for words in sequences]
-    assert [len(plan) for plan in plans] == [221, 56, 111, 221, 441]
+    assert [len(plan) for plan in plans] == [221, 441, 221, 111, 56]
     assert [stop - start for start, stop, i in plans[0] if i is not None] == [9] * 21
     assert len({id(i) for plan in plans for _, _, i in plan if i is not None}) == 1
 

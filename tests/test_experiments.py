@@ -392,9 +392,13 @@ class EngineSpy:
         self.batches, self.folded, self.steps = [], 0, 0
         original, evolve = simulator.sample_branches, simulator._evolve_steps
 
-        def sample(state, batches, seam, obs):
-            self.batches += [(tuple(words), len(angles)) for words, angles in batches]
-            return original(state, batches, seam, obs)
+        def sample(state, sets, obs):
+            def recorded():
+                for seam, batches in sets:
+                    self.batches += [(tuple(words), len(angles)) for words, angles in batches]
+                    yield seam, batches
+
+            return original(state, recorded(), obs)
 
         def evolve_steps(amps, words, rotations, steps, scratch):
             self.folded += len(amps) * sum(stop - start for start, stop, _ in steps)
