@@ -20,7 +20,12 @@ each batch's branch from a copy, with each batch's own bits; a batch of its
 own is a branch set of one.  One call takes a stage's branch sets, in
 groups whose angles fit ``MAX_ANGLES``, and runs a group's chunks of every
 set longest first, on one thread per CPU (``WORKERS``) when they hold more
-than one chunk of amplitudes, with the same bits as on one.  One kernel
+than one chunk of amplitudes, with the same bits as on one.  A chunk whose
+rows hold at least ``ROW_BUFFER_AMPLITUDES`` amplitudes runs with numpy's
+ufunc buffer cut to one row and restored after (``_row_buffer``), so numpy
+does not copy the stack through its buffer to multiply it by a gate's
+per-row cosines and sines; the cosines are complex, so they need no cast
+either.  The bits are the same.  One kernel
 (``_apply_operator``) applies ``H`` and every observable from one
 pre-gathered diagonal per flip mask, the diagonal group without a gather;
 ``expectation_rows`` sums each row of
@@ -37,10 +42,11 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +79,21 @@ NORM_TOL = 1e-10
 #: 180-row 10-qubit sweep spills out of it; on a 2-vCPU Xeon the 10-qubit
 #: curves ran fastest at 2^14 to 2^15, and slowest at 2^18.
 BATCH_AMPLITUDES = 1 << 15
+
+#: A chunk whose rows hold at least this many amplitudes runs with numpy's
+#: ufunc buffer cut to one row (``_row_buffer``).  Each gate that flips bits
+#: multiplies the stack by a ``(rows, 1)`` column of ``cos`` and one of
+#: ``i sin``; while a row is shorter than the buffer (8192 elements by
+#: default), numpy copies every operand through it to run one long inner
+#: loop, and such a multiply costs about twice a contiguous one of the same
+#: size (40-60 us against 20 us on 32 x 1024, numpy 2.4, 2-vCPU Xeon).  A
+#: buffer of one row lets it run one inner loop per row instead: at 32 x 1024
+#: a flip step fell from 261 to 184 us.  Chosen by measurement: from 2^7
+#: amplitudes up a row-sized buffer was faster, at 2^6 results were mixed,
+#: and at 2^4 it was 2.3 times slower (208 to 474 us); from 2^13 up the
+#: rule changes nothing.  Elementwise products and the row sums see the same
+#: operands in the same order, so no bit changes.
+ROW_BUFFER_AMPLITUDES = 1 << 7
 
 #: Largest angle array a document may make a run build: 2^24 float64 angles
 #: (128 MiB).  ``config`` bounds every count that sizes a batch so that no
@@ -264,8 +285,34 @@ def _checked_masks(
 
 
 def _rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(a)`` and ``i sin(a)`` of a ``(B, K)`` angle array, one ``(B, 1)`` column per gate."""
-    return np.cos(angles).T[:, :, None], 1.0j * np.sin(angles).T[:, :, None]
+    """``cos(a)`` and ``i sin(a)`` of a ``(B, K)`` angle array, one ``(B, 1)`` column per gate.
+
+    Both are complex, 32 bytes per row and gate (40 with the folded angle).
+    numpy would cast a float ``cos`` to ``c + 0j`` before each complex
+    product anyway, so the bits are the same, but the cast makes it buffer
+    the column on every gate.
+    """
+    return np.cos(angles).astype(complex).T[:, :, None], 1.0j * np.sin(angles).T[:, :, None]
+
+
+@contextmanager
+def _row_buffer(dim: int) -> Iterator[None]:
+    """Run the block with numpy's ufunc buffer at most ``dim`` elements, one
+    row of amplitudes, when ``dim >= ROW_BUFFER_AMPLITUDES``; the caller's size
+    is restored after, also when the block raises.
+
+    ``np.errstate`` scopes the size only from numpy 2.0, and numpy 1.24 is
+    supported, so the old size is set back here by hand.  From numpy 2.0 the
+    size is a context variable, so each thread of the pool sets and restores
+    its own.
+    """
+    saved = np.getbufsize()
+    if ROW_BUFFER_AMPLITUDES <= dim < saved:
+        np.setbufsize(dim)
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
 
 
 def _evolve_steps(
@@ -470,7 +517,8 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     after it, which waits, built, for the next group.  A group's chunks run
     longest first, by rows times kernel steps (``engine_counts``), through
     ``_map_chunks``, the pool's one rule for the whole group; each chunk
-    writes only its own rows of its own set's columns.
+    writes only its own rows of its own set's columns, under ``_row_buffer``
+    of one row.
     """
     _operator_tables(obs)  # workers only read the caches: fill them here
     per_chunk = max(1, BATCH_AMPLITUDES >> state.n)
@@ -489,14 +537,15 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
         def chunk(start: int) -> None:
             trunk = np.tile(state.amplitudes, (min(per_chunk, rows - start), 1))
             scratch = (np.empty_like(trunk), np.empty_like(trunk))
-            for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
-                rotations = _rotations(_folded_angles(plan, a[start : start + per_chunk]))
-                if j == 0 and cut:
-                    _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
-                stack = trunk if j == len(angles) - 1 else trunk.copy()
-                _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
-                _check_norms(stack, scratch)
-                values[start : start + per_chunk, j] = expectation_rows(stack, obs)
+            with _row_buffer(trunk.shape[1]):
+                for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
+                    rotations = _rotations(_folded_angles(plan, a[start : start + per_chunk]))
+                    if j == 0 and cut:
+                        _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
+                    stack = trunk if j == len(angles) - 1 else trunk.copy()
+                    _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
+                    _check_norms(stack, scratch)
+                    values[start : start + per_chunk, j] = expectation_rows(stack, obs)
 
         return chunk
 

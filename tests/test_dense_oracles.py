@@ -11,7 +11,9 @@ with the engine (a built-in formula's table is read from
 ``formulas.builtin_steps``): the exact column against ``expm(-iHt)``, the trotter and
 mpf columns against products of per-term ``expm``, and the ep intercept,
 under a pinned basis, against ``fit_profile`` on dense probe values averaged
-over all four probe variants.
+over all four probe variants.  One fixed 7-qubit example (``SEVEN_QUBITS``)
+runs the engine where a chunk cuts numpy's ufunc buffer to one row
+(``simulator.ROW_BUFFER_AMPLITUDES``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trotterprof import ProfileSample, fit_profile, mpf_weights, parse_config, simulator
@@ -176,8 +178,31 @@ def probe_values(system: DenseSystem, a: float, t: float, steps: int) -> float:
     return float(np.mean([system.value(late @ early) for early in first for late in second]))
 
 
+#: Two fragments of 7-qubit words, a diagonal pair and a pair that flips
+#: bits, under an asymmetric table: about 1 s, most of it in ``expm``.
+SEVEN_QUBITS = {
+    "system": {
+        "num_qubits": 7,
+        "hamiltonian": [
+            {"pauli": "ZZIIIIZ", "coeff": 0.9},
+            {"pauli": "IIZZZII", "coeff": -0.7},
+            {"pauli": "XIXIXIX", "coeff": 0.6},
+            {"pauli": "IYIYIYI", "coeff": -0.45},
+        ],
+    },
+    "partition": [[0, 1], [2, 3]],
+    "formula": {"steps": [[0, 0.3], [1, 0.6], [0, 0.7], [1, 0.4]]},
+    "initial_state": {"factors": [[[0.8, 0.1], [0.3, -0.5]]] * 7},
+    "observable": [{"pauli": "ZIIIIIY", "coeff": 0.7}, {"pauli": "IIIXXII", "coeff": -0.4}],
+    "times": {"values": [0.6]},
+    "profiling": {"trotter_steps": 2, "n_extra_orders": 1, "include_antisymmetric": True},
+    "mpf": {"step_counts": [1, 2, 3]},
+}
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(doc=documents(), chunk=st.integers(1, 3), workers=st.integers(1, 2))
+@example(doc=SEVEN_QUBITS, chunk=3, workers=2)
 def test_every_column_agrees_with_dense_oracles(doc, chunk, workers):
     cfg = parse_config(json.dumps(doc))
     system = DenseSystem(doc)

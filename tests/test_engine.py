@@ -210,6 +210,88 @@ def test_in_place_kernel_is_bit_identical_to_the_allocating_one(case):
     assert np.array_equal(alone(psi, words, angles, obs), expected)
 
 
+@st.composite
+def row_buffer_cases(draw):
+    """7-12 qubits, where a chunk runs with a ufunc buffer of one row: words
+    that flip bits beside runs of diagonal ones, rows in two chunks."""
+    n = draw(st.integers(7, 12))
+    word = st.text("IXYZ", min_size=n, max_size=n) | st.text("IZ", min_size=n, max_size=n)
+    words = draw(st.lists(word.filter(lambda w: set(w) != {"I"}), min_size=1, max_size=10))
+    chunk = draw(st.integers(1, 2))
+    rows = chunk + draw(st.integers(1, chunk))
+    workers = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, words, rows, chunk, workers, np.random.default_rng(seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_buffer_cases())
+def test_a_row_sized_ufunc_buffer_keeps_the_bits(case):
+    n, words, rows, chunk, workers, rng = case
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
+    evolve, sizes = simulator._evolve_steps, set()
+
+    def recording(*args):
+        sizes.add(np.getbufsize())
+        evolve(*args)
+
+    values = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "BATCH_AMPLITUDES", chunk << n)
+        patch.setattr(simulator, "WORKERS", workers)
+        patch.setattr(simulator, "_evolve_steps", recording)
+        values["row"] = alone(psi, words, angles, obs)
+        assert sizes == {1 << n}
+        patch.setattr(simulator, "ROW_BUFFER_AMPLITUDES", 1 << 20)
+        sizes.clear()
+        values["default"] = alone(psi, words, angles, obs)
+        assert sizes == {np.getbufsize()}
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(values["row"], expected)
+    assert np.array_equal(values["row"], values["default"])
+
+
+def test_the_ufunc_buffer_size_never_leaks(monkeypatch):
+    # 8 qubits: every chunk cuts the buffer to one row of 256 amplitudes
+    n, rows = 8, 6
+    rng = np.random.default_rng(9)
+    psi = random_state(rng, n)
+    words = ["XZIIYIIZ", "ZZIIIIII", "IIIIIIZZ", "IXIIIIXI"]
+    angles = rng.uniform(-3.0, 3.0, (rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm("ZIIIIIIZ"), PauliTerm("IIXXIIII", 0.5)])
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 2 << n)
+    check, sizes = simulator._check_norms, []
+
+    def recording(amps, scratch):
+        sizes.append(np.getbufsize())
+        check(amps, scratch)
+
+    def losing(amps, scratch):
+        amps *= 2.0
+        check(amps, scratch)
+
+    saved = np.setbufsize(4096)
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(simulator, "WORKERS", workers)
+            monkeypatch.setattr(simulator, "_check_norms", recording)
+            sizes.clear()
+            alone(psi, words, angles, obs)
+            assert sizes == [1 << n] * 3
+            assert np.getbufsize() == 4096
+            monkeypatch.setattr(simulator, "_check_norms", losing)
+            with pytest.raises(DegenerateInputError, match="lost normalization"):
+                alone(psi, words, angles, obs)
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
+    # the pool's threads are back at their own size too
+    pool = simulator._pool(2)
+    assert set(pool.map(lambda _: np.getbufsize(), range(8))) == {8192}
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
     # a diagonal word is a run of one, gathered from its two-entry table,
@@ -758,6 +840,20 @@ def test_only_the_pool_imports_concurrent_futures():
                 if any(module.split(".")[0] == "concurrent" for module in modules):
                     importers.add((path.stem, getattr(top, "name", None)))
     assert importers == {("simulator", "_pool")}
+
+
+def test_only_the_row_buffer_sets_the_ufunc_buffer_size():
+    # the size is numpy state of the calling thread: one place sets it and
+    # restores the caller's
+    package = Path(trotterprof.__file__).parent
+    setters = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "setbufsize":
+                    setters.add((path.stem, getattr(top, "name", None)))
+    assert setters == {("simulator", "_row_buffer")}
 
 
 def evolved_sequences(evaluate) -> list[tuple[tuple[str, ...], int]]:
