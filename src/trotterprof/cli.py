@@ -176,8 +176,7 @@ def _curves(cfg: ExperimentConfig, methods: Sequence[str]) -> list[ErrorCurve]:
     return [run_error_curve(cfg, method, exact, columns) for method in methods]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_run(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     rows = [row for curve in _curves(cfg, _methods(args)) for row in _curve_rows(cfg, curve)]
     if not _write_rows(args, doc, rows):
@@ -189,8 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_profile(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     t = args.time if args.time is not None else cfg.times[-1]
     if not (math.isfinite(t) and t > 0):
@@ -234,8 +232,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_mpf(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_mpf(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
     print(f"step counts {list(weights.step_counts)}")
@@ -250,8 +247,7 @@ def _cmd_mpf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_calibrate(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     _check_grid(cfg)
     basis = resolve_basis(cfg)
@@ -263,8 +259,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_slope(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_slope(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     window = (args.window[0], args.window[1])
     if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
@@ -283,8 +278,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     return EXIT_NUMERIC if missing else EXIT_OK
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+def _cmd_cost(args: argparse.Namespace, doc: ConfigDocument) -> int:
     cfg = doc.experiment
     totals = {stage.name: stage.totals() for stage in plan(cfg, METHODS)}
     totals["total"] = tuple(map(sum, zip(*totals.values())))
@@ -326,7 +320,7 @@ def run_command(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args, _load_document(args))
     except SystemExit as exc:  # --version and friends
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -3,15 +3,15 @@
 ``ExperimentConfig`` is one full setup; ``config`` parses it from a document
 or a preset.  The studies sweep the evaluation time for the plain iterated
 circuit, the profiling method, and the multi-product baseline, and fit
-log-log error slopes.  ``plan`` lists the engine batches a run executes from
-the generators the run evolves (``constituent_sets``, ``sweep_sets``), called
-with zero rows, so it reads their word sequences without building an angle.
+log-log error slopes.  ``plan`` lists the engine batches a run executes as
+the branch sets of the generators the run evolves (``constituent_sets``,
+``sweep_sets``), yielded at zero rows, so it builds no angle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -232,29 +232,19 @@ def stable_slope_fit(curve: ErrorCurve, window: tuple[float, float]) -> float:
     return slope_fit(pruned, window)
 
 
-#: A stage's batches in run order, as branch sets ``(seam, sequences)`` of
-#: word sequences (``BranchSet`` without the angles).
-Layout = tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
-
-
-def _layout(sets: Iterable[BranchSet]) -> Layout:
-    """The seams and word sequences of ``sets``."""
-    return tuple((seam, tuple(tuple(words) for words, _ in batches)) for seam, batches in sets)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stage:
     """The engine batches of one stage of a run: ``rows`` circuits per batch, and
-    the batches' word sequences in run order as the branch sets of ``layout``."""
+    the branch sets of the run's own generator at zero rows, in run order."""
 
     name: str
     rows: int
-    layout: Layout
+    sets: tuple[BranchSet, ...]
 
     @property
     def batches(self) -> tuple[tuple[tuple[str, ...], int], ...]:
         """Each batch as ``(words, rows)``, in run order."""
-        return tuple((words, self.rows) for _, sequences in self.layout for words in sequences)
+        return tuple((tuple(words), self.rows) for _, batches in self.sets for words, _ in batches)
 
     def totals(self) -> tuple[int, ...]:
         """Batches, rows, compiled row-gates, folded row-gates and kernel row-steps.
@@ -264,7 +254,8 @@ class Stage:
         """
         batches = self.batches
         gates = sum(len(words) for words, _ in batches)
-        folded, steps = map(sum, zip(*(engine_counts(seqs, seam) for seam, seqs in self.layout)))
+        counts = [engine_counts([w for w, _ in batches], seam) for seam, batches in self.sets]
+        folded, steps = map(sum, zip(*counts))
         rows = self.rows
         return len(batches), rows * len(batches), rows * gates, rows * folded, rows * steps
 
@@ -272,21 +263,21 @@ class Stage:
 def plan(cfg: ExperimentConfig, methods: Sequence[str]) -> tuple[Stage, ...]:
     """The engine batches that ``run`` of ``methods`` executes, in run order:
     ``constituents`` for trotter and mpf, then for ep ``calibration`` when no
-    basis is set, and the ``sweep``.  The layouts come from the run's own
-    generators at zero rows, so no angle is built (an unset grid calibrates,
-    to learn its size)."""
+    basis is set, and the ``sweep``.  Each stage holds the branch sets of the
+    run's own generator at zero rows, with ``(0, K)`` angle arrays (an unset
+    grid calibrates, to learn its size)."""
     for method in methods:
         if method not in METHODS:
             raise DegenerateInputError(f"method must be one of {METHODS}, got {method!r}")
     counts = constituent_counts(cfg, methods)
     stages = []
     if counts:
-        layout = _layout(constituent_sets((), counts, cfg))
-        stages.append(Stage("constituents", len(cfg.times), layout))
+        sets = tuple(constituent_sets((), counts, cfg))
+        stages.append(Stage("constituents", len(cfg.times), sets))
     if "ep" in methods:
-        layout = _layout(sweep_sets((), (), cfg))
+        sets = tuple(sweep_sets((), (), cfg))
         if cfg.basis is None:
             a_values, times = calibration_probes(cfg)
-            stages.append(Stage("calibration", len(a_values) * len(times), layout))
-        stages.append(Stage("sweep", len(sweep_grid(cfg)) * len(cfg.times), layout))
+            stages.append(Stage("calibration", len(a_values) * len(times), sets))
+        stages.append(Stage("sweep", len(sweep_grid(cfg)) * len(cfg.times), sets))
     return tuple(stages)

@@ -40,6 +40,7 @@ error-operator extraction only.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from contextlib import contextmanager
@@ -264,26 +265,6 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(amps, state.n)
 
 
-def _checked_masks(
-    words: Sequence[str], angles: np.ndarray, n: int
-) -> dict[str, tuple[int, int]]:
-    """``word_masks`` of each distinct word, after checking the gates.
-
-    Every word must act on ``n`` qubits, and ``angles`` needs one column per word.
-    """
-    if angles.ndim != 2 or angles.shape[1] != len(words):
-        raise DimensionMismatchError(
-            f"angle array of shape {angles.shape} does not match {len(words)} gates"
-        )
-    masks: dict[str, tuple[int, int]] = {}
-    for word in words:
-        if word not in masks:
-            if len(word) != n:
-                raise DimensionMismatchError(f"word {word!r} does not act on {n} qubits")
-            masks[word] = word_masks(word)
-    return masks
-
-
 def _rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cos(a)`` and ``i sin(a)`` of a ``(B, K)`` angle array, one ``(B, 1)`` column per gate.
 
@@ -303,8 +284,8 @@ def _row_buffer(dim: int) -> Iterator[None]:
 
     ``np.errstate`` scopes the size only from numpy 2.0, and numpy 1.24 is
     supported, so the old size is set back here by hand.  From numpy 2.0 the
-    size is a context variable, so each thread of the pool sets and restores
-    its own.
+    size is a context variable, and a pool job sets and restores it in its own
+    copy of the caller's context (``_map_chunks``).
     """
     saved = np.getbufsize()
     if ROW_BUFFER_AMPLITUDES <= dim < saved:
@@ -589,14 +570,22 @@ def _checked_set(
     seam: int, batches: Sequence[Batch], n: int
 ) -> tuple[tuple[tuple[str, ...], ...], list[np.ndarray]]:
     """A branch set's word sequences and float angle arrays, after checking that
-    its batches have words on ``n`` qubits and share their rows and first
-    ``seam`` gates."""
+    its batches share their rows and first ``seam`` gates.  One pass checks each
+    batch in word order: one angle column per word, and each distinct word on
+    ``n`` qubits with valid letters (``word_masks``)."""
     if not batches:
         raise DegenerateInputError("a branch set needs at least one batch")
     sequences = tuple(tuple(words) for words, _ in batches)
     angles = [np.asarray(a, dtype=float) for _, a in batches]
     for words, a in zip(sequences, angles):
-        _checked_masks(words, a, n)
+        if a.ndim != 2 or a.shape[1] != len(words):
+            raise DimensionMismatchError(
+                f"angle array of shape {a.shape} does not match {len(words)} gates"
+            )
+        for word in dict.fromkeys(words):
+            if len(word) != n:
+                raise DimensionMismatchError(f"word {word!r} does not act on {n} qubits")
+            word_masks(word)
     first, head = sequences[0][:seam], angles[0][:, :seam]
     for words, a in zip(sequences[1:], angles[1:]):
         if a.shape[0] != head.shape[0] or words[:seam] != first or not np.array_equal(
@@ -611,6 +600,9 @@ def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: i
     threads of ``_pool`` when there are two workers, two jobs and more than
     ``BATCH_AMPLITUDES`` amplitudes to evolve, otherwise on the calling thread.
 
+    A pool job runs in its own copy of the caller's context, since two threads
+    cannot enter one context at once: from numpy 2.0 it sees the caller's
+    error state and ufunc buffer size, and what it sets stays in its copy.
     ``Executor.map`` raises a job's exception here and cancels the jobs that
     have not started.
     """
@@ -618,7 +610,8 @@ def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: i
         for chunk, start in jobs:
             chunk(start)
     else:
-        for _ in _pool(WORKERS).map(lambda job: job[0](job[1]), jobs):
+        contexts = [contextvars.copy_context() for _ in jobs]
+        for _ in _pool(WORKERS).map(lambda context, job: context.run(*job), contexts, jobs):
             pass
 
 

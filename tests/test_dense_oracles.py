@@ -9,11 +9,12 @@ engine runs in chunks of 1-3 rows on 1-2 threads.  Every column that
 ``run`` reports is then checked against dense matrices that share no code
 with the engine (a built-in formula's table is read from
 ``formulas.builtin_steps``): the exact column against ``expm(-iHt)``, the trotter and
-mpf columns against products of per-term ``expm``, and the ep intercept,
-under a pinned basis, against ``fit_profile`` on dense probe values averaged
-over all four probe variants.  One fixed 7-qubit example (``SEVEN_QUBITS``)
-runs the engine where a chunk cuts numpy's ufunc buffer to one row
-(``simulator.ROW_BUFFER_AMPLITUDES``).
+mpf columns against products of per-term ``expm``, and the ep intercept
+against ``fit_profile`` on dense probe values averaged over all four probe
+variants, under the document's pinned basis or, in about half the examples,
+the basis that ``run`` calibrates (``resolve_basis``).  One fixed 7-qubit
+example (``SEVEN_QUBITS``) runs the engine where a chunk cuts numpy's ufunc
+buffer to one row (``simulator.ROW_BUFFER_AMPLITUDES``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from trotterprof import ProfileSample, fit_profile, mpf_weights, parse_config, s
 from trotterprof.errors import FormulaError
 from trotterprof.experiments import run_error_curve
 from trotterprof.formulas import FORMULA_NAMES, builtin_steps
-from trotterprof.profiling import sweep_grid
+from trotterprof.profiling import resolve_basis, sweep_grid
 
 _PAULI = {
     "I": np.eye(2),
@@ -41,10 +42,11 @@ _PAULI = {
 }
 
 #: Agreement of every column with its oracle; the largest gap seen in 400
-#: examples was 5.1e-15 (the ep fits' condition numbers stay below 70).
+#: examples was 9.3e-15 (the ep fits' condition numbers reached 1.1e4, under
+#: a calibrated basis of four orders and their antisymmetric columns).
 TOLERANCE = 1e-10
 
-#: Examples per run: about 3 s on 2 vCPUs.
+#: Examples per run: about 4 s on 2 vCPUs.
 EXAMPLES = 30
 
 
@@ -113,6 +115,10 @@ def documents(draw) -> dict:
     formula = draw(st.sampled_from(builtins) | palindromes(k) | asymmetric_tables(k))
     pair = st.tuples(coeff, coeff)
     times = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2, unique=True)))
+    profiling = {"trotter_steps": draw(st.integers(1, 2))}
+    if draw(st.booleans()):  # a pinned basis; else run calibrates one
+        profiling["n_extra_orders"] = draw(st.integers(0, 1))
+        profiling["include_antisymmetric"] = draw(st.booleans())
     return {
         "system": {"num_qubits": n, "hamiltonian": terms},
         "partition": [list(range(lo, hi)) for lo, hi in zip(sizes, sizes[1:])],
@@ -123,11 +129,7 @@ def documents(draw) -> dict:
             for w in draw(st.lists(word, min_size=1, max_size=3, unique=True))
         ],
         "times": {"values": times},
-        "profiling": {
-            "trotter_steps": draw(st.integers(1, 2)),
-            "n_extra_orders": draw(st.integers(0, 1)),
-            "include_antisymmetric": draw(st.booleans()),
-        },
+        "profiling": profiling,
         "mpf": {"step_counts": draw(st.sampled_from([[1, 2], [1, 2, 3], [2, 3]]))},
     }
 
@@ -212,7 +214,8 @@ def test_every_column_agrees_with_dense_oracles(doc, chunk, workers):
         patch.setattr(simulator, "WORKERS", workers)
         curves = {method: run_error_curve(cfg, method) for method in ("trotter", "mpf", "ep")}
     weights = mpf_weights(cfg.mpf_step_counts, cfg.formula.alpha, cfg.formula.symmetric)
-    grid = sweep_grid(cfg)
+    basis = resolve_basis(cfg)
+    grid = sweep_grid(cfg, basis)
     for j, t in enumerate(cfg.times):
         trotter = system.value(system.trotter(t, cfg.trotter_steps))
         mpf = sum(
@@ -220,7 +223,7 @@ def test_every_column_agrees_with_dense_oracles(doc, chunk, workers):
             for w, count in zip(weights.weights, weights.step_counts)
         )
         samples = [ProfileSample(a, probe_values(system, a, t, cfg.trotter_steps)) for a in grid]
-        ep = fit_profile(samples, cfg.basis, cfg.formula.alpha).y_star
+        ep = fit_profile(samples, basis, cfg.formula.alpha).y_star
         assert curves["trotter"].points[j].exact == pytest.approx(system.exact(t), abs=TOLERANCE)
         assert curves["trotter"].points[j].estimate == pytest.approx(trotter, abs=TOLERANCE)
         assert curves["mpf"].points[j].estimate == pytest.approx(mpf, abs=TOLERANCE)

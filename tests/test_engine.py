@@ -15,6 +15,7 @@ import ast
 import itertools
 import json
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -290,6 +291,42 @@ def test_the_ufunc_buffer_size_never_leaks(monkeypatch):
     # the pool's threads are back at their own size too
     pool = simulator._pool(2)
     assert set(pool.map(lambda _: np.getbufsize(), range(8))) == {8192}
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x keeps this state per thread"
+)
+def test_chunk_jobs_on_the_pool_see_the_callers_numpy_state(monkeypatch):
+    # 4 qubits keep the caller's buffer size in every chunk (no row buffer);
+    # six chunks of one row make the call run on the pool
+    n, rows = 4, 6
+    rng = np.random.default_rng(10)
+    psi = random_state(rng, n)
+    words = ["XZIY", "ZZII", "IXXI"]
+    angles = rng.uniform(-3.0, 3.0, (rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm("ZIIZ"), PauliTerm("IXXI", 0.5)])
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 1 << n)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    check, seen = simulator._check_norms, []
+
+    def recording(amps, scratch):
+        seen.append((threading.current_thread().name, np.geterr()["over"], np.getbufsize()))
+        check(amps, scratch)
+
+    monkeypatch.setattr(simulator, "_check_norms", recording)
+    expected = looped_values(psi, words, angles, obs)
+    saved, errors = np.getbufsize(), np.geterr()
+    try:
+        with np.errstate(over="raise"):
+            np.setbufsize(4096)
+            values = alone(psi, words, angles, obs)
+    finally:
+        np.setbufsize(saved)
+    np.testing.assert_allclose(values, expected, atol=TOL, rtol=0)
+    assert len(seen) == rows
+    assert any(name.startswith("trotterprof-chunk") for name, _, _ in seen)
+    assert {(over, size) for _, over, size in seen} == {("raise", 4096)}
+    assert np.geterr() == errors and np.getbufsize() == saved
 
 
 @pytest.mark.parametrize("n", range(1, 11))
