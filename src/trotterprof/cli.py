@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from typing import Sequence
 
 from ._version import __version__
@@ -66,7 +67,10 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message, "usage")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _CliParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    no state between calls, and building it takes about a millisecond."""
     parser = _CliParser(prog="trotterprof", description=__doc__)
     parser.add_argument("--version", action="version", version=f"trotterprof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,9 +9,16 @@ Pauli words, as ``(B, 2^n)`` state stacks.  It first folds each gate into an
 earlier gate on the same word when every gate between them commutes with it
 (the angles add), then makes one in-place vectorised update per remaining
 gate that flips bits, from the word's ``pauli`` tables and masks, looked up
-once per distinct word (a word of X letters needs no phase).  Each run of
-consecutive diagonal words is one update: every row gathers a table of the
-run's phase products, built from the gates' cosines and sines.  The folded
+once per distinct word (a word of X letters needs no phase).  A flip whose
+lowest bit spans at least ``VIEW_FLIP_AMPLITUDES`` amplitudes needs no index
+table: the row is reshaped into runs of flipped and kept bits, the flipped
+runs are read reversed, and that strided view of ``psi[i ^ x]`` goes straight
+into the ``sin`` multiply; any other flip gathers by its table first.  Both
+kernels read their flips this way (``_flip_operands``), and each amplitude
+meets the same operands in the same order, so the bits are the same.  Each
+run of consecutive diagonal words is one update: every row gathers a table
+of the run's phase products, built from the gates' cosines and sines by one
+multiply per word, alternating between the two scratch stacks.  The folded
 angles and the products round differently from the reference's gate-by-gate
 updates, so the engine agrees with it within 1e-12, not bit for bit; a row's
 bits still do not depend on its batch.  Batches whose circuits open with
@@ -43,6 +50,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -96,6 +104,30 @@ BATCH_AMPLITUDES = 1 << 15
 #: operands in the same order, so no bit changes.
 ROW_BUFFER_AMPLITUDES = 1 << 7
 
+#: A flip mask whose lowest bit spans at least this many amplitudes reads
+#: ``psi[i ^ x]`` as a strided view (``_flip_axes``), so one multiply does the
+#: gather and the product; any other mask gathers through its ``2^n`` index
+#: table first.  Chosen by measurement of one X flip step under a buffer of
+#: one row (numpy 2.4, 2-vCPU Xeon, best of 9 x 100 calls): the view's time
+#: over the gather's, by the span of the lowest flipped bit,
+#:
+#:     register, rows       1-8 amps   16 amps    32 amps   64 amps and up
+#:     10 qubits, 32 rows   0.98-2.3   0.90       0.84      0.70-0.77
+#:     12 qubits, 8 rows    1.12       1.05-1.08  -         0.72-0.92
+#:     14 qubits, 2 rows    -          1.00       -         0.66-0.87
+#:
+#: where a gathered 10-qubit step took 78-80 us.  Below 16 amplitudes the
+#: view's inner loops are too short.  One 10-qubit X layer of 10 flips fell
+#: from 785 to 663 us.  Each amplitude sees the same operands in the same
+#: order, so no bit changes.
+VIEW_FLIP_AMPLITUDES = 16
+
+#: numpy before 2.0 holds at most 32 axes in an array.  A flip view has one
+#: axis per run of flipped or kept bits, plus the rows and, for a step's
+#: ``sin`` columns, the gates: at most ``n + 2``, 22 at 20 qubits.  A mask
+#: that would need more gathers instead.
+MAX_AXES = 32
+
 #: Largest angle array a document may make a run build: 2^24 float64 angles
 #: (128 MiB).  ``config`` bounds every count that sizes a batch so that no
 #: batch holds more (``config._angle_limit``); the largest batch of the
@@ -141,8 +173,13 @@ WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-#: ``(perm, diagonal)`` of one flip mask of an operator sum (``_operator_tables``).
-OperatorTables = tuple[np.ndarray | None, np.ndarray]
+#: ``(word, flip, diagonal)`` of one flip mask of an operator sum
+#: (``_operator_tables``): a word that flips those bits, its X mask, and the
+#: pre-gathered diagonal.
+OperatorTables = tuple[str, int, np.ndarray]
+
+#: ``(perm, read, target, factor)`` of one flip (``_flip_operands``).
+FlipOperands = tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]
 
 #: One engine batch: its word sequence, and one row of angles per circuit.
 Batch = tuple[list[str], np.ndarray]
@@ -308,28 +345,102 @@ def _evolve_steps(
     ``rotations`` holds ``_rotations`` of the gates' angles, a column per
     word of ``words``.  A non-diagonal word makes the update of
     ``apply_circuit``, in its operand order; a word of X letters skips the
-    all-ones phase.  A run of diagonal words multiplies each row by one
-    gathered table of phase products (``_run_table``), built in the front of
-    a scratch stack.
+    all-ones phase.  Its ``sin`` product reads the flipped amplitudes
+    through ``_flip_operands``, built once per word and call.  A run of
+    diagonal words multiplies each row by one gathered table of phase
+    products (``_run_table``), built in the fronts of the scratch stacks.
     """
     cos, sin = rotations
     scaled, moved = scratch
+    flips: dict[str, tuple[np.ndarray | None, np.ndarray, FlipOperands]] = {}
     for start, stop, index in steps:
         if index is not None:
-            table = _run_table(cos[start:stop], sin[start:stop], scaled)
+            table = _run_table(cos[start:stop], sin[start:stop], scratch)
             # mode="clip" lets take write straight into ``moved``; "raise" buffers.
             table.take(index, axis=1, out=moved, mode="clip")
             np.multiply(amps, moved, out=amps)
             continue
-        perm, phase = _word_tables(words[start])
-        if word_masks(words[start])[1]:
+        word = words[start]
+        if word not in flips:
+            flip, signs = word_masks(word)
+            source = scaled if signs else amps
+            phase = _word_tables(word)[1] if signs else None
+            flips[word] = phase, source, _flip_operands(word, flip, source, moved, sin)
+        phase, source, (perm, read, target, factor) = flips[word]
+        if phase is not None:
             np.multiply(amps, phase, out=scaled)
-            scaled.take(perm, axis=1, out=moved, mode="clip")
-        else:
-            amps.take(perm, axis=1, out=moved, mode="clip")
-        np.multiply(sin[start], moved, out=moved)
+        if perm is not None:
+            source.take(perm, axis=1, out=moved, mode="clip")
+        np.multiply(factor[start], read, out=target)
         np.multiply(cos[start], amps, out=amps)
         np.subtract(amps, moved, out=amps)
+
+
+def _flip_operands(
+    word: str, flip: int, source: np.ndarray, out: np.ndarray, factor: np.ndarray
+) -> FlipOperands:
+    """How both kernels write ``factor`` times ``source[..., i ^ flip]`` into ``out``.
+
+    ``flip`` is the X mask of ``word``, and ``factor`` holds one value per
+    row or one per amplitude in its last axis.  Returns ``(perm, read,
+    target, factor)``: the caller gathers ``source`` into ``out`` by
+    ``perm`` when it is not None, then multiplies ``read`` and the returned
+    ``factor`` into ``target``.  A mask whose lowest bit spans at least
+    ``VIEW_FLIP_AMPLITUDES`` amplitudes needs no gather: ``read`` is the
+    strided view ``source[..., i ^ flip]`` (``_flip_axes``), and ``target``
+    and ``factor`` are ``out`` and ``factor`` reshaped to its axes.  Any
+    other mask gathers by the word's ``perm``, into ``out``, which is then
+    ``read`` and ``target``; a mask of 0 reads ``source`` as it is.  Either
+    way each amplitude meets the same operands, so the bits are the same.
+    """
+    if not flip:
+        return None, source, out, factor
+    n = source.shape[-1].bit_length() - 1
+    view = _flip_view(flip, n, max(source.ndim, factor.ndim) - 1)
+    if view is None:
+        return _word_tables(word)[0], out, out, factor
+    shape, index = view
+    lead = source.shape[:-1]
+    spread = shape if factor.shape[-1] > 1 else (1,) * len(shape)
+    return (
+        None,
+        source.reshape(lead + shape)[(..., *index)],
+        out.reshape(lead + shape),
+        factor.reshape(factor.shape[:-1] + spread),
+    )
+
+
+def _flip_view(flip: int, n: int, lead: int) -> tuple[tuple[int, ...], tuple[slice, ...]] | None:
+    """``_flip_axes(flip, n)`` when ``flip`` reads as a view beside ``lead`` leading
+    axes: its lowest bit spans ``VIEW_FLIP_AMPLITUDES`` amplitudes or more and
+    the view keeps within ``MAX_AXES``.  None when it gathers."""
+    if flip & -flip < VIEW_FLIP_AMPLITUDES:
+        return None
+    view = _flip_axes(flip, n)
+    return view if lead + len(view[0]) <= MAX_AXES else None
+
+
+@lru_cache(maxsize=1024)
+def _flip_axes(flip: int, n: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """The axes of a row of ``2^n`` amplitudes that read ``psi[i ^ flip]`` as a view.
+
+    Each run of consecutive bits that ``flip`` sets, or clears, is one axis,
+    highest first, so there are at most ``n``.  Within a run of j set bits
+    ``i ^ (2^j - 1) = 2^j - 1 - i``, so that axis is read reversed.  Returns
+    the axis sizes and one slice per axis.
+    """
+    shape: list[int] = []
+    index: list[slice] = []
+    top = n
+    while top:
+        bit = flip >> (top - 1) & 1
+        low = top - 1
+        while low and (flip >> (low - 1) & 1) == bit:
+            low -= 1
+        shape.append(1 << (top - low))
+        index.append(slice(None, None, -1) if bit else slice(None))
+        top = low
+    return tuple(shape), tuple(index)
 
 
 def _check_norms(amps: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> None:
@@ -341,24 +452,31 @@ def _check_norms(amps: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> No
         raise DegenerateInputError("batched evolution lost normalization")
 
 
-def _run_table(cos: np.ndarray, sin: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _run_table(
+    cos: np.ndarray, sin: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Each row's ``2^m`` phase products for a run of m diagonal words.
 
     ``cos`` and ``sin`` hold the run's ``cos(a)`` and ``i sin(a)`` columns,
     shaped ``(m, B, 1)``.  Entry ``k`` of row b is the product over j of
     ``cos - i sin`` of word j where bit j of ``k`` is 0 and ``cos + i sin``
     where it is 1: the word's eigenvalue is ``+1`` or ``-1``.  The table is
-    built by doubling, one word at a time, in the front of ``scratch``.
+    built by doubling, one multiply per word, ``half[:, None, :]`` times both
+    factors of the word.  Each doubling writes into the front of the other
+    scratch stack, so no output overlaps its input; the full table lands in
+    ``scratch[0]``.
     """
-    m, rows = cos.shape[0], scratch.shape[0]
-    minus, plus = cos - sin, cos + sin
-    table = scratch.reshape(-1)[: rows << m].reshape(rows, 1 << m)
-    table[:, :1] = minus[0]
-    table[:, 1:2] = plus[0]
+    m, rows = cos.shape[:2]
+    factors = np.empty((m, rows, 2, 1), dtype=complex)
+    np.subtract(cos, sin, out=factors[:, :, 0])
+    np.add(cos, sin, out=factors[:, :, 1])
+    fronts = [stack.reshape(-1) for stack in scratch]
+    table = fronts[(m - 1) % 2][: rows << 1].reshape(rows, 2)
+    table[...] = factors[0, :, :, 0]
     for j in range(1, m):
-        half = table[:, : 1 << j]
-        np.multiply(half, plus[j], out=table[:, 1 << j : 2 << j])
-        np.multiply(half, minus[j], out=half)
+        doubled = fronts[(m - 1 - j) % 2][: rows << (j + 1)].reshape(rows, 2, 1 << j)
+        np.multiply(table[:, None, :], factors[j], out=doubled)
+        table = doubled.reshape(rows, 2 << j)
     return table
 
 
@@ -451,19 +569,23 @@ def _folded_angles(
     return np.add.reduceat(angles[:, columns], starts, axis=1)
 
 
-def expectation_rows(amps: np.ndarray, obs: OperatorSum) -> np.ndarray:
+def expectation_rows(
+    amps: np.ndarray, obs: OperatorSum, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Exact ``<psi_b|O|psi_b>`` for every row of a ``(B, 2^n)`` state stack.
 
     ``O`` acts on the whole stack through the flip-mask tables that the
     exact propagator uses for ``H`` (``_operator_tables``); a row's value is
     then ``(conj(psi_b) * O psi_b).sum()``, a reduction along that row
-    alone, so a row gives the same bits whichever stack it sits in.
+    alone, so a row gives the same bits whichever stack it sits in.  The
+    work goes through two complex stacks shaped like ``amps``: ``scratch``,
+    or two new ones.
     """
     if not obs.hermitian:
         raise HermiticityError("expectation requires a Hermitian observable")
     if amps.shape[1] != (1 << obs.n):
         raise DimensionMismatchError("observable and state qubit counts differ")
-    applied, scratch = np.empty_like(amps, dtype=complex), np.empty_like(amps, dtype=complex)
+    applied, scratch = scratch or (np.empty_like(amps, complex), np.empty_like(amps, complex))
     _apply_operator(_operator_tables(obs), amps, applied, scratch)
     values = np.multiply(np.conjugate(amps, out=scratch), applied, out=applied).sum(axis=1)
     worst = float(np.max(np.abs(values.imag), initial=0.0))
@@ -486,7 +608,9 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     angles (``_fold_plan``, ``_folded_angles``).  Per chunk, the kernel
     steps that every folded sequence of a set opens with (``_trunk``) are
     evolved once; each branch then continues from a copy of that stack, and
-    the last one in place, so one extra stack is alive per chunk.  Every row
+    the last one in place.  A chunk runs in four stacks of its thread (the
+    trunk, a branch copy and two scratch stacks), made at the thread's first
+    chunk and kept for the call, so chunks touch no fresh pages.  Every row
     sees the same operations in the same order whatever the seam, the
     batches beside it and the sets of the call, so the values are the same
     bits; they agree with the looped circuits within 1e-12.
@@ -506,6 +630,14 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     columns: list[np.ndarray] = []
     rows: int | None = None
 
+    held = threading.local()
+
+    def stacks(count: int) -> list[np.ndarray]:
+        """The first ``count`` rows of this thread's four chunk stacks."""
+        if not hasattr(held, "stacks"):
+            held.stacks = np.empty((4, min(per_chunk, rows), 1 << state.n), dtype=complex)
+        return list(held.stacks[:, :count])
+
     def branches(seam, sequences, angles, values) -> Callable[[int], None]:
         """The chunk job of one set, writing its columns of ``values``."""
         cut = _trunk(sequences, seam)[0]
@@ -513,20 +645,26 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
         folded = [_folded_words(words) for words in sequences]
         steps = [_step_plan(words) for words in folded]
         for word in set().union(*folded):
-            _word_tables(word)
+            flip, signs = word_masks(word)
+            if signs or _flip_view(flip, state.n, 2) is None:  # beside gates and rows
+                _word_tables(word)
 
         def chunk(start: int) -> None:
-            trunk = np.tile(state.amplitudes, (min(per_chunk, rows - start), 1))
-            scratch = (np.empty_like(trunk), np.empty_like(trunk))
+            trunk, branch, scaled, moved = stacks(min(per_chunk, rows - start))
+            trunk[...] = state.amplitudes
+            scratch = scaled, moved
             with _row_buffer(trunk.shape[1]):
                 for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
                     rotations = _rotations(_folded_angles(plan, a[start : start + per_chunk]))
                     if j == 0 and cut:
                         _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
-                    stack = trunk if j == len(angles) - 1 else trunk.copy()
+                    stack = trunk
+                    if j < len(angles) - 1:
+                        stack = branch
+                        np.copyto(branch, trunk)
                     _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
                     _check_norms(stack, scratch)
-                    values[start : start + per_chunk, j] = expectation_rows(stack, obs)
+                    values[start : start + per_chunk, j] = expectation_rows(stack, obs, scratch)
 
         return chunk
 
@@ -670,28 +808,48 @@ def _operator_tables(op: OperatorSum) -> tuple[OperatorTables, ...]:
     A term ``c P`` acts as ``(c * phase * psi)[perm]``; terms whose words
     flip the same bits share ``perm`` and add into one diagonal, so a chain
     of ZZ bonds and X fields needs one diagonal plus one gather per site.
-    Each entry is ``(perm_f, D_f[perm_f])``, pre-gathered; ``perm_0`` is None.
+    Each entry is ``(word_f, f, D_f[perm_f])``, pre-gathered, with ``word_f``
+    the first word that flips the bits of ``f``; ``_apply_operator`` reads
+    ``psi[perm_f]`` through ``_flip_operands``.
     """
-    merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    merged: dict[int, tuple[str, np.ndarray]] = {}
     for term in op.terms:
-        perm, phase = _word_tables(term.word)
         flip = word_masks(term.word)[0]
-        diagonal = term.coeff * phase
-        merged[flip] = (perm, merged[flip][1] + diagonal if flip in merged else diagonal)
-    tables = tuple((perm if f else None, diag[perm]) for f, (perm, diag) in merged.items())
-    for _, diagonal in tables:
+        diagonal = term.coeff * _word_tables(term.word)[1]
+        word, total = merged.get(flip, (term.word, None))
+        merged[flip] = word, diagonal if total is None else total + diagonal
+    tables = tuple(
+        (word, flip, diag[_word_tables(word)[0]]) for flip, (word, diag) in merged.items()
+    )
+    for *_, diagonal in tables:
         diagonal.setflags(write=False)
     return tables
 
 
 def _apply_operator(
-    tables: Sequence[OperatorTables], v: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    tables: Sequence[OperatorTables],
+    v: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    flips: dict[tuple[int, str], tuple[np.ndarray, FlipOperands]] | None = None,
 ) -> None:
-    """Write ``O v`` into ``out`` for a state or a ``(B, 2^n)`` stack ``v``."""
+    """Write ``O v`` into ``out`` for a state or a ``(B, 2^n)`` stack ``v``.
+
+    Each flip mask multiplies ``v[..., perm_f]`` by its diagonal into
+    ``scratch`` (``_flip_operands``), which then adds into ``out``.  Calls
+    that share ``tables`` and ``scratch`` may share ``flips``, which keeps
+    each mask's operands per ``v``, and ``v`` alive so that its id is not reused.
+    """
+    flips = {} if flips is None else flips
     out.fill(0.0)
-    for perm, diag in tables:
-        moved = v if perm is None else v.take(perm, axis=-1, out=scratch, mode="clip")
-        np.multiply(moved, diag, out=scratch)
+    for word, flip, diag in tables:
+        key = id(v), word
+        if key not in flips:
+            flips[key] = v, _flip_operands(word, flip, v, scratch, diag)
+        perm, read, target, factor = flips[key][1]
+        if perm is not None:
+            v.take(perm, axis=-1, out=scratch, mode="clip")
+        np.multiply(read, factor, out=target)
         np.add(out, scratch, out=out)
 
 
@@ -772,12 +930,13 @@ def _chebyshev_window(
     previous, current, applied, scratch, products = buffers
     np.multiply(coefficients[0][:, None], previous, out=rows)
     chunk = products.shape[0]
+    flips: dict[tuple[int, str], tuple[np.ndarray, FlipOperands]] = {}
     for k in range(1, coefficients.shape[0]):
         if k == 1:
-            _apply_operator(tables, previous, current, scratch)
+            _apply_operator(tables, previous, current, scratch, flips)
             np.multiply(current, 1.0 / norm, out=current)
         else:
-            _apply_operator(tables, current, applied, scratch)
+            _apply_operator(tables, current, applied, scratch, flips)
             np.multiply(applied, 2.0 / norm, out=applied)
             np.subtract(applied, previous, out=previous)
             previous, current = current, previous

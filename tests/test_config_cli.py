@@ -1564,6 +1564,37 @@ def test_each_command_takes_only_the_flags_it_reads():
         assert ("--method" in flags[name]) == (name in ("run", "slope"))
 
 
+def test_one_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: a run, a usage error, --version
+    # and a run again exit and print as four fresh processes do
+    calls = [
+        ["run", "--preset", "tfim-ruth3", "--method", "trotter", "--out", "out.csv"],
+        ["run", "--preset", "tfim-ruth3", "--bogus"],
+        ["--version"],
+        ["run", "--preset", "xxz-ruth3", "--method", "trotter,mpf", "--out", "out.csv"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "trotterprof.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0]
+    assert _build_parser() is _build_parser()
+    one = []
+    for argv in calls:
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        one.append((code, out, err))
+    assert one == fresh
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -1622,7 +1653,7 @@ def readme_value(node: ast.AST) -> object:
 def test_readme_constants_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     found = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
-    assert len(found) == 15
+    assert len(found) == 16
     modules = [
         importlib.import_module(f"trotterprof.{info.name}")
         for info in pkgutil.iter_modules(trotterprof.__path__)

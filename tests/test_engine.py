@@ -404,9 +404,182 @@ def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
     finally:
         tracemalloc.stop()
         np.setbufsize(old)
-    # the stacks are the caller's: room for the run's factor columns, not
-    # for half a table of its own
-    assert peak < table // 2
+    # the stacks are the caller's: room for the run's factor columns and the
+    # flip views, not for an eighth of a table of its own
+    assert peak < table // 8
+
+
+def test_a_run_table_makes_no_ufunc_temporaries():
+    # nine ZZ bonds on 32 rows: one array of cos -+ i sin factors, and every
+    # doubling writes into the other scratch stack's front
+    n, rows, m = 10, 32, 9
+    rng = np.random.default_rng(4)
+    cos, sin = simulator._rotations(rng.uniform(-3.0, 3.0, size=(rows, m)))
+    scratch = (np.empty((rows, 1 << n), complex), np.empty((rows, 1 << n), complex))
+    simulator._run_table(cos, sin, scratch)
+    factors = m * rows * 2 * 16
+    # numpy's ufunc buffers (8192 elements each by default) would hide a table
+    old = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        table = simulator._run_table(cos, sin, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    assert peak < factors + 4096
+    assert np.shares_memory(table, scratch[0])
+    minus, plus = cos - sin, cos + sin
+    expected = np.concatenate([minus[0], plus[0]], axis=1)
+    for j in range(1, m):
+        expected = np.concatenate([expected * minus[j], expected * plus[j]], axis=1)
+    assert np.array_equal(bits(table), bits(expected))
+
+
+def bits(values):
+    """The IEEE bit patterns of a complex array, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def flip_outputs(psi, words, angles, obs, threshold):
+    """The kernels' outputs with ``VIEW_FLIP_AMPLITUDES`` at ``threshold``:
+    the stack evolved by ``_evolve_steps`` under a buffer of one row, ``O``
+    applied to that stack and to its first row alone, the engine's values
+    and the exact column at two times."""
+    n, rows = psi.n, angles.shape[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", threshold)
+        amps = np.tile(psi.amplitudes, (rows, 1))
+        scratch = (np.empty_like(amps), np.empty_like(amps))
+        steps = simulator._step_plan(tuple(words))
+        with simulator._row_buffer(1 << n):
+            simulator._evolve_steps(amps, words, simulator._rotations(angles), steps, scratch)
+        tables = simulator._operator_tables(obs)
+        applied, row = np.empty_like(amps), np.empty_like(amps[0])
+        simulator._apply_operator(tables, amps, applied, scratch[0])
+        simulator._apply_operator(tables, amps[0], row, scratch[1][0])
+        values = alone(psi, words, angles, obs)
+        exact = exact_states(obs, (0.3, -0.7), psi)
+    return amps, applied, row, values, exact
+
+
+def assert_same_bits(first, second):
+    for a, b in zip(first, second):
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        assert np.array_equal(bits(a), bits(b))
+
+
+#: 10-qubit words by the bits they flip; position p owns bit 9 - p, so a
+#: flip reads as a view when its lowest bit is bit 4 or above
+MASK_CLASSES = {
+    "one high bit": ["XIIIIIIIII", "IIIIIXIIII", "IXIIIIIIII"],
+    "a run of high bits": ["XXXXIIIIII", "IIXXXXIIII", "XXXXXXIIII"],
+    "high and low bits": ["XIIIIIIIIX", "XIXIXIXIXI", "IXXIIIIXXI"],
+    "Y and Z phases": ["YZIIXIIIII", "ZIYYIIIIIZ", "IIYIIIZZII", "ZZIIIIIIII", "YIIIIYIIII"],
+}
+
+
+@pytest.mark.parametrize("masks", sorted(MASK_CLASSES))
+def test_flip_views_give_the_bits_of_the_gather(masks):
+    # 10 qubits x 32 rows, one chunk of the benchmark chain: every flip as a
+    # view, the default split, and every flip gathered
+    n, rows = 10, 32
+    rng = np.random.default_rng(len(masks))
+    words = MASK_CLASSES[masks] * 2
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in MASK_CLASSES[masks]])
+    gathered = flip_outputs(psi, words, angles, obs, 1 << n)
+    assert_same_bits(flip_outputs(psi, words, angles, obs, 1), gathered)
+    split = simulator.VIEW_FLIP_AMPLITUDES
+    assert_same_bits(flip_outputs(psi, words, angles, obs, split), gathered)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate_sequences().filter(lambda case: case[0] >= 2))
+def test_small_registers_read_every_flip_as_a_view_with_the_same_bits(case):
+    # the threshold cut to one amplitude sends every mask of 2-6 qubits
+    # through the view path; it must match the allocating kernel bit for bit
+    n, words, rows, rng = case
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in words])
+    viewed = flip_outputs(psi, words, angles, obs, 1)
+    assert_same_bits(viewed, flip_outputs(psi, words, angles, obs, 1 << n))
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(bits(viewed[3].astype(complex)), bits(expected.astype(complex)))
+
+
+def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
+    # X words whose lowest flipped bit spans 16 amplitudes or more read their
+    # amplitudes as views: neither the step nor the engine builds their tables
+    n, rows = 12, 2
+    words = ["XIIIIIIIIIII", "IIIIIIIXIIII", "IXXXIIIIIIII", "XIIXIIIXIIII"]
+    rng = np.random.default_rng(5)
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    looked_up = []
+
+    def recording(word):
+        looked_up.append(word)
+        return _word_tables(word)
+
+    monkeypatch.setattr(simulator, "_word_tables", recording)
+    obs = OperatorSum.from_terms([PauliTerm("ZIIIIIIIIIIZ")])
+    values = alone(psi, words, angles, obs)
+    assert set(looked_up) == {"ZIIIIIIIIIIZ"}
+    np.testing.assert_allclose(values, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
+    amps = np.tile(psi.amplitudes, (rows, 1))
+    scratch = (np.empty_like(amps), np.empty_like(amps))
+    rotations = simulator._rotations(angles)
+    steps = simulator._step_plan(tuple(words))
+    old = np.setbufsize(16)  # numpy's ufunc buffers would hide a table
+    tracemalloc.start()
+    try:
+        simulator._evolve_steps(amps, words, rotations, steps, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    assert peak < 8 << n  # less than one 2^n intp table
+    assert set(looked_up) == {"ZIIIIIIIIIIZ"}
+
+
+def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
+    # one axis per run of flipped or kept bits: alternating bits at 20 qubits
+    # make 20 axes, a run of flipped bits one reversed axis
+    shape, index = simulator._flip_axes(int("10" * 10, 2), 20)
+    assert shape == (2,) * 20
+    assert [s.step for s in index] == [-1, None] * 10
+    keep, flip = slice(None), slice(None, None, -1)
+    assert simulator._flip_axes(0b11110000, 12) == ((16, 16, 16), (keep, flip, keep))
+    assert simulator._flip_axes(1 << 11, 12) == ((2, 2048), (flip, keep))
+    # the worst mask that reads as a view at 20 qubits, over zero-stride
+    # stand-ins that hold no 2^20 amplitudes: rows, the gates' sin columns
+    row = np.broadcast_to(np.zeros((), complex), (4, 1 << 20))
+    sin = np.zeros((7, 4, 1), complex)
+    mask = int("01" * 8, 2) << 4  # bits 18, 16, ..., 4
+    perm, read, target, factor = simulator._flip_operands("", mask, row, row, sin)
+    assert perm is None
+    assert read.shape == target.shape == (4,) + (2,) * 16 + (16,)
+    assert factor.shape == (7, 4) + (1,) * 17
+    assert factor.ndim == 19 <= simulator.MAX_AXES
+    # a view that would pass the limit gathers instead
+    n = 10
+    words = ["XIXIXIXIII", "XXIIXIIIII"]
+    rng = np.random.default_rng(6)
+    psi = random_state(rng, n)
+    angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
+    obs = OperatorSum.from_terms([PauliTerm(w) for w in words])
+    gathered = flip_outputs(psi, words, angles, obs, 1 << n)
+    monkeypatch.setattr(simulator, "MAX_AXES", 6)
+    monkeypatch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", 1)
+    row = np.broadcast_to(np.zeros((), complex), (3, 1 << n))
+    # bits 9, 7, 5 and 3 make 8 axes, past 6 beside the rows and the gates
+    assert simulator._flip_operands(words[0], 0b1010101000, row, row, sin)[0] is not None
+    # bits 9-8 and 5 make 4
+    assert simulator._flip_operands(words[1], 0b1100100000, row, row, sin)[0] is None
+    assert_same_bits(flip_outputs(psi, words, angles, obs, 1), gathered)
 
 
 @st.composite
@@ -828,6 +1001,41 @@ def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
     # the peak beyond the angles is one chunk's and the values' (160 kB more
     # here); folding the whole batch at once took 52 MiB more
     assert peaks[1] - peaks[0] < 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_chunks_of_a_call_reuse_their_threads_stacks(monkeypatch, workers):
+    # ten rows in chunks of 3, 3, 3 and 1, on a set of two branches: every
+    # chunk runs in the four stacks its thread made at its first chunk
+    n, rows = 6, 10
+    rng = np.random.default_rng(12)
+    psi = random_state(rng, n)
+    trunk = ["XIIIIZ", "IYIIII"]
+    sets = []
+    for tail in (["ZZIIII", "IIXXII"], ["IIIIYX"]):
+        words = trunk + tail
+        angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+        sets.append((words, angles))
+    sets[1][1][:, :2] = sets[0][1][:, :2]
+    obs = OperatorSum.from_terms([PauliTerm("ZIIIIZ"), PauliTerm("IXXIII", 0.5)])
+    expected = np.column_stack([alone(psi, w, a, obs) for w, a in sets])
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 3 << n)
+    monkeypatch.setattr(simulator, "WORKERS", workers)
+    evolve, seen = simulator._evolve_steps, []
+
+    def recording(amps, words, rotations, steps, scratch):
+        seen.append((threading.current_thread().name, amps, *scratch))
+        evolve(amps, words, rotations, steps, scratch)
+
+    monkeypatch.setattr(simulator, "_evolve_steps", recording)
+    values = sample_branches(psi, [(2, sets)], obs)
+    assert np.array_equal(values, expected)
+    slabs = {}
+    for thread, *stacks in seen:
+        owners = (stack if stack.base is None else stack.base for stack in stacks)
+        slabs.setdefault(thread, set()).update(map(id, owners))
+    assert all(len(bases) == 1 for bases in slabs.values())
+    assert len(seen) == 3 * 4  # trunk and two branches per chunk
 
 
 def test_only_pauli_and_simulator_know_the_word_tables():

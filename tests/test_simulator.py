@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -354,10 +356,36 @@ def test_expectation_rows_equal_each_row_alone_and_the_dense_oracle(case):
     values = expectation_rows(stack, obs)
     alone = [expectation_rows(stack[b : b + 1].copy(), obs)[0] for b in range(rows)]
     assert np.array_equal(values, alone)
+    scratch = (np.empty_like(stack), np.empty_like(stack))
+    assert np.array_equal(expectation_rows(stack, obs, scratch), values)
     if obs.n <= 8:
         dense = to_dense(obs).matrix
         oracle = np.einsum("bi,bi->b", stack.conj(), stack @ dense.T).real
         np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+
+
+def test_expectation_rows_work_in_the_callers_scratch():
+    # an engine chunk measures its rows in its own two scratch stacks
+    rng = np.random.default_rng(11)
+    n, rows = 10, 32
+    stack = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    obs = OperatorSum.from_terms(
+        [PauliTerm(("I" * q + "X").ljust(n, "I"), 0.1) for q in range(n)]
+        + [PauliTerm("ZZ".ljust(n, "I"), 0.3), PauliTerm("YIIIIIIIIY", -0.2)]
+    )
+    scratch = (np.empty_like(stack), np.empty_like(stack))
+    expected = expectation_rows(stack, obs)
+    old = np.setbufsize(16)  # numpy's ufunc buffers would hide a stack
+    tracemalloc.start()
+    try:
+        values = expectation_rows(stack, obs, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    assert np.array_equal(values, expected)
+    assert peak < stack.nbytes // 8
 
 
 def test_expectation_rows_keep_their_checks():
