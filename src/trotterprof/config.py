@@ -42,9 +42,9 @@ from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid, widest_basis
 from .simulator import StateVector, init_product_state
 
-#: Largest register a document may declare.  A run holds 24 * 2^n bytes per
-#: Pauli word and flip mask (int64 permutation, complex phase) and 16 * 2^n
-#: per state: a 20-site chain's 81 tables and 60 exact states take ~2.8 GiB.
+#: Largest register a document may declare.  A run holds 8 * 2^n bytes per flip
+#: mask that gathers, 16 * 2^n per word with Y or Z, per diagonal of H and of the
+#: observable and per state: a 20-site chain's 65 tables and 60 states take ~2 GiB.
 MAX_QUBITS = 20
 
 #: Longest ``formula.steps`` table: deriving its alpha takes under 0.9 s (2 vCPU).

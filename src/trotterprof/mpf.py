@@ -6,9 +6,9 @@ error scalings removes successive error orders classically.  The weights
 come from the closed form of their Vandermonde system, in exact rationals, so
 the cancellation residuals vanish to the last bit; an ill-conditioned float
 realization is only flagged.
-``mpf_values`` runs the constituent circuits of every time, one branch set of
-one batch per step count (``constituent_sets``), taking the system as one
-``ProfilingConfig``; ``mpf_estimate`` combines one time's.
+``mpf_values`` runs the constituent circuits of every time in one engine call,
+one branch set of one batch per step count (``constituent_sets``), taking
+the system as one ``ProfilingConfig``; ``mpf_estimate`` combines one time's.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, SingularFitError
 from .formulas import sample_template
-from .profiling import BranchSet, ProfilingConfig, batch_expectations
-from .simulator import GaussianJitter
+from .profiling import ProfilingConfig
+from .simulator import BranchSet, GaussianJitter, sample_branches
 
 CONDITION_WARNING = 1e10
 
@@ -137,7 +137,8 @@ def mpf_values(
     Entry ``[j, i]`` is the expectation at ``times[j]`` of ``config``'s
     formula iterated ``step_counts[i]`` times.
     """
-    return batch_expectations(constituent_sets(times, step_counts, config), config)
+    sets = constituent_sets(times, step_counts, config)
+    return sample_branches(config.initial_state, sets, config.observable)
 
 
 def mpf_estimate(

@@ -9,7 +9,7 @@ Sweeps, calibration and estimates take the system (formula, partition,
 observable, initial state and base depth) as one ``ProfilingConfig``.
 ``sweep_sets`` builds the probe circuits as the branch sets the engine
 runs, variants that open with the same segment together, and
-``batch_expectations`` evaluates any stage's sets in one engine call.
+``composite_expectations`` evaluates them in one engine call.
 
 The module also provides a dense extraction oracle for the error-series
 operators of a compiled circuit, used to validate the fitted coefficients
@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -264,13 +264,6 @@ def sweep_sets(
         ]
 
 
-def batch_expectations(sets: Iterable[BranchSet], config: ProfilingConfig) -> np.ndarray:
-    """Each batch's expectations, a column per batch in run order: one engine
-    call (``sample_branches``), which pulls the sets in groups that fit
-    ``MAX_ANGLES``."""
-    return sample_branches(config.initial_state, sets, config.observable)
-
-
 def composite_expectations(
     a_values: Sequence[float],
     t_values: Sequence[float],
@@ -283,7 +276,8 @@ def composite_expectations(
     oracle ``expectation(apply_circuit(psi, composite_circuit(spec, f,
     partition)), obs)`` within 1e-12 (the engine folds repeats of a word).
     """
-    return batch_expectations(sweep_sets(a_values, t_values, config, variants), config)
+    sets = sweep_sets(a_values, t_values, config, variants)
+    return sample_branches(config.initial_state, sets, config.observable)
 
 
 def averaged_expectation(

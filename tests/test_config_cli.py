@@ -40,7 +40,7 @@ from trotterprof import (
     stable_slope_fit,
     write_csv,
 )
-from trotterprof import config, profiling, simulator
+from trotterprof import config, mpf, profiling, simulator
 from trotterprof.cli import _build_parser, run_command
 from trotterprof.config import MAX_QUBITS, PRESETS, config_digest
 from trotterprof.experiments import DEFAULT_TIMES
@@ -996,6 +996,7 @@ def test_a_huge_grid_value_is_refused_before_any_circuit(
         raise AssertionError("a circuit ran before the grid was refused")
 
     monkeypatch.setattr(profiling, "sample_branches", refuse)
+    monkeypatch.setattr(mpf, "sample_branches", refuse)
     doc = {"preset": "tfim-ruth3", "profiling": {"a_grid": [0.1, 0.2, 0.3, 0.4, value]}}
     assert run_command([command, "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
@@ -1011,6 +1012,7 @@ def test_a_refused_exact_column_runs_no_circuit(tmp_path, capsys, monkeypatch, a
         raise AssertionError("a circuit ran before the exact column was refused")
 
     monkeypatch.setattr(profiling, "sample_branches", refuse)
+    monkeypatch.setattr(mpf, "sample_branches", refuse)
     doc = {"preset": "tfim-ruth3", "times": {"values": [0.5, 1e6]}}
     assert run_command([*argv, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
@@ -1229,6 +1231,7 @@ def test_a_repeated_method_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
         raise AssertionError("a circuit ran for a refused --method")
 
     monkeypatch.setattr(profiling, "sample_branches", refuse)
+    monkeypatch.setattr(mpf, "sample_branches", refuse)
     path = write_config(tmp_path, {"preset": "tfim-ruth3", "times": {"points": 3}})
     assert run_command([command, "--config", path, "--method", "ep,trotter,ep"]) == 1
     captured = capsys.readouterr()
@@ -1409,6 +1412,7 @@ def test_a_slope_window_must_be_finite_and_increasing(capsys, monkeypatch, windo
         raise AssertionError("a circuit ran for a refused --window")
 
     monkeypatch.setattr(profiling, "sample_branches", refuse)
+    monkeypatch.setattr(mpf, "sample_branches", refuse)
     assert run_command(["slope", "--preset", "tfim-ruth3", "--window", *window]) == 1
     assert "--window needs finite TMIN < TMAX" in capsys.readouterr().err
 

@@ -12,6 +12,7 @@ run on the folded sequence that the engine evolves (``folded``).
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import json
 import sys
@@ -57,13 +58,13 @@ from trotterprof import (
     sample_branches,
 )
 import trotterprof
-from trotterprof import profiling, simulator
+from trotterprof import mpf, pauli, profiling, simulator
 from trotterprof.cli import run_command
 from trotterprof.config import PRESETS, parse_config
 from trotterprof.errors import DegenerateInputError
 from trotterprof.experiments import _per_time_jitters, worker_count
 from trotterprof.mpf import constituent_sets
-from trotterprof.pauli import OperatorSum, PauliTerm, _word_tables
+from trotterprof.pauli import OperatorSum, PauliTerm, _flip_table, _phase_table, word_masks
 from trotterprof.profiling import sweep_sets
 from trotterprof.simulator import engine_counts
 
@@ -141,6 +142,16 @@ def eigenvalue_bits(word):
     return bits
 
 
+def word_tables(word):
+    """``(perm, phase)`` with ``word |x> = phase[x] |x ^ flip>``: the old phase
+    is the pre-gathered ``_phase_table`` read at ``perm``, which is its own
+    inverse, and all ones for a word of X letters."""
+    n = len(word)
+    flip, signs = word_masks(word)
+    perm = np.arange(1 << n) ^ flip
+    return perm, _phase_table(word)[perm] if signs else np.ones(1 << n, dtype=complex)
+
+
 def allocating_evolve(state, words, angles):
     """The kernel's steps with a fresh stack per operation.
 
@@ -156,7 +167,7 @@ def allocating_evolve(state, words, angles):
     while k < len(words):
         run = list(itertools.takewhile(lambda w: set(w) <= {"I", "Z"}, words[k : k + n]))
         if not run:
-            perm, phase = _word_tables(words[k])
+            perm, phase = word_tables(words[k])
             amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
             k += 1
             continue
@@ -175,7 +186,7 @@ def allocating_rows(amps, obs):
     """``O`` as one merged diagonal per flip mask, a fresh stack per operation."""
     merged = {}
     for term in obs.terms:
-        perm, phase = _word_tables(term.word)
+        perm, phase = word_tables(term.word)
         flip = int(perm[0])
         diagonal = term.coeff * phase
         merged[flip] = (perm, merged[flip][1] + diagonal if flip in merged else diagonal)
@@ -512,7 +523,8 @@ def test_small_registers_read_every_flip_as_a_view_with_the_same_bits(case):
 
 def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
     # X words whose lowest flipped bit spans 16 amplitudes or more read their
-    # amplitudes as views: neither the step nor the engine builds their tables
+    # amplitudes as views: neither the step nor the engine builds their
+    # permutations, and a word of X letters has no phase
     n, rows = 12, 2
     words = ["XIIIIIIIIIII", "IIIIIIIXIIII", "IXXXIIIIIIII", "XIIXIIIXIIII"]
     rng = np.random.default_rng(5)
@@ -520,14 +532,18 @@ def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
     looked_up = []
 
-    def recording(word):
-        looked_up.append(word)
-        return _word_tables(word)
+    def recording(table):
+        def lookup(*key):
+            looked_up.append(key)
+            return table(*key)
 
-    monkeypatch.setattr(simulator, "_word_tables", recording)
+        return lookup
+
+    monkeypatch.setattr(simulator, "_flip_table", recording(_flip_table))
+    monkeypatch.setattr(simulator, "_phase_table", recording(_phase_table))
     obs = OperatorSum.from_terms([PauliTerm("ZIIIIIIIIIIZ")])
     values = alone(psi, words, angles, obs)
-    assert set(looked_up) == {"ZIIIIIIIIIIZ"}
+    assert set(looked_up) == {("ZIIIIIIIIIIZ",)}
     np.testing.assert_allclose(values, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
     amps = np.tile(psi.amplitudes, (rows, 1))
     scratch = (np.empty_like(amps), np.empty_like(amps))
@@ -542,7 +558,55 @@ def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
         tracemalloc.stop()
         np.setbufsize(old)
     assert peak < 8 << n  # less than one 2^n intp table
-    assert set(looked_up) == {"ZIIIIIIIIIIZ"}
+    assert set(looked_up) == {("ZIIIIIIIIIIZ",)}
+
+
+def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
+    # the 10-qubit benchmark chain rebuilt at 12 qubits, with 3 times: the
+    # caches keep a permutation only for the 4 masks that gather (the X
+    # fields on the 4 lowest bits) and a phase only for the 11 ZZ bonds,
+    # 0.81 MiB in all
+    n = 12
+    doc = workloads.tfim_chain_document(n, "suzuki4", 1, stop=2.0)
+    doc["profiling"] = {"trotter_steps": 2, "n_extra_orders": 3}
+    doc["mpf"] = {"step_counts": [1, 2, 4, 8]}
+    doc["times"]["points"] = 3
+    config = tmp_path / "chain12.json"
+    config.write_text(json.dumps(doc))
+    built = {"_flip_table": {}, "_phase_table": {}}
+
+    def fresh(name):
+        build = getattr(pauli, name).__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def table(*key):
+            built[name][key] = build(*key)
+            return built[name][key]
+
+        return table
+
+    for name in built:
+        monkeypatch.setattr(pauli, name, fresh(name))
+        monkeypatch.setattr(simulator, name, getattr(pauli, name))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+    tracemalloc.start(4)
+    try:
+        assert run_command(argv) == 0
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    flips, phases = built["_flip_table"], built["_phase_table"]
+    assert set(flips) == {(1 << bit, n) for bit in range(4)}
+    assert all(flip and simulator._flip_view(flip, n, 0) is None for flip, _ in flips)
+    assert {word for word, in phases} == {"I" * b + "ZZ" + "I" * (n - 2 - b) for b in range(n - 1)}
+    assert all(word_masks(word)[1] for word, in phases)
+    tables = [*flips.values(), *phases.values()]
+    assert sum(table.nbytes for table in tables) == (4 * 8 + 11 * 16) << n
+    # what stays allocated from a frame in pauli: the tables, and a few KiB
+    # of masks and terms
+    ours = [tracemalloc.Filter(True, pauli.__file__, all_frames=True)]
+    held = sum(stat.size for stat in snapshot.filter_traces(ours).statistics("filename"))
+    assert held < 0.85 * 2**20
 
 
 def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
@@ -559,7 +623,7 @@ def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
     row = np.broadcast_to(np.zeros((), complex), (4, 1 << 20))
     sin = np.zeros((7, 4, 1), complex)
     mask = int("01" * 8, 2) << 4  # bits 18, 16, ..., 4
-    perm, read, target, factor = simulator._flip_operands("", mask, row, row, sin)
+    perm, read, target, factor = simulator._flip_operands(mask, row, row, sin)
     assert perm is None
     assert read.shape == target.shape == (4,) + (2,) * 16 + (16,)
     assert factor.shape == (7, 4) + (1,) * 17
@@ -576,9 +640,9 @@ def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
     monkeypatch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", 1)
     row = np.broadcast_to(np.zeros((), complex), (3, 1 << n))
     # bits 9, 7, 5 and 3 make 8 axes, past 6 beside the rows and the gates
-    assert simulator._flip_operands(words[0], 0b1010101000, row, row, sin)[0] is not None
+    assert simulator._flip_operands(0b1010101000, row, row, sin)[0] is not None
     # bits 9-8 and 5 make 4
-    assert simulator._flip_operands(words[1], 0b1100100000, row, row, sin)[0] is None
+    assert simulator._flip_operands(0b1100100000, row, row, sin)[0] is None
     assert_same_bits(flip_outputs(psi, words, angles, obs, 1), gathered)
 
 
@@ -913,7 +977,7 @@ def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, cap
             return engine(state, sets, obs)
 
     monkeypatch.setattr(simulator, "_evolve_steps", losing_second)
-    monkeypatch.setattr(profiling, "sample_branches", set_per_group)
+    monkeypatch.setattr(mpf, "sample_branches", set_per_group)
     argv = ["run", "--config", str(config), "--method", "mpf", "--out", str(tmp_path / "mpf.csv")]
     for workers in (1, 2):
         monkeypatch.setattr(simulator, "WORKERS", workers)
@@ -1038,18 +1102,31 @@ def test_the_chunks_of_a_call_reuse_their_threads_stacks(monkeypatch, workers):
     assert len(seen) == 3 * 4  # trunk and two branches per chunk
 
 
-def test_only_pauli_and_simulator_know_the_word_tables():
-    # the word-table format belongs to the engine; callers pass Pauli words
+def test_one_primitive_gathers_amplitudes_by_a_flip_table():
+    # the table format belongs to the engine; callers pass Pauli words.  The
+    # one gather by a flip mask is ``pauli._flip_product``; the other take
+    # reads a diagonal run's table of phase products at its ``_run_index``
     package = Path(trotterprof.__file__).parent
-    users = set()
+    users, takes, indexed = set(), set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        if "_word_tables" in names:
+        if names & {"_flip_table", "_phase_table"}:
             users.add(path.stem)
+        for top in tree.body:
+            for node in ast.walk(top):
+                call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                if call and node.func.attr == "take":
+                    takes.add((path.stem, top.name, ast.unparse(node.args[0])))
+                if isinstance(node, ast.Subscript):
+                    for part in ast.walk(node.slice):
+                        if isinstance(part, ast.Name) and part.id in ("perm", "_flip_table"):
+                            indexed.add((path.stem, top.name))
     assert users == {"pauli", "simulator"}
+    assert takes == {("pauli", "_flip_product", "perm"), ("simulator", "_evolve_steps", "index")}
+    assert indexed == set()
 
 
 def test_only_sample_branches_evolves_a_batch():

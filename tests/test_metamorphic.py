@@ -1,4 +1,5 @@
-"""Metamorphic properties of ``run`` at 6-12 qubits, where no dense oracle fits.
+"""Metamorphic properties of ``run`` and ``cost`` at 6-12 qubits, where no dense
+oracle fits.
 
 Two relations of the physics hold for any chain.  Relabeling the qubits, by
 a random permutation or the mirror, gives the same values up to rounding.
@@ -7,11 +8,14 @@ every time by it gives the same angles, spans and Chebyshev terms, so the
 same CSV bytes apart from the ``t`` column.  The reference run keeps the
 default flip threshold; the relabeled and rescaled runs cut it to one
 amplitude, so every flip that is not diagonal reads its amplitudes as a
-strided view there.
+strided view there.  Neither relation changes the circuits, so ``cost``
+prints the same bytes for all three documents.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -117,6 +121,14 @@ def rows(tmp_path, name: str, doc: dict, threshold: int) -> list[list[str]]:
     return [line.split(",") for line in lines[header + 1 :]]
 
 
+def cost_report(tmp_path, name: str) -> str:
+    """What ``cost`` prints for the document that ``rows`` wrote as ``name``."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_command(["cost", "--config", str(tmp_path / f"{name}.json")]) == 0
+    return printed.getvalue()
+
+
 @settings(max_examples=20, deadline=None)
 @given(chains())
 def test_relabeled_and_rescaled_chains_give_the_same_values(tmp_path_factory, case):
@@ -134,3 +146,7 @@ def test_relabeled_and_rescaled_chains_give_the_same_values(tmp_path_factory, ca
     scaled = rows(tmp_path, "rescaled", rescaled(doc, scale), 1)
     assert [row[:1] + row[2:] for row in scaled] == [row[:1] + row[2:] for row in reference]
     assert [float(row[1]) * scale for row in scaled] == [float(row[1]) for row in reference]
+
+    report = cost_report(tmp_path, "reference")
+    assert report.startswith("stage ")
+    assert cost_report(tmp_path, "relabeled") == cost_report(tmp_path, "rescaled") == report

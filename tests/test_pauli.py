@@ -22,7 +22,9 @@ from trotterprof import (
     to_dense,
 )
 from trotterprof.pauli import (
-    _word_tables,
+    _flip_table,
+    _phase_table,
+    apply_pauli_word,
     dense_word,
     masks_commute,
     word_masks,
@@ -188,9 +190,12 @@ def equal_length_pairs(n: int):
 def test_masks_and_commutation_keep_the_letter_rules(pair):
     for word in pair:
         x, z = word_masks(word)
-        perm, phase = _word_tables(word)
-        assert x == perm[0]
-        assert z == sum(1 << s for s in range(len(word)) if phase[1 << s] != phase[0])
+        n = len(word)
+        # the word maps |0> to |x>; its phase on |y> is g[y ^ x], and 1 for X letters
+        assert x == _flip_table(x, n)[0]
+        assert np.flatnonzero(apply_pauli_word(word, np.eye(1 << n)[0])).tolist() == [x]
+        g = _phase_table(word) if z else np.ones(1 << n)
+        assert z == sum(1 << s for s in range(n) if g[(1 << s) ^ x] != g[x])
     a, b = pair
     clashes = sum(1 for p, q in zip(a, b) if p != "I" and q != "I" and p != q)
     assert words_commute(a, b) == (clashes % 2 == 0)
