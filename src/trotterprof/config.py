@@ -42,9 +42,12 @@ from .pauli import OperatorSum, PauliTerm
 from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid, widest_basis
 from .simulator import StateVector, init_product_state
 
-#: Largest register a document may declare.  A run holds 8 * 2^n bytes per flip
-#: mask that gathers, 16 * 2^n per word with Y or Z, per diagonal of H and of the
-#: observable and per state: a 20-site chain's 65 tables and 60 states take ~2 GiB.
+#: Largest register a document may declare.  A run holds 16 * 2^n bytes per state:
+#: with 20 times, the exact states and the two stacks of their shape that
+#: ``expectation_rows`` works in take 960 bytes per amplitude.  Its cached tables
+#: take 16 per diagonal with Z letters and per flipping word with Y or Z, and 8 per
+#: diagonal run: 40 for a TFIM chain.  That chain peaked at 299 MiB at 18 qubits
+#: (``ru_maxrss``), so a 20-site one takes ~1.1 GiB.
 MAX_QUBITS = 20
 
 #: Longest ``formula.steps`` table: deriving its alpha takes under 0.9 s (2 vCPU).

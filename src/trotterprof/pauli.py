@@ -254,8 +254,8 @@ class DenseOperator:
 def dense_word(word: str) -> np.ndarray:
     """Dense matrix of a bare Pauli word (read-only, cached).
 
-    Used by the dense circuit oracle; ``to_dense`` scatters the phase tables
-    instead, so sums never fill this cache.
+    Used by the dense circuit oracle; ``to_dense`` scatters each word's
+    ``_phase`` instead, so sums never fill this cache.
     """
     mat = reduce(np.kron, (_SINGLE[letter] for letter in word))
     mat.setflags(write=False)
@@ -274,20 +274,20 @@ def to_dense(op: OperatorSum) -> DenseOperator:
     for t in op.terms:
         # Row i of a word holds g[i] (1 for X letters) in column i ^ flip, zeros elsewhere.
         flip, signs = word_masks(t.word)
-        acc[rows, rows ^ flip] += t.coeff * _phase_table(t.word) if signs else t.coeff
+        acc[rows, rows ^ flip] += t.coeff * _phase(t.word) if signs else t.coeff
     return DenseOperator(acc, op.n)
 
 
 @lru_cache(maxsize=1024)
-def _flip_table(flip: int, n: int) -> np.ndarray:
-    """The ``intp`` permutation ``i ^ flip`` of ``2^n`` amplitudes, 8 bytes per amplitude."""
-    perm = np.arange(1 << n) ^ flip
-    perm.setflags(write=False)
-    return perm
+def _flip_table(flip: int, block: int) -> np.ndarray:
+    """The ``intp`` index ``i ^ flip`` within a block of ``block`` amplitudes, a
+    power of two above every bit of ``flip``: 8 bytes per entry of the block."""
+    index = np.arange(block) ^ flip
+    index.setflags(write=False)
+    return index
 
 
-@lru_cache(maxsize=1024)
-def _phase_table(word: str) -> np.ndarray:
+def _phase(word: str) -> np.ndarray:
     """The pre-gathered phase ``g`` of a word with Y or Z letters, 16 bytes per
     amplitude: ``(word psi)[i] = g[i] * psi[i ^ flip]``.  X letters alone have none."""
     flip = word_masks(word)[0]
@@ -302,19 +302,26 @@ def _phase_table(word: str) -> np.ndarray:
     return phase
 
 
+#: ``_phase`` of the words that the kernels read it for, kept: flips with Y or
+#: Z letters.  Tables that are cached already build theirs through ``_phase``.
+_phase_table = lru_cache(maxsize=1024)(_phase)
+
+
 def _flip_product(
     psi: np.ndarray, perm: np.ndarray | None, read: np.ndarray, out: np.ndarray, factor: np.ndarray
 ) -> None:
     """Write ``read * factor`` into ``out``: the one gather of amplitudes by a
     flip mask.  ``read`` is ``psi[..., i ^ flip]``, gathered into it by
-    ``perm`` (``_flip_table``), or without one a strided view of ``psi``,
-    or ``psi`` for mask 0.  The amplitudes come first: complex products do
-    not commute bit for bit (numpy 2.4, AVX-512 Xeon: ``a * d`` and ``d * a``
-    differed in 86,500 of 262,144 random products), though they did in every
-    entry with a unit phase or an ``i sin`` factor."""
+    ``perm`` (``_flip_table``) along the last axis of ``psi`` viewed in
+    ``read``'s shape, blocks of ``perm.size`` amplitudes; or without one a
+    strided view of ``psi``, or ``psi`` for mask 0.  The amplitudes come
+    first: complex products do not commute bit for bit (numpy 2.4, AVX-512
+    Xeon: ``a * d`` and ``d * a`` differed in 86,500 of 262,144 random
+    products), though they did in every entry with a unit phase or an
+    ``i sin`` factor."""
     if perm is not None:
         # mode="clip" lets take write straight into ``read``; "raise" buffers.
-        psi.take(perm, axis=-1, out=read, mode="clip")
+        psi.reshape(read.shape).take(perm, axis=-1, out=read, mode="clip")
     np.multiply(read, factor, out=out)
 
 
@@ -328,7 +335,7 @@ def apply_pauli_word(word: str, amplitudes: np.ndarray) -> np.ndarray:
     amplitudes = np.asarray(amplitudes, dtype=complex)
     flip, signs = word_masks(word)
     out = np.empty_like(amplitudes)
-    perm = _flip_table(flip, len(word)) if flip else None
+    perm = _flip_table(flip, 1 << len(word)) if flip else None
     phase = _phase_table(word) if signs else np.ones(1, dtype=complex)
     _flip_product(amplitudes, perm, out if flip else amplitudes, out, phase)
     return out

@@ -11,8 +11,9 @@ earlier gate on the same word when every gate between them commutes with it
 gate that flips bits.  Both kernels, this one and ``_apply_operator``, read
 ``psi[i ^ x]`` through one primitive, ``pauli._flip_product``: a mask whose
 lowest bit spans at least ``VIEW_FLIP_AMPLITUDES`` amplitudes as a strided
-view, any other by a gather through its ``2^n`` permutation (8 bytes per
-amplitude); a word with Y or Z letters multiplies by its pre-gathered phase
+view, any other by a gather within blocks, through one block's index (16
+entries for the four lowest bits); a word with Y or Z letters multiplies by
+its pre-gathered phase, cached only for words that flip bits
 (16 bytes per amplitude).  Each amplitude meets the same operands in the
 same order either way, so the bits are the same.  Each run of consecutive
 diagonal words is one update: every row gathers a table of the run's phase
@@ -67,6 +68,7 @@ from .pauli import (
     OperatorSum,
     _flip_product,
     _flip_table,
+    _phase,
     _phase_table,
     apply_pauli_word,
     dense_word,
@@ -120,12 +122,6 @@ ROW_BUFFER_AMPLITUDES = 1 << 7
 #: from 785 to 663 us.  Each amplitude sees the same operands in the same
 #: order, so no bit changes.
 VIEW_FLIP_AMPLITUDES = 16
-
-#: numpy before 2.0 holds at most 32 axes in an array.  A flip view has one
-#: axis per run of flipped or kept bits, plus the rows and, for a step's
-#: ``sin`` columns, the gates: at most ``n + 2``, 22 at 20 qubits.  A mask
-#: that would need more gathers instead.
-MAX_AXES = 32
 
 #: Largest angle array a document may make a run build: 2^24 float64 angles
 #: (128 MiB).  ``config`` bounds every count that sizes a batch so that no
@@ -373,40 +369,31 @@ def _flip_operands(
     """``(perm, read, out, factor)``: the arguments of ``_flip_product(source, ...)``
     that write ``source[..., i ^ flip]`` times ``factor`` into ``out``.
 
-    ``factor`` holds one value per row or one per amplitude in its last
+    ``factor`` holds one value, one per row or one per amplitude in its last
     axis.  A mask whose lowest bit spans at least ``VIEW_FLIP_AMPLITUDES``
     amplitudes reads the strided view ``source[..., i ^ flip]``
-    (``_flip_axes``), with ``out`` and ``factor`` reshaped to its axes; any
-    other gathers by its ``_flip_table`` into ``out``; mask 0 reads
-    ``source``.  Each amplitude meets the same operands either way, in the
-    same order, amplitude first: complex products do not commute bit for bit
-    (86,500 of 262,144 random products differed, ``_flip_product``).
+    (``_flip_axes``); any other gathers into ``out`` by its ``_flip_table``
+    within blocks of ``VIEW_FLIP_AMPLITUDES`` amplitudes, or of the smallest
+    power of two above the mask, or of the whole row; ``out`` and ``factor``
+    are reshaped to the view's axes or the blocks.  Mask 0 reads ``source``.
+    A view has at most ``n + 2`` axes with the rows and a step's gates, 22
+    under ``MAX_QUBITS``, within numpy 1.24's 32.  Each amplitude meets the
+    same operands either way, in the same order, amplitude first: complex
+    products do not commute bit for bit (86,500 of 262,144 random products
+    differed, ``_flip_product``).
     """
     if not flip:
         return None, source, out, factor
-    n = source.shape[-1].bit_length() - 1
-    view = _flip_view(flip, n, max(source.ndim, factor.ndim) - 1)
-    if view is None:
-        return _flip_table(flip, n), out, out, factor
-    shape, index = view
-    lead = source.shape[:-1]
+    dim, lead = source.shape[-1], source.shape[:-1]
+    if flip & -flip >= VIEW_FLIP_AMPLITUDES:
+        shape, index = _flip_axes(flip, dim.bit_length() - 1)
+        perm, read = None, source.reshape(lead + shape)[(..., *index)]
+    else:
+        block = min(dim, max(VIEW_FLIP_AMPLITUDES, 1 << flip.bit_length()))
+        shape, perm = (dim // block, block), _flip_table(flip, block)
+        read = out.reshape(lead + shape)
     spread = shape if factor.shape[-1] > 1 else (1,) * len(shape)
-    return (
-        None,
-        source.reshape(lead + shape)[(..., *index)],
-        out.reshape(lead + shape),
-        factor.reshape(factor.shape[:-1] + spread),
-    )
-
-
-def _flip_view(flip: int, n: int, lead: int) -> tuple[tuple[int, ...], tuple[slice, ...]] | None:
-    """``_flip_axes(flip, n)`` when ``flip`` reads as a view beside ``lead`` leading
-    axes: its lowest bit spans ``VIEW_FLIP_AMPLITUDES`` amplitudes or more and
-    the view keeps within ``MAX_AXES``.  None when it gathers."""
-    if flip & -flip < VIEW_FLIP_AMPLITUDES:
-        return None
-    view = _flip_axes(flip, n)
-    return view if lead + len(view[0]) <= MAX_AXES else None
+    return perm, read, out.reshape(lead + shape), factor.reshape(factor.shape[:-1] + spread)
 
 
 @lru_cache(maxsize=1024)
@@ -499,11 +486,11 @@ def _run_index(run: tuple[str, ...]) -> np.ndarray:
     """Where each basis state reads its phase in a diagonal run's table.
 
     Bit j of ``index[x]`` is set when word j has eigenvalue ``-1`` on ``x``,
-    the sign of its ``_phase_table``.
+    the sign of its ``_phase``.
     """
     index = np.zeros(1 << len(run[0]), dtype=np.intp)
     for j, word in enumerate(run):
-        index |= (_phase_table(word).real < 0).astype(np.intp) << j
+        index |= (_phase(word).real < 0).astype(np.intp) << j
     index.setflags(write=False)
     return index
 
@@ -614,7 +601,9 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     writes only its own rows of its own set's columns, under ``_row_buffer``
     of one row.
     """
-    _operator_tables(obs)  # workers only read the caches: fill them here
+    # the 2^n tables are built here, before the workers read them; a block
+    # index that two workers both build first is a few bytes, built twice
+    _operator_tables(obs)
     per_chunk = max(1, BATCH_AMPLITUDES >> state.n)
     columns: list[np.ndarray] = []
     rows: int | None = None
@@ -633,12 +622,10 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
         plans = [_fold_plan(words) for words in sequences]
         folded = [_folded_words(words) for words in sequences]
         steps = [_step_plan(words) for words in folded]
-        for word in set().union(*folded, (term.word for term in obs.terms)):
+        for word in set().union(*folded):
             flip, signs = word_masks(word)
-            if signs:
+            if flip and signs:
                 _phase_table(word)
-            if flip and _flip_view(flip, state.n, 2) is None:  # beside gates and rows
-                _flip_table(flip, state.n)
 
         def chunk(start: int) -> None:
             trunk, branch, scaled, moved = stacks(min(per_chunk, rows - start))
@@ -797,14 +784,16 @@ def _operator_tables(op: OperatorSum) -> tuple[tuple[int, np.ndarray], ...]:
     """``O`` as ``(O psi)[i] = sum_f D_f[i] psi[i ^ f]``: one diagonal per distinct flip mask.
 
     A term ``c P`` adds ``c * g`` into the diagonal of its X mask, with ``g``
-    its ``_phase_table``, or ``c`` for a word of X letters, which has none; so
-    a chain of ZZ bonds and X fields needs one diagonal plus one flip per
-    site.  ``_apply_operator`` reads ``psi[i ^ f]`` through ``_flip_operands``.
+    its ``_phase``, or the one value ``c`` for a word of X letters, which has
+    none; a diagonal stays one value while only such words share its mask.
+    So a chain of ZZ bonds and X fields needs one ``2^n`` diagonal (16 bytes
+    per amplitude) plus one value per site.  ``_apply_operator`` reads
+    ``psi[i ^ f]`` through ``_flip_operands``.
     """
     merged: dict[int, np.ndarray] = {}
     for term in op.terms:
         flip, signs = word_masks(term.word)
-        diag = term.coeff * _phase_table(term.word) if signs else np.full(1 << op.n, term.coeff)
+        diag = term.coeff * _phase(term.word) if signs else np.array([term.coeff])
         merged[flip] = merged[flip] + diag if flip in merged else diag
     for diag in merged.values():
         diag.setflags(write=False)

@@ -60,7 +60,7 @@ from trotterprof import (
 import trotterprof
 from trotterprof import mpf, pauli, profiling, simulator
 from trotterprof.cli import run_command
-from trotterprof.config import PRESETS, parse_config
+from trotterprof.config import MAX_QUBITS, PRESETS, parse_config
 from trotterprof.errors import DegenerateInputError
 from trotterprof.experiments import _per_time_jitters, worker_count
 from trotterprof.mpf import constituent_sets
@@ -481,20 +481,27 @@ def assert_same_bits(first, second):
 
 
 #: 10-qubit words by the bits they flip; position p owns bit 9 - p, so a
-#: flip reads as a view when its lowest bit is bit 4 or above
+#: flip reads as a view when its lowest bit is bit 4 or above.  The 12-qubit
+#: words gather within a block of 16 amplitudes (bits 1-2), of 32 (bits 3
+#: and 4) or of the whole row (bits 0 and 11), each mask by an X word and a
+#: word with phases, so the observable merges an X word's one value into a
+#: full diagonal, after it and before it
 MASK_CLASSES = {
     "one high bit": ["XIIIIIIIII", "IIIIIXIIII", "IXIIIIIIII"],
     "a run of high bits": ["XXXXIIIIII", "IIXXXXIIII", "XXXXXXIIII"],
     "high and low bits": ["XIIIIIIIIX", "XIXIXIXIXI", "IXXIIIIXXI"],
     "Y and Z phases": ["YZIIXIIIII", "ZIYYIIIIIZ", "IIYIIIZZII", "ZZIIIIIIII", "YIIIIYIIII"],
+    "12-qubit blocks": ["ZIIIIIIIIXYI", "IIIIIIIIIXXI", "IIIIIIIXXIII", "IIIIIIIYXZII"]
+    + ["XIIIIIIIIIIX", "YIIIIIIIIIIX"],
 }
 
 
 @pytest.mark.parametrize("masks", sorted(MASK_CLASSES))
 def test_flip_views_give_the_bits_of_the_gather(masks):
-    # 10 qubits x 32 rows, one chunk of the benchmark chain: every flip as a
-    # view, the default split, and every flip gathered
-    n, rows = 10, 32
+    # 32 rows, one chunk of the 10-qubit benchmark chain: every flip as a
+    # view, the default split, and every flip gathered within the whole row,
+    # all with the bits of the allocating kernel and full diagonals
+    n, rows = len(MASK_CLASSES[masks][0]), 32
     rng = np.random.default_rng(len(masks))
     words = MASK_CLASSES[masks] * 2
     psi = random_state(rng, n)
@@ -504,6 +511,8 @@ def test_flip_views_give_the_bits_of_the_gather(masks):
     assert_same_bits(flip_outputs(psi, words, angles, obs, 1), gathered)
     split = simulator.VIEW_FLIP_AMPLITUDES
     assert_same_bits(flip_outputs(psi, words, angles, obs, split), gathered)
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(bits(gathered[3].astype(complex)), bits(expected.astype(complex)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,7 +533,8 @@ def test_small_registers_read_every_flip_as_a_view_with_the_same_bits(case):
 def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
     # X words whose lowest flipped bit spans 16 amplitudes or more read their
     # amplitudes as views: neither the step nor the engine builds their
-    # permutations, and a word of X letters has no phase
+    # indices, a word of X letters has no phase, and the ZZ observable's
+    # diagonal is built through ``_phase``, outside the cache of phases
     n, rows = 12, 2
     words = ["XIIIIIIIIIII", "IIIIIIIXIIII", "IXXXIIIIIIII", "XIIXIIIXIIII"]
     rng = np.random.default_rng(5)
@@ -543,7 +553,7 @@ def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
     monkeypatch.setattr(simulator, "_phase_table", recording(_phase_table))
     obs = OperatorSum.from_terms([PauliTerm("ZIIIIIIIIIIZ")])
     values = alone(psi, words, angles, obs)
-    assert set(looked_up) == {("ZIIIIIIIIIIZ",)}
+    assert looked_up == []
     np.testing.assert_allclose(values, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
     amps = np.tile(psi.amplitudes, (rows, 1))
     scratch = (np.empty_like(amps), np.empty_like(amps))
@@ -558,14 +568,16 @@ def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
         tracemalloc.stop()
         np.setbufsize(old)
     assert peak < 8 << n  # less than one 2^n intp table
-    assert set(looked_up) == {("ZIIIIIIIIIIZ",)}
+    assert looked_up == []
 
 
 def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
     # the 10-qubit benchmark chain rebuilt at 12 qubits, with 3 times: the
-    # caches keep a permutation only for the 4 masks that gather (the X
-    # fields on the 4 lowest bits) and a phase only for the 11 ZZ bonds,
-    # 0.81 MiB in all
+    # caches keep a 16-entry index only for the 4 masks that gather (the X
+    # fields on the 4 lowest bits), no phase (no flipping word has Y or Z
+    # letters), and per operator one 2^n diagonal for the ZZ bonds and one
+    # value per X field; with the one diagonal run's index, the cached tables
+    # take 40 bytes per amplitude (the README's count)
     n = 12
     doc = workloads.tfim_chain_document(n, "suzuki4", 1, stop=2.0)
     doc["profiling"] = {"trotter_steps": 2, "n_extra_orders": 3}
@@ -573,10 +585,12 @@ def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
     doc["times"]["points"] = 3
     config = tmp_path / "chain12.json"
     config.write_text(json.dumps(doc))
-    built = {"_flip_table": {}, "_phase_table": {}}
+    owners = {"_flip_table": pauli, "_phase_table": pauli}
+    owners.update({"_operator_tables": simulator, "_run_index": simulator})
+    built = {name: {} for name in owners}
 
     def fresh(name):
-        build = getattr(pauli, name).__wrapped__
+        build = getattr(owners[name], name).__wrapped__
 
         @functools.lru_cache(maxsize=None)
         def table(*key):
@@ -585,9 +599,11 @@ def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
 
         return table
 
-    for name in built:
-        monkeypatch.setattr(pauli, name, fresh(name))
-        monkeypatch.setattr(simulator, name, getattr(pauli, name))
+    for name, owner in owners.items():
+        table = fresh(name)
+        for module in {owner, simulator}:
+            monkeypatch.setattr(module, name, table)
+    simulator._step_plan.cache_clear()  # plans hold run indices built before
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]
     tracemalloc.start(4)
     try:
@@ -596,20 +612,25 @@ def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     flips, phases = built["_flip_table"], built["_phase_table"]
-    assert set(flips) == {(1 << bit, n) for bit in range(4)}
-    assert all(flip and simulator._flip_view(flip, n, 0) is None for flip, _ in flips)
-    assert {word for word, in phases} == {"I" * b + "ZZ" + "I" * (n - 2 - b) for b in range(n - 1)}
-    assert all(word_masks(word)[1] for word, in phases)
-    tables = [*flips.values(), *phases.values()]
-    assert sum(table.nbytes for table in tables) == (4 * 8 + 11 * 16) << n
-    # what stays allocated from a frame in pauli: the tables, and a few KiB
-    # of masks and terms
+    assert set(flips) == {(1 << bit, 16) for bit in range(4)}
+    assert phases == {}
+    operators = built["_operator_tables"]
+    assert len(operators) == 2  # H and the observable
+    for tables in operators.values():
+        sizes = dict((flip, diag.size) for flip, diag in tables)
+        assert sizes == {0: 1 << n, **{1 << bit: 1 for bit in range(n)}}
+    runs = built["_run_index"]
+    assert len(runs) == 1 and all(index.size == 1 << n for index in runs.values())
+    cached = [*flips.values(), *runs.values()]
+    cached += [diag for tables in operators.values() for _, diag in tables]
+    assert sum(table.nbytes for table in cached) >> n == 40
+    # what stays allocated from a frame in pauli: a few KiB of masks and terms
     ours = [tracemalloc.Filter(True, pauli.__file__, all_frames=True)]
     held = sum(stat.size for stat in snapshot.filter_traces(ours).statistics("filename"))
-    assert held < 0.85 * 2**20
+    assert held < 64 << 10
 
 
-def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
+def test_flip_views_keep_within_numpys_axis_limit():
     # one axis per run of flipped or kept bits: alternating bits at 20 qubits
     # make 20 axes, a run of flipped bits one reversed axis
     shape, index = simulator._flip_axes(int("10" * 10, 2), 20)
@@ -627,23 +648,9 @@ def test_flip_views_keep_within_numpys_axis_limit(monkeypatch):
     assert perm is None
     assert read.shape == target.shape == (4,) + (2,) * 16 + (16,)
     assert factor.shape == (7, 4) + (1,) * 17
-    assert factor.ndim == 19 <= simulator.MAX_AXES
-    # a view that would pass the limit gathers instead
-    n = 10
-    words = ["XIXIXIXIII", "XXIIXIIIII"]
-    rng = np.random.default_rng(6)
-    psi = random_state(rng, n)
-    angles = rng.uniform(-3.0, 3.0, size=(3, len(words)))
-    obs = OperatorSum.from_terms([PauliTerm(w) for w in words])
-    gathered = flip_outputs(psi, words, angles, obs, 1 << n)
-    monkeypatch.setattr(simulator, "MAX_AXES", 6)
-    monkeypatch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", 1)
-    row = np.broadcast_to(np.zeros((), complex), (3, 1 << n))
-    # bits 9, 7, 5 and 3 make 8 axes, past 6 beside the rows and the gates
-    assert simulator._flip_operands(0b1010101000, row, row, sin)[0] is not None
-    # bits 9-8 and 5 make 4
-    assert simulator._flip_operands(0b1100100000, row, row, sin)[0] is None
-    assert_same_bits(flip_outputs(psi, words, angles, obs, 1), gathered)
+    assert factor.ndim == 19
+    # at most n + 2 axes (rows, gates and one per bit): numpy 1.24 holds 32
+    assert MAX_QUBITS + 2 <= 32
 
 
 @st.composite
@@ -1103,9 +1110,10 @@ def test_the_chunks_of_a_call_reuse_their_threads_stacks(monkeypatch, workers):
 
 
 def test_one_primitive_gathers_amplitudes_by_a_flip_table():
-    # the table format belongs to the engine; callers pass Pauli words.  The
-    # one gather by a flip mask is ``pauli._flip_product``; the other take
-    # reads a diagonal run's table of phase products at its ``_run_index``
+    # the table format belongs to the engine; callers pass Pauli words, and
+    # only the engine builds phases, kept or not.  The one gather by a flip
+    # mask is ``pauli._flip_product``; the other take reads a diagonal run's
+    # table of phase products at its ``_run_index``
     package = Path(trotterprof.__file__).parent
     users, takes, indexed = set(), set(), set()
     for path in package.glob("*.py"):
@@ -1113,7 +1121,7 @@ def test_one_primitive_gathers_amplitudes_by_a_flip_table():
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        if names & {"_flip_table", "_phase_table"}:
+        if names & {"_flip_table", "_phase_table", "_phase"}:
             users.add(path.stem)
         for top in tree.body:
             for node in ast.walk(top):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,20 +110,25 @@ def rescaled(doc: dict, scale: float) -> dict:
     return out
 
 
-def rows(tmp_path, name: str, doc: dict, threshold: int) -> list[list[str]]:
-    """The data rows of ``run``'s CSV, with ``VIEW_FLIP_AMPLITUDES`` at ``threshold``."""
-    config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+def outputs(
+    tmp_path, name: str, doc: dict, threshold: int, command: str = "run"
+) -> tuple[list[str], list[list[str]]]:
+    """The lines that ``command`` prints, but the one naming its CSV, and the
+    data rows of that CSV, with ``VIEW_FLIP_AMPLITUDES`` at ``threshold``."""
+    config, out = tmp_path / f"{name}.json", tmp_path / f"{name}-{command}.csv"
     config.write_text(json.dumps(doc))
-    with pytest.MonkeyPatch.context() as patch:
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(printed):
         patch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", threshold)
-        assert run_command(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     header = lines.index("method,t,a_or_steps,estimate,exact,abs_error")
-    return [line.split(",") for line in lines[header + 1 :]]
+    report = [line for line in printed.getvalue().splitlines() if not line.startswith("wrote ")]
+    return report, [line.split(",") for line in lines[header + 1 :]]
 
 
 def cost_report(tmp_path, name: str) -> str:
-    """What ``cost`` prints for the document that ``rows`` wrote as ``name``."""
+    """What ``cost`` prints for the document that ``outputs`` wrote as ``name``."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert run_command(["cost", "--config", str(tmp_path / f"{name}.json")]) == 0
@@ -134,19 +140,54 @@ def cost_report(tmp_path, name: str) -> str:
 def test_relabeled_and_rescaled_chains_give_the_same_values(tmp_path_factory, case):
     doc, order, scale = case
     tmp_path = tmp_path_factory.mktemp("chain")
-    reference = rows(tmp_path, "reference", doc, simulator.VIEW_FLIP_AMPLITUDES)
+    reference = outputs(tmp_path, "reference", doc, simulator.VIEW_FLIP_AMPLITUDES)[1]
     assert len(reference) == 2 * 3 and {row[0] for row in reference} == {"trotter", "ep", "mpf"}
 
-    moved = rows(tmp_path, "relabeled", relabeled(doc, order), 1)
+    moved = outputs(tmp_path, "relabeled", relabeled(doc, order), 1)[1]
     assert [row[:3] for row in moved] == [row[:3] for row in reference]
     values = np.array([[float(x) for x in row[3:]] for row in moved])
     expected = np.array([[float(x) for x in row[3:]] for row in reference])
     np.testing.assert_allclose(values, expected, rtol=0, atol=TOL)
 
-    scaled = rows(tmp_path, "rescaled", rescaled(doc, scale), 1)
+    scaled = outputs(tmp_path, "rescaled", rescaled(doc, scale), 1)[1]
     assert [row[:1] + row[2:] for row in scaled] == [row[:1] + row[2:] for row in reference]
     assert [float(row[1]) * scale for row in scaled] == [float(row[1]) for row in reference]
 
     report = cost_report(tmp_path, "reference")
     assert report.startswith("stage ")
     assert cost_report(tmp_path, "relabeled") == cost_report(tmp_path, "rescaled") == report
+
+
+def numbers_dropped(lines: list[str]) -> list[str]:
+    """The printed lines with every number cut out."""
+    return [re.sub(r"[-+]?\d[\d.e+-]*", "#", line) for line in lines]
+
+
+@settings(max_examples=5, deadline=None)
+@given(chains())
+def test_relabeled_and_rescaled_chains_give_the_same_mpf_and_profile(tmp_path_factory, case):
+    # ``profile`` runs at the last configured time; its report names the time
+    # on its first line, and ``mpf``'s report depends on the step counts alone
+    doc, order, scale = case
+    tmp_path = tmp_path_factory.mktemp("chain")
+    for command in ("mpf", "profile"):
+        default = simulator.VIEW_FLIP_AMPLITUDES
+        report, reference = outputs(tmp_path, "reference", doc, default, command)
+        timed = 1 if command == "profile" else 0
+
+        moved_report, moved = outputs(tmp_path, "relabeled", relabeled(doc, order), 1, command)
+        assert [row[:3] for row in moved] == [row[:3] for row in reference]
+        values = np.array([[float(x) for x in row[3:]] for row in moved])
+        expected = np.array([[float(x) for x in row[3:]] for row in reference])
+        np.testing.assert_allclose(values, expected, rtol=0, atol=TOL)
+        assert numbers_dropped(moved_report) == numbers_dropped(report)
+        if command == "mpf":
+            assert moved_report == report
+
+        scaled_report, scaled = outputs(tmp_path, "rescaled", rescaled(doc, scale), 1, command)
+        assert [row[:1] + row[2:] for row in scaled] == [row[:1] + row[2:] for row in reference]
+        assert [float(row[1]) * scale for row in scaled] == [float(row[1]) for row in reference]
+        assert scaled_report[timed:] == report[timed:]
+        assert [float(line.split()[1]) * scale for line in scaled_report[:timed]] == [
+            float(line.split()[1]) for line in report[:timed]
+        ]

@@ -192,7 +192,7 @@ def test_masks_and_commutation_keep_the_letter_rules(pair):
         x, z = word_masks(word)
         n = len(word)
         # the word maps |0> to |x>; its phase on |y> is g[y ^ x], and 1 for X letters
-        assert x == _flip_table(x, n)[0]
+        assert x == _flip_table(x, 1 << n)[0]
         assert np.flatnonzero(apply_pauli_word(word, np.eye(1 << n)[0])).tolist() == [x]
         g = _phase_table(word) if z else np.ones(1 << n)
         assert z == sum(1 << s for s in range(n) if g[(1 << s) ^ x] != g[x])
