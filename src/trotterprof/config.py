@@ -43,15 +43,20 @@ from .profiling import BasisSpec, calibration_probes, check_grid, default_a_grid
 from .simulator import StateVector, init_product_state
 
 #: Largest register a document may declare.  A run holds 16 * 2^n bytes per state:
-#: with 20 times, the exact states and the two stacks of their shape that
-#: ``expectation_rows`` works in take 960 bytes per amplitude.  Its cached tables
-#: take 16 per diagonal with Z letters and per flipping word with Y or Z, and 8 per
-#: diagonal run: 40 for a TFIM chain.  That chain peaked at 299 MiB at 18 qubits
-#: (``ru_maxrss``), so a 20-site one takes ~1.1 GiB.
+#: with 20 times, the exact states take 320 bytes per amplitude, measured in
+#: chunks of ``ACCUMULATE_AMPLITUDES``.  Its cached tables take 16 per diagonal
+#: with Z letters and per flipping word with Y or Z, and 8 per diagonal run: 40
+#: for a TFIM chain.  That chain peaked at 198 MiB at 18 qubits (``ru_maxrss``),
+#: so a 20-site one takes ~0.8 GiB.
 MAX_QUBITS = 20
 
 #: Longest ``formula.steps`` table: deriving its alpha takes under 0.9 s (2 vCPU).
 MAX_FORMULA_STEPS = 2**15
+
+#: Largest ``noise.sigma``.  An expectation value lies within ``||O||_1``, so
+#: noise this large swamps every estimator; from about 1e154 the squares of
+#: noisy values in the fits and slopes leave the float range.
+MAX_NOISE_SIGMA = 1e100
 
 #: Longest ``mpf.step_counts`` list, bounded for conditioning alone: the closed
 #: form gives 64 weights in 0.02 s (2-vCPU VM), but the counts 1..k at
@@ -405,6 +410,8 @@ def _parse_times(raw: Any, cfg: ExperimentConfig) -> tuple[float, ...]:
         elif scale != "linear":
             raise ConfigError("times.scale must be 'log' or 'linear'", "times.scale")
         times = time_grid(start, stop, points, scale)
+        if not all(map(math.isfinite, times)):
+            raise ConfigError("times: the grid's spacing overflows the float range", "times")
     if any(t <= 0 for t in times):
         raise ConfigError("times must be positive", "times")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -477,8 +484,10 @@ def _parse_mpf(raw: Any, cfg: ExperimentConfig) -> tuple[int, ...]:
 def _parse_noise(raw: Any, cfg: ExperimentConfig) -> dict[str, Any]:
     entry = _section(raw, "noise", ("sigma", "seed"))
     sigma = _real_number(entry.get("sigma", cfg.noise_sigma), "noise.sigma")
-    if sigma < 0:
-        raise ConfigError("noise.sigma must be non-negative", "noise.sigma")
+    if not 0 <= sigma <= MAX_NOISE_SIGMA:
+        raise ConfigError(
+            f"noise.sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {sigma!r}", "noise.sigma"
+        )
     # ExperimentConfig checks the sign, for the --seed flag too.
     return {"noise_sigma": sigma, "seed": _integer(entry.get("seed", cfg.seed), "noise.seed")}
 

@@ -37,8 +37,16 @@ ERROR_FLOOR = 1e-14
 
 
 def time_grid(start: float, stop: float, points: int, scale: str) -> tuple[float, ...]:
-    """``points`` times from ``start`` to ``stop``, spaced on a ``log`` or ``linear`` scale."""
-    return tuple((np.geomspace if scale == "log" else np.linspace)(start, stop, points))
+    """``points`` times from ``start`` to ``stop``, spaced on a ``log`` or ``linear`` scale,
+    as Python floats, whose arithmetic raises no numpy warning.
+
+    A span past the float range gives no warning either: a log grid keeps its
+    ends (numpy sets them after its powers overflow), and a linear grid whose
+    spacing overflows holds non-finite times, which the parser refuses.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = (np.geomspace if scale == "log" else np.linspace)(start, stop, points)
+    return tuple(grid.tolist())
 
 
 #: The time grid of the presets and of documents without a ``times`` section,

@@ -42,6 +42,7 @@ from .formulas import (
 )
 from .pauli import DenseOperator, OperatorSum, to_dense
 from .simulator import (
+    ACCUMULATE_AMPLITUDES,
     BranchSet,
     Circuit,
     GaussianJitter,
@@ -297,9 +298,22 @@ def averaged_expectation(
 
 
 def exact_values(times: Sequence[float], config: ProfilingConfig) -> np.ndarray:
-    """Exact ``<psi(t)|O|psi(t)>`` at every time, in one matrix-free propagation."""
+    """Exact ``<psi(t)|O|psi(t)>`` at every time, in one matrix-free propagation.
+
+    The ``(T, 2^n)`` stack of states is measured in chunks of at most
+    ``ACCUMULATE_AMPLITUDES`` amplitudes (and at least one row), through two
+    chunk-sized scratch stacks, so it is the one stack of its shape; each
+    row's value is a reduction along that row alone, whatever its chunk.
+    """
     states = exact_states(config.partition.hamiltonian, times, config.initial_state)
-    return expectation_rows(states, config.observable)
+    rows = max(1, ACCUMULATE_AMPLITUDES >> config.initial_state.n)
+    scratch = np.empty((2, min(rows, len(states)), states.shape[1]), dtype=complex)
+    values = np.empty(len(states))
+    for lo in range(0, len(states), rows):
+        block = states[lo : lo + rows]
+        pair = tuple(scratch[:, : len(block)])
+        values[lo : lo + rows] = expectation_rows(block, config.observable, pair)
+    return values
 
 
 def check_grid(grid: Sequence[float], basis: BasisSpec | None) -> None:

@@ -26,12 +26,14 @@ gates share a trunk: it is evolved once per chunk of rows, then each
 batch's branch from a copy, with each batch's own bits; a batch of its own
 is a branch set of one.  One call takes a stage's branch sets, in groups
 whose angles fit ``MAX_ANGLES``, and runs a group's chunks of every set
-longest first, on one thread per CPU (``WORKERS``) when they hold more than
-one chunk of amplitudes, with the same bits as on one.  A chunk whose rows
-hold at least ``ROW_BUFFER_AMPLITUDES`` amplitudes runs with numpy's ufunc
-buffer cut to one row (``_row_buffer``), so numpy does not copy the stack
-through its buffer to multiply it by a gate's per-row cosines and sines; the
-cosines are complex, so they need no cast either.  ``_apply_operator``
+longest first.  When they hold more than one chunk of amplitudes, the
+calling thread runs them with helper threads that it starts for the group
+and joins, one thread per CPU (``WORKERS``) in all, with the same bits as on
+one.  A chunk whose rows hold at least ``ROW_BUFFER_AMPLITUDES`` amplitudes
+runs with numpy's ufunc buffer cut to one row (``_row_buffer``), so numpy
+does not copy the stack through its buffer to multiply it by a gate's
+per-row cosines and sines; the cosines are complex, so they need no cast
+either.  ``_apply_operator``
 applies ``H`` and every observable from one pre-gathered diagonal per flip
 mask, the diagonal group without a gather; ``expectation_rows`` sums each
 row of ``conj(psi) * O psi`` on its own, and the matrix-free
@@ -53,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,9 +78,6 @@ from .pauli import (
     to_dense,
     word_masks,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 NORM_TOL = 1e-10
 
@@ -311,8 +310,8 @@ def _row_buffer(dim: int) -> Iterator[None]:
 
     ``np.errstate`` scopes the size only from numpy 2.0, and numpy 1.24 is
     supported, so the old size is set back here by hand.  From numpy 2.0 the
-    size is a context variable, and a pool job sets and restores it in its own
-    copy of the caller's context (``_map_chunks``).
+    size is a context variable, and each thread of an engine call sets and
+    restores it in its own copy of the caller's context (``_map_chunks``).
     """
     saved = np.getbufsize()
     if ROW_BUFFER_AMPLITUDES <= dim < saved:
@@ -597,7 +596,7 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     another.  The angles alive are one group's and those of the set pulled
     after it, which waits, built, for the next group.  A group's chunks run
     longest first, by rows times kernel steps (``engine_counts``), through
-    ``_map_chunks``, the pool's one rule for the whole group; each chunk
+    ``_map_chunks``, one rule for the whole group; each chunk
     writes only its own rows of its own set's columns, under ``_row_buffer``
     of one row.
     """
@@ -712,32 +711,64 @@ def _checked_set(
 
 
 def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: int) -> None:
-    """Run every ``chunk(start)`` of ``jobs``, in their order: on the ``WORKERS``
-    threads of ``_pool`` when there are two workers, two jobs and more than
-    ``BATCH_AMPLITUDES`` amplitudes to evolve, otherwise on the calling thread.
+    """Run every ``chunk(start)`` of ``jobs``, in their order: on the calling
+    thread, helped by ``min(WORKERS, len(jobs)) - 1`` threads started for this
+    call, when there are two workers, two jobs and more than
+    ``BATCH_AMPLITUDES`` amplitudes to evolve, otherwise on the calling thread
+    alone.
 
-    A pool job runs in its own copy of the caller's context, since two threads
-    cannot enter one context at once: from numpy 2.0 it sees the caller's
+    Each thread pulls the next job under one lock and runs it in its own copy
+    of the caller's context, taken before any job starts, since two threads
+    cannot enter one context at once: from numpy 2.0 a job sees the caller's
     error state and ufunc buffer size, and what it sets stays in its copy.
-    ``Executor.map`` raises a job's exception here and cancels the jobs that
-    have not started.
+    The first exception, a chunk's or an interrupt of the caller, stops the
+    pulls; every helper finishes its chunk and is joined, and then the
+    exception is raised here, so no helper outlives the call.
     """
     if WORKERS < 2 or len(jobs) < 2 or amplitudes <= BATCH_AMPLITUDES:
         for chunk, start in jobs:
             chunk(start)
-    else:
-        contexts = [contextvars.copy_context() for _ in jobs]
-        for _ in _pool(WORKERS).map(lambda context, job: context.run(*job), contexts, jobs):
-            pass
+        return
+    pending, lock, failures = iter(jobs), threading.Lock(), []
 
+    def work(context: contextvars.Context) -> None:
+        while True:
+            with lock:
+                job = None if failures else next(pending, None)
+            if job is None:
+                return
+            try:
+                context.run(*job)
+            except BaseException as error:
+                failures.append(error)
 
-@lru_cache(maxsize=None)
-def _pool(workers: int) -> Executor:
-    """The thread pool of ``workers`` threads, made on first use; the import
-    of ``concurrent.futures`` waits for it too."""
-    from concurrent.futures import ThreadPoolExecutor
+    contexts = [contextvars.copy_context() for _ in range(min(WORKERS, len(jobs)))]
+    finished, helpers = threading.Semaphore(0), []
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="trotterprof-chunk")
+    def helper(context: contextvars.Context) -> None:
+        work(context)
+        finished.release()
+
+    try:
+        for context in contexts[1:]:
+            thread = threading.Thread(target=helper, args=(context,), name="trotterprof-chunk")
+            thread.start()
+            helpers.append(thread)
+        work(contexts[0])
+    except BaseException as error:  # a helper that could not start, or an interrupt
+        failures.append(error)
+    # each helper's own signal first: a join that an interrupt cuts short may
+    # take a running thread for stopped (Python 3.11), so joins only wait for exits
+    for wait in [finished.acquire] * len(helpers) + [thread.join for thread in helpers]:
+        while True:
+            try:
+                wait()
+                break
+            except BaseException as error:  # an interrupt while waiting
+                failures.append(error)
+    if failures:
+        del failures[1:]
+        raise failures.pop()  # the list the helpers' frames hold lets it go
 
 
 @lru_cache(maxsize=FOLD_PLANS)

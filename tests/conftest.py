@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ from trotterprof import (
     init_product_state,
     preset_config,
 )
+
+
+def chunk_threads() -> list[threading.Thread]:
+    """The engine's helper threads that are still alive."""
+    return [t for t in threading.enumerate() if t.name == "trotterprof-chunk"]
+
+
+@pytest.fixture(autouse=True)
+def no_chunk_thread_outlives_a_test():
+    """An engine call joins every helper it starts, also when it raises."""
+    yield
+    assert chunk_threads() == [], "an engine helper thread outlived its call"
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,12 @@ import ast
 import functools
 import itertools
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -68,7 +72,7 @@ from trotterprof.pauli import OperatorSum, PauliTerm, _flip_table, _phase_table,
 from trotterprof.profiling import sweep_sets
 from trotterprof.simulator import engine_counts
 
-from conftest import random_state
+from conftest import chunk_threads, random_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's document builders)
@@ -293,15 +297,15 @@ def test_the_ufunc_buffer_size_never_leaks(monkeypatch):
             alone(psi, words, angles, obs)
             assert sizes == [1 << n] * 3
             assert np.getbufsize() == 4096
+            assert chunk_threads() == []
             monkeypatch.setattr(simulator, "_check_norms", losing)
             with pytest.raises(DegenerateInputError, match="lost normalization"):
                 alone(psi, words, angles, obs)
             assert np.getbufsize() == 4096
+            # the helpers that ran beside the failing chunk are joined too
+            assert chunk_threads() == []
     finally:
         np.setbufsize(saved)
-    # the pool's threads are back at their own size too
-    pool = simulator._pool(2)
-    assert set(pool.map(lambda _: np.getbufsize(), range(8))) == {8192}
 
 
 @pytest.mark.skipif(
@@ -997,30 +1001,30 @@ def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, cap
 def test_calls_of_one_chunk_of_amplitudes_start_no_thread(tmp_path, monkeypatch):
     # every engine call of a preset run holds at most BATCH_AMPLITUDES
     # amplitudes over all its sets, so it stays on the calling thread
-    def refuse(workers):
-        raise AssertionError("a pool was started")
+    def refuse(thread):
+        raise AssertionError("a thread was started")
 
     monkeypatch.setattr(simulator, "WORKERS", 2)
-    monkeypatch.setattr(simulator, "_pool", refuse)
+    monkeypatch.setattr(simulator.threading.Thread, "start", refuse)
     out = str(tmp_path / "out.csv")
     assert run_command(["run", "--preset", "tfim-ruth3", "--out", out]) == 0
-    # in chunks of 4 rows the same run needs the pool
+    # in chunks of 4 rows the same run starts helpers
     monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 4 << 4)
-    with pytest.raises(AssertionError, match="a pool was started"):
+    with pytest.raises(AssertionError, match="a thread was started"):
         run_command(["run", "--preset", "tfim-ruth3", "--out", out])
 
 
-def test_a_call_of_sets_past_one_chunk_of_amplitudes_starts_the_pool(monkeypatch):
+def test_a_call_of_sets_past_one_chunk_of_amplitudes_starts_helper_threads(monkeypatch):
     # each set is one chunk of 8 rows; two of them pass the gate together
     monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 8 << 2)
     monkeypatch.setattr(simulator, "WORKERS", 2)
-    started, pool = [], simulator._pool
+    started, start = [], threading.Thread.start
 
-    def starting(workers):
-        started.append(workers)
-        return pool(workers)
+    def starting(thread):
+        started.append(thread.name)
+        start(thread)
 
-    monkeypatch.setattr(simulator, "_pool", starting)
+    monkeypatch.setattr(simulator.threading.Thread, "start", starting)
     rng = np.random.default_rng(7)
     psi = random_state(rng, 2)
     obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
@@ -1028,11 +1032,95 @@ def test_a_call_of_sets_past_one_chunk_of_amplitudes_starts_the_pool(monkeypatch
     each = [alone(psi, *batches[0], obs) for _, batches in sets]
     assert started == []
     assert np.array_equal(sample_branches(psi, sets, obs), np.column_stack(each))
-    assert started == [2]
+    # two workers: the calling thread and one helper, joined before the return
+    assert started == ["trotterprof-chunk"]
+    assert chunk_threads() == []
     # one worker runs the same call on the calling thread
     monkeypatch.setattr(simulator, "WORKERS", 1)
     assert np.array_equal(sample_branches(psi, sets, obs), np.column_stack(each))
-    assert started == [2]
+    assert started == ["trotterprof-chunk"]
+
+
+def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined(monkeypatch):
+    # six jobs on two threads; the helper's job raises while the caller's
+    # waits for the helper to end, so exactly two jobs run
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    ran, busy = [], threading.Event()
+
+    def chunk(start):
+        ran.append(start)
+        if threading.current_thread().name == "trotterprof-chunk":
+            busy.wait(5.0)
+            raise ValueError("helper chunk")
+        busy.set()
+        for helper in chunk_threads():
+            helper.join(5.0)
+
+    with pytest.raises(ValueError, match="helper chunk"):
+        simulator._map_chunks([(chunk, start) for start in range(6)], 1 << 20)
+    assert len(ran) == 2 and chunk_threads() == []
+    # the caller's chunk raises: the helper finishes its own chunk first
+    raised, finished = threading.Event(), threading.Event()
+
+    def failing(start):
+        if threading.current_thread().name == "trotterprof-chunk":
+            raised.wait(5.0)
+            time.sleep(0.05)
+            finished.set()
+        else:
+            raised.set()
+            raise ValueError("caller chunk")
+
+    with pytest.raises(ValueError, match="caller chunk"):
+        simulator._map_chunks([(failing, 0), (failing, 1)], 1 << 20)
+    assert finished.is_set() and chunk_threads() == []
+
+
+def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
+    # eight threads pull 400 jobs under a switch interval of a microsecond
+    monkeypatch.setattr(simulator, "WORKERS", 8)
+    ran = []
+
+    def chunk(start):
+        ran.append((start, threading.current_thread().name))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        simulator._map_chunks([(chunk, start) for start in range(400)], 1 << 20)
+        assert time.perf_counter() - started < 30.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(start for start, _ in ran) == list(range(400))
+    assert {name for _, name in ran} <= {"MainThread", "trotterprof-chunk"}
+    assert chunk_threads() == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_an_interrupt_of_the_caller_joins_every_helper_first(monkeypatch):
+    # the helper interrupts the caller, which waits for it in join, and then
+    # finishes its chunk; the interrupt reaches the caller only after that
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    busy, finished = threading.Event(), threading.Event()
+
+    def chunk(start):
+        if threading.current_thread().name != "trotterprof-chunk":
+            busy.wait(5.0)
+            return
+        busy.set()
+        time.sleep(0.05)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.05)
+        finished.set()
+
+    saved = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            simulator._map_chunks([(chunk, 0), (chunk, 1)], 1 << 20)
+    finally:
+        signal.signal(signal.SIGINT, saved)
+    assert finished.is_set() and chunk_threads() == []
 
 
 def test_the_sets_of_a_call_must_share_their_rows():
@@ -1151,25 +1239,61 @@ def test_only_sample_branches_evolves_a_batch():
     assert users == {name: {("simulator", "sample_branches")} for name in users}
 
 
-def test_only_the_pool_imports_concurrent_futures():
-    # the import waits for the first call that needs the pool, so a run whose
-    # calls stay on the calling thread never pays for it
+def test_no_module_imports_concurrent_or_logging():
+    # an engine call starts its own helper threads, so a cold run pays for
+    # neither import (about 7.5 ms of a cold process)
     package = Path(trotterprof.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            if isinstance(top, ast.If) and ast.unparse(top.test) == "TYPE_CHECKING":
-                continue  # read by type checkers, never run
-            for node in ast.walk(top):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module or ""]
-                else:
-                    continue
-                if any(module.split(".")[0] == "concurrent" for module in modules):
-                    importers.add((path.stem, getattr(top, "name", None)))
-    assert importers == {("simulator", "_pool")}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] in {"concurrent", "logging"} for module in modules):
+                importers.add(path.stem)
+    assert importers == set()
+
+
+CHILD_RUN = """
+import json, sys, threading
+from trotterprof import simulator
+from trotterprof.cli import run_command
+
+simulator.WORKERS = 2  # the same calls on a machine of one CPU
+started, start = [], threading.Thread.start
+
+def counting(thread):
+    started.append(thread.name)
+    start(thread)
+
+threading.Thread.start = counting
+code = run_command(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded = [name for name in ("concurrent.futures", "logging") if name in sys.modules]
+print(json.dumps({"code": code, "started": started, "loaded": loaded}))
+"""
+
+
+def test_a_run_that_starts_helpers_imports_neither_concurrent_nor_logging(tmp_path):
+    # a fresh process: the 8-qubit benchmark chain calibrates and sweeps on helpers
+    doc = workloads.chain8_calibrated(1)
+    doc["times"] = {"values": [0.5, 1.0]}
+    config = tmp_path / "chain8.json"
+    config.write_text(json.dumps(doc))
+    src = Path(trotterprof.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD_RUN, str(config), str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stderr == ""
+    report = json.loads(done.stdout.splitlines()[-1])  # after the lines run prints
+    assert report["code"] == 0 and report["loaded"] == []
+    assert report["started"] and set(report["started"]) == {"trotterprof-chunk"}
 
 
 def test_only_the_row_buffer_sets_the_ufunc_buffer_size():
@@ -1228,16 +1352,16 @@ def test_folding_removes_the_repeated_commuting_fragment():
 def h_applications(monkeypatch, cfg) -> int:
     """Applications of ``H`` in ``exact_values(cfg.times, cfg)``, without the observable's."""
     calls = []
-    apply = simulator._apply_operator
+    apply, h = simulator._apply_operator, simulator._operator_tables(cfg.partition.hamiltonian)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args[0] is h)
         return apply(*args)
 
     monkeypatch.setattr(simulator, "_apply_operator", counting)
     exact_values(cfg.times, cfg)
     monkeypatch.setattr(simulator, "_apply_operator", apply)
-    return len(calls) - 1
+    return sum(calls)
 
 
 def test_the_exact_column_applies_h_once_per_chebyshev_term(monkeypatch):
@@ -1298,6 +1422,22 @@ def test_the_exact_column_holds_no_stack_beside_its_output():
         tracemalloc.stop()
     # the output and at most eight states of scratch and coefficients
     assert peak <= (len(times) + 8) * 16 * (1 << 12)
+
+
+def test_the_exact_values_hold_one_stack_of_states():
+    # the exact column is measured in chunks of ACCUMULATE_AMPLITUDES, one
+    # row at 12 qubits; measuring the whole stack at once held three stacks
+    cfg = parse_config(json.dumps(workloads.tfim_chain_document(12, "suzuki4", 1, stop=2.0)))
+    h, psi, times = cfg.partition.hamiltonian, cfg.initial_state, cfg.times
+    whole = simulator.expectation_rows(exact_states(h, times, psi), cfg.observable)
+    tracemalloc.start()
+    try:
+        values = exact_values(times, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, whole)
+    assert peak < 1.5 * len(times) * 16 * (1 << 12)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ Two relations of the physics hold for any chain.  Relabeling the qubits, by
 a random permutation or the mirror, gives the same values up to rounding.
 Multiplying every Hamiltonian coefficient by a power of two and dividing
 every time by it gives the same angles, spans and Chebyshev terms, so the
-same CSV bytes apart from the ``t`` column.  The reference run keeps the
+same CSV bytes apart from the ``t`` column; ``calibrate`` then probes the
+same reduced times and prints the same bytes.  The reference run keeps the
 default flip threshold; the relabeled and rescaled runs cut it to one
 amplitude, so every flip that is not diagonal reads its amplitudes as a
 strided view there.  Neither relation changes the circuits, so ``cost``
@@ -26,6 +27,8 @@ from hypothesis import strategies as st
 
 from trotterprof import simulator
 from trotterprof.cli import run_command
+from trotterprof.config import parse_config
+from trotterprof.profiling import calibration_probes
 
 TOL = 1e-12
 
@@ -35,10 +38,10 @@ def site_word(n: int, letters: dict[int, str]) -> str:
 
 
 @st.composite
-def chains(draw):
-    """A random TFIM or XXZ chain document on 6-12 qubits, with a pinned basis,
-    two MPF step counts and two times."""
-    n = draw(st.integers(6, 12))
+def chains(draw, top: int = 12):
+    """A random TFIM or XXZ chain document on 6 to ``top`` qubits, with a
+    pinned basis, two MPF step counts and two times."""
+    n = draw(st.integers(6, top))
     model = draw(st.sampled_from(["tfim", "xxz"]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -191,3 +194,20 @@ def test_relabeled_and_rescaled_chains_give_the_same_mpf_and_profile(tmp_path_fa
         assert [float(line.split()[1]) * scale for line in scaled_report[:timed]] == [
             float(line.split()[1]) for line in report[:timed]
         ]
+
+
+@settings(max_examples=4, deadline=None)
+@given(chains(top=8))
+def test_relabeled_and_rescaled_chains_calibrate_the_same_basis(tmp_path_factory, case):
+    # without a pinned basis the chain calibrates; the rescaled one probes
+    # the reference's times over the scale, the same reduced times
+    doc, order, scale = case
+    del doc["profiling"]
+    tmp_path = tmp_path_factory.mktemp("chain")
+    report, rows = outputs(tmp_path, "reference", doc, simulator.VIEW_FLIP_AMPLITUDES, "calibrate")
+    assert [line.split()[0] for line in report] == ["surviving", "antisymmetric", "sweep"]
+    for name, other in (("relabeled", relabeled(doc, order)), ("rescaled", rescaled(doc, scale))):
+        assert outputs(tmp_path, name, other, 1, "calibrate") == (report, rows)
+    probes = calibration_probes(parse_config(json.dumps(doc)))[1]
+    scaled = calibration_probes(parse_config(json.dumps(rescaled(doc, scale))))[1]
+    np.testing.assert_allclose(scaled * scale, probes, rtol=4e-15, atol=0)
