@@ -58,6 +58,10 @@ MAX_FORMULA_STEPS = 2**15
 #: noisy values in the fits and slopes leave the float range.
 MAX_NOISE_SIGMA = 1e100
 
+#: Largest ``||O||_1``, which bounds the observable's values: as with noise, from
+#: about 1e154 their squares leave the float range (at 1e160 in ``slope``).
+MAX_OBSERVABLE_NORM = 1e100
+
 #: Longest ``mpf.step_counts`` list, bounded for conditioning alone: the closed
 #: form gives 64 weights in 0.02 s (2-vCPU VM), but the counts 1..k at
 #: ``alpha = 4`` are flagged ill-conditioned from k = 9 (condition number
@@ -569,6 +573,10 @@ def _parse_system(doc: dict) -> ExperimentConfig:
         )
     except HermiticityError as exc:
         raise ConfigError(str(exc), "observable") from exc
+    norm = observable.one_norm()
+    if not norm <= MAX_OBSERVABLE_NORM:
+        bound = f"at most {MAX_OBSERVABLE_NORM:g}, got {norm:g}"
+        raise ConfigError(f"observable coefficients must sum in magnitude to {bound}", "observable")
     return ExperimentConfig(
         partition=partition,
         formula=formula,

@@ -257,8 +257,8 @@ class Stage:
     def totals(self) -> tuple[int, ...]:
         """Batches, rows, compiled row-gates, folded row-gates and kernel row-steps.
 
-        Folded gates and kernel steps are those the engine evolves, so a
-        trunk that branches share counts once (``engine_counts``).
+        Folded gates and kernel steps come from the plan the engine evolves
+        for each set (``engine_counts``), so a shared trunk counts once.
         """
         batches = self.batches
         gates = sum(len(words) for words, _ in batches)

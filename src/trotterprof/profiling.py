@@ -42,7 +42,6 @@ from .formulas import (
 )
 from .pauli import DenseOperator, OperatorSum, to_dense
 from .simulator import (
-    ACCUMULATE_AMPLITUDES,
     BranchSet,
     Circuit,
     GaussianJitter,
@@ -300,20 +299,11 @@ def averaged_expectation(
 def exact_values(times: Sequence[float], config: ProfilingConfig) -> np.ndarray:
     """Exact ``<psi(t)|O|psi(t)>`` at every time, in one matrix-free propagation.
 
-    The ``(T, 2^n)`` stack of states is measured in chunks of at most
-    ``ACCUMULATE_AMPLITUDES`` amplitudes (and at least one row), through two
-    chunk-sized scratch stacks, so it is the one stack of its shape; each
-    row's value is a reduction along that row alone, whatever its chunk.
+    ``expectation_rows`` measures the ``(T, 2^n)`` stack of states in chunks
+    through two chunk-sized scratch stacks, so it is the one stack of its shape.
     """
     states = exact_states(config.partition.hamiltonian, times, config.initial_state)
-    rows = max(1, ACCUMULATE_AMPLITUDES >> config.initial_state.n)
-    scratch = np.empty((2, min(rows, len(states)), states.shape[1]), dtype=complex)
-    values = np.empty(len(states))
-    for lo in range(0, len(states), rows):
-        block = states[lo : lo + rows]
-        pair = tuple(scratch[:, : len(block)])
-        values[lo : lo + rows] = expectation_rows(block, config.observable, pair)
-    return values
+    return expectation_rows(states, config.observable)
 
 
 def check_grid(grid: Sequence[float], basis: BasisSpec | None) -> None:

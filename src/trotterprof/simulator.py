@@ -24,23 +24,20 @@ the engine agrees with it within 1e-12, not bit for bit; a row's bits still
 do not depend on its batch.  Batches whose circuits open with the same
 gates share a trunk: it is evolved once per chunk of rows, then each
 batch's branch from a copy, with each batch's own bits; a batch of its own
-is a branch set of one.  One call takes a stage's branch sets, in groups
-whose angles fit ``MAX_ANGLES``, and runs a group's chunks of every set
-longest first.  When they hold more than one chunk of amplitudes, the
-calling thread runs them with helper threads that it starts for the group
-and joins, one thread per CPU (``WORKERS``) in all, with the same bits as on
-one.  A chunk whose rows hold at least ``ROW_BUFFER_AMPLITUDES`` amplitudes
-runs with numpy's ufunc buffer cut to one row (``_row_buffer``), so numpy
-does not copy the stack through its buffer to multiply it by a gate's
-per-row cosines and sines; the cosines are complex, so they need no cast
-either.  ``_apply_operator``
-applies ``H`` and every observable from one pre-gathered diagonal per flip
-mask, the diagonal group without a gather; ``expectation_rows`` sums each
-row of ``conj(psi) * O psi`` on its own, and the matrix-free
-``exact_states`` expands ``exp(-iHt)`` in Chebyshev polynomials of
-``H / ||H||_1``, one recursion per window of times (a far time is a window
-of its own, over the whole gap), so measured deviations are only
-algorithmic.  ``exact_unitary`` and ``circuit_unitary`` build dense
+is a branch set of one.  One plan per set (``_set_plan``) holds what it
+evolves.  One call takes a stage's branch sets, in groups whose angles fit
+``MAX_ANGLES``, and runs a group's chunks of every set longest first.  When
+they hold more than one chunk of amplitudes, the calling thread runs them
+with helper threads that it starts for the group and joins, one thread per
+CPU (``WORKERS``) in all, with the same bits as on one; a chunk of long rows
+runs with numpy's ufunc buffer cut to one row (``_row_buffer``).
+``_apply_operator`` applies ``H`` and every observable from one
+pre-gathered diagonal per flip mask, the diagonal group without a gather;
+``expectation_rows`` sums each row of ``conj(psi) * O psi`` on its own, and
+the matrix-free ``exact_states`` expands ``exp(-iHt)`` in Chebyshev
+polynomials of ``H / ||H||_1``, one recursion per window of times (a far
+time is a window of its own, over the whole gap), so measured deviations
+are only algorithmic.  ``exact_unitary`` and ``circuit_unitary`` build dense
 matrices and are oracles for tests and error-operator extraction only.
 ``GaussianJitter`` perturbs a whole batch of measured values with one call.
 """
@@ -55,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, sin
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,10 +103,11 @@ ROW_BUFFER_AMPLITUDES = 1 << 7
 
 #: A flip mask whose lowest bit spans at least this many amplitudes reads
 #: ``psi[i ^ x]`` as a strided view (``_flip_axes``), so one multiply does the
-#: gather and the product; any other mask gathers through its ``2^n`` index
-#: table first.  Chosen by measurement of one X flip step under a buffer of
-#: one row (numpy 2.4, 2-vCPU Xeon, best of 9 x 100 calls): the view's time
-#: over the gather's, by the span of the lowest flipped bit,
+#: gather and the product; any other mask gathers first, within blocks of at
+#: least 16 amplitudes (``_flip_operands``).  Chosen by measurement of one X
+#: flip step under a buffer of one row (numpy 2.4, 2-vCPU Xeon, best of 9 x
+#: 100 calls): the view's time over the gather's, by the span of the lowest
+#: flipped bit,
 #:
 #:     register, rows       1-8 amps   16 amps    32 amps   64 amps and up
 #:     10 qubits, 32 rows   0.98-2.3   0.90       0.84      0.70-0.77
@@ -156,8 +154,8 @@ MAX_CHEBYSHEV_TERMS = 2 * 10**6
 #: at 2^12, and no less at 2^16.
 ACCUMULATE_AMPLITUDES = 1 << 12
 
-#: Fold plans kept at once, one per word sequence; a run has one sequence
-#: per probe variant and per step count, and one trunk per branch set.
+#: Plans kept at once, one per word sequence (``_fold_plan``) or branch set
+#: (``_set_plan``); a cold ``run`` makes 4-5 set plans on a benchmark chain.
 FOLD_PLANS = 64
 
 #: The threads that evolve an engine call's row chunks at once: one per CPU the
@@ -176,6 +174,18 @@ Batch = tuple[list[str], np.ndarray]
 #: Batches that run together (``sample_branches``) as ``(seam, batches)``:
 #: their circuits share their first ``seam`` gates, angles included.
 BranchSet = tuple[int, list[Batch]]
+
+Step = tuple[int, int, np.ndarray | None]  # ``(start, stop, index)``, ``_step_plan``
+FoldPlan = tuple[tuple[str, ...], np.ndarray, np.ndarray]  # ``_fold_plan``
+
+
+class SetPlan(NamedTuple):
+    """What ``sample_branches`` evolves for one branch set (``_set_plan``)."""
+
+    folds: tuple[FoldPlan, ...]
+    steps: tuple[tuple[Step, ...], ...]
+    trunk: tuple[int, int]  # kernel steps, folded gates
+    counts: tuple[int, int]  # folded gates, kernel steps per row, the trunk once
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +336,7 @@ def _evolve_steps(
     amps: np.ndarray,
     words: Sequence[str],
     rotations: tuple[np.ndarray, np.ndarray],
-    steps: Sequence[tuple[int, int, np.ndarray | None]],
+    steps: Sequence[Step],
     scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Advance the stack ``amps`` in place through ``steps``, a slice of ``_step_plan(words)``.
@@ -455,8 +465,7 @@ def _run_table(
     return table
 
 
-@lru_cache(maxsize=FOLD_PLANS)
-def _step_plan(words: tuple[str, ...]) -> tuple[tuple[int, int, np.ndarray | None], ...]:
+def _step_plan(words: Sequence[str]) -> tuple[Step, ...]:
     """The kernel steps of a word sequence, as ``(start, stop, index)``.
 
     A word that flips bits is a step of its own (``index`` None).  A run of
@@ -466,7 +475,7 @@ def _step_plan(words: tuple[str, ...]) -> tuple[tuple[int, int, np.ndarray | Non
     """
     n = len(words[0]) if words else 0
     diagonal = {word: word_masks(word)[0] == 0 for word in set(words)}
-    steps: list[tuple[int, int, np.ndarray | None]] = []
+    steps: list[Step] = []
     start = 0
     while start < len(words):
         stop = start + 1
@@ -495,13 +504,13 @@ def _run_index(run: tuple[str, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=FOLD_PLANS)
-def _fold_plan(words: tuple[str, ...]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def _fold_plan(words: tuple[str, ...]) -> FoldPlan:
     """Which gates of a word sequence stay after folding, and whose angles each sums.
 
     Gate k joins the latest earlier kept gate on its word when every kept
     gate between them commutes with it: ``exp(-i a P)`` then moves next to
     that gate, and ``exp(-i a P) exp(-i b P) = exp(-i (a + b) P)``.  Returns
-    the first gate of each kept group, the gate indices grouped in kept order
+    the word of each kept group, the gate indices grouped in kept order
     (ascending within a group), and where each group starts in that list.
     """
     distinct = {word: i for i, word in enumerate(dict.fromkeys(words))}
@@ -526,22 +535,41 @@ def _fold_plan(words: tuple[str, ...]) -> tuple[tuple[int, ...], np.ndarray, np.
     starts = np.cumsum([0] + [len(group) for group in groups[:-1]], dtype=np.intp)
     columns.setflags(write=False)
     starts.setflags(write=False)
-    return tuple(group[0] for group in groups), columns, starts
+    return tuple(words[group[0]] for group in groups), columns, starts
 
 
-def _folded_words(words: tuple[str, ...]) -> tuple[str, ...]:
-    """The words of a sequence that stay after folding (``_fold_plan``)."""
-    return tuple(words[k] for k in _fold_plan(words)[0])
-
-
-def _folded_angles(
-    plan: tuple[tuple[int, ...], np.ndarray, np.ndarray], angles: np.ndarray
-) -> np.ndarray:
+def _folded_angles(plan: FoldPlan, angles: np.ndarray) -> np.ndarray:
     """The folded angles of a sequence whose ``_fold_plan`` is ``plan``, row by row."""
     keep, columns, starts = plan
     if len(keep) == angles.shape[1]:
         return angles
     return np.add.reduceat(angles[:, columns], starts, axis=1)
+
+
+@lru_cache(maxsize=FOLD_PLANS)
+def _set_plan(sequences: tuple[tuple[str, ...], ...], seam: int) -> SetPlan:
+    """What ``sample_branches`` evolves for a branch set of these word sequences.
+
+    The sequences share their first ``seam`` words.  The trunk takes the fold
+    groups, the same in every sequence, before the first that takes a gate
+    from past the seam in any sequence, and of their kernel steps the longest
+    run that every folded sequence opens with: a diagonal run that one
+    sequence extends past those groups stays in the branches.
+    """
+    folds = tuple(map(_fold_plan, sequences))
+    steps = tuple(_step_plan(keep) for keep, _, _ in folds)
+    groups = len(sequences[0])
+    for keep, columns, starts in folds:
+        late = np.flatnonzero(np.maximum.reduceat(columns, starts) >= seam) if keep else []
+        groups = min(groups, int(late[0]) if len(late) else len(keep))
+    cut = 0
+    for step in zip(*steps):
+        if step[0][1] > groups or any(s[:2] != step[0][:2] for s in step):
+            break
+        cut += 1
+    shared = steps[0][cut - 1][1] if cut else 0
+    gates = shared + sum(len(keep) - shared for keep, _, _ in folds)
+    return SetPlan(folds, steps, (cut, shared), (gates, cut + sum(len(s) - cut for s in steps)))
 
 
 def expectation_rows(
@@ -553,18 +581,26 @@ def expectation_rows(
     exact propagator uses for ``H`` (``_operator_tables``); a row's value is
     then ``(conj(psi_b) * O psi_b).sum()``, a reduction along that row
     alone, so a row gives the same bits whichever stack it sits in.  The
-    work goes through two complex stacks shaped like ``amps``: ``scratch``,
-    or two new ones.
+    work goes through two complex stacks: ``scratch``, shaped like ``amps``,
+    or two of at most ``ACCUMULATE_AMPLITUDES`` amplitudes (and at least one
+    row) that the rows pass through in chunks.  An imaginary part is
+    rounding that grows with ``||O||_1``: refused from ``1e-10 max(1, ||O||_1)``.
     """
     if not obs.hermitian:
         raise HermiticityError("expectation requires a Hermitian observable")
     if amps.shape[1] != (1 << obs.n):
         raise DimensionMismatchError("observable and state qubit counts differ")
-    applied, scratch = scratch or (np.empty_like(amps, complex), np.empty_like(amps, complex))
-    _apply_operator(_operator_tables(obs), amps, applied, scratch)
-    values = np.multiply(np.conjugate(amps, out=scratch), applied, out=applied).sum(axis=1)
+    if scratch is None:
+        rows = max(1, ACCUMULATE_AMPLITUDES >> obs.n)
+        pair = np.empty((2, min(rows, len(amps)), amps.shape[1]), dtype=complex)
+        blocks = [amps[lo : lo + rows] for lo in range(0, len(amps), rows)]
+        values = [expectation_rows(block, obs, tuple(pair[:, : len(block)])) for block in blocks]
+        return np.concatenate(values) if values else np.empty(0)
+    applied, moved = scratch
+    _apply_operator(_operator_tables(obs), amps, applied, moved)
+    values = np.multiply(np.conjugate(amps, out=moved), applied, out=applied).sum(axis=1)
     worst = float(np.max(np.abs(values.imag), initial=0.0))
-    if worst >= 1e-10:
+    if worst >= 1e-10 * max(1.0, obs.one_norm()):
         raise HermiticityError(f"expectation has imaginary residue {worst!r}")
     return values.real
 
@@ -578,12 +614,13 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     gates ``exp(-i * angles[b, k] * P_k)`` for k = 0, 1, ..., where ``P_k``
     is the Pauli word ``words[k]``.  Every batch of the call has the same
     rows, and the batches of one set ``(seam, batches)`` share their first
-    ``seam`` gates, words and angles alike.  Rows are evolved in chunks of
-    at most ``BATCH_AMPLITUDES`` amplitudes, each chunk folding its own
-    angles (``_fold_plan``, ``_folded_angles``).  Per chunk, the kernel
-    steps that every folded sequence of a set opens with (``_trunk``) are
-    evolved once; each branch then continues from a copy of that stack, and
-    the last one in place.  A chunk runs in four stacks of its thread (the
+    ``seam`` gates, words and angles alike.  The calling thread builds each
+    set's plan (``_set_plan``) as it pulls the set.  Rows are evolved in
+    chunks of at most ``BATCH_AMPLITUDES`` amplitudes, each chunk folding its
+    own angles (``_folded_angles``).  Per chunk, the kernel steps that every
+    folded sequence of a set opens with (the plan's trunk) are evolved once;
+    each branch then continues from a copy of that stack, and the last one
+    in place.  A chunk runs in four stacks of its thread (the
     trunk, a branch copy and two scratch stacks), made at the thread's first
     chunk and kept for the call, so chunks touch no fresh pages.  Every row
     sees the same operations in the same order whatever the seam, the
@@ -595,13 +632,13 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     larger set is a group of its own), and the groups run one after
     another.  The angles alive are one group's and those of the set pulled
     after it, which waits, built, for the next group.  A group's chunks run
-    longest first, by rows times kernel steps (``engine_counts``), through
+    longest first, by rows times the plan's kernel steps, through
     ``_map_chunks``, one rule for the whole group; each chunk
     writes only its own rows of its own set's columns, under ``_row_buffer``
     of one row.
     """
-    # the 2^n tables are built here, before the workers read them; a block
-    # index that two workers both build first is a few bytes, built twice
+    # 2^n tables are built on this thread before workers read them (phases in
+    # ``branches``); a block index two workers both build first is a few bytes
     _operator_tables(obs)
     per_chunk = max(1, BATCH_AMPLITUDES >> state.n)
     columns: list[np.ndarray] = []
@@ -615,13 +652,10 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
             held.stacks = np.empty((4, min(per_chunk, rows), 1 << state.n), dtype=complex)
         return list(held.stacks[:, :count])
 
-    def branches(seam, sequences, angles, values) -> Callable[[int], None]:
+    def branches(plan: SetPlan, angles, values) -> Callable[[int], None]:
         """The chunk job of one set, writing its columns of ``values``."""
-        cut = _trunk(sequences, seam)[0]
-        plans = [_fold_plan(words) for words in sequences]
-        folded = [_folded_words(words) for words in sequences]
-        steps = [_step_plan(words) for words in folded]
-        for word in set().union(*folded):
+        cut = plan.trunk[0]
+        for word in set().union(*(keep for keep, _, _ in plan.folds)):
             flip, signs = word_masks(word)
             if flip and signs:
                 _phase_table(word)
@@ -631,15 +665,15 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
             trunk[...] = state.amplitudes
             scratch = scaled, moved
             with _row_buffer(trunk.shape[1]):
-                for j, (words, plan, a) in enumerate(zip(folded, plans, angles)):
-                    rotations = _rotations(_folded_angles(plan, a[start : start + per_chunk]))
+                for j, (fold, steps, a) in enumerate(zip(plan.folds, plan.steps, angles)):
+                    rotations = _rotations(_folded_angles(fold, a[start : start + per_chunk]))
                     if j == 0 and cut:
-                        _evolve_steps(trunk, words, rotations, steps[0][:cut], scratch)
+                        _evolve_steps(trunk, fold[0], rotations, steps[:cut], scratch)
                     stack = trunk
                     if j < len(angles) - 1:
                         stack = branch
                         np.copyto(branch, trunk)
-                    _evolve_steps(stack, words, rotations, steps[j][cut:], scratch)
+                    _evolve_steps(stack, fold[0], rotations, steps[cut:], scratch)
                     _check_norms(stack, scratch)
                     values[start : start + per_chunk, j] = expectation_rows(stack, obs, scratch)
 
@@ -647,19 +681,18 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
 
     def evolve(group) -> np.ndarray:
         """One group's values: its sets' chunks, longest first."""
-        values = np.empty((rows, sum(len(angles) for _, _, angles in group)))
+        values = np.empty((rows, sum(len(angles) for _, angles in group)))
         jobs, column = [], 0
-        for seam, sequences, angles in group:
-            chunk = branches(seam, sequences, angles, values[:, column : column + len(angles)])
-            steps = engine_counts(sequences, seam)[1]
+        for plan, angles in group:
+            chunk = branches(plan, angles, values[:, column : column + len(angles)])
             for start in range(0, rows, per_chunk):
-                jobs.append((min(per_chunk, rows - start) * steps, chunk, start))
+                jobs.append((min(per_chunk, rows - start) * plan.counts[1], chunk, start))
             column += len(angles)
         jobs.sort(key=lambda job: -job[0])  # stable: ties keep their order
         _map_chunks([job[1:] for job in jobs], len(group) * rows << state.n)
         return values
 
-    group: list[tuple[int, tuple[tuple[str, ...], ...], list[np.ndarray]]] = []
+    group: list[tuple[SetPlan, list[np.ndarray]]] = []
     size = 0
     for seam, batches in sets:
         sequences, angles = _checked_set(seam, batches, state.n)
@@ -673,7 +706,7 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
         if group and size + angle_count > MAX_ANGLES:
             columns.append(evolve(group))
             group, size = [], 0
-        group.append((seam, sequences, angles))
+        group.append((_set_plan(sequences, seam), angles))
         size += angle_count
     if not group:
         raise DegenerateInputError("sample_branches needs at least one branch set")
@@ -771,43 +804,10 @@ def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: i
         raise failures.pop()  # the list the helpers' frames hold lets it go
 
 
-@lru_cache(maxsize=FOLD_PLANS)
-def _trunk(sequences: tuple[tuple[str, ...], ...], seam: int) -> tuple[int, int]:
-    """The kernel steps and folded gates that every sequence evolves alike, before ``seam``.
-
-    The sequences share their first ``seam`` words.  A fold group
-    (``_fold_plan``) is in the trunk while it ends before the seam in every
-    sequence; so is every group before it, and they are the same groups in
-    every sequence.  A group that takes a gate from past the seam stays in
-    the branches, and so does every later one.  The trunk is the longest run
-    of ``_step_plan`` steps that every folded sequence opens with, over
-    those groups only: a diagonal run that one sequence extends past them
-    stays in the branches too.
-    """
-    groups = len(sequences[0])
-    for words in sequences:
-        keep, columns, starts = _fold_plan(words)
-        late = np.flatnonzero(np.maximum.reduceat(columns, starts) >= seam) if keep else []
-        groups = min(groups, int(late[0]) if len(late) else len(keep))
-    plans = [_step_plan(_folded_words(words)) for words in sequences]
-    cut = 0
-    for step in zip(*plans):
-        if step[0][1] > groups or any(s[:2] != step[0][:2] for s in step):
-            break
-        cut += 1
-    return cut, plans[0][cut - 1][1] if cut else 0
-
-
 def engine_counts(sequences: Sequence[Sequence[str]], seam: int) -> tuple[int, int]:
     """Per row, the folded gates and kernel steps that ``sample_branches`` evolves
-    for batches of these word sequences: a trunk (``_trunk``) counts once."""
-    sequences = tuple(tuple(words) for words in sequences)
-    steps, gates = _trunk(sequences, seam)
-    folded, evolved = gates, steps
-    for words in map(_folded_words, sequences):
-        folded += len(words) - gates
-        evolved += len(_step_plan(words)) - steps
-    return folded, evolved
+    for batches of these word sequences: a trunk counts once (``_set_plan``)."""
+    return _set_plan(tuple(tuple(words) for words in sequences), seam).counts
 
 
 @lru_cache(maxsize=64)

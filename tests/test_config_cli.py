@@ -1657,7 +1657,7 @@ def readme_value(node: ast.AST) -> object:
 def test_readme_constants_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     found = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
-    assert len(found) == 17
+    assert len(found) == 18
     modules = [
         importlib.import_module(f"trotterprof.{info.name}")
         for info in pkgutil.iter_modules(trotterprof.__path__)

@@ -110,7 +110,7 @@ def folded(words, angles):
     """The word sequence and angles that the engine evolves for a batch."""
     words = tuple(words)
     plan = simulator._fold_plan(words)
-    return list(simulator._folded_words(words)), simulator._folded_angles(plan, angles)
+    return list(plan[0]), simulator._folded_angles(plan, angles)
 
 
 def looped_values(state, words, angles, obs):
@@ -607,7 +607,7 @@ def test_a_run_caches_only_the_tables_its_kernels_read(tmp_path, monkeypatch):
         table = fresh(name)
         for module in {owner, simulator}:
             monkeypatch.setattr(module, name, table)
-    simulator._step_plan.cache_clear()  # plans hold run indices built before
+    simulator._set_plan.cache_clear()  # plans hold run indices built before
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]
     tracemalloc.start(4)
     try:
@@ -910,7 +910,7 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
     each = [alone(psi, words, angles, obs) for words, angles in batches]
     assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
-    assert simulator._trunk(tuple(map(tuple, sequences)), 2) == (1, 1)
+    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).trunk == (1, 1)
     assert engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
 
 
@@ -971,7 +971,7 @@ def test_a_lost_norm_in_one_chunk_fails_in_the_caller(tmp_path, monkeypatch, cap
     config.write_text(json.dumps(doc))
     cfg = parse_config(config.read_text())
     lengths = [
-        len(simulator._folded_words(tuple(batches[0][0])))
+        len(simulator._fold_plan(tuple(batches[0][0]))[0])
         for _, batches in constituent_sets((), cfg.mpf_step_counts, cfg)
     ]
     evolve, engine, evolved = simulator._evolve_steps, simulator.sample_branches, []
@@ -1039,6 +1039,71 @@ def test_a_call_of_sets_past_one_chunk_of_amplitudes_starts_helper_threads(monke
     monkeypatch.setattr(simulator, "WORKERS", 1)
     assert np.array_equal(sample_branches(psi, sets, obs), np.column_stack(each))
     assert started == ["trotterprof-chunk"]
+
+
+def xxz_chain_document(n: int) -> dict:
+    """An open XXZ chain on ``n`` qubits, ruth3, with a ``YY`` observable term."""
+
+    def site(q: int, body: str) -> str:
+        return ("I" * q + body).ljust(n, "I")
+
+    bonds = list(range(0, n - 1, 2)) + list(range(1, n - 1, 2))
+    terms = [
+        {"pauli": site(b, p + p), "coeff": 1.0 - 0.3 * (p == "Z")} for b in bonds for p in "XYZ"
+    ]
+    even = 3 * len(range(0, n - 1, 2))
+    observable = [{"pauli": site(q, "Z"), "coeff": 0.5 - 0.1 * q} for q in range(n)]
+    return {
+        "system": {"num_qubits": n, "hamiltonian": terms},
+        "partition": [list(range(even)), list(range(even, len(terms)))],
+        "formula": "ruth3",
+        "initial_state": {"factors": [[[1.0, 0.1 * q], [0.5, -0.2]] for q in range(n)]},
+        "observable": observable + [{"pauli": site(n - 2, "YY"), "coeff": 0.3}],
+        "times": {"values": [0.5, 1.0]},
+    }
+
+
+def test_plans_and_phase_tables_are_built_on_the_calling_thread(tmp_path, monkeypatch):
+    # a cold run of an 8-qubit XXZ chain in chunks of 1 row on two threads:
+    # each YY bond flips bits and has Y letters, so it needs a phase table;
+    # the calling thread builds each set's plan as it pulls the set, and the
+    # set's phase tables before any chunk starts, so no helper misses in
+    # either cache, and no two threads build one table at once
+    monkeypatch.setattr(simulator, "BATCH_AMPLITUDES", 1 << 8)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    built, ran, helped = [], set(), threading.Event()
+
+    def fresh(name, build):
+        @functools.lru_cache(maxsize=None)
+        def cached(*key):
+            built.append((name, threading.current_thread().name))
+            return build(*key)
+
+        return cached
+
+    plan = fresh("_set_plan", simulator._set_plan.__wrapped__)
+    phase = fresh("_phase_table", _phase_table.__wrapped__)
+    monkeypatch.setattr(simulator, "_set_plan", plan)
+    for module in (pauli, simulator):
+        monkeypatch.setattr(module, "_phase_table", phase)
+    evolve = simulator._evolve_steps
+
+    def recording(*args):
+        name = threading.current_thread().name
+        ran.add(name)
+        if name == "MainThread" and chunk_threads():
+            helped.wait(timeout=10)  # a helper evolves first, into any cold cache
+        evolve(*args)
+        if name == "trotterprof-chunk":
+            helped.set()
+
+    monkeypatch.setattr(simulator, "_evolve_steps", recording)
+    config = tmp_path / "xxz8.json"
+    config.write_text(json.dumps(xxz_chain_document(8)))
+    assert run_command(["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert ran == {"MainThread", "trotterprof-chunk"}
+    assert {name for name, _ in built} == {"_set_plan", "_phase_table"}
+    assert {thread for _, thread in built} == {"MainThread"}
 
 
 def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined(monkeypatch):

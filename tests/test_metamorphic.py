@@ -10,7 +10,9 @@ same reduced times and prints the same bytes.  The reference run keeps the
 default flip threshold; the relabeled and rescaled runs cut it to one
 amplitude, so every flip that is not diagonal reads its amplitudes as a
 strided view there.  Neither relation changes the circuits, so ``cost``
-prints the same bytes for all three documents.
+prints the same bytes for all three documents.  ``slope`` over the window
+divided by the scale prints the same slopes; over the relabeled chain, slopes
+that agree within a tolerance.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trotterprof import simulator
 from trotterprof.cli import run_command
 from trotterprof.config import parse_config
+from trotterprof.experiments import ERROR_FLOOR
 from trotterprof.profiling import calibration_probes
 
 TOL = 1e-12
@@ -211,3 +214,60 @@ def test_relabeled_and_rescaled_chains_calibrate_the_same_basis(tmp_path_factory
     probes = calibration_probes(parse_config(json.dumps(doc)))[1]
     scaled = calibration_probes(parse_config(json.dumps(rescaled(doc, scale))))[1]
     np.testing.assert_allclose(scaled * scale, probes, rtol=4e-15, atol=0)
+
+
+def slopes(
+    tmp_path, name: str, doc: dict, window: tuple[float, float], threshold: int
+) -> tuple[int, list[str], list[str], list[float]]:
+    """``slope`` over ``window`` with ``VIEW_FLIP_AMPLITUDES`` at ``threshold``: its
+    exit code, the lines it prints but the one naming its CSV, the lines on
+    standard error, and the CSV's ``abs_error`` column."""
+    config, out = tmp_path / f"{name}.json", tmp_path / f"{name}-slope.csv"
+    config.write_text(json.dumps(doc))
+    printed, errors = io.StringIO(), io.StringIO()
+    argv = ["slope", "--config", str(config), "--out", str(out), "--window", *map(str, window)]
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(printed):
+        patch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", threshold)
+        with contextlib.redirect_stderr(errors):
+            code = run_command(argv)
+    lines = out.read_text().splitlines()
+    header = lines.index("method,t,a_or_steps,estimate,exact,abs_error")
+    report = [line for line in printed.getvalue().splitlines() if not line.startswith("wrote ")]
+    errors_column = [float(line.split(",")[5]) for line in lines[header + 1 :]]
+    return code, report, errors.getvalue().splitlines(), errors_column
+
+
+@settings(max_examples=4, deadline=None)
+@given(chains(top=8))
+def test_relabeled_and_rescaled_chains_give_the_same_slopes(tmp_path_factory, case):
+    # five times inside the window; rescaled, the times and the window divide
+    # by the same power of two, so each slope fits the same errors at log
+    # times shifted by log(scale): the same printed lines, but for the window
+    doc, order, scale = case
+    doc["times"] = {"values": [0.1, 0.15, 0.22, 0.33, 0.5]}
+    window = (0.1, 0.5)
+    tmp_path = tmp_path_factory.mktemp("chain")
+    code, report, errors, reference = slopes(
+        tmp_path, "reference", doc, window, simulator.VIEW_FLIP_AMPLITUDES
+    )
+    assert code in (0, 2) and len(report) + len(errors) == 3
+
+    narrow = (window[0] / scale, window[1] / scale)
+    scaled = slopes(tmp_path, "rescaled", rescaled(doc, scale), narrow, 1)
+    old, new = f"[{window[0]}, {window[1]}]", f"[{narrow[0]}, {narrow[1]}]"
+    assert scaled[:3] == (
+        code,
+        [line.replace(old, new) for line in report],
+        [line.replace(old, new) for line in errors],
+    )
+    assert scaled[3] == reference
+
+    # near the floor, rounding can change which points are floored or next
+    # to a sign flip; above it, errors that move by about 1e-15 move each
+    # log error by at most 1e-3, each slope by a few times that
+    assume(min(reference) > 100 * ERROR_FLOOR)
+    moved = slopes(tmp_path, "relabeled", relabeled(doc, order), window, 1)
+    assert moved[0] == code and moved[2] == errors
+    assert [line.split()[:2] for line in moved[1]] == [line.split()[:2] for line in report]
+    gradients = [[float(line.split()[2]) for line in lines] for lines in (moved[1], report)]
+    np.testing.assert_allclose(*gradients, rtol=0, atol=0.01)

@@ -1,12 +1,12 @@
 """Whole documents, mutated: every command ends cleanly whatever it is given.
 
 The valid documents are the four presets written out in full
-(``document_for``) and TFIM chains of 2-4 qubits, each on a short time grid.
+(``document_for``) and TFIM chains of 2-6 qubits, each on a short time grid.
 A mutation drops a key or a list entry, repeats one (a key twice in the JSON
 text, an entry twice in its list), gives a value another type, or puts in an
 extreme, subnormal, non-finite or oversized number, which the parser must
-refuse before anything is built.  ``run``, ``cost``, ``calibrate``, ``mpf``
-and ``profile`` then run in-process: each returns exit code 0, 1 or 2,
+refuse before anything is built.  ``run``, ``cost``, ``calibrate``, ``mpf``,
+``profile`` and ``slope`` then run in-process: each returns exit code 0, 1 or 2,
 raises nothing (pytest turns warnings into errors) and prints no traceback
 and no warning on stderr.
 """
@@ -33,7 +33,7 @@ from trotterprof.config import PRESETS, document_for, preset_config
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's document builders)
 
-COMMANDS = ("run", "cost", "calibrate", "mpf", "profile")
+COMMANDS = ("run", "cost", "calibrate", "mpf", "profile", "slope")
 
 
 def base_documents() -> list[dict]:
@@ -43,9 +43,9 @@ def base_documents() -> list[dict]:
         doc = document_for(preset_config(name))
         doc["times"] = {"values": [0.1, 0.5]}
         docs.append(doc)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         doc = workloads.tfim_chain_document(n, "ruth3", 1, 0.5)
-        doc["times"]["points"] = 3
+        doc["times"]["points"] = 3 if n < 5 else 4  # four times: a slope to fit
         docs.append(doc)
     return docs
 
@@ -110,10 +110,13 @@ def test_every_base_document_runs_every_command(tmp_path):
     for i, doc in enumerate(BASES):
         config = tmp_path / f"{i}.json"
         config.write_text(json.dumps(doc))
+        times = doc["times"].get("points") or len(doc["times"]["values"])
         for command in COMMANDS:
             out = [] if command == "cost" else ["--out", str(tmp_path / f"{i}-{command}.csv")]
+            # a slope needs 4 usable times: with fewer, slope exits with code 2
+            code = 2 if command == "slope" and times < 4 else 0
             with contextlib.redirect_stdout(io.StringIO()):
-                assert run_command([command, "--config", str(config), *out]) == 0
+                assert run_command([command, "--config", str(config), *out]) == code
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,3 +167,20 @@ def test_noise_past_what_the_fits_can_square_is_refused(tmp_path, capsys, sigma)
         err = capsys.readouterr().err
         refused = "noise.sigma must be in [0, 1e+100]" in err
         assert refused == (sigma > 1e100) and code in ((1,) if refused else (0, 2))
+
+
+@pytest.mark.parametrize("coeff", [1e100, 1e160, 1e300])
+def test_an_observable_past_what_the_fits_can_square_is_refused(tmp_path, capsys, coeff):
+    # once the imaginary-residue bound scaled with ||O||_1, a coefficient of
+    # 1e160 overflowed in slope's squares and 1e300 in the calibration's norms
+    doc = workloads.tfim_chain_document(4, "ruth3", 1, 0.5)
+    doc["times"]["points"] = 3
+    doc["observable"][2]["coeff"] = coeff
+    config = tmp_path / "doc.json"
+    config.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        out = [] if command == "cost" else ["--out", str(tmp_path / "o.csv")]
+        code = run_command([command, "--config", str(config), *out])
+        err = capsys.readouterr().err
+        refused = "observable coefficients must sum in magnitude to at most 1e+100" in err
+        assert refused == (coeff > 1e100) and code in ((1,) if refused else (0, 2)), command

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,8 @@ from trotterprof import (
     to_dense,
 )
 from trotterprof import simulator
+from trotterprof.cli import run_command
+from trotterprof.config import document_for, parse_config, preset_config
 from trotterprof.simulator import (
     circuit_unitary,
     exact_states,
@@ -399,6 +402,51 @@ def test_expectation_rows_keep_their_checks():
     z = OperatorSum.from_terms([PauliTerm("Z")])
     with pytest.raises(DimensionMismatchError):
         expectation_rows(np.full((3, 4), 0.5, dtype=complex), z)
+
+
+def test_expectation_rows_without_scratch_hold_under_half_a_stack():
+    # without scratch the rows pass through two stacks of ACCUMULATE_AMPLITUDES
+    # amplitudes, one row at 12 qubits, not two stacks shaped like the input
+    rng = np.random.default_rng(12)
+    n, rows = 12, 20
+    stack = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    obs = OperatorSum.from_terms(
+        [PauliTerm(("I" * q + "X").ljust(n, "I"), 0.1) for q in range(n)]
+        + [PauliTerm(("I" * q + "ZZ").ljust(n, "I"), 0.3) for q in range(n - 1)]
+    )
+    scratch = (np.empty_like(stack), np.empty_like(stack))
+    expected = expectation_rows(stack, obs, scratch)  # fills the operator's table cache
+    tracemalloc.start()
+    try:
+        values = expectation_rows(stack, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, expected)
+    assert peak < stack.nbytes // 2
+
+
+@pytest.mark.parametrize("coeff", [1e7, 1e10])
+def test_an_observable_with_large_coefficients_runs(tmp_path, capsys, coeff):
+    # the imaginary residue is rounding that grows with the coefficients: an
+    # absolute bound of 1e-10 refused both documents (residues of 3.3e-10 and
+    # 2.0e-7); a value near 0 is measured against the observable's scale
+    doc = document_for(preset_config("tfim-ruth3"))
+    doc["observable"][0]["coeff"] = coeff
+    config, out = tmp_path / "doc.json", tmp_path / "out.csv"
+    config.write_text(json.dumps(doc))
+    assert run_command(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = parse_config(json.dumps(doc))
+    lines = out.read_text().splitlines()
+    header = lines.index("method,t,a_or_steps,estimate,exact,abs_error")
+    rows = [line.split(",") for line in lines[header + 1 :]]
+    observable = to_dense(cfg.observable).matrix
+    for row in rows:
+        psi = exact_unitary(cfg.partition.hamiltonian, float(row[1])) @ cfg.initial_state.amplitudes
+        oracle = float(np.real(psi.conj() @ observable @ psi))
+        assert abs(float(row[4]) - oracle) <= 1e-12 * cfg.observable.one_norm()
 
 
 def test_rotation_agrees_with_exact_evolution(rng):
