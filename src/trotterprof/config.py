@@ -596,6 +596,13 @@ def _pair(z: complex) -> list[float]:
 
 def document_for(cfg: ExperimentConfig) -> dict:
     """Canonical document dictionary describing an experiment setup."""
+    doc = _setup_document(cfg)
+    doc["initial_state"] = {"amplitudes": [_pair(z) for z in cfg.initial_state.amplitudes]}
+    return doc
+
+
+def _setup_document(cfg: ExperimentConfig) -> dict:
+    """``document_for(cfg)`` without its ``initial_state``."""
     terms: list[dict] = []
     partition: list[list[int]] = []
     cursor = 0
@@ -618,9 +625,6 @@ def document_for(cfg: ExperimentConfig) -> dict:
         },
         "partition": partition,
         "formula": formula,
-        "initial_state": {
-            "amplitudes": [_pair(z) for z in cfg.initial_state.amplitudes]
-        },
         "observable": [
             {"pauli": t.word, "coeff": float(t.coeff.real)} for t in cfg.observable
         ],
@@ -645,8 +649,17 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    """SHA-256 of the canonical serialization, for output provenance lines."""
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    """SHA-256 of a setup, for output provenance lines: of its canonical
+    document without the initial state, as compact JSON with sorted keys,
+    then of the state's amplitudes as little-endian ``complex128`` bytes.
+
+    A setup and its ``serialize_config`` round trip have one digest, since
+    the amplitudes survive it bit for bit; the amplitudes are never encoded
+    as text, which took 3.8 ms per ``run`` at 10 qubits and 0.28 s at 16.
+    """
+    digest = hashlib.sha256(json.dumps(_setup_document(cfg), sort_keys=True).encode())
+    digest.update(cfg.initial_state.amplitudes.astype("<c16", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def base_metadata(cfg: ExperimentConfig) -> dict[str, str]:

@@ -317,8 +317,8 @@ def _flip_product(
     strided view of ``psi``, or ``psi`` for mask 0.  The amplitudes come
     first: complex products do not commute bit for bit (numpy 2.4, AVX-512
     Xeon: ``a * d`` and ``d * a`` differed in 86,500 of 262,144 random
-    products), though they did in every entry with a unit phase or an
-    ``i sin`` factor."""
+    products), though they did in every entry with a unit phase or a
+    purely imaginary factor such as ``i tan``."""
     if perm is not None:
         # mode="clip" lets take write straight into ``read``; "raise" buffers.
         psi.reshape(read.shape).take(perm, axis=-1, out=read, mode="clip")

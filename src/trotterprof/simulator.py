@@ -8,24 +8,30 @@ evolved.  It runs batches of circuits, each batch sharing one sequence of
 Pauli words, as ``(B, 2^n)`` state stacks.  It first folds each gate into an
 earlier gate on the same word when every gate between them commutes with it
 (the angles add), then makes one in-place vectorised update per remaining
-gate that flips bits.  Both kernels, this one and ``_apply_operator``, read
-``psi[i ^ x]`` through one primitive, ``pauli._flip_product``: a mask whose
-lowest bit spans at least ``VIEW_FLIP_AMPLITUDES`` amplitudes as a strided
-view, any other by a gather within blocks, through one block's index (16
-entries for the four lowest bits); a word with Y or Z letters multiplies by
-its pre-gathered phase, cached only for words that flip bits
+gate that flips bits: ``psi <- psi - (i tan a) P psi``, two passes over the
+stack, while each row defers the gate's cosine.  The true state is
+``s psi``, ``s`` the product of the row's deferred cosines, and ``s`` folds
+back at points that the plan fixes: into the factors of the next diagonal
+run, by a multiply after every ``DEFERRED_FLIPS``-th flip without one, and
+at the end of the batch.  Both kernels, this one and ``_apply_operator``,
+read ``psi[i ^ x]`` through one primitive, ``pauli._flip_product``: a mask
+whose lowest bit spans at least ``VIEW_FLIP_AMPLITUDES`` amplitudes as a
+strided view, any other by a gather within blocks, through one block's
+index (16 entries for the four lowest bits); a word with Y or Z letters
+multiplies by its pre-gathered phase, cached only for words that flip bits
 (16 bytes per amplitude).  Each amplitude meets the same operands in the
 same order either way, so the bits are the same.  Each run of consecutive
 diagonal words is one update: every row gathers a table of the run's phase
-products, built from the gates' cosines and sines by one multiply per word,
-alternating between the two scratch stacks.  The folded angles and the
-products round differently from the reference's gate-by-gate updates, so
-the engine agrees with it within 1e-12, not bit for bit; a row's bits still
-do not depend on its batch.  Batches whose circuits open with the same
-gates share a trunk: it is evolved once per chunk of rows, then each
-batch's branch from a copy, with each batch's own bits; a batch of its own
-is a branch set of one.  One plan per set (``_set_plan``) holds what it
-evolves.  One call takes a stage's branch sets, in groups whose angles fit
+products, built from the gates' ``cos a -+ i sin a`` factors by one
+multiply per word, alternating between the two scratch stacks.  The folded
+angles, the tangents and the products round differently from the
+reference's gate-by-gate updates, so the engine agrees with it within
+1e-12, not bit for bit; a row's bits still do not depend on its batch.
+Batches whose circuits open with the same gates share a trunk: it is
+evolved once per chunk of rows, then each batch's branch from a copy, with
+each batch's own bits; a batch of its own is a branch set of one.  One plan
+per set (``_set_plan``) holds what it evolves, where its cosines fold back
+included.  One call takes a stage's branch sets, in groups whose angles fit
 ``MAX_ANGLES``, and runs a group's chunks of every set longest first.  When
 they hold more than one chunk of amplitudes, the calling thread runs them
 with helper threads that it starts for the group and joins, one thread per
@@ -88,37 +94,49 @@ BATCH_AMPLITUDES = 1 << 15
 
 #: A chunk whose rows hold at least this many amplitudes runs with numpy's
 #: ufunc buffer cut to one row (``_row_buffer``).  Each gate that flips bits
-#: multiplies the stack by a ``(rows, 1)`` column of ``cos`` and one of
-#: ``i sin``; while a row is shorter than the buffer (8192 elements by
-#: default), numpy copies every operand through it to run one long inner
-#: loop, and such a multiply costs about twice a contiguous one of the same
-#: size (40-60 us against 20 us on 32 x 1024, numpy 2.4, 2-vCPU Xeon).  A
-#: buffer of one row lets it run one inner loop per row instead: at 32 x 1024
-#: a flip step fell from 261 to 184 us.  Chosen by measurement: from 2^7
-#: amplitudes up a row-sized buffer was faster, at 2^6 results were mixed,
-#: and at 2^4 it was 2.3 times slower (208 to 474 us); from 2^13 up the
+#: multiplies the stack by a ``(rows, 1)`` column of ``i tan``; while a row
+#: is shorter than the buffer (8192 elements by default), numpy copies every
+#: operand through it to run one long inner loop, and such a multiply costs
+#: about twice a contiguous one of the same size (40-60 us against 20 us on
+#: 32 x 1024, numpy 2.4, 2-vCPU Xeon).  A buffer of one row lets it run one
+#: inner loop per row instead: at 32 x 1024 a flip step fell from 82-96 to
+#: 58-60 us read as a view, and from 121-133 to 67-105 us gathered.  Chosen
+#: by measurement (two runs, best of 9 x 100 calls): at 2^7 amplitudes a
+#: row-sized buffer was faster or even, at 2^6 results were mixed, and at
+#: 2^4 it was 1.6-2.1 times slower (92-130 to 145-269 us); from 2^13 up the
 #: rule changes nothing.  Elementwise products and the row sums see the same
 #: operands in the same order, so no bit changes.
 ROW_BUFFER_AMPLITUDES = 1 << 7
 
 #: A flip mask whose lowest bit spans at least this many amplitudes reads
-#: ``psi[i ^ x]`` as a strided view (``_flip_axes``), so one multiply does the
-#: gather and the product; any other mask gathers first, within blocks of at
-#: least 16 amplitudes (``_flip_operands``).  Chosen by measurement of one X
-#: flip step under a buffer of one row (numpy 2.4, 2-vCPU Xeon, best of 9 x
-#: 100 calls): the view's time over the gather's, by the span of the lowest
+#: ``psi[i ^ x]`` as a strided view (``_flip_axes``), so a flip step is two
+#: passes over the stack, one multiply and one subtract; any other mask
+#: gathers first, within blocks of at least 16 amplitudes
+#: (``_flip_operands``), a third pass.  Chosen by measurement of one X flip
+#: step under a buffer of one row (numpy 2.4, 2-vCPU Xeon, best of 9 x 100
+#: calls): the view's time over the gather's, by the span of the lowest
 #: flipped bit,
 #:
 #:     register, rows       1-8 amps   16 amps    32 amps   64 amps and up
-#:     10 qubits, 32 rows   0.98-2.3   0.90       0.84      0.70-0.77
-#:     12 qubits, 8 rows    1.12       1.05-1.08  -         0.72-0.92
-#:     14 qubits, 2 rows    -          1.00       -         0.66-0.87
+#:     10 qubits, 32 rows   0.93-2.1   0.82       0.77      0.72-0.74
+#:     12 qubits, 8 rows    1.16-2.0   1.02       1.03      0.83-0.94
+#:     14 qubits, 2 rows    1.14-1.9   1.04       1.07      0.52-0.91
 #:
-#: where a gathered 10-qubit step took 78-80 us.  Below 16 amplitudes the
-#: view's inner loops are too short.  One 10-qubit X layer of 10 flips fell
-#: from 785 to 663 us.  Each amplitude sees the same operands in the same
-#: order, so no bit changes.
+#: where a gathered 10-qubit step took 60-64 us.  Below 16 amplitudes the
+#: view's inner loops are too short; at 16 and 32 the view gains more at 10
+#: qubits than it loses at 12 and 14.  Each amplitude sees the same operands
+#: in the same order, so no bit changes.
 VIEW_FLIP_AMPLITUDES = 16
+
+#: A row defers the cosines of at most this many flips (``_step_plan``): the
+#: 16th flip since the row's last fold point ends by scaling the stack by
+#: their product.  Bound by the float range: the smallest ``|cos|`` of any
+#: double is 4.69e-19 = 2^-60.89, at 6381956970095103 * 2^797, so a product
+#: of k cosines is at least 2^(-60.89 k) and the rows it scales, whose norm
+#: is its inverse, at most 2^(60.89 k).  At k = 16 that is 2^-974.2, a normal
+#: double (from 2^-1022), and rows of norm 2^974.2 (below 2^1024); at 17 the
+#: product would be subnormal, losing up to 13 bits, and the rows overflow.
+DEFERRED_FLIPS = 16
 
 #: Largest angle array a document may make a run build: 2^24 float64 angles
 #: (128 MiB).  ``config`` bounds every count that sizes a batch so that no
@@ -175,8 +193,25 @@ Batch = tuple[list[str], np.ndarray]
 #: their circuits share their first ``seam`` gates, angles included.
 BranchSet = tuple[int, list[Batch]]
 
-Step = tuple[int, int, np.ndarray | None]  # ``(start, stop, index)``, ``_step_plan``
+Step = tuple[int, int, np.ndarray | None, bool]  # ``(start, stop, index, scales)``, ``_step_plan``
 FoldPlan = tuple[tuple[str, ...], np.ndarray, np.ndarray]  # ``_fold_plan``
+
+
+class ColumnPlan(NamedTuple):
+    """What ``_rotations`` builds for each folded column of a sequence (``_column_plan``).
+
+    Each product of deferred cosines multiplies the cosines of consecutive
+    flips and folds back at one column: the second slot of a flip that
+    scales the stack, or the factors of a diagonal run's first word.
+    ``scales`` and ``runs`` pair each such column with its product's number.
+    """
+
+    flips: np.ndarray  # the columns of words that flip bits
+    diagonal: np.ndarray  # the columns of diagonal words
+    opens: np.ndarray  # where each product opens, as a position in ``flips``
+    scales: np.ndarray  # (2, S): flip columns that hold a product
+    runs: np.ndarray  # (2, R): first words of runs that take one, as positions in ``diagonal``
+    tail: int | None  # the flip column whose product the batch ends with, if any
 
 
 class SetPlan(NamedTuple):
@@ -184,6 +219,7 @@ class SetPlan(NamedTuple):
 
     folds: tuple[FoldPlan, ...]
     steps: tuple[tuple[Step, ...], ...]
+    columns: tuple[ColumnPlan, ...]
     trunk: tuple[int, int]  # kernel steps, folded gates
     counts: tuple[int, int]  # folded gates, kernel steps per row, the trunk once
 
@@ -301,15 +337,45 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(amps, state.n)
 
 
-def _rotations(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(a)`` and ``i sin(a)`` of a ``(B, K)`` angle array, one ``(B, 1)`` column per gate.
+def _rotations(angles: np.ndarray, plan: ColumnPlan) -> np.ndarray:
+    """The ``(K, B, 2, 1)`` complex factors of a ``(B, K)`` angle array: two
+    ``(B, 1)`` columns per gate, 32 bytes per row and gate (40 with the
+    folded angle), each built only where ``plan`` reads it.
 
-    Both are complex, 32 bytes per row and gate (40 with the folded angle).
-    numpy would cast a float ``cos`` to ``c + 0j`` before each complex
-    product anyway, so the bits are the same, but the cast makes it buffer
-    the column on every gate.
+    A flip holds ``i tan(a)``, as ``sin(a) / cos(a)`` with the cosine that
+    the row defers, so that the two give back ``sin(a)`` to rounding:
+    numpy's ``cos`` was 8 ulp off at 6381956970095103 * 2^797, where its
+    ``tan`` was not, and a ``tan`` of its own would not match it.  A flip
+    of ``plan.scales`` also holds the product of the cosines that its
+    sequence deferred since the last fold point, its own last
+    (``np.multiply.reduceat``, in column order).  A diagonal word holds
+    ``cos(a) - i sin(a)`` and ``cos(a) + i sin(a)``; the first word of a run
+    that takes a product has both multiplied by it.  Both slots are
+    complex, as numpy would cast a float column before each complex product
+    anyway, but the cast makes it buffer the column on every gate; their
+    parts are written one by one, so each holds its bits.  The flips'
+    float temporaries go before the diagonal words' are made, so that the
+    call peaks at the factors, the angles and two float arrays of the
+    flips, or of the diagonal words.
     """
-    return np.cos(angles).astype(complex).T[:, :, None], 1.0j * np.sin(angles).T[:, :, None]
+    flips, diagonal, opens, scales, runs, _ = plan
+    parts = np.zeros((angles.shape[1], angles.shape[0], 2, 2))
+    flipping = angles[:, flips].T
+    cosines = np.cos(flipping)
+    parts[flips, :, 0, 1] = np.divide(np.sin(flipping, out=flipping), cosines, out=flipping)
+    del flipping
+    products = np.multiply.reduceat(cosines, opens, axis=0) if len(opens) else cosines
+    del cosines
+    parts[scales[0], :, 1, 0] = products[scales[1]]
+    rotating = angles[:, diagonal].T
+    cosines = np.cos(rotating)
+    sines = np.sin(rotating, out=rotating)
+    cosines[runs[0]] *= products[runs[1]]
+    sines[runs[0]] *= products[runs[1]]
+    parts[diagonal, :, 0, 0] = parts[diagonal, :, 1, 0] = cosines
+    parts[diagonal, :, 1, 1] = sines
+    parts[diagonal, :, 0, 1] = np.negative(sines, out=sines)
+    return parts.view(complex)
 
 
 @contextmanager
@@ -335,26 +401,31 @@ def _row_buffer(dim: int) -> Iterator[None]:
 def _evolve_steps(
     amps: np.ndarray,
     words: Sequence[str],
-    rotations: tuple[np.ndarray, np.ndarray],
+    rotations: np.ndarray,
     steps: Sequence[Step],
     scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Advance the stack ``amps`` in place through ``steps``, a slice of ``_step_plan(words)``.
 
-    ``rotations`` holds ``_rotations`` of the gates' angles, a column per word
-    of ``words``.  A non-diagonal word makes the update of ``apply_circuit``:
-    ``_flip_product`` writes the flipped amplitudes times the ``i sin``
-    column, or times the phase of a word with Y or Z letters and then the
-    column, through ``_flip_operands`` built once per word and call.  A run
-    of diagonal words multiplies each row by one gathered table of phase
-    products (``_run_table``), built in the fronts of the scratch stacks.
+    ``rotations`` holds ``_rotations`` of the gates' angles, two columns per
+    word of ``words``.  A non-diagonal word makes ``psi - (i tan a) P psi``,
+    ``exp(-i a P) psi / cos(a)``: ``_flip_product`` writes the flipped
+    amplitudes times the ``i tan`` column, or times the phase of a word with
+    Y or Z letters and then the column, through ``_flip_operands`` built
+    once per word and call, and one subtract takes them from the stack; a
+    step that ``scales`` then multiplies the stack by its product of
+    deferred cosines.  A run of diagonal words multiplies each row by one
+    gathered table of phase products (``_run_table``), built in the fronts
+    of the scratch stacks from factors that hold the cosines deferred before
+    it.  Cosines deferred past the last step are the caller's to fold back
+    (``ColumnPlan.tail``).
     """
-    cos, sin = rotations
+    tan, products = rotations[:, :, 0], rotations[:, :, 1]
     moved = scratch[1]
     flips: dict[str, tuple[bool, FlipOperands]] = {}
-    for start, stop, index in steps:
+    for start, stop, index, scales in steps:
         if index is not None:
-            table = _run_table(cos[start:stop], sin[start:stop], scratch)
+            table = _run_table(rotations[start:stop], scratch)
             # mode="clip" lets take write straight into ``moved``; "raise" buffers.
             table.take(index, axis=1, out=moved, mode="clip")
             np.multiply(amps, moved, out=amps)
@@ -362,14 +433,15 @@ def _evolve_steps(
         word = words[start]
         if word not in flips:
             flip, signs = word_masks(word)
-            factor = _phase_table(word) if signs else sin
+            factor = _phase_table(word) if signs else tan
             flips[word] = bool(signs), _flip_operands(flip, amps, moved, factor)
         phased, (perm, read, target, factor) = flips[word]
         _flip_product(amps, perm, read, target, factor if phased else factor[start])
         if phased:
-            np.multiply(sin[start], moved, out=moved)
-        np.multiply(cos[start], amps, out=amps)
+            np.multiply(tan[start], moved, out=moved)
         np.subtract(amps, moved, out=amps)
+        if scales:
+            np.multiply(amps, products[start], out=amps)
 
 
 def _flip_operands(
@@ -437,24 +509,20 @@ def _check_norms(amps: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> No
         raise DegenerateInputError("batched evolution lost normalization")
 
 
-def _run_table(
-    cos: np.ndarray, sin: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _run_table(factors: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Each row's ``2^m`` phase products for a run of m diagonal words.
 
-    ``cos`` and ``sin`` hold the run's ``cos(a)`` and ``i sin(a)`` columns,
-    shaped ``(m, B, 1)``.  Entry ``k`` of row b is the product over j of
-    ``cos - i sin`` of word j where bit j of ``k`` is 0 and ``cos + i sin``
-    where it is 1: the word's eigenvalue is ``+1`` or ``-1``.  The table is
-    built by doubling, one multiply per word, ``half[:, None, :]`` times both
-    factors of the word.  Each doubling writes into the front of the other
-    scratch stack, so no output overlaps its input; the full table lands in
-    ``scratch[0]``.
+    ``factors`` holds the run's ``_rotations``, shaped ``(m, B, 2, 1)``: the
+    ``cos(a) - i sin(a)`` and ``cos(a) + i sin(a)`` columns of each word, the
+    first word's times the cosines that the row deferred before the run.
+    Entry ``k`` of row b is the product over j of the first factor of word j
+    where bit j of ``k`` is 0 and the second where it is 1: the word's
+    eigenvalue is ``+1`` or ``-1``.  The table is built by doubling, one
+    multiply per word, ``half[:, None, :]`` times both factors of the word.
+    Each doubling writes into the front of the other scratch stack, so no
+    output overlaps its input; the full table lands in ``scratch[0]``.
     """
-    m, rows = cos.shape[:2]
-    factors = np.empty((m, rows, 2, 1), dtype=complex)
-    np.subtract(cos, sin, out=factors[:, :, 0])
-    np.add(cos, sin, out=factors[:, :, 1])
+    m, rows = factors.shape[:2]
     fronts = [stack.reshape(-1) for stack in scratch]
     table = fronts[(m - 1) % 2][: rows << 1].reshape(rows, 2)
     table[...] = factors[0, :, :, 0]
@@ -466,27 +534,66 @@ def _run_table(
 
 
 def _step_plan(words: Sequence[str]) -> tuple[Step, ...]:
-    """The kernel steps of a word sequence, as ``(start, stop, index)``.
+    """The kernel steps of a word sequence, as ``(start, stop, index, scales)``.
 
-    A word that flips bits is a step of its own (``index`` None).  A run of
-    consecutive diagonal words (X mask 0) is one step of at most ``n`` words,
-    so its ``2^m`` table fits in a row of a scratch stack; ``index`` is the
-    run's ``_run_index``.
+    A word that flips bits is a step of its own (``index`` None), which
+    defers its cosine; it ``scales`` when it is the ``DEFERRED_FLIPS``-th
+    flip since the sequence's start or its last fold point, a diagonal run
+    or a flip that scales.  A run of consecutive diagonal words (X mask 0)
+    is one step of at most ``n`` words, so its ``2^m`` table fits in a row of
+    a scratch stack; ``index`` is the run's ``_run_index``.  A step depends
+    only on the words up to its own, so sequences that open with the same
+    words open with the same steps.
     """
     n = len(words[0]) if words else 0
     diagonal = {word: word_masks(word)[0] == 0 for word in set(words)}
     steps: list[Step] = []
-    start = 0
+    start = deferred = 0
     while start < len(words):
         stop = start + 1
         if not diagonal[words[start]]:
-            steps.append((start, stop, None))
+            deferred = deferred % DEFERRED_FLIPS + 1
+            steps.append((start, stop, None, deferred == DEFERRED_FLIPS))
         else:
             while stop < min(len(words), start + n) and diagonal[words[stop]]:
                 stop += 1
-            steps.append((start, stop, _run_index(words[start:stop])))
+            steps.append((start, stop, _run_index(words[start:stop]), False))
+            deferred = 0
         start = stop
     return tuple(steps)
+
+
+def _column_plan(steps: Sequence[Step]) -> ColumnPlan:
+    """Which columns of a folded sequence flip bits, and where each product of
+    deferred cosines opens and folds back: at a flip that scales, at a
+    diagonal run after at least one flip, or at the last step of a sequence
+    that ends with a flip that does not scale (the ``tail``)."""
+    flips: list[int] = []
+    diagonal: list[int] = []
+    opens: list[int] = []
+    scaled: list[tuple[int, int]] = []
+    runs: list[tuple[int, int]] = []
+    deferred, tail = 0, None
+    for k, (start, stop, index, scales) in enumerate(steps):
+        if index is None:
+            flips.append(start)
+            deferred += 1
+        else:
+            diagonal.extend(range(start, stop))
+        if deferred and (index is not None or scales or k == len(steps) - 1):
+            if index is None:
+                scaled.append((start, len(opens)))
+            else:
+                runs.append((len(diagonal) - (stop - start), len(opens)))
+            opens.append(len(flips) - deferred)
+            deferred = 0
+            if index is None and not scales:
+                tail = start
+    arrays = [np.array(x, dtype=np.intp) for x in (flips, diagonal, opens)]
+    arrays += [np.array(x, dtype=np.intp).reshape(-1, 2).T for x in (scaled, runs)]
+    for array in arrays:
+        array.setflags(write=False)
+    return ColumnPlan(*arrays, tail)
 
 
 @lru_cache(maxsize=FOLD_PLANS)
@@ -554,7 +661,9 @@ def _set_plan(sequences: tuple[tuple[str, ...], ...], seam: int) -> SetPlan:
     groups, the same in every sequence, before the first that takes a gate
     from past the seam in any sequence, and of their kernel steps the longest
     run that every folded sequence opens with: a diagonal run that one
-    sequence extends past those groups stays in the branches.
+    sequence extends past those groups stays in the branches.  Each folded
+    sequence's ``_column_plan`` covers it whole, the trunk included, so a
+    branch folds back the cosines that the trunk deferred for it.
     """
     folds = tuple(map(_fold_plan, sequences))
     steps = tuple(_step_plan(keep) for keep, _, _ in folds)
@@ -569,7 +678,8 @@ def _set_plan(sequences: tuple[tuple[str, ...], ...], seam: int) -> SetPlan:
         cut += 1
     shared = steps[0][cut - 1][1] if cut else 0
     gates = shared + sum(len(keep) - shared for keep, _, _ in folds)
-    return SetPlan(folds, steps, (cut, shared), (gates, cut + sum(len(s) - cut for s in steps)))
+    counts = (gates, cut + sum(len(s) - cut for s in steps))
+    return SetPlan(folds, steps, tuple(map(_column_plan, steps)), (cut, shared), counts)
 
 
 def expectation_rows(
@@ -620,7 +730,8 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     own angles (``_folded_angles``).  Per chunk, the kernel steps that every
     folded sequence of a set opens with (the plan's trunk) are evolved once;
     each branch then continues from a copy of that stack, and the last one
-    in place.  A chunk runs in four stacks of its thread (the
+    in place, and multiplies it by the cosines its rows still defer before
+    the norms are checked and the values taken.  A chunk runs in four stacks of its thread (the
     trunk, a branch copy and two scratch stacks), made at the thread's first
     chunk and kept for the call, so chunks touch no fresh pages.  Every row
     sees the same operations in the same order whatever the seam, the
@@ -665,8 +776,11 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
             trunk[...] = state.amplitudes
             scratch = scaled, moved
             with _row_buffer(trunk.shape[1]):
-                for j, (fold, steps, a) in enumerate(zip(plan.folds, plan.steps, angles)):
-                    rotations = _rotations(_folded_angles(fold, a[start : start + per_chunk]))
+                sequences = zip(plan.folds, plan.steps, plan.columns, angles)
+                for j, (fold, steps, columns, a) in enumerate(sequences):
+                    rotations = _rotations(
+                        _folded_angles(fold, a[start : start + per_chunk]), columns
+                    )
                     if j == 0 and cut:
                         _evolve_steps(trunk, fold[0], rotations, steps[:cut], scratch)
                     stack = trunk
@@ -674,6 +788,8 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
                         stack = branch
                         np.copyto(branch, trunk)
                     _evolve_steps(stack, fold[0], rotations, steps[cut:], scratch)
+                    if columns.tail is not None:
+                        np.multiply(stack, rotations[columns.tail, :, 1], out=stack)
                     _check_norms(stack, scratch)
                     values[start : start + per_chunk, j] = expectation_rows(stack, obs, scratch)
 

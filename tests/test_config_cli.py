@@ -126,10 +126,10 @@ def test_round_trip_is_semantically_stable(
 
 #: ``config-sha256`` of each preset's CSVs: editing a preset document changes it.
 PRESET_DIGESTS = {
-    "tfim-ruth3": "73e896cacf708191c02a68cf3228e7fca65647d376bf4c6c3b8a04011a162a2d",
-    "tfim-suzuki4": "173d8113694aedd960e915c1928f5362b804be3f8393e8e00386147246dc7da4",
-    "xxz-ruth3": "c091b220a29136f727c67e0bf4a7e859d577225b0d41f8a6637eeaa6d07b0c02",
-    "xxz-suzuki4": "b590f7156adf747d9781d76bb9235c622b9dd3f14d05e126d51f8a8b9b37f65b",
+    "tfim-ruth3": "f4a1801881486f0d0e560c824c20910930fdb883cc1fab9695c28142068e0e4b",
+    "tfim-suzuki4": "0d7c88d9349122e063ccf68196c70b3889386118c29bcde59e7e745b450abd15",
+    "xxz-ruth3": "a2eed1957f2269f92626ac03bf4e3aab95f79a187eef324f18d8bb4a87a9005f",
+    "xxz-suzuki4": "2cc38418c2f3082902d7b3b85b8a01a467a9e9fdafa17d83e1eb78df52b7c98b",
 }
 
 
@@ -1657,7 +1657,7 @@ def readme_value(node: ast.AST) -> object:
 def test_readme_constants_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     found = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`", readme)
-    assert len(found) == 18
+    assert len(found) == 19
     modules = [
         importlib.import_module(f"trotterprof.{info.name}")
         for info in pkgutil.iter_modules(trotterprof.__path__)

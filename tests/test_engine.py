@@ -156,34 +156,63 @@ def word_tables(word):
     return perm, _phase_table(word)[perm] if signs else np.ones(1 << n, dtype=complex)
 
 
+def complex_parts(real, imag):
+    """A complex array written part by part, so each part keeps its bits."""
+    values = np.empty(np.broadcast_shapes(np.shape(real), np.shape(imag)), dtype=complex)
+    values.real, values.imag = real, imag
+    return values
+
+
 def allocating_evolve(state, words, angles):
     """The kernel's steps with a fresh stack per operation.
 
-    A word that flips bits is one expression per gate.  A run of at most n
-    consecutive diagonal words multiplies by its table of phase products,
-    doubled one word at a time and read at each state's eigenvalue bits.
+    A word that flips bits is ``psi - (i tan a) P psi``, one expression per
+    gate, and defers its cosine.  A run of at most n consecutive diagonal
+    words multiplies by its table of phase products, doubled one word at a
+    time and read at each state's eigenvalue bits.  The product of the
+    deferred cosines, multiplied in gate order, folds back into the first
+    factors of the next run, into the stack after every ``DEFERRED_FLIPS``-th
+    flip since the last fold point, and into the stack at the end.
     """
     n = state.n
-    cos = np.cos(angles).T[:, :, None]
-    sin = 1.0j * np.sin(angles).T[:, :, None]
+    cos, sin = np.cos(angles).T[:, :, None], np.sin(angles).T[:, :, None]
     amps = np.tile(state.amplitudes, (angles.shape[0], 1))
+    deferred = []
     k = 0
     while k < len(words):
         run = list(itertools.takewhile(lambda w: set(w) <= {"I", "Z"}, words[k : k + n]))
         if not run:
             perm, phase = word_tables(words[k])
-            amps = cos[k] * amps - sin[k] * np.take(amps * phase, perm, axis=1)
+            tan = complex_parts(0.0, sin[k] / cos[k])
+            amps = amps - tan * np.take(amps * phase, perm, axis=1)
+            deferred.append(cos[k])
             k += 1
+            if len(deferred) == simulator.DEFERRED_FLIPS:
+                amps = amps * complex_parts(functools.reduce(np.multiply, deferred), 0.0)
+                deferred = []
             continue
-        table = np.concatenate([cos[k] - sin[k], cos[k] + sin[k]], axis=1)
+        scale = functools.reduce(np.multiply, deferred) if deferred else 1.0
+        deferred = []
+        table = np.concatenate(
+            [complex_parts(cos[k] * scale, -sin[k] * scale), complex_parts(cos[k] * scale, sin[k] * scale)],
+            axis=1,
+        )
         index = eigenvalue_bits(run[0])
         for j, word in enumerate(run[1:], start=1):
-            minus, plus = cos[k + j] - sin[k + j], cos[k + j] + sin[k + j]
+            minus, plus = complex_parts(cos[k + j], -sin[k + j]), complex_parts(cos[k + j], sin[k + j])
             table = np.concatenate([table * minus, table * plus], axis=1)
             index = index + (eigenvalue_bits(word) << j)
         amps = amps * table[:, index]
         k += len(run)
+    if deferred:
+        amps = amps * complex_parts(functools.reduce(np.multiply, deferred), 0.0)
     return amps
+
+
+def kernel_rotations(words, angles):
+    """The kernel steps of a word sequence, and the ``_rotations`` of its angles."""
+    steps = simulator._step_plan(tuple(words))
+    return steps, simulator._rotations(angles, simulator._column_plan(steps))
 
 
 def allocating_rows(amps, obs):
@@ -361,6 +390,85 @@ def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
     assert np.array_equal(alone(psi, words, angles, obs), expected)
 
 
+#: The double whose cosine is smallest in magnitude, 4.69e-19.
+FLATTEST_COSINE = 6381956970095103 * 2.0**797
+
+#: Flips alone, with and without phases, 240 of them after folding.
+FLIPS_ONLY = ["XIY", "YXI", "IYX", "XXX"] * 60
+
+
+@pytest.mark.parametrize(
+    "words", [FLIPS_ONLY, FLIPS_ONLY[:101] + ["ZZI", "IZZ"] + FLIPS_ONLY[101:]], ids=["flips", "run"]
+)
+@pytest.mark.parametrize(
+    "cycle",
+    [[np.pi / 2 - 1e-9], [FLATTEST_COSINE], [1e300], [FLATTEST_COSINE, np.pi / 2 - 1e-9, 1e300, 0.3]],
+    ids=["near-pi/2", "flattest", "1e300", "mixed"],
+)
+def test_deferred_cosines_stay_in_the_float_range(words, cycle):
+    # without a diagonal run only the scaling after every DEFERRED_FLIPS-th
+    # flip bounds a row's product of deferred cosines; at the flattest cosine
+    # 17 of them would underflow it and overflow the rows (a RuntimeWarning,
+    # which the test configuration turns into a failure)
+    n, rows = 3, 4
+    assert len(folded(words, np.zeros((1, len(words))))[0]) == len(words)
+    angles = np.array([[cycle[(k + r) % len(cycle)] for k in range(len(words))] for r in range(rows)])
+    rng = np.random.default_rng(13)
+    psi = random_state(rng, n)
+    obs = OperatorSum.from_terms([PauliTerm("XYZ"), PauliTerm("ZZI", 0.5), PauliTerm("IXI", -0.7)])
+    values = alone(psi, words, angles, obs)
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
+    expected = allocating_rows(allocating_evolve(psi, *folded(words, angles)), obs)
+    assert np.array_equal(values, expected)
+
+
+class CountedStack(np.ndarray):
+    """A stack that records each ufunc and ``take`` that reads or writes it."""
+
+    calls: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountedStack.calls.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, CountedStack) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+    def take(self, *args, **kwargs):
+        CountedStack.calls.append("take")
+        return super().take(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "word, passes",
+    [
+        ("XIIIIIIIII", ["multiply", "subtract"]),  # a view
+        ("IIIIIIIIIX", ["take", "multiply", "subtract"]),  # a gather
+        ("YIIIIIIIIZ", ["multiply", "multiply", "subtract"]),  # a view with phases
+    ],
+)
+def test_a_flip_step_passes_over_the_stack_two_times_or_three_with_a_gather(word, passes):
+    # the cosine waits in the row's deferred product: one multiply reads the
+    # flipped amplitudes, one subtract updates the stack, and the 16th flip
+    # since the last fold point scales the stack by the product once more
+    n, rows = 10, 4
+    rng = np.random.default_rng(14)
+    psi = random_state(rng, n)
+    words = [word] * simulator.DEFERRED_FLIPS
+    angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
+    steps, rotations = kernel_rotations(words, angles)
+    stacks = np.empty((3, rows, 1 << n), dtype=complex).view(CountedStack)
+    amps, *scratch = stacks
+    amps[...] = psi.amplitudes
+    CountedStack.calls = []
+    simulator._evolve_steps(amps, words, rotations, steps[:1], scratch)
+    assert CountedStack.calls == passes
+    CountedStack.calls = []
+    simulator._evolve_steps(amps, words, rotations, steps[1:], scratch)
+    assert CountedStack.calls == passes * len(steps[1:]) + ["multiply"]
+
+
 @st.composite
 def diagonal_run_sequences(draw):
     """Runs of Z-only words, some longer than n, between words that flip bits."""
@@ -403,11 +511,10 @@ def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
     angles = rng.uniform(-3.0, 3.0, size=(rows, len(words)))
     # no word folds here: the X fields anticommute with the bonds between them
     assert folded(words, angles)[0] == words
-    steps = simulator._step_plan(tuple(words))
-    assert sum(i is not None for _, _, i in steps) == 1
+    steps, rotations = kernel_rotations(words, angles)
+    assert sum(i is not None for _, _, i, _ in steps) == 1
     amps = np.tile(psi.amplitudes, (rows, 1))
     scratch = (np.empty_like(amps), np.empty_like(amps))
-    rotations = simulator._rotations(angles)
     simulator._evolve_steps(amps, words, rotations, steps, scratch)  # fills the caches
     table = 16 * rows << len(bonds)
     # numpy's ufunc buffers (8192 elements each by default) would hide a table
@@ -425,26 +532,35 @@ def test_a_diagonal_run_builds_its_table_in_a_scratch_stack():
 
 
 def test_a_run_table_makes_no_ufunc_temporaries():
-    # nine ZZ bonds on 32 rows: one array of cos -+ i sin factors, and every
-    # doubling writes into the other scratch stack's front
+    # nine ZZ bonds on 32 rows after one X field: ``_rotations`` holds their
+    # cos -+ i sin factors, the first bond's times the field's cosine, and
+    # every doubling writes into the other scratch stack's front
     n, rows, m = 10, 32, 9
     rng = np.random.default_rng(4)
-    cos, sin = simulator._rotations(rng.uniform(-3.0, 3.0, size=(rows, m)))
+    words = ["X".ljust(n, "I")] + [("I" * b + "ZZ").ljust(n, "I") for b in range(m)]
+    angles = rng.uniform(-3.0, 3.0, size=(rows, m + 1))
+    steps, rotations = kernel_rotations(words, angles)
+    assert [stop - start for start, stop, _, _ in steps] == [1, m]
+    factors = rotations[1:]
+    assert factors.shape == (m, rows, 2, 1)
+    cos, sin = np.cos(angles[:, 1:]).T[:, :, None], np.sin(angles[:, 1:]).T[:, :, None]
+    first = np.cos(angles[:, :1])
+    assert np.array_equal(bits(factors[0, :, 0]), bits(complex_parts(cos[0] * first, -sin[0] * first)))
+    assert np.array_equal(bits(factors[1:, :, 1]), bits(complex_parts(cos[1:], sin[1:])))
     scratch = (np.empty((rows, 1 << n), complex), np.empty((rows, 1 << n), complex))
-    simulator._run_table(cos, sin, scratch)
-    factors = m * rows * 2 * 16
+    simulator._run_table(factors, scratch)
     # numpy's ufunc buffers (8192 elements each by default) would hide a table
     old = np.setbufsize(16)
     tracemalloc.start()
     try:
-        table = simulator._run_table(cos, sin, scratch)
+        table = simulator._run_table(factors, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         np.setbufsize(old)
-    assert peak < factors + 4096
+    assert peak < 4096
     assert np.shares_memory(table, scratch[0])
-    minus, plus = cos - sin, cos + sin
+    minus, plus = factors[:, :, 0], factors[:, :, 1]
     expected = np.concatenate([minus[0], plus[0]], axis=1)
     for j in range(1, m):
         expected = np.concatenate([expected * minus[j], expected * plus[j]], axis=1)
@@ -466,9 +582,9 @@ def flip_outputs(psi, words, angles, obs, threshold):
         patch.setattr(simulator, "VIEW_FLIP_AMPLITUDES", threshold)
         amps = np.tile(psi.amplitudes, (rows, 1))
         scratch = (np.empty_like(amps), np.empty_like(amps))
-        steps = simulator._step_plan(tuple(words))
+        steps, rotations = kernel_rotations(words, angles)
         with simulator._row_buffer(1 << n):
-            simulator._evolve_steps(amps, words, simulator._rotations(angles), steps, scratch)
+            simulator._evolve_steps(amps, words, rotations, steps, scratch)
         tables = simulator._operator_tables(obs)
         applied, row = np.empty_like(amps), np.empty_like(amps[0])
         simulator._apply_operator(tables, amps, applied, scratch[0])
@@ -561,8 +677,7 @@ def test_a_high_bit_flip_step_builds_no_index_table(monkeypatch):
     np.testing.assert_allclose(values, looped_values(psi, words, angles, obs), rtol=0, atol=TOL)
     amps = np.tile(psi.amplitudes, (rows, 1))
     scratch = (np.empty_like(amps), np.empty_like(amps))
-    rotations = simulator._rotations(angles)
-    steps = simulator._step_plan(tuple(words))
+    steps, rotations = kernel_rotations(words, angles)
     old = np.setbufsize(16)  # numpy's ufunc buffers would hide a table
     tracemalloc.start()
     try:
@@ -1410,8 +1525,8 @@ def test_folding_removes_the_repeated_commuting_fragment():
     # a run of its nine bonds, so the composite is 200 single gates and 21 runs
     plans = [simulator._step_plan(words) for words in sequences]
     assert [len(plan) for plan in plans] == [221, 441, 221, 111, 56]
-    assert [stop - start for start, stop, i in plans[0] if i is not None] == [9] * 21
-    assert len({id(i) for plan in plans for _, _, i in plan if i is not None}) == 1
+    assert [stop - start for start, stop, i, _ in plans[0] if i is not None] == [9] * 21
+    assert len({id(i) for plan in plans for _, _, i, _ in plan if i is not None}) == 1
 
 
 def h_applications(monkeypatch, cfg) -> int:

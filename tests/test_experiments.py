@@ -401,7 +401,7 @@ class EngineSpy:
             return original(state, recorded(), obs)
 
         def evolve_steps(amps, words, rotations, steps, scratch):
-            self.folded += len(amps) * sum(stop - start for start, stop, _ in steps)
+            self.folded += len(amps) * sum(stop - start for start, stop, *_ in steps)
             self.steps += len(amps) * len(steps)
             return evolve(amps, words, rotations, steps, scratch)
 
