@@ -19,9 +19,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._version import __version__
 from .config import (
@@ -113,9 +114,9 @@ def _load_document(args: argparse.Namespace) -> ConfigDocument:
         raise ConfigError("give either --config or --preset, not both", "usage")
     if args.config:
         try:
-            with open(args.config, "r") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}", "config") from exc
     elif args.preset:
         text = json.dumps({"preset": args.preset})
@@ -143,11 +144,22 @@ def _methods(args: argparse.Namespace) -> tuple[str, ...]:
     return picked
 
 
+@contextmanager
+def _writing(path: str, key: str) -> Iterator[None]:
+    """Turn a failure to write ``path`` in the block into a config error on
+    ``key``, the flag or document key that named the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {key} {path}: {exc}", key.lstrip("-")) from exc
+
+
 def _write_rows(args: argparse.Namespace, doc: ConfigDocument, rows: list[ResultRow]) -> bool:
     """Write ``rows`` as CSV when an output path is set; whether one was."""
     path = args.out or doc.output_path
     if path:
-        write_csv(ResultTable.from_rows(rows, base_metadata(doc.experiment)), path)
+        with _writing(path, "--out" if args.out else "output.path"):
+            write_csv(ResultTable.from_rows(rows, base_metadata(doc.experiment)), path)
         print(f"wrote {len(rows)} rows to {path}")
     return bool(path)
 
@@ -304,7 +316,8 @@ def _cmd_cost(args: argparse.Namespace, doc: ConfigDocument) -> int:
     print(text, end="")
     # the document's output path names the data file of ``run``, not this report
     if args.out:
-        atomic_write_text(text, args.out)
+        with _writing(args.out, "--out"):
+            atomic_write_text(text, args.out)
         print(f"wrote cost report to {args.out}")
     return EXIT_OK
 

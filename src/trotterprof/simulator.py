@@ -12,9 +12,10 @@ gate that flips bits: ``psi <- psi - (i tan a) P psi``, two passes over the
 stack, while each row defers the gate's cosine.  The true state is
 ``s psi``, ``s`` the product of the row's deferred cosines, and ``s`` folds
 back at points that the plan fixes: into the factors of the next diagonal
-run, by a multiply after every ``DEFERRED_FLIPS``-th flip without one, and
-at the end of the batch.  Both kernels, this one and ``_apply_operator``,
-read ``psi[i ^ x]`` through one primitive, ``pauli._flip_product``: a mask
+run, and by a multiply after every ``DEFERRED_FLIPS``-th flip without one
+and after a sequence's last step that flips, so a batch ends with none
+deferred.  Both kernels, this one and ``_apply_operator``, read
+``psi[i ^ x]`` through one primitive, ``pauli._flip_product``: a mask
 whose lowest bit spans at least ``VIEW_FLIP_AMPLITUDES`` amplitudes as a
 strided view, any other by a gather within blocks, through one block's
 index (16 entries for the four lowest bits); a word with Y or Z letters
@@ -172,8 +173,9 @@ MAX_CHEBYSHEV_TERMS = 2 * 10**6
 #: at 2^12, and no less at 2^16.
 ACCUMULATE_AMPLITUDES = 1 << 12
 
-#: Plans kept at once, one per word sequence (``_fold_plan``) or branch set
-#: (``_set_plan``); a cold ``run`` makes 4-5 set plans on a benchmark chain.
+#: Plans kept at once, one per branch set (``_set_plan``) or run of diagonal
+#: words (``_run_index``); a cold ``run`` makes 4-5 set plans on a benchmark
+#: chain.
 FOLD_PLANS = 64
 
 #: The threads that evolve an engine call's row chunks at once: one per CPU the
@@ -198,7 +200,7 @@ FoldPlan = tuple[tuple[str, ...], np.ndarray, np.ndarray]  # ``_fold_plan``
 
 
 class ColumnPlan(NamedTuple):
-    """What ``_rotations`` builds for each folded column of a sequence (``_column_plan``).
+    """What ``_rotations`` builds for each folded column of a sequence (``_step_plan``).
 
     Each product of deferred cosines multiplies the cosines of consecutive
     flips and folds back at one column: the second slot of a flip that
@@ -211,7 +213,6 @@ class ColumnPlan(NamedTuple):
     opens: np.ndarray  # where each product opens, as a position in ``flips``
     scales: np.ndarray  # (2, S): flip columns that hold a product
     runs: np.ndarray  # (2, R): first words of runs that take one, as positions in ``diagonal``
-    tail: int | None  # the flip column whose product the batch ends with, if any
 
 
 class SetPlan(NamedTuple):
@@ -358,7 +359,7 @@ def _rotations(angles: np.ndarray, plan: ColumnPlan) -> np.ndarray:
     call peaks at the factors, the angles and two float arrays of the
     flips, or of the diagonal words.
     """
-    flips, diagonal, opens, scales, runs, _ = plan
+    flips, diagonal, opens, scales, runs = plan
     parts = np.zeros((angles.shape[1], angles.shape[0], 2, 2))
     flipping = angles[:, flips].T
     cosines = np.cos(flipping)
@@ -417,8 +418,8 @@ def _evolve_steps(
     deferred cosines.  A run of diagonal words multiplies each row by one
     gathered table of phase products (``_run_table``), built in the fronts
     of the scratch stacks from factors that hold the cosines deferred before
-    it.  Cosines deferred past the last step are the caller's to fold back
-    (``ColumnPlan.tail``).
+    it.  A sequence's last step, when it flips, scales too, so the stack
+    leaves it with no cosine deferred.
     """
     tan, products = rotations[:, :, 0], rotations[:, :, 1]
     moved = scratch[1]
@@ -533,67 +534,57 @@ def _run_table(factors: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> n
     return table
 
 
-def _step_plan(words: Sequence[str]) -> tuple[Step, ...]:
-    """The kernel steps of a word sequence, as ``(start, stop, index, scales)``.
+def _step_plan(words: Sequence[str]) -> tuple[tuple[Step, ...], ColumnPlan]:
+    """The kernel steps of a word sequence, as ``(start, stop, index, scales)``,
+    and its ``ColumnPlan``, from one walk that counts the flips it defers.
 
     A word that flips bits is a step of its own (``index`` None), which
     defers its cosine; it ``scales`` when it is the ``DEFERRED_FLIPS``-th
-    flip since the sequence's start or its last fold point, a diagonal run
-    or a flip that scales.  A run of consecutive diagonal words (X mask 0)
-    is one step of at most ``n`` words, so its ``2^m`` table fits in a row of
-    a scratch stack; ``index`` is the run's ``_run_index``.  A step depends
-    only on the words up to its own, so sequences that open with the same
-    words open with the same steps.
+    flip since the sequence's start or its last fold point, or the
+    sequence's last step, so that no cosine is deferred past the end.  A
+    run of consecutive diagonal words (X mask 0) is one step of at most
+    ``n`` words, so its ``2^m`` table fits in a row of a scratch stack;
+    ``index`` is the run's ``_run_index``.  A run after at least one
+    deferred flip is a fold point too: its first word's factors take the
+    product.  A step depends only on the words up to its own and on whether
+    it is the last, so sequences that open with the same words open with
+    the same steps, up to a last step of one of them.
     """
     n = len(words[0]) if words else 0
     diagonal = {word: word_masks(word)[0] == 0 for word in set(words)}
     steps: list[Step] = []
+    flips: list[int] = []
+    diagonals: list[int] = []
+    opens: list[int] = []
+    scaled: list[tuple[int, int]] = []
+    runs: list[tuple[int, int]] = []
     start = deferred = 0
     while start < len(words):
         stop = start + 1
         if not diagonal[words[start]]:
-            deferred = deferred % DEFERRED_FLIPS + 1
-            steps.append((start, stop, None, deferred == DEFERRED_FLIPS))
+            flips.append(start)
+            deferred += 1
+            fold = deferred == DEFERRED_FLIPS or stop == len(words)
+            steps.append((start, stop, None, fold))
+            if fold:
+                scaled.append((start, len(opens)))
         else:
             while stop < min(len(words), start + n) and diagonal[words[stop]]:
                 stop += 1
             steps.append((start, stop, _run_index(words[start:stop]), False))
-            deferred = 0
-        start = stop
-    return tuple(steps)
-
-
-def _column_plan(steps: Sequence[Step]) -> ColumnPlan:
-    """Which columns of a folded sequence flip bits, and where each product of
-    deferred cosines opens and folds back: at a flip that scales, at a
-    diagonal run after at least one flip, or at the last step of a sequence
-    that ends with a flip that does not scale (the ``tail``)."""
-    flips: list[int] = []
-    diagonal: list[int] = []
-    opens: list[int] = []
-    scaled: list[tuple[int, int]] = []
-    runs: list[tuple[int, int]] = []
-    deferred, tail = 0, None
-    for k, (start, stop, index, scales) in enumerate(steps):
-        if index is None:
-            flips.append(start)
-            deferred += 1
-        else:
-            diagonal.extend(range(start, stop))
-        if deferred and (index is not None or scales or k == len(steps) - 1):
-            if index is None:
-                scaled.append((start, len(opens)))
-            else:
-                runs.append((len(diagonal) - (stop - start), len(opens)))
+            fold = deferred > 0
+            if fold:
+                runs.append((len(diagonals), len(opens)))
+            diagonals.extend(range(start, stop))
+        if fold:
             opens.append(len(flips) - deferred)
             deferred = 0
-            if index is None and not scales:
-                tail = start
-    arrays = [np.array(x, dtype=np.intp) for x in (flips, diagonal, opens)]
+        start = stop
+    arrays = [np.array(x, dtype=np.intp) for x in (flips, diagonals, opens)]
     arrays += [np.array(x, dtype=np.intp).reshape(-1, 2).T for x in (scaled, runs)]
     for array in arrays:
         array.setflags(write=False)
-    return ColumnPlan(*arrays, tail)
+    return tuple(steps), ColumnPlan(*arrays)
 
 
 @lru_cache(maxsize=FOLD_PLANS)
@@ -610,7 +601,6 @@ def _run_index(run: tuple[str, ...]) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=FOLD_PLANS)
 def _fold_plan(words: tuple[str, ...]) -> FoldPlan:
     """Which gates of a word sequence stay after folding, and whose angles each sums.
 
@@ -660,26 +650,28 @@ def _set_plan(sequences: tuple[tuple[str, ...], ...], seam: int) -> SetPlan:
     The sequences share their first ``seam`` words.  The trunk takes the fold
     groups, the same in every sequence, before the first that takes a gate
     from past the seam in any sequence, and of their kernel steps the longest
-    run that every folded sequence opens with: a diagonal run that one
-    sequence extends past those groups stays in the branches.  Each folded
-    sequence's ``_column_plan`` covers it whole, the trunk included, so a
-    branch folds back the cosines that the trunk deferred for it.
+    run that every folded sequence opens with, fold points included: a
+    diagonal run that one sequence extends past those groups stays in the
+    branches, and so does the last step of a sequence that ends there,
+    which scales where the others' does not.  Each folded sequence's
+    ``ColumnPlan`` covers it whole, the trunk included, so a branch folds
+    back the cosines that the trunk deferred for it.
     """
     folds = tuple(map(_fold_plan, sequences))
-    steps = tuple(_step_plan(keep) for keep, _, _ in folds)
+    steps, columns = zip(*(_step_plan(keep) for keep, _, _ in folds))
     groups = len(sequences[0])
-    for keep, columns, starts in folds:
-        late = np.flatnonzero(np.maximum.reduceat(columns, starts) >= seam) if keep else []
+    for keep, grouped, starts in folds:
+        late = np.flatnonzero(np.maximum.reduceat(grouped, starts) >= seam) if keep else []
         groups = min(groups, int(late[0]) if len(late) else len(keep))
     cut = 0
     for step in zip(*steps):
-        if step[0][1] > groups or any(s[:2] != step[0][:2] for s in step):
+        if step[0][1] > groups or len({(start, stop, scales) for start, stop, _, scales in step}) > 1:
             break
         cut += 1
     shared = steps[0][cut - 1][1] if cut else 0
     gates = shared + sum(len(keep) - shared for keep, _, _ in folds)
     counts = (gates, cut + sum(len(s) - cut for s in steps))
-    return SetPlan(folds, steps, tuple(map(_column_plan, steps)), (cut, shared), counts)
+    return SetPlan(folds, steps, columns, (cut, shared), counts)
 
 
 def expectation_rows(
@@ -730,13 +722,14 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     own angles (``_folded_angles``).  Per chunk, the kernel steps that every
     folded sequence of a set opens with (the plan's trunk) are evolved once;
     each branch then continues from a copy of that stack, and the last one
-    in place, and multiplies it by the cosines its rows still defer before
-    the norms are checked and the values taken.  A chunk runs in four stacks of its thread (the
-    trunk, a branch copy and two scratch stacks), made at the thread's first
-    chunk and kept for the call, so chunks touch no fresh pages.  Every row
-    sees the same operations in the same order whatever the seam, the
-    batches beside it and the sets of the call, so the values are the same
-    bits; they agree with the looped circuits within 1e-12.
+    in place, to its last step, which leaves no cosine deferred, before the
+    norms are checked and the values taken.  A chunk runs in four stacks of
+    its thread (the trunk, a branch copy and two scratch stacks), made at
+    the thread's first chunk and kept for the call, so chunks touch no
+    fresh pages.  Every row sees the same operations in the same order
+    whatever the seam, the batches beside it and the sets of the call, so
+    the values are the same bits; they agree with the looped circuits
+    within 1e-12.
 
     Sets are pulled from ``sets`` in groups whose angle arrays together fit
     ``MAX_ANGLES`` (a set that does not fit opens the next group, so a
@@ -788,8 +781,6 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
                         stack = branch
                         np.copyto(branch, trunk)
                     _evolve_steps(stack, fold[0], rotations, steps[cut:], scratch)
-                    if columns.tail is not None:
-                        np.multiply(stack, rotations[columns.tail, :, 1], out=stack)
                     _check_norms(stack, scratch)
                     values[start : start + per_chunk, j] = expectation_rows(stack, obs, scratch)
 

@@ -41,7 +41,7 @@ from trotterprof import (
     write_csv,
 )
 from trotterprof import config, mpf, profiling, simulator
-from trotterprof.cli import _build_parser, run_command
+from trotterprof.cli import _build_parser, _load_document, run_command
 from trotterprof.config import MAX_QUBITS, PRESETS, config_digest
 from trotterprof.experiments import DEFAULT_TIMES
 from trotterprof.formulas import MAX_ALPHA, ProductFormula, builtin_formula
@@ -599,6 +599,17 @@ def test_unreadable_json_is_a_config_error(tmp_path, capsys, text, message):
     path.write_text(text)
     assert run_command(["run", "--config", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # used to escape the reader as a UnicodeDecodeError traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="cannot read config file: 'utf-8' codec") as info:
+        _load_document(_build_parser().parse_args(["run", "--config", str(path)]))
+    assert info.value.field == "config"
+    assert run_command(["run", "--config", str(path)]) == 1
+    assert "error: cannot read config file: 'utf-8' codec" in capsys.readouterr().err
 
 
 def typed_document() -> dict:
@@ -1474,6 +1485,39 @@ def test_cost_writes_its_report_only_where_out_says(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().out == report + "wrote cost report to cost.txt\n"
     assert (tmp_path / "cost.txt").read_text() == report
     assert (tmp_path / "results.csv").read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--method", "trotter"], ["cost"], ["calibrate"]], ids=["run", "cost", "calibrate"]
+)
+def test_an_output_path_that_cannot_be_written_is_a_config_error(tmp_path, argv):
+    # a path under a regular file: each command used to end in a traceback,
+    # run's after all its work
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trotterprof", *argv, "--preset", "tfim-ruth3", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert f"error: cannot write --out {out}: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_an_unwritable_output_path_names_its_key_and_leaves_no_temp_file(tmp_path, capsys):
+    # the document's output.path is an existing directory: the rename fails
+    # after the temp file is written, and the temp file goes
+    (tmp_path / "results").mkdir()
+    doc = {"preset": "tfim-ruth3", "output": {"path": str(tmp_path / "results")}}
+    argv = ["run", "--method", "trotter", "--config", write_config(tmp_path, doc)]
+    assert run_command(argv) == 1
+    assert f"error: cannot write output.path {tmp_path / 'results'}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "results"]
 
 
 def test_cost_command(tmp_path, capsys):

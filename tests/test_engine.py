@@ -211,8 +211,8 @@ def allocating_evolve(state, words, angles):
 
 def kernel_rotations(words, angles):
     """The kernel steps of a word sequence, and the ``_rotations`` of its angles."""
-    steps = simulator._step_plan(tuple(words))
-    return steps, simulator._rotations(angles, simulator._column_plan(steps))
+    steps, columns = simulator._step_plan(tuple(words))
+    return steps, simulator._rotations(angles, columns)
 
 
 def allocating_rows(amps, obs):
@@ -903,15 +903,15 @@ def test_shared_trunks_give_the_bits_of_each_batch_alone(case):
 @st.composite
 def branch_calls(draw):
     """Several branch sets over one register and one set of rows: each set a
-    trunk of ``seam`` random words and one to three branches past it, rows in
-    chunks of ``chunk`` with a ragged last one, groups of at most ``budget``
-    angles, run on ``workers`` threads."""
+    trunk of ``seam`` random words and one to three branches past it, any of
+    which may end at the seam, rows in chunks of ``chunk`` with a ragged last
+    one, groups of at most ``budget`` angles, run on ``workers`` threads."""
     n = draw(st.integers(1, 4))
     word = st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"})
     shapes = []
     for _ in range(draw(st.integers(1, 5))):
         trunk = draw(st.lists(word, max_size=4))
-        branches = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=3))
+        branches = draw(st.lists(st.lists(word, max_size=5), min_size=1, max_size=3))
         shapes.append((trunk, branches))
     chunk = draw(st.integers(1, 4))
     rows = chunk * draw(st.integers(0, 3)) + draw(st.integers(1, chunk))
@@ -926,7 +926,8 @@ def branch_calls(draw):
             for words in branches
         ]
         sets.append((len(trunk), batches))
-    words = {w for _, batches in sets for sequence, _ in batches for w in sequence}
+    # a term that stays when no word is drawn
+    words = {"Z" * n} | {w for _, batches in sets for sequence, _ in batches for w in sequence}
     obs = OperatorSum.from_terms([PauliTerm(w, float(rng.normal())) for w in sorted(words)])
     return random_state(rng, n), sets, obs, chunk, budget, workers
 
@@ -1027,6 +1028,28 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
     assert simulator._set_plan(tuple(map(tuple, sequences)), 2).trunk == (1, 1)
     assert engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
+
+
+def test_a_batch_that_ends_at_its_seam_keeps_its_last_step_out_of_the_trunk():
+    # the first batch ends at the seam, so its last step scales its rows by
+    # the cosines they deferred, where the second batch's IXII does not: the
+    # trunk stops before it, and the set evolves one more folded gate and one
+    # more kernel step per row than a trunk of both would (8 and 6).  No
+    # command builds such a set: every probe and constituent batch of a set
+    # runs past its seam
+    psi = random_state(np.random.default_rng(7), 4)
+    words = ["XIII", "IXII", "IIXI", "IIIX", "ZZII", "IZZI", "IIZZ", "YIII"]
+    sequences = (words[:2], words)
+    rng = np.random.default_rng(8)
+    head = rng.uniform(-3.0, 3.0, size=(5, 2))
+    batches = [(words[:2], head), (words, np.hstack([head, rng.uniform(-3.0, 3.0, size=(5, 6))]))]
+    obs = OperatorSum.from_terms([PauliTerm("ZZZZ"), PauliTerm("XYXY", 0.5)])
+    each = [alone(psi, words, angles, obs) for words, angles in batches]
+    assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
+    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).trunk == (1, 1)
+    # per row: the trunk's XIII, the first batch's IXII and the second's
+    # seven gates past XIII, as four flips and one diagonal run of three
+    assert engine_counts(sequences, 2) == (1 + 1 + 7, 1 + 1 + 5)
 
 
 def test_a_lone_batch_gives_the_same_bits_at_any_seam(monkeypatch):
@@ -1523,7 +1546,7 @@ def test_folding_removes_the_repeated_commuting_fragment():
     assert [len(words) for words in sequences] == [389, 769, 389, 199, 104]
     # each diagonal run is one kernel step: the chain's folded ZZ fragment is
     # a run of its nine bonds, so the composite is 200 single gates and 21 runs
-    plans = [simulator._step_plan(words) for words in sequences]
+    plans = [simulator._step_plan(words)[0] for words in sequences]
     assert [len(plan) for plan in plans] == [221, 441, 221, 111, 56]
     assert [stop - start for start, stop, i, _ in plans[0] if i is not None] == [9] * 21
     assert len({id(i) for plan in plans for _, _, i, _ in plan if i is not None}) == 1
