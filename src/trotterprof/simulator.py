@@ -33,11 +33,12 @@ evolved once per chunk of rows, then each batch's branch from a copy, with
 each batch's own bits; a batch of its own is a branch set of one.  One plan
 per set (``_set_plan``) holds what it evolves, where its cosines fold back
 included.  One call takes a stage's branch sets, in groups whose angles fit
-``MAX_ANGLES``, and runs a group's chunks of every set longest first.  When
-they hold more than one chunk of amplitudes, the calling thread runs them
-with helper threads that it starts for the group and joins, one thread per
-CPU (``WORKERS``) in all, with the same bits as on one; a chunk of long rows
-runs with numpy's ufunc buffer cut to one row (``_row_buffer``).
+``MAX_ANGLES``, and runs a group's chunks of every set longest first on
+its workers: the calling thread, and when they hold more than one chunk of
+amplitudes, helper threads that it starts for the group and joins, one
+worker per CPU (``WORKERS``) in all, with the same bits as on one.  Each
+worker runs its chunks in its own slab of four stacks, and a chunk of long
+rows with numpy's ufunc buffer cut to one row (``_row_buffer``).
 ``_apply_operator`` applies ``H`` and every observable from one
 pre-gathered diagonal per flip mask, the diagonal group without a gather;
 ``expectation_rows`` sums each row of ``conj(psi) * O psi`` on its own, and
@@ -221,7 +222,7 @@ class SetPlan(NamedTuple):
     folds: tuple[FoldPlan, ...]
     steps: tuple[tuple[Step, ...], ...]
     columns: tuple[ColumnPlan, ...]
-    trunk: tuple[int, int]  # kernel steps, folded gates
+    cut: int  # the trunk's kernel steps
     counts: tuple[int, int]  # folded gates, kernel steps per row, the trunk once
 
 
@@ -387,7 +388,7 @@ def _row_buffer(dim: int) -> Iterator[None]:
 
     ``np.errstate`` scopes the size only from numpy 2.0, and numpy 1.24 is
     supported, so the old size is set back here by hand.  From numpy 2.0 the
-    size is a context variable, and each thread of an engine call sets and
+    size is a context variable, and each worker of an engine call sets and
     restores it in its own copy of the caller's context (``_map_chunks``).
     """
     saved = np.getbufsize()
@@ -671,7 +672,7 @@ def _set_plan(sequences: tuple[tuple[str, ...], ...], seam: int) -> SetPlan:
     shared = steps[0][cut - 1][1] if cut else 0
     gates = shared + sum(len(keep) - shared for keep, _, _ in folds)
     counts = (gates, cut + sum(len(s) - cut for s in steps))
-    return SetPlan(folds, steps, columns, (cut, shared), counts)
+    return SetPlan(folds, steps, columns, cut, counts)
 
 
 def expectation_rows(
@@ -723,13 +724,13 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     folded sequence of a set opens with (the plan's trunk) are evolved once;
     each branch then continues from a copy of that stack, and the last one
     in place, to its last step, which leaves no cosine deferred, before the
-    norms are checked and the values taken.  A chunk runs in four stacks of
-    its thread (the trunk, a branch copy and two scratch stacks), made at
-    the thread's first chunk and kept for the call, so chunks touch no
-    fresh pages.  Every row sees the same operations in the same order
-    whatever the seam, the batches beside it and the sets of the call, so
-    the values are the same bits; they agree with the looped circuits
-    within 1e-12.
+    norms are checked and the values taken.  A chunk runs in the four
+    stacks of its worker's slab (the trunk, a branch copy and two scratch
+    stacks), which the group allocates once, so a worker's later chunks
+    touch no fresh pages.  Every row sees the same operations in the same
+    order whatever the seam, the batches beside it and the sets of the
+    call, so the values are the same bits; they agree with the looped
+    circuits within 1e-12.
 
     Sets are pulled from ``sets`` in groups whose angle arrays together fit
     ``MAX_ANGLES`` (a set that does not fit opens the next group, so a
@@ -737,9 +738,11 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     another.  The angles alive are one group's and those of the set pulled
     after it, which waits, built, for the next group.  A group's chunks run
     longest first, by rows times the plan's kernel steps, through
-    ``_map_chunks``, one rule for the whole group; each chunk
-    writes only its own rows of its own set's columns, under ``_row_buffer``
-    of one row.
+    ``_map_chunks`` on ``min(WORKERS, chunks)`` workers when its rows hold
+    more than ``BATCH_AMPLITUDES`` amplitudes over all its sets, and on one
+    otherwise, where chunks this small would only contend for the GIL; each
+    chunk writes only its own rows of its own set's columns, under
+    ``_row_buffer`` of one row.
     """
     # 2^n tables are built on this thread before workers read them (phases in
     # ``branches``); a block index two workers both build first is a few bytes
@@ -748,24 +751,16 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     columns: list[np.ndarray] = []
     rows: int | None = None
 
-    held = threading.local()
-
-    def stacks(count: int) -> list[np.ndarray]:
-        """The first ``count`` rows of this thread's four chunk stacks."""
-        if not hasattr(held, "stacks"):
-            held.stacks = np.empty((4, min(per_chunk, rows), 1 << state.n), dtype=complex)
-        return list(held.stacks[:, :count])
-
-    def branches(plan: SetPlan, angles, values) -> Callable[[int], None]:
+    def branches(plan: SetPlan, angles, values, slabs) -> Callable[[int, int], None]:
         """The chunk job of one set, writing its columns of ``values``."""
-        cut = plan.trunk[0]
+        cut = plan.cut
         for word in set().union(*(keep for keep, _, _ in plan.folds)):
             flip, signs = word_masks(word)
             if flip and signs:
                 _phase_table(word)
 
-        def chunk(start: int) -> None:
-            trunk, branch, scaled, moved = stacks(min(per_chunk, rows - start))
+        def chunk(start: int, worker: int) -> None:
+            trunk, branch, scaled, moved = slabs[worker, :, : rows - start]
             trunk[...] = state.amplitudes
             scratch = scaled, moved
             with _row_buffer(trunk.shape[1]):
@@ -789,14 +784,17 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     def evolve(group) -> np.ndarray:
         """One group's values: its sets' chunks, longest first."""
         values = np.empty((rows, sum(len(angles) for _, angles in group)))
+        chunks = -(-rows // per_chunk) * len(group)
+        workers = min(WORKERS, chunks) if len(group) * rows << state.n > BATCH_AMPLITUDES else 1
+        slabs = np.empty((workers, 4, min(per_chunk, rows), 1 << state.n), dtype=complex)
         jobs, column = [], 0
         for plan, angles in group:
-            chunk = branches(plan, angles, values[:, column : column + len(angles)])
+            chunk = branches(plan, angles, values[:, column : column + len(angles)], slabs)
             for start in range(0, rows, per_chunk):
                 jobs.append((min(per_chunk, rows - start) * plan.counts[1], chunk, start))
             column += len(angles)
         jobs.sort(key=lambda job: -job[0])  # stable: ties keep their order
-        _map_chunks([job[1:] for job in jobs], len(group) * rows << state.n)
+        _map_chunks([job[1:] for job in jobs], workers)
         return values
 
     group: list[tuple[SetPlan, list[np.ndarray]]] = []
@@ -818,7 +816,7 @@ def sample_branches(state: StateVector, sets: Iterable[BranchSet], obs: Operator
     if not group:
         raise DegenerateInputError("sample_branches needs at least one branch set")
     columns.append(evolve(group))
-    return columns[0] if len(columns) == 1 else np.hstack(columns)
+    return np.hstack(columns)
 
 
 def _checked_set(
@@ -850,51 +848,46 @@ def _checked_set(
     return sequences, angles
 
 
-def _map_chunks(jobs: Sequence[tuple[Callable[[int], None], int]], amplitudes: int) -> None:
-    """Run every ``chunk(start)`` of ``jobs``, in their order: on the calling
-    thread, helped by ``min(WORKERS, len(jobs)) - 1`` threads started for this
-    call, when there are two workers, two jobs and more than
-    ``BATCH_AMPLITUDES`` amplitudes to evolve, otherwise on the calling thread
-    alone.
+def _map_chunks(jobs: Sequence[tuple[Callable[[int, int], None], int]], workers: int) -> None:
+    """Run every ``chunk(start, worker)`` of ``jobs``, in their order, on
+    ``workers`` numbered workers: the calling thread is worker 0 and starts
+    ``workers - 1`` helper threads for this call, none for one worker.
 
-    Each thread pulls the next job under one lock and runs it in its own copy
-    of the caller's context, taken before any job starts, since two threads
-    cannot enter one context at once: from numpy 2.0 a job sees the caller's
-    error state and ufunc buffer size, and what it sets stays in its copy.
-    The first exception, a chunk's or an interrupt of the caller, stops the
-    pulls; every helper finishes its chunk and is joined, and then the
-    exception is raised here, so no helper outlives the call.
+    Each worker pulls the next job under one lock and runs it in its own
+    copy of the caller's context, taken before any job starts, since two
+    threads cannot enter one context at once: from numpy 2.0 a job sees the
+    caller's error state and ufunc buffer size, and what it sets stays in
+    its worker's copy.  The first exception, a chunk's or an interrupt of
+    the caller, stops the pulls; every helper finishes its chunk and is
+    joined, and then the exception is raised here, so no helper outlives
+    the call.
     """
-    if WORKERS < 2 or len(jobs) < 2 or amplitudes <= BATCH_AMPLITUDES:
-        for chunk, start in jobs:
-            chunk(start)
-        return
     pending, lock, failures = iter(jobs), threading.Lock(), []
+    contexts = [contextvars.copy_context() for _ in range(workers)]
 
-    def work(context: contextvars.Context) -> None:
+    def work(worker: int) -> None:
         while True:
             with lock:
                 job = None if failures else next(pending, None)
             if job is None:
                 return
             try:
-                context.run(*job)
+                contexts[worker].run(*job, worker)
             except BaseException as error:
                 failures.append(error)
 
-    contexts = [contextvars.copy_context() for _ in range(min(WORKERS, len(jobs)))]
     finished, helpers = threading.Semaphore(0), []
 
-    def helper(context: contextvars.Context) -> None:
-        work(context)
+    def helper(worker: int) -> None:
+        work(worker)
         finished.release()
 
     try:
-        for context in contexts[1:]:
-            thread = threading.Thread(target=helper, args=(context,), name="trotterprof-chunk")
+        for worker in range(1, workers):
+            thread = threading.Thread(target=helper, args=(worker,), name="trotterprof-chunk")
             thread.start()
             helpers.append(thread)
-        work(contexts[0])
+        work(0)
     except BaseException as error:  # a helper that could not start, or an interrupt
         failures.append(error)
     # each helper's own signal first: a join that an interrupt cuts short may

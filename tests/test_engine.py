@@ -373,6 +373,27 @@ def test_chunk_jobs_on_the_pool_see_the_callers_numpy_state(monkeypatch):
     assert np.geterr() == errors and np.getbufsize() == saved
 
 
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x keeps this state per thread"
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_what_a_job_sets_in_numpy_stays_in_its_workers_context(workers):
+    # one worker runs its jobs on the calling thread, in a copy of its context too
+    seen = []
+
+    def chunk(start, worker):
+        np.seterr(over="raise")
+        np.setbufsize(64)
+        seen.append((start, worker, np.geterr()["over"], np.getbufsize()))
+
+    state = np.geterr()["over"], np.getbufsize()
+    simulator._map_chunks([(chunk, start) for start in range(4)], workers)
+    assert (np.geterr()["over"], np.getbufsize()) == state
+    assert sorted(start for start, *_ in seen) == list(range(4))
+    assert {worker for _, worker, *_ in seen} <= set(range(workers))
+    assert {(over, size) for *_, over, size in seen} == {("raise", 64)}
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gather_free_words_are_bit_identical_to_the_allocating_kernel(n):
     # a diagonal word is a run of one, gathered from its two-entry table,
@@ -1026,7 +1047,7 @@ def test_a_diagonal_run_past_the_trunk_stays_in_the_branches():
     obs = OperatorSum.from_terms([PauliTerm("ZZ"), PauliTerm("XY", 0.5)])
     each = [alone(psi, words, angles, obs) for words, angles in batches]
     assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
-    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).trunk == (1, 1)
+    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).cut == 1
     assert engine_counts(sequences, 2) == (1 + 3 + 3, 1 + 2 + 3)
 
 
@@ -1046,7 +1067,7 @@ def test_a_batch_that_ends_at_its_seam_keeps_its_last_step_out_of_the_trunk():
     obs = OperatorSum.from_terms([PauliTerm("ZZZZ"), PauliTerm("XYXY", 0.5)])
     each = [alone(psi, words, angles, obs) for words, angles in batches]
     assert np.array_equal(sample_branches(psi, [(2, batches)], obs), np.column_stack(each))
-    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).trunk == (1, 1)
+    assert simulator._set_plan(tuple(map(tuple, sequences)), 2).cut == 1
     # per row: the trunk's XIII, the first batch's IXII and the second's
     # seven gates past XIII, as four flips and one diagonal run of three
     assert engine_counts(sequences, 2) == (1 + 1 + 7, 1 + 1 + 5)
@@ -1244,13 +1265,12 @@ def test_plans_and_phase_tables_are_built_on_the_calling_thread(tmp_path, monkey
     assert {thread for _, thread in built} == {"MainThread"}
 
 
-def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined(monkeypatch):
+def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined():
     # six jobs on two threads; the helper's job raises while the caller's
     # waits for the helper to end, so exactly two jobs run
-    monkeypatch.setattr(simulator, "WORKERS", 2)
     ran, busy = [], threading.Event()
 
-    def chunk(start):
+    def chunk(start, worker):
         ran.append(start)
         if threading.current_thread().name == "trotterprof-chunk":
             busy.wait(5.0)
@@ -1260,12 +1280,12 @@ def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined(monkeypatch)
             helper.join(5.0)
 
     with pytest.raises(ValueError, match="helper chunk"):
-        simulator._map_chunks([(chunk, start) for start in range(6)], 1 << 20)
+        simulator._map_chunks([(chunk, start) for start in range(6)], 2)
     assert len(ran) == 2 and chunk_threads() == []
     # the caller's chunk raises: the helper finishes its own chunk first
     raised, finished = threading.Event(), threading.Event()
 
-    def failing(start):
+    def failing(start, worker):
         if threading.current_thread().name == "trotterprof-chunk":
             raised.wait(5.0)
             time.sleep(0.05)
@@ -1275,23 +1295,22 @@ def test_a_failing_chunk_stops_the_pulls_and_every_helper_is_joined(monkeypatch)
             raise ValueError("caller chunk")
 
     with pytest.raises(ValueError, match="caller chunk"):
-        simulator._map_chunks([(failing, 0), (failing, 1)], 1 << 20)
+        simulator._map_chunks([(failing, 0), (failing, 1)], 2)
     assert finished.is_set() and chunk_threads() == []
 
 
-def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
+def test_every_job_runs_once_on_more_threads_than_cpus():
     # eight threads pull 400 jobs under a switch interval of a microsecond
-    monkeypatch.setattr(simulator, "WORKERS", 8)
     ran = []
 
-    def chunk(start):
+    def chunk(start, worker):
         ran.append((start, threading.current_thread().name))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         started = time.perf_counter()
-        simulator._map_chunks([(chunk, start) for start in range(400)], 1 << 20)
+        simulator._map_chunks([(chunk, start) for start in range(400)], 8)
         assert time.perf_counter() - started < 30.0
     finally:
         sys.setswitchinterval(interval)
@@ -1301,13 +1320,12 @@ def test_every_job_runs_once_on_more_threads_than_cpus(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
-def test_an_interrupt_of_the_caller_joins_every_helper_first(monkeypatch):
+def test_an_interrupt_of_the_caller_joins_every_helper_first():
     # the helper interrupts the caller, which waits for it in join, and then
     # finishes its chunk; the interrupt reaches the caller only after that
-    monkeypatch.setattr(simulator, "WORKERS", 2)
     busy, finished = threading.Event(), threading.Event()
 
-    def chunk(start):
+    def chunk(start, worker):
         if threading.current_thread().name != "trotterprof-chunk":
             busy.wait(5.0)
             return
@@ -1320,7 +1338,7 @@ def test_an_interrupt_of_the_caller_joins_every_helper_first(monkeypatch):
     saved = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            simulator._map_chunks([(chunk, 0), (chunk, 1)], 1 << 20)
+            simulator._map_chunks([(chunk, 0), (chunk, 1)], 2)
     finally:
         signal.signal(signal.SIGINT, saved)
     assert finished.is_set() and chunk_threads() == []
@@ -1366,9 +1384,9 @@ def test_a_batch_folds_one_chunk_of_angles_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_the_chunks_of_a_call_reuse_their_threads_stacks(monkeypatch, workers):
+def test_the_chunks_of_a_call_run_in_their_workers_slab(monkeypatch, workers):
     # ten rows in chunks of 3, 3, 3 and 1, on a set of two branches: every
-    # chunk runs in the four stacks its thread made at its first chunk
+    # chunk runs in the four stacks of its worker's slab
     n, rows = 6, 10
     rng = np.random.default_rng(12)
     psi = random_state(rng, n)
@@ -1392,11 +1410,15 @@ def test_the_chunks_of_a_call_reuse_their_threads_stacks(monkeypatch, workers):
     monkeypatch.setattr(simulator, "_evolve_steps", recording)
     values = sample_branches(psi, [(2, sets)], obs)
     assert np.array_equal(values, expected)
-    slabs = {}
+    slabs, held = {}, {}
     for thread, *stacks in seen:
         owners = (stack if stack.base is None else stack.base for stack in stacks)
         slabs.setdefault(thread, set()).update(map(id, owners))
+        held.setdefault(thread, []).extend(stacks)
     assert all(len(bases) == 1 for bases in slabs.values())
+    # the threads' stacks are disjoint: each thread is one worker
+    for ours, theirs in itertools.combinations(held.values(), 2):
+        assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
     assert len(seen) == 3 * 4  # trunk and two branches per chunk
 
 
@@ -1458,6 +1480,22 @@ def test_no_module_imports_concurrent_or_logging():
             if any(module.split(".")[0] in {"concurrent", "logging"} for module in modules):
                 importers.add(path.stem)
     assert importers == set()
+
+
+def test_only_map_chunks_starts_threads_and_none_keeps_thread_local_state():
+    # an engine call's workers are numbered and own their slabs, so no
+    # module keeps state per thread
+    package = Path(trotterprof.__file__).parent
+    users = {"Thread": set(), "local": set()}
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.alias) and node.name.split(".")[-1] in users:
+                    users[node.name.split(".")[-1]].add((path.stem, "import"))
+                attribute = isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                if attribute and node.value.id == "threading" and node.attr in users:
+                    users[node.attr].add((path.stem, getattr(top, "name", None)))
+    assert users == {"Thread": {("simulator", "_map_chunks")}, "local": set()}
 
 
 CHILD_RUN = """
